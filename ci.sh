@@ -7,10 +7,17 @@
 #   2. format check       — clang-format --dry-run over the tree (skipped
 #                           when clang-format is not installed).
 #   3. tier-1             — default build + full ctest suite.
-#   4. clang-tidy         — `tidy` target over src/ using the tier-1 build's
+#   4. perfbench          — the benchmark's own self-test (planted digest and
+#                           status failures must reach fail_frac), then every
+#                           BENCHMARK.json workload once at seed 1 for one
+#                           second: each must report "correct": true, i.e.
+#                           finish ok with the reference digest. A change to
+#                           event order fails here, not only in the
+#                           benchmark pipeline.
+#   5. clang-tidy         — `tidy` target over src/ using the tier-1 build's
 #                           compile_commands.json (skips itself when
 #                           clang-tidy is not installed).
-#   5. analyze            — dibs-analyzer (tools/analyzer/): libclang
+#   6. analyze            — dibs-analyzer (tools/analyzer/): libclang
 #                           semantic lint over src/ (determinism-ast,
 #                           pointer-key-order, observer-purity,
 #                           signal-safety, checkpoint-coverage) against the
@@ -18,11 +25,11 @@
 #                           any finding not in tools/analyzer/baseline.json;
 #                           prints a skip message where the python libclang
 #                           bindings are not installed.
-#   6. asan+ubsan         — full ctest suite under ASan+UBSan with
+#   7. asan+ubsan         — full ctest suite under ASan+UBSan with
 #                           DIBS_VALIDATE=1, so every scenario test also
 #                           runs the invariant checker and its conservation
 #                           ledger must balance.
-#   7. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
+#   8. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
 #                           (invariant + metamorphic oracles) must come back
@@ -31,12 +38,12 @@
 #                           the bug in and green without — proof the oracle
 #                           actually bites. Corpus replay itself rides in
 #                           tier-1 ctest (chaos_corpus_replay).
-#   8. fig11 smoke        — the incast-degree figure bench end-to-end with
+#   9. fig11 smoke        — the incast-degree figure bench end-to-end with
 #                           DIBS_VALIDATE=1 and DIBS_REQUIRE_OK=1 (any run
 #                           a validation throw fails is fatal), on the
 #                           tier-1 build tree.
-#   9. trace smoke        — fig11 again with DIBS_TRACE=1: tables must be
-#                           byte-identical to the untraced stage-7 run, every
+#  10. trace smoke        — fig11 again with DIBS_TRACE=1: tables must be
+#                           byte-identical to the untraced stage-9 run, every
 #                           per-run trace JSONL must pass `trace_tool
 #                           summarize`, the Perfetto export must be valid
 #                           JSON, and the same traced bench must run clean
@@ -48,23 +55,23 @@
 #                           within 2% of the per-machine ratcheted baseline
 #                           cached in the build tree
 #                           (tools/check_trace_overhead.py).
-#  10. resilience smoke   — the fault-injection bench under ASan+UBSan with
+#  11. resilience smoke   — the fault-injection bench under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (the conservation ledger must
 #                           balance through link flaps, lossy links, and a
 #                           ToR crash), run twice — DIBS_JOBS=1 then
 #                           DIBS_JOBS=8 — and diffed: tables byte-identical,
 #                           JSONL identical modulo host-side wall-clock
 #                           metadata (wall_ms / events_per_sec).
-#  11. crash-resume      — kills (SIGKILL) the resilience bench mid-sweep,
+#  12. crash-resume      — kills (SIGKILL) the resilience bench mid-sweep,
 #                           resumes it from its run journal (DIBS_RESUME=1),
 #                           and byte-diffs the resumed tables/JSONL against
 #                           an uninterrupted run at DIBS_JOBS=1 and 8 — the
 #                           acceptance bar for journal-backed resume. The
 #                           crash/hang injection hooks behind the same
 #                           machinery (DIBS_TEST_CRASH_RUN, DIBS_ISOLATE)
-#                           are exercised by tests/exp under stage 6's
+#                           are exercised by tests/exp under stage 7's
 #                           ASan+UBSan config.
-#  12. checkpoint        — in-run checkpoint/restore (src/ckpt) under
+#  13. checkpoint        — in-run checkpoint/restore (src/ckpt) under
 #                           ASan+UBSan: the resilience bench with periodic
 #                           quiescent-barrier snapshots armed, one child
 #                           SIGKILLed right after its first durable barrier
@@ -77,7 +84,7 @@
 #                           its checkpoint behind, the file is truncated, and
 #                           the next sweep must reject it (typed CkptError)
 #                           and replay from scratch to the same bytes.
-#  13. guard             — overload-protection smoke: the guarded fig14
+#  14. guard             — overload-protection smoke: the guarded fig14
 #                           extreme-qps sweep under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (guard drops must keep the
 #                           conservation ledger balanced, and the breaker
@@ -87,7 +94,7 @@
 #                           the collapse point and must not flag the
 #                           guarded run (DIBS_GUARD_EXPECT=1 makes the
 #                           bench exit nonzero otherwise).
-#  14. tsan              — sweep engine under ThreadSanitizer (tests/exp)
+#  15. tsan              — sweep engine under ThreadSanitizer (tests/exp)
 #                           so data races in the threaded layer fail the
 #                           pipeline.
 #
@@ -115,6 +122,20 @@ echo "== tier-1: default build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+echo "== perfbench: self-test, then every workload's digest at seed 1 =="
+# run.py builds its own tree (.bench_build/) from this checkout's src/ and
+# prints one JSON result object as its last stdout line.
+python3 perfbench/run.py --self-test
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 | tail -n 1)"
+  echo "$workload: $result"
+  case "$result" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench: $workload did not reproduce its reference digest"; exit 1 ;;
+  esac
+done
 
 echo "== tidy: clang-tidy over src/ =="
 cmake --build build --target tidy
@@ -173,7 +194,7 @@ TR_TMP="$CI_TMP/trace"
 mkdir -p "$TR_TMP"
 cmake --build build -j"$JOBS" --target trace_tool
 # Tracing must be an observer, never a participant: the traced run's tables
-# must be byte-identical to the untraced stage-6 run.
+# must be byte-identical to the untraced stage-9 run.
 DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 \
   DIBS_TRACE=1 DIBS_TRACE_JSONL="$TR_TMP/fig11.jsonl" \
   ./build/bench/fig11_incast_degree > "$TR_TMP/fig11_traced.txt"
@@ -223,7 +244,7 @@ python3 tools/check_trace_overhead.py "$TR_TMP/switch_hop.json" \
   build/trace_overhead_baseline.json 2.0
 
 echo "== smoke: resilience fault-injection bench, seed-determinism across DIBS_JOBS =="
-# ASan+UBSan build (stage 5 already built it) with the invariant checker on:
+# ASan+UBSan build (stage 7 already built it) with the invariant checker on:
 # every fault cell must keep the conservation ledger balanced, and the whole
 # sweep must be reproducible regardless of worker count.
 cmake --build build-asan -j"$JOBS" --target resilience

@@ -3,7 +3,7 @@
 // A checkpoint file is exactly two '\n'-terminated lines:
 //
 //   line 1: the state object (strict JSON, byte-stable json::Dump output)
-//           {"format":"dibs-ckpt","version":1,"config_digest":...,
+//           {"format":"dibs-ckpt","version":2,"config_digest":...,
 //            "barrier":N,"sim":{...},"components":{...}}
 //   line 2: {"digest":"<16 hex digits>"}   FNV-1a (64-bit) over line 1's
 //           bytes, newline excluded
@@ -26,7 +26,7 @@
 namespace dibs::ckpt {
 
 inline constexpr const char* kCkptFormat = "dibs-ckpt";
-inline constexpr int kCkptVersion = 1;
+inline constexpr int kCkptVersion = 2;
 
 // Typed rejection for unusable checkpoints: truncated, bit-flipped,
 // version- or config-mismatched, or semantically inconsistent with the

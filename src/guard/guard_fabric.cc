@@ -15,8 +15,16 @@ GuardFabric::GuardFabric(Simulator* sim, const GuardConfig& config,
   DIBS_CHECK(config_.ttl_budget_min <= config_.ttl_budget_max)
       << "adaptive TTL budget range is inverted";
   detour_budget_ = config_.adaptive_ttl ? config_.ttl_budget_max : UINT16_MAX;
+  std::sort(switch_ids.begin(), switch_ids.end());
+  switch_ids.erase(std::unique(switch_ids.begin(), switch_ids.end()), switch_ids.end());
+  if (!switch_ids.empty()) {
+    DIBS_CHECK(switch_ids.front() >= 0) << "negative switch id " << switch_ids.front();
+    guard_index_.assign(static_cast<size_t>(switch_ids.back()) + 1, -1);
+  }
+  guards_.reserve(switch_ids.size());
   for (const int node : switch_ids) {
-    guards_.emplace(node, DetourGuard(config_, sim_->Now()));
+    guard_index_[static_cast<size_t>(node)] = static_cast<int>(guards_.size());
+    guards_.emplace_back(node, DetourGuard(config_, sim_->Now()));
   }
 }
 
@@ -65,15 +73,13 @@ Time GuardFabric::TotalSuppressed(Time now) const {
 }
 
 DetourGuard& GuardFabric::GuardAt(int node) {
-  const auto it = guards_.find(node);
-  DIBS_CHECK(it != guards_.end()) << "no guard for node " << node;
-  return it->second;
+  DIBS_CHECK(HasGuard(node)) << "no guard for node " << node;
+  return guards_[static_cast<size_t>(guard_index_[static_cast<size_t>(node)])].second;
 }
 
 const DetourGuard& GuardFabric::GuardAt(int node) const {
-  const auto it = guards_.find(node);
-  DIBS_CHECK(it != guards_.end()) << "no guard for node " << node;
-  return it->second;
+  DIBS_CHECK(HasGuard(node)) << "no guard for node " << node;
+  return guards_[static_cast<size_t>(guard_index_[static_cast<size_t>(node)])].second;
 }
 
 void GuardFabric::Tick() {
@@ -102,7 +108,7 @@ void GuardFabric::Tick() {
     detour_budget_ = static_cast<uint16_t>(budget);
   }
 
-  // Per-switch rollup + state machine, node-id order (std::map).
+  // Per-switch rollup + state machine, node-id order.
   for (auto& [node, guard] : guards_) {
     const GuardState before = guard.OnWindowTick(now);
     if (guard.state() != before && on_transition_) {
@@ -160,12 +166,11 @@ void GuardFabric::CkptRestore(const json::Value& in) {
   for (const json::Value& e : rows->items) {
     int node = -1;
     json::ReadInt(e, "node", &node);
-    const auto it = guards_.find(node);
     const json::Value* g = json::Find(e, "g");
-    if (it == guards_.end() || g == nullptr) {
+    if (!HasGuard(node) || g == nullptr) {
       throw CodecError("guard.guards", "breaker for an unknown switch");
     }
-    it->second.CkptRestore(*g);
+    GuardAt(node).CkptRestore(*g);
   }
   if (json::Find(in, "tick_id") != nullptr) {
     const uint64_t id = json::ReadUint64(in, "tick_id", 0);

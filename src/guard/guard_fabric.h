@@ -19,8 +19,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/checkpointable.h"
@@ -81,7 +81,10 @@ class GuardFabric : public ckpt::Checkpointable {
 
   // ---- Accounting (read by GuardRecorder-free callers: benches, tests) ----
   const DetourGuard& guard(int node) const { return GuardAt(node); }
-  bool HasGuard(int node) const { return guards_.count(node) != 0; }
+  bool HasGuard(int node) const {
+    return node >= 0 && static_cast<size_t>(node) < guard_index_.size() &&
+           guard_index_[static_cast<size_t>(node)] >= 0;
+  }
   uint64_t TotalTrips() const;
   Time TotalSuppressed(Time now) const;
   uint64_t ttl_clamped() const { return ttl_clamped_; }
@@ -106,8 +109,12 @@ class GuardFabric : public ckpt::Checkpointable {
 
   Simulator* sim_;
   GuardConfig config_;
-  // node id -> guard; std::map for deterministic iteration order.
-  std::map<int, DetourGuard> guards_;
+  // (node id, guard) per switch, in node-id order: ticks, transitions and
+  // the checkpoint encoding all walk it in that deterministic order.
+  std::vector<std::pair<int, DetourGuard>> guards_;
+  // node id -> index into guards_, -1 for nodes without a guard. Dense, so
+  // the per-hop GuardAt is one indexed load.
+  std::vector<int> guard_index_;
   TransitionCallback on_transition_;
   Time stop_time_;
   bool started_ = false;

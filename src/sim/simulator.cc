@@ -24,40 +24,49 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
     validate::Fail("sim.schedule-past", os.str());
   }
   DIBS_CHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
-  const EventId id = next_id_++;
-  PushEvent(Event{when, id, std::move(fn)});
+  DIBS_CHECK(next_seq_ < kSequenceLimit) << "event sequence space exhausted";
+  size_t slot;
+  if (free_slots_.empty()) {
+    DIBS_CHECK(slots_.size() <= kSlotMask) << "more than 2^24 live events";
+    slot = slots_.size();
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  PushKey(Key{when, id});
   return id;
 }
 
 void Simulator::Cancel(EventId id) {
-  if (id == kInvalidEventId) {
-    return;
+  const size_t slot = SlotOf(id);
+  if (id == kInvalidEventId || slot >= slots_.size() || slots_[slot].id != id) {
+    return;  // fired, already cancelled, or never issued
   }
-  cancelled_.insert(id);
+  FreeSlot(slot);
 }
 
-bool Simulator::RunOneEvent() {
-  while (!queue_.empty()) {
-    // The event must be popped before running because the closure may
-    // schedule more events (mutating the heap).
-    Event ev = PopEvent();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    if (validate::Enabled() && ev.when < now_) {
-      std::ostringstream os;
-      os << "event timestamp regressed: popped event " << ev.id << " at " << ev.when
-         << " behind clock " << now_ << " (events processed: " << events_processed_ << ")";
-      validate::Fail("sim.time-regression", os.str());
-    }
-    DIBS_DCHECK(ev.when >= now_);
-    now_ = ev.when;
-    ++events_processed_;
-    ev.fn();
-    return true;
+void Simulator::RunTop() {
+  const Key key = heap_.front();
+  PopKey();
+  // The closure leaves the slab before it runs: it may schedule more events,
+  // which can grow (and reallocate) the slab or reuse this very slot.
+  const size_t slot = SlotOf(key.id);
+  std::function<void()> fn = std::move(slots_[slot].fn);
+  FreeSlot(slot);
+  if (validate::Enabled() && key.when < now_) {
+    std::ostringstream os;
+    os << "event timestamp regressed: popped event " << key.id << " at " << key.when
+       << " behind clock " << now_ << " (events processed: " << events_processed_ << ")";
+    validate::Fail("sim.time-regression", os.str());
   }
-  return false;
+  DIBS_DCHECK(key.when >= now_);
+  now_ = key.when;
+  ++events_processed_;
+  fn();
 }
 
 void Simulator::SetInterruptCheck(std::function<bool()> check, uint64_t check_every) {
@@ -81,33 +90,27 @@ bool Simulator::CheckInterrupt() {
 
 void Simulator::Run() {
   stopped_ = false;
-  while (!stopped_ && !CheckInterrupt() && RunOneEvent()) {
+  while (!stopped_ && !CheckInterrupt() && SkipCancelled()) {
+    RunTop();
   }
 }
 
 void Simulator::RunUntil(Time until) {
   DIBS_CHECK(until >= now_);
   stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
-    if (CheckInterrupt()) {
-      break;
-    }
-    // Peek through cancelled entries without running live ones early.
-    if (cancelled_.count(TopEvent().id) > 0) {
-      cancelled_.erase(TopEvent().id);
-      PopEvent();
-      continue;
-    }
-    if (TopEvent().when > until) {
-      break;
-    }
+  // The interrupt check is polled only while keys remain, so draining the
+  // queue exactly at the budget still advances the clock to `until`.
+  // Cancelled keys are skipped before the boundary test, so no live event
+  // runs early and none past `until`.
+  while (!stopped_ && !heap_.empty() && !CheckInterrupt() && SkipCancelled() &&
+         heap_.front().when <= until) {
     if (barrier_interval_ > Time::Zero()) {
-      MaybeFireBarriers(TopEvent().when, until);
-      if (stopped_ || queue_.empty()) {
-        continue;  // re-evaluate loop conditions; hooks never add events
+      MaybeFireBarriers(heap_.front().when, until);
+      if (stopped_) {
+        break;  // hooks never add or cancel events, so the top is unchanged
       }
     }
-    RunOneEvent();
+    RunTop();
   }
   // An interrupted run leaves Now() at the last executed event rather than
   // jumping to `until`; the partial clock is part of the failure report.
@@ -145,30 +148,48 @@ void Simulator::MaybeFireBarriers(Time next_when, Time until) {
 
 std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
   std::vector<std::pair<Time, EventId>> keys;
-  keys.reserve(queue_.size());
-  for (const Event& ev : queue_) {
-    if (cancelled_.count(ev.id) == 0) {
-      keys.emplace_back(ev.when, ev.id);
+  keys.reserve(pending_events());
+  for (const Key& key : heap_) {
+    if (IsLive(key)) {
+      keys.emplace_back(key.when, key.id);
     }
   }
   return keys;
 }
 
 void Simulator::BeginRestore(Time now, EventId next_id, uint64_t events_processed) {
-  queue_.clear();
-  cancelled_.clear();
+  heap_.clear();
+  slots_.clear();
+  free_slots_.clear();
   now_ = now;
-  next_id_ = next_id;
+  next_seq_ = next_id >> kSlotBits;
   events_processed_ = events_processed;
   stopped_ = false;
   interrupted_ = false;
 }
 
 void Simulator::RestoreEventAt(Time when, EventId id, std::function<void()> fn) {
-  DIBS_CHECK(id != kInvalidEventId && id < next_id_)
-      << "restored event id " << id << " outside checkpoint epoch (next id " << next_id_ << ")";
+  const uint64_t seq = id >> kSlotBits;
+  DIBS_CHECK(seq != 0 && seq < next_seq_)
+      << "restored event id " << id << " outside checkpoint epoch (next id " << next_event_id()
+      << ")";
   DIBS_CHECK(when >= now_) << "restored event in the past: " << when << " < " << now_;
-  PushEvent(Event{when, id, std::move(fn)});
+  const size_t slot = SlotOf(id);
+  if (slot >= slots_.size()) {
+    // Slots skipped over stay free until some restored id claims them.
+    for (size_t s = slots_.size(); s < slot; ++s) {
+      free_slots_.push_back(static_cast<uint32_t>(s));
+    }
+    slots_.resize(slot + 1);
+  } else {
+    DIBS_CHECK(slots_[slot].id == kInvalidEventId)
+        << "restored event id " << id << " shares slot " << slot << " with live event "
+        << slots_[slot].id;
+    free_slots_.erase(std::find(free_slots_.begin(), free_slots_.end(), slot));
+  }
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  PushKey(Key{when, id});
 }
 
 }  // namespace dibs

@@ -5,6 +5,16 @@
 // inputs execute events in exactly the same order. All simulation randomness
 // is drawn from the simulator-owned Rng, making runs reproducible from the
 // seed alone.
+//
+// Layout: the queue is a binary heap of trivially copyable 16-byte
+// (when, id) keys over a slab of closures. An EventId packs
+// (schedule sequence << 24) | slab slot, and each slot records the id of the
+// live event it holds. Cancel frees the slot (destroying the closure) at
+// once and leaves the key in the heap; a popped key whose slot no longer
+// holds its id is skipped. Sifting therefore moves keys, never closures, and
+// cancellation needs no lookup structure. At most 2^24 events may be live
+// at once and at most 2^40 may be scheduled over a simulator's life; both
+// limits are enforced with DIBS_CHECK.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -12,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,7 +30,10 @@
 
 namespace dibs {
 
-// Handle for a scheduled event, usable with Cancel(). Id 0 is never issued.
+// Handle for a scheduled event, usable with Cancel(). Opaque to callers,
+// who may rely on exactly three things: id 0 is never issued, a later
+// Schedule call returns a larger id (ids order by schedule sequence), and an
+// id is never reused while its event is live.
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -42,8 +54,9 @@ class Simulator {
   // Schedules `fn` at absolute time `when` (must be >= Now()).
   EventId ScheduleAt(Time when, std::function<void()> fn);
 
-  // Cancels a pending event. Cancelling an already-fired or invalid id is a
-  // no-op, which keeps timer bookkeeping in callers simple.
+  // Cancels a pending event and destroys its closure immediately.
+  // Cancelling an already-fired, already-cancelled or invalid id is a no-op,
+  // which keeps timer bookkeeping in callers simple.
   void Cancel(EventId id);
 
   // Runs until the event queue drains or Stop() is called.
@@ -82,7 +95,8 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  // Live (scheduled, not yet fired or cancelled) events.
+  size_t pending_events() const { return slots_.size() - free_slots_.size(); }
 
   // --- Checkpoint/restore support (src/ckpt) ---
   //
@@ -91,42 +105,48 @@ class Simulator {
   // hooks give it the three things that requires: a quiescent point between
   // events to snapshot at, the exact (when, id) keys of every live pending
   // event (so component coverage can be cross-checked), and a way to
-  // re-insert an event under its original id so FIFO tie-breaking — and with
-  // it the entire event order — survives a restore byte-for-byte.
+  // re-insert an event under its original id — same sequence, same slab
+  // slot — so FIFO tie-breaking, and with it the entire event order,
+  // survives a restore byte-for-byte.
 
   // Installs a barrier fired from RunUntil between events: whenever the next
   // live event's timestamp reaches or crosses a multiple of `interval`, the
   // clock is advanced to the barrier time (mirroring RunUntil's end-of-run
   // behavior; no event observes the intermediate clock) and `hook` runs.
-  // The hook must not schedule events or draw randomness. Pass a zero
-  // interval to disarm.
+  // The hook must not schedule or cancel events or draw randomness. Pass a
+  // zero interval to disarm.
   void SetCheckpointBarrier(Time interval, std::function<void()> hook);
 
   // (when, id) of every live (non-cancelled) pending event, unordered.
   std::vector<std::pair<Time, EventId>> PendingEventKeys() const;
 
-  // Resets the clock, id counter, and event count to checkpointed values and
+  // Resets the clock, id epoch, and event count to checkpointed values and
   // clears the queue; RestoreEventAt calls then repopulate it.
   void BeginRestore(Time now, EventId next_id, uint64_t events_processed);
 
-  // Re-inserts an event captured in a checkpoint under its original id.
-  // `id` must come from the epoch being restored (below next_id) and `when`
-  // must not be in the past.
+  // Re-inserts an event captured in a checkpoint under its original id,
+  // taking back that id's slab slot. `id` must come from the epoch being
+  // restored (sequence below next_id's) and be restored once; `when` must
+  // not be in the past.
   void RestoreEventAt(Time when, EventId id, std::function<void()> fn);
 
-  // The id the next Schedule/ScheduleAt call would be issued (the event-id
-  // epoch a checkpoint must restore).
-  EventId next_event_id() const { return next_id_; }
+  // The next schedule sequence number, shifted into EventId position: every
+  // id issued so far is below it, every later one at or above it (the
+  // event-id epoch a checkpoint must restore).
+  EventId next_event_id() const { return next_seq_ << kSlotBits; }
 
  private:
-  struct Event {
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kSequenceLimit = uint64_t{1} << (64 - kSlotBits);
+
+  struct Key {
     Time when;
     EventId id;
-    std::function<void()> fn;
   };
 
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
@@ -134,8 +154,38 @@ class Simulator {
     }
   };
 
-  // Pops and runs the earliest event. Returns false when the queue is empty.
-  bool RunOneEvent();
+  // A slab entry: the closure of live event `id`, or kInvalidEventId (and
+  // no closure) while the slot is free.
+  struct Slot {
+    EventId id = kInvalidEventId;
+    std::function<void()> fn;
+  };
+
+  static size_t SlotOf(EventId id) { return static_cast<size_t>(id & kSlotMask); }
+
+  bool IsLive(const Key& key) const { return slots_[SlotOf(key.id)].id == key.id; }
+
+  // Pops cancelled keys off the top of the heap; true when the top is then
+  // a live event.
+  bool SkipCancelled() {
+    while (!heap_.empty()) {
+      if (IsLive(heap_.front())) {
+        return true;
+      }
+      PopKey();
+    }
+    return false;
+  }
+
+  // Pops and runs the live event on top of the heap.
+  void RunTop();
+
+  // Empties a slot and returns it to the free list.
+  void FreeSlot(size_t slot) {
+    slots_[slot].id = kInvalidEventId;
+    slots_[slot].fn = nullptr;
+    free_slots_.push_back(static_cast<uint32_t>(slot));
+  }
 
   // Applies the event budget / interrupt check; true when the run must stop.
   bool CheckInterrupt();
@@ -147,28 +197,26 @@ class Simulator {
   // Explicit binary-heap management (std::push_heap/pop_heap over a plain
   // vector instead of std::priority_queue) so PendingEventKeys can iterate
   // the live queue — the checkpoint coverage check needs to see every key.
-  void PushEvent(Event&& ev) {
-    queue_.push_back(std::move(ev));
-    std::push_heap(queue_.begin(), queue_.end(), EventLater());
+  void PushKey(Key key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), KeyLater());
   }
-  Event PopEvent() {
-    std::pop_heap(queue_.begin(), queue_.end(), EventLater());
-    Event ev = std::move(queue_.back());
-    queue_.pop_back();
-    return ev;
+  void PopKey() {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
+    heap_.pop_back();
   }
-  const Event& TopEvent() const { return queue_.front(); }
 
   Time now_;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 1;  // sequence 0 is never issued, so neither is id 0
   uint64_t events_processed_ = 0;
   bool stopped_ = false;
   bool interrupted_ = false;
   uint64_t event_budget_ = 0;
   uint64_t check_every_ = 4096;
   std::function<bool()> interrupt_check_;
-  std::vector<Event> queue_;  // binary max-heap under EventLater
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Key> heap_;               // binary max-heap under KeyLater
+  std::vector<Slot> slots_;             // closure slab, indexed by SlotOf(id)
+  std::vector<uint32_t> free_slots_;    // every slot not holding a live event
   Time barrier_interval_;               // zero = no checkpoint barrier
   Time next_barrier_;                   // first unfired barrier time
   std::function<void()> barrier_hook_;

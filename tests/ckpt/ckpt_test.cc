@@ -86,10 +86,15 @@ TEST(CkptFormatTest, WrongFormatMarkerRejected) {
 }
 
 TEST(CkptFormatTest, FutureVersionRejected) {
-  json::Value state = TinyState();
-  state.fields["version"] = json::MakeInt(ckpt::kCkptVersion + 1);
-  EXPECT_THROW(ckpt::DecodeCheckpointFile(ckpt::EncodeCheckpointFile(state)),
-               CkptError);
+  // The previous version is refused too: its event ids are plain sequence
+  // numbers, which the current id encoding cannot restore.
+  for (const int version : {ckpt::kCkptVersion + 1, ckpt::kCkptVersion - 1}) {
+    json::Value state = TinyState();
+    state.fields["version"] = json::MakeInt(version);
+    EXPECT_THROW(ckpt::DecodeCheckpointFile(ckpt::EncodeCheckpointFile(state)),
+                 CkptError)
+        << "version " << version;
+  }
 }
 
 TEST(CkptFormatTest, MissingFileRejected) {

@@ -68,8 +68,13 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, CancelInvalidIdIsNoop) {
   Simulator sim;
+  const EventId fired = sim.Schedule(Time::Micros(1), [] {});
+  sim.Run();
+  sim.Cancel(fired);
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.Cancel(kInvalidEventId);
   sim.Cancel(999999);
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.Run();
 }
 
