@@ -20,15 +20,17 @@
 #   6. analyze            — dibs-analyzer (tools/analyzer/): libclang
 #                           semantic lint over src/ (determinism-ast,
 #                           pointer-key-order, observer-purity,
-#                           signal-safety, checkpoint-coverage) against the
-#                           tier-1 build's compile_commands.json. Fails on
-#                           any finding not in tools/analyzer/baseline.json;
+#                           signal-safety) against the tier-1 build's
+#                           compile_commands.json. Fails on any finding
+#                           not in tools/analyzer/baseline.json;
 #                           prints a skip message where the python libclang
 #                           bindings are not installed.
 #   7. asan+ubsan         — full ctest suite under ASan+UBSan with
 #                           DIBS_VALIDATE=1, so every scenario test also
 #                           runs the invariant checker and its conservation
-#                           ledger must balance.
+#                           ledger must balance, and golden_behaviour must
+#                           reproduce its committed digests in this build
+#                           too.
 #   8. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
@@ -71,20 +73,7 @@
 #                           machinery (DIBS_TEST_CRASH_RUN, DIBS_ISOLATE)
 #                           are exercised by tests/exp under stage 7's
 #                           ASan+UBSan config.
-#  13. checkpoint        — in-run checkpoint/restore (src/ckpt) under
-#                           ASan+UBSan: the resilience bench with periodic
-#                           quiescent-barrier snapshots armed, one child
-#                           SIGKILLed right after its first durable barrier
-#                           (DIBS_TEST_CKPT_KILL_RUN) and resumed by the
-#                           retry from the snapshot — tables and (wall- and
-#                           attempt-normalized) JSONL must byte-match an
-#                           uninterrupted run at DIBS_JOBS=1 and 8, and every
-#                           finished run must retire its snapshot. Then the
-#                           fallback leg: a run killed with no retries leaves
-#                           its checkpoint behind, the file is truncated, and
-#                           the next sweep must reject it (typed CkptError)
-#                           and replay from scratch to the same bytes.
-#  14. guard             — overload-protection smoke: the guarded fig14
+#  13. guard             — overload-protection smoke: the guarded fig14
 #                           extreme-qps sweep under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (guard drops must keep the
 #                           conservation ledger balanced, and the breaker
@@ -94,7 +83,7 @@
 #                           the collapse point and must not flag the
 #                           guarded run (DIBS_GUARD_EXPECT=1 makes the
 #                           bench exit nonzero otherwise).
-#  15. tsan              — sweep engine under ThreadSanitizer (tests/exp)
+#  14. tsan              — sweep engine under ThreadSanitizer (tests/exp)
 #                           so data races in the threaded layer fail the
 #                           pipeline.
 #
@@ -329,65 +318,6 @@ for jobs in 1 8; do
   diff -u "$CR_TMP/base.csvnorm" "$CR_TMP/resumed.csvnorm"
   echo "crash-resume: byte-identical after SIGKILL + resume at DIBS_JOBS=$jobs"
 done
-
-echo "== checkpoint: SIGKILL at a barrier, restore, byte-diff; damaged-ckpt fallback =="
-# The resilience bench again (build-asan already has it), now with periodic
-# checkpoint snapshots armed. Normalization covers the two host-side wall
-# fields plus `attempts`, which is legitimately 2 on the killed-and-resumed
-# row.
-CK_TMP="$CI_TMP/ckpt"
-normalize_ckpt() {
-  sed -E -e 's/"wall_ms":[0-9.eE+-]+,"events_per_sec":[0-9.eE+-]+/"wall_ms":0,"events_per_sec":0/' \
-         -e 's/"attempts":[0-9]+/"attempts":1/' "$1" > "$2"
-}
-for jobs in 1 8; do
-  rm -rf "$CK_TMP"
-  mkdir -p "$CK_TMP"
-  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
-    DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 DIBS_JOBS="$jobs" \
-    DIBS_SWEEP_JSONL="$CK_TMP/base.jsonl" \
-    ./build-asan/bench/resilience > "$CK_TMP/base.txt"
-  # Each sweep's run 0 dies by SIGKILL right after its first durable barrier
-  # (the kill is raised from the barrier hook, with the snapshot already on
-  # disk); the retry restores the snapshot and finishes the run.
-  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
-    DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 DIBS_JOBS="$jobs" \
-    DIBS_ISOLATE=process DIBS_MAX_ATTEMPTS=2 \
-    DIBS_CKPT_DIR="$CK_TMP" DIBS_CKPT_INTERVAL_MS=10 DIBS_TEST_CKPT_KILL_RUN=0 \
-    DIBS_SWEEP_JSONL="$CK_TMP/resumed.jsonl" \
-    ./build-asan/bench/resilience > "$CK_TMP/resumed.txt"
-  normalize_ckpt "$CK_TMP/base.jsonl" "$CK_TMP/base.norm"
-  normalize_ckpt "$CK_TMP/resumed.jsonl" "$CK_TMP/resumed.norm"
-  diff -u "$CK_TMP/base.txt" "$CK_TMP/resumed.txt"
-  diff -u "$CK_TMP/base.norm" "$CK_TMP/resumed.norm"
-  if ls "$CK_TMP"/*.ckpt >/dev/null 2>&1; then
-    echo "checkpoint: finished runs left snapshots behind"; exit 1
-  fi
-  echo "checkpoint: byte-identical after SIGKILL + checkpoint resume at DIBS_JOBS=$jobs"
-done
-# Fallback leg: kill with NO retries so the snapshots survive the sweep,
-# truncate them mid-state-line, and rerun. Every damaged file must be
-# rejected with a typed CkptError and replayed from scratch — same bytes as
-# the baseline, on the first attempt. (No DIBS_REQUIRE_OK on the kill leg:
-# the crashed rows are the point.)
-DIBS_BENCH_DURATION_MS=50 DIBS_JOBS=1 \
-  DIBS_ISOLATE=process DIBS_MAX_ATTEMPTS=1 \
-  DIBS_CKPT_DIR="$CK_TMP" DIBS_CKPT_INTERVAL_MS=10 DIBS_TEST_CKPT_KILL_RUN=0 \
-  ./build-asan/bench/resilience > /dev/null
-ls "$CK_TMP"/*.ckpt >/dev/null  # the killed runs must have left snapshots
-for f in "$CK_TMP"/*.ckpt; do
-  size=$(wc -c < "$f")
-  head -c "$((size / 2))" "$f" > "$f.tmp" && mv "$f.tmp" "$f"
-done
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
-  DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 DIBS_JOBS=1 \
-  DIBS_CKPT_DIR="$CK_TMP" DIBS_CKPT_INTERVAL_MS=10 \
-  DIBS_SWEEP_JSONL="$CK_TMP/fallback.jsonl" \
-  ./build-asan/bench/resilience > "$CK_TMP/fallback.txt"
-normalize_ckpt "$CK_TMP/fallback.jsonl" "$CK_TMP/fallback.norm"
-diff -u "$CK_TMP/base.txt" "$CK_TMP/fallback.txt"
-diff -u "$CK_TMP/base.norm" "$CK_TMP/fallback.norm"
-echo "checkpoint: truncated snapshot rejected, from-scratch replay byte-identical"
 
 echo "== guard: ASan+UBSan guarded fig14 smoke with DIBS_VALIDATE=1 =="
 # The guarded scheme runs the whole extreme-qps sweep under sanitizers with

@@ -1,6 +1,5 @@
 #include "src/chaos/oracles.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -214,69 +213,6 @@ bool ResumeOracle(const ChaosSpec& spec, const OracleOptions& opts,
   return CompareRecords(baseline, resumed, false, detail);
 }
 
-// Env var set for the duration of one oracle, restored on scope exit.
-// Forked children inherit it; the chaos driver is single-threaded, so the
-// process-global environment is safe to scope this way.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name_, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-};
-
-// Checkpoint-kill-restore: run the sweep under process isolation with
-// checkpointing armed and a SIGKILL fired right after run 0's first durable
-// barrier snapshot. The retry layer re-executes the killed child, which
-// restores the snapshot and finishes the run. Modulo the attempt counter —
-// the kill IS an extra attempt — the records must be byte-identical to the
-// uninterrupted baseline: quiescent-state restore may not move a single
-// event, RNG draw, or statistic.
-bool CkptOracle(const ChaosSpec& spec, const OracleOptions& opts,
-                const std::vector<RunRecord>& baseline, std::string* detail) {
-  static std::atomic<uint64_t> counter{0};
-  std::ostringstream dir_os;
-  dir_os << "/tmp/dibs_chaos_ckpt_" << ::getpid() << "_" << spec.case_index << "_"
-         << counter.fetch_add(1);
-  const std::string dir = dir_os.str();
-  if (::mkdir(dir.c_str(), 0755) != 0) {
-    *detail = "cannot create checkpoint scratch dir " + dir;
-    return false;
-  }
-  FileRemover cleanup0(dir + "/" + kSweepName + ".run0.ckpt");
-  FileRemover cleanup1(dir + "/" + kSweepName + ".run1.ckpt");
-
-  std::vector<RunRecord> resumed;
-  {
-    validate::ScopedEnable enable;
-    ScopedEnv kill_run("DIBS_TEST_CKPT_KILL_RUN", "0");
-    SweepOptions so = EngineOptions(opts, 1, IsolationMode::kProcess);
-    so.retry.max_attempts = 2;  // the SIGKILLed attempt plus the resuming one
-    so.ckpt_dir = dir;
-    // ~8 barriers per run: enough that the kill lands mid-run with real
-    // in-flight state, whatever duration the spec drew.
-    so.ckpt_interval_ms =
-        std::max(0.001, spec.ToConfig().duration.ToMillis() / 8.0);
-    SweepEngine engine(so);
-    resumed = engine.RunAll(kSweepName, SpecRuns(spec, false), nullptr);
-  }
-  ::rmdir(dir.c_str());
-
-  // The kill-and-resume row legitimately reports attempts=2; everything
-  // else must match byte-for-byte.
-  std::vector<RunRecord> normalized = resumed;
-  for (RunRecord& r : normalized) {
-    r.attempts = 1;
-  }
-  return CompareRecords(baseline, normalized, false, detail);
-}
-
 class OracleRunner {
  public:
   OracleRunner(const ChaosSpec& spec, const OracleOptions& opts)
@@ -359,14 +295,6 @@ class OracleRunner {
     return {};
   }
 
-  OracleVerdict Ckpt() {
-    std::string detail;
-    if (!CkptOracle(spec_, opts_, Baseline(), &detail)) {
-      return Fail("ckpt", detail);
-    }
-    return {};
-  }
-
   OracleVerdict Run(const std::string& name) {
     if (name == "validate") {
       return Validate();
@@ -389,9 +317,6 @@ class OracleRunner {
     }
     if (name == "resume") {
       return Resume();
-    }
-    if (name == "ckpt") {
-      return Ckpt();
     }
     return Fail(name, "unknown oracle");
   }
@@ -427,7 +352,7 @@ OracleVerdict CheckSpec(const ChaosSpec& spec, const OracleOptions& options,
       force_heavy || (options.heavy_every > 0 &&
                       spec.case_index % options.heavy_every == 0);
   if (heavy) {
-    for (const char* name : {"isolation", "resume", "ckpt"}) {
+    for (const char* name : {"isolation", "resume"}) {
       const OracleVerdict v = runner.Run(name);
       if (!v.passed) {
         return v;

@@ -17,8 +17,6 @@
 //   isolation    process-forked sweep == in-thread sweep        [heavy]
 //   resume       kill-and-resume from a truncated journal == an
 //                uninterrupted sweep                             [heavy]
-//   ckpt         SIGKILL after a checkpoint barrier, then restore-and-
-//                finish == an uninterrupted sweep (src/ckpt)     [heavy]
 //
 // Heavy oracles fork processes and touch the filesystem, so they run every
 // `heavy_every`-th case; the light set runs on every case. Canonical form
@@ -44,7 +42,7 @@ struct OracleOptions {
   // Per-run wall-clock ceiling in seconds (0 = none); a backstop for truly
   // wedged runs, far above any budget-respecting case.
   double run_timeout_sec = 120;
-  // Run the heavy oracles (isolation, resume, ckpt) on every Nth case; 0
+  // Run the heavy oracles (isolation, resume) on every Nth case; 0
   // disables them entirely.
   int heavy_every = 4;
 };

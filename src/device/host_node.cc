@@ -38,30 +38,6 @@ void HostNode::HandleReceive(Packet&& p, uint16_t in_port) {
   handler(std::move(p));
 }
 
-void HostNode::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["stray"] = json::MakeUint(stray_packets_);
-  o.fields["nic_drops"] = json::MakeUint(nic_drops_);
-  json::Value nic;
-  port_->CkptSave(&nic);
-  o.fields["nic"] = std::move(nic);
-  *out = std::move(o);
-}
-
-void HostNode::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "stray", &stray_packets_);
-  json::ReadUint(in, "nic_drops", &nic_drops_);
-  const json::Value* nic = json::Find(in, "nic");
-  if (nic == nullptr) {
-    throw CodecError("host.nic", "missing NIC state");
-  }
-  port_->CkptRestore(*nic);
-}
-
-void HostNode::CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const {
-  port_->CkptPendingEvents(out);
-}
-
 void HostNode::RegisterFlowReceiver(FlowId flow, Receiver receiver) {
   const bool inserted = receivers_.emplace(flow, std::move(receiver)).second;
   DIBS_CHECK(inserted) << "duplicate receiver for flow " << flow;

@@ -13,7 +13,6 @@
 
 #include "src/device/node.h"
 #include "src/device/port.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -50,15 +49,6 @@ class HostNode : public Node {
 
   uint64_t stray_packets() const { return stray_packets_; }
   uint64_t nic_drops() const { return nic_drops_; }
-
-  // --- Checkpoint support (src/ckpt), aggregated by the owning Network ---
-  //
-  // Covers the NIC port (queue + in-flight wire state) and the host's own
-  // counters. The flow-receiver demux is NOT serialized: the transport layer
-  // re-registers every receiver while restoring its own per-flow state.
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
-  void CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const;
 
  private:
   Network* network_;

@@ -184,69 +184,4 @@ void InvariantChecker::CheckBalanced(uint64_t buffered_packets) const {
   validate::Fail("ledger.balance", os.str());
 }
 
-void InvariantChecker::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["injected"] = json::MakeUint(injected_);
-  o.fields["delivered"] = json::MakeUint(delivered_);
-  o.fields["dropped"] = json::MakeUint(dropped_);
-  o.fields["ttl_dropped"] = json::MakeUint(ttl_dropped_);
-  o.fields["fault_dropped"] = json::MakeUint(fault_dropped_);
-  o.fields["on_wire"] = json::MakeUint(on_wire_);
-  o.fields["untracked"] = json::MakeUint(untracked_events_);
-  o.fields["untracked_seen"] = json::MakeBool(untracked_seen_);
-  o.fields["plant_counter"] = json::MakeUint(plant_counter_);
-  // The ledger map is unordered; sort by uid so the snapshot is byte-stable.
-  std::vector<uint64_t> uids;
-  uids.reserve(ledger_.size());
-  for (const auto& [uid, st] : ledger_) {
-    uids.push_back(uid);
-  }
-  std::sort(uids.begin(), uids.end());
-  json::Value rows = json::MakeArray();
-  rows.items.reserve(uids.size());
-  for (const uint64_t uid : uids) {
-    const PacketState& st = ledger_.at(uid);
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(uid));
-    e.items.push_back(json::MakeUint(st.injected_ttl));
-    e.items.push_back(json::MakeUint(st.last_ttl));
-    e.items.push_back(json::MakeUint(st.detours));
-    e.items.push_back(json::MakeUint(static_cast<uint64_t>(st.terminal)));
-    rows.items.push_back(std::move(e));
-  }
-  o.fields["ledger"] = std::move(rows);
-  *out = std::move(o);
-}
-
-void InvariantChecker::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "injected", &injected_);
-  json::ReadUint(in, "delivered", &delivered_);
-  json::ReadUint(in, "dropped", &dropped_);
-  json::ReadUint(in, "ttl_dropped", &ttl_dropped_);
-  json::ReadUint(in, "fault_dropped", &fault_dropped_);
-  json::ReadUint(in, "on_wire", &on_wire_);
-  json::ReadUint(in, "untracked", &untracked_events_);
-  json::ReadBool(in, "untracked_seen", &untracked_seen_);
-  json::ReadUint(in, "plant_counter", &plant_counter_);
-  const json::Value* rows = json::Find(in, "ledger");
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray) {
-    throw CodecError("checker.ledger", "missing ledger array");
-  }
-  ledger_.clear();
-  ledger_.reserve(rows->items.size());
-  for (const json::Value& e : rows->items) {
-    const uint64_t uid = json::ElemUint(e, 0, "checker.ledger");
-    PacketState st;
-    st.injected_ttl = static_cast<uint8_t>(json::ElemUint(e, 1, "checker.ledger"));
-    st.last_ttl = static_cast<uint8_t>(json::ElemUint(e, 2, "checker.ledger"));
-    st.detours = static_cast<uint16_t>(json::ElemUint(e, 3, "checker.ledger"));
-    const uint64_t terminal = json::ElemUint(e, 4, "checker.ledger");
-    if (terminal > static_cast<uint64_t>(Terminal::kDropped)) {
-      throw CodecError("checker.ledger", "unknown terminal state");
-    }
-    st.terminal = static_cast<Terminal>(terminal);
-    ledger_.emplace(uid, st);
-  }
-}
-
 }  // namespace dibs

@@ -31,14 +31,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/observer.h"
-#include "src/util/json.h"
 #include "src/util/validation.h"
 
 namespace dibs {
 
-class InvariantChecker : public NetworkObserver, public ckpt::Checkpointable {
+class InvariantChecker : public NetworkObserver {
  public:
   // Reads DIBS_CHAOS_PLANT once: when set, the checker deliberately
   // corrupts its own ledger (every 64th delivery is not recorded), so the
@@ -88,15 +86,6 @@ class InvariantChecker : public NetworkObserver, public ckpt::Checkpointable {
   uint64_t in_flight() const { return injected_ - delivered_ - dropped_; }
   uint64_t on_wire() const { return on_wire_; }
   uint64_t untracked_events() const { return untracked_events_; }
-
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // The full per-uid ledger rides along (serialized sorted by uid so the
-  // snapshot bytes are deterministic); plant_leak_ is re-derived from the
-  // environment at construction, so only the plant counter is saved.
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override {}
 
  private:
   enum class Terminal : uint8_t { kInFlight = 0, kDelivered = 1, kDropped = 2 };

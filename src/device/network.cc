@@ -361,106 +361,6 @@ bool Network::SwitchOperational(int node_id) const {
   return node_up_[static_cast<size_t>(node_id)];
 }
 
-void Network::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["next_uid"] = json::MakeUint(next_uid_);
-  o.fields["drops"] = json::MakeUint(total_drops_);
-  o.fields["detours"] = json::MakeUint(total_detours_);
-  o.fields["delivered"] = json::MakeUint(total_delivered_);
-  json::Value admin = json::MakeArray();
-  admin.items.reserve(link_admin_up_.size());
-  for (const bool up : link_admin_up_) {
-    admin.items.push_back(json::MakeBool(up));
-  }
-  o.fields["link_admin"] = std::move(admin);
-  json::Value alive = json::MakeArray();
-  alive.items.reserve(node_up_.size());
-  for (const bool up : node_up_) {
-    alive.items.push_back(json::MakeBool(up));
-  }
-  o.fields["node_up"] = std::move(alive);
-  json::Value nodes = json::MakeArray();
-  nodes.items.reserve(nodes_.size());
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    json::Value v;
-    if (topo_.node(static_cast<int>(n)).kind == NodeKind::kHost) {
-      static_cast<const HostNode*>(nodes_[n].get())->CkptSave(&v);
-    } else {
-      static_cast<const SwitchNode*>(nodes_[n].get())->CkptSave(&v);
-    }
-    nodes.items.push_back(std::move(v));
-  }
-  o.fields["nodes"] = std::move(nodes);
-  *out = std::move(o);
-}
-
-void Network::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "next_uid", &next_uid_);
-  json::ReadUint(in, "drops", &total_drops_);
-  json::ReadUint(in, "detours", &total_detours_);
-  json::ReadUint(in, "delivered", &total_delivered_);
-
-  const json::Value* admin = json::Find(in, "link_admin");
-  const json::Value* alive = json::Find(in, "node_up");
-  if (admin == nullptr || admin->items.size() != link_admin_up_.size() ||
-      alive == nullptr || alive->items.size() != node_up_.size()) {
-    throw CodecError("network.faults", "fault-state vector shape mismatch");
-  }
-  for (size_t i = 0; i < link_admin_up_.size(); ++i) {
-    link_admin_up_[i] = json::ElemBool(*admin, i, "network.link_admin");
-  }
-  for (size_t i = 0; i < node_up_.size(); ++i) {
-    node_up_[i] = json::ElemBool(*alive, i, "network.node_up");
-  }
-
-  const json::Value* nodes = json::Find(in, "nodes");
-  if (nodes == nullptr || nodes->items.size() != nodes_.size()) {
-    throw CodecError("network.nodes", "node array shape mismatch");
-  }
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    if (topo_.node(static_cast<int>(n)).kind == NodeKind::kHost) {
-      static_cast<HostNode*>(nodes_[n].get())->CkptRestore(nodes->items[n]);
-    } else {
-      static_cast<SwitchNode*>(nodes_[n].get())->CkptRestore(nodes->items[n]);
-    }
-  }
-
-  // Re-derive per-link effective state and push it into the live FIB. The
-  // ports restored their own link_up_ directly (calling SetLinkUp here would
-  // re-drain the just-restored queues), so only the FIB masks and the trace
-  // edge-state vector need recomputing.
-  for (int link = 0; link < topo_.num_links(); ++link) {
-    const TopoLink& l = topo_.link(link);
-    const bool up = link_admin_up_[static_cast<size_t>(link)] &&
-                    node_up_[static_cast<size_t>(l.node_a)] &&
-                    node_up_[static_cast<size_t>(l.node_b)];
-    link_effective_up_[static_cast<size_t>(link)] = up;
-    const uint16_t port_a = PortIndexOf(l.node_a, link);
-    const uint16_t port_b = PortIndexOf(l.node_b, link);
-    fib_.SetPortState(l.node_a, port_a, up);
-    fib_.SetPortState(l.node_b, port_b, up);
-  }
-
-  // Shared pools: the occupancy counter equals the packets resident in the
-  // switch's queues, all of which were just restored.
-  for (int sw : switch_ids_) {
-    SharedBufferPool* pool = pools_[static_cast<size_t>(sw)].get();
-    if (pool != nullptr) {
-      pool->CkptRestoreUsed(switch_at(sw).buffered_packets());
-    }
-  }
-}
-
-void Network::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    if (topo_.node(static_cast<int>(n)).kind == NodeKind::kHost) {
-      static_cast<const HostNode*>(nodes_[n].get())->CkptPendingEvents(out);
-    } else {
-      static_cast<const SwitchNode*>(nodes_[n].get())->CkptPendingEvents(out);
-    }
-  }
-}
-
 void Network::NotifyHostDeliver(HostId host, const Packet& p) {
   ++total_delivered_;
   for (NetworkObserver* obs : observers_) {

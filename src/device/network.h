@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/core/detour_policy.h"
 #include "src/device/node.h"
 #include "src/device/observer.h"
@@ -77,10 +76,10 @@ struct NetworkConfig {
   bool packet_level_ecmp = false;
 };
 
-class Network : public ckpt::Checkpointable {
+class Network {
  public:
   Network(Simulator* sim, Topology topology, NetworkConfig config);
-  ~Network() override;
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -182,19 +181,6 @@ class Network : public ckpt::Checkpointable {
 
   // All switch node ids, in topology order (for monitors).
   const std::vector<int>& switch_ids() const { return switch_ids_; }
-
-  // ---- Checkpoint/restore (src/ckpt) ----
-  //
-  // The Network is one Checkpointable covering the whole device layer: its
-  // own counters and fault state, plus every node (switch ports with their
-  // queues, in-flight wire packets, and pending pause frames; host NICs).
-  // The detour policy is stateless by construction and the FIB's fault masks
-  // are recomputed from the restored admin/liveness vectors, so neither is
-  // serialized. The guard fabric and the validation ledger are registered as
-  // separate components by the Scenario.
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
 
  private:
   std::unique_ptr<Queue> MakeSwitchQueue(SharedBufferPool* pool) const;

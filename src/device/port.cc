@@ -5,7 +5,6 @@
 
 #include "src/device/invariant_checker.h"
 #include "src/device/network.h"
-#include "src/net/packet_ckpt.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -113,10 +112,8 @@ void Port::MaybeTransmit() {
 
   // Transmitter frees up after serialization; the packet lands at the peer
   // one propagation delay later. Two events so back-to-back packets pipeline
-  // onto the wire correctly. Both are tracked as (when, id) descriptors so a
-  // checkpoint can re-arm them (src/ckpt).
-  tx_done_at_ = sim_->Now() + serialization;
-  tx_done_id_ = sim_->Schedule(serialization, [this] { OnTxDone(); });
+  // onto the wire correctly.
+  sim_->Schedule(serialization, [this] { OnTxDone(); });
 
   if (traced) {
     network_->EmitTrace(MakeTracePacketEvent(TraceEventType::kWireEnter, sim_->Now(),
@@ -143,26 +140,17 @@ void Port::MaybeTransmit() {
   if (checker_ != nullptr) {
     checker_->OnWireEnter(*next, link_up_);
   }
-  const uint64_t seq = wire_seq_++;
-  WireRecord& rec = wires_[seq];
-  rec.pkt = std::move(*next);
-  rec.deliver_at = sim_->Now() + serialization + prop;
-  rec.traced = traced;
-  rec.event_id = sim_->Schedule(serialization + prop, [this, seq] { DeliverWire(seq); });
+  sim_->Schedule(serialization + prop, [this, pkt = std::move(*next), traced]() mutable {
+    DeliverWire(std::move(pkt), traced);
+  });
 }
 
 void Port::OnTxDone() {
-  tx_done_id_ = kInvalidEventId;
   transmitting_ = false;
   MaybeTransmit();
 }
 
-void Port::DeliverWire(uint64_t seq) {
-  auto it = wires_.find(seq);
-  DIBS_CHECK(it != wires_.end()) << "wire record " << seq << " missing at delivery";
-  Packet pkt = std::move(it->second.pkt);
-  const bool traced = it->second.traced;
-  wires_.erase(it);
+void Port::DeliverWire(Packet&& pkt, bool traced) {
   if (checker_ != nullptr) {
     checker_->OnWireExit(pkt);
   }
@@ -171,90 +159,6 @@ void Port::DeliverWire(uint64_t seq) {
                                              peer_->id(), peer_port_, pkt));
   }
   peer_->HandleReceive(std::move(pkt), peer_port_);
-}
-
-void Port::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["transmitting"] = json::MakeBool(transmitting_);
-  o.fields["paused"] = json::MakeBool(paused_);
-  o.fields["link_up"] = json::MakeBool(link_up_);
-  if (loss_probability_ > 0 || extra_jitter_ > Time::Zero()) {
-    o.fields["loss"] = json::MakeNum(loss_probability_);
-    o.fields["jitter"] = json::MakeInt(extra_jitter_.nanos());
-  }
-  o.fields["bytes_sent"] = json::MakeUint(bytes_sent_);
-  o.fields["packets_sent"] = json::MakeUint(packets_sent_);
-  o.fields["wire_seq"] = json::MakeUint(wire_seq_);
-  if (transmitting_) {
-    o.fields["tx_at"] = json::MakeInt(tx_done_at_.nanos());
-    o.fields["tx_id"] = json::MakeUint(tx_done_id_);
-  }
-  json::Value wires = json::MakeArray();
-  wires.items.reserve(wires_.size());
-  for (const auto& [seq, rec] : wires_) {
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(seq));
-    e.items.push_back(json::MakeInt(rec.deliver_at.nanos()));
-    e.items.push_back(json::MakeUint(rec.event_id));
-    e.items.push_back(json::MakeBool(rec.traced));
-    e.items.push_back(PackPacket(rec.pkt));
-    wires.items.push_back(std::move(e));
-  }
-  o.fields["wires"] = std::move(wires);
-  json::Value q;
-  queue_->CkptSave(&q);
-  o.fields["queue"] = std::move(q);
-  *out = std::move(o);
-}
-
-void Port::CkptRestore(const json::Value& in) {
-  json::ReadBool(in, "transmitting", &transmitting_);
-  json::ReadBool(in, "paused", &paused_);
-  json::ReadBool(in, "link_up", &link_up_);
-  json::ReadDouble(in, "loss", &loss_probability_);
-  extra_jitter_ = Time::Nanos(json::ReadInt64(in, "jitter", 0));
-  json::ReadUint(in, "bytes_sent", &bytes_sent_);
-  json::ReadUint(in, "packets_sent", &packets_sent_);
-  json::ReadUint(in, "wire_seq", &wire_seq_);
-  if (transmitting_) {
-    tx_done_at_ = Time::Nanos(json::ReadInt64(in, "tx_at", -1));
-    tx_done_id_ = json::ReadUint64(in, "tx_id", 0);
-    if (tx_done_id_ == kInvalidEventId) {
-      throw CodecError("port.tx_id", "transmitting port without a tx-done event");
-    }
-    sim_->RestoreEventAt(tx_done_at_, tx_done_id_, [this] { OnTxDone(); });
-  } else {
-    tx_done_id_ = kInvalidEventId;
-  }
-  const json::Value* wires = json::Find(in, "wires");
-  if (wires == nullptr || wires->kind != json::Value::Kind::kArray) {
-    throw CodecError("port.wires", "missing wire array");
-  }
-  wires_.clear();
-  for (const json::Value& e : wires->items) {
-    const uint64_t seq = json::ElemUint(e, 0, "port.wires");
-    WireRecord rec;
-    rec.deliver_at = Time::Nanos(json::ElemInt(e, 1, "port.wires"));
-    rec.event_id = json::ElemUint(e, 2, "port.wires");
-    rec.traced = json::ElemBool(e, 3, "port.wires");
-    rec.pkt = UnpackPacket(json::Elem(e, 4, "port.wires"));
-    sim_->RestoreEventAt(rec.deliver_at, rec.event_id, [this, seq] { DeliverWire(seq); });
-    wires_[seq] = std::move(rec);
-  }
-  const json::Value* q = json::Find(in, "queue");
-  if (q == nullptr) {
-    throw CodecError("port.queue", "missing queue state");
-  }
-  queue_->CkptRestore(*q);
-}
-
-void Port::CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const {
-  if (tx_done_id_ != kInvalidEventId) {
-    out->emplace_back(tx_done_at_, tx_done_id_);
-  }
-  for (const auto& [seq, rec] : wires_) {
-    out->emplace_back(rec.deliver_at, rec.event_id);
-  }
 }
 
 }  // namespace dibs

@@ -10,16 +10,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "src/device/node.h"
 #include "src/net/drop_reason.h"
 #include "src/net/queue.h"
 #include "src/sim/simulator.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -105,34 +102,15 @@ class Port {
   // unit tests that build bare Ports get) disables all of it.
   void AttachNetwork(Network* network) { network_ = network; }
 
-  // --- Checkpoint support (src/ckpt), aggregated by the owning node ---
-  //
-  // A port owns two kinds of pending events: the serialization-done timer
-  // (while transmitting_) and one wire-delivery event per packet in flight.
-  // Both are tracked as descriptors — (when, id) plus, for wires, the packet
-  // itself keyed by a monotone sequence number — so a restore can re-arm
-  // them under their original event ids.
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
-  void CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const;
-
  private:
-  // One packet in flight on the wire: it left the transmitter, survived the
-  // loss draw, and lands at the peer at `deliver_at`.
-  struct WireRecord {
-    Packet pkt;
-    Time deliver_at;
-    EventId event_id = kInvalidEventId;
-    bool traced = false;  // wire-exit trace emission armed at transmit time
-  };
-
   void MaybeTransmit();
 
   // Serialization of the head packet finished: the transmitter frees up.
   void OnTxDone();
 
-  // Wire-delivery event body: hands wires_[seq] to the peer node.
-  void DeliverWire(uint64_t seq);
+  // Wire-delivery event body: hands `pkt` to the peer node. `traced` is
+  // whether the wire-exit trace emission was armed at transmit time.
+  void DeliverWire(Packet&& pkt, bool traced);
 
   Simulator* sim_;
   Node* owner_;
@@ -146,10 +124,6 @@ class Port {
   bool peer_is_switch_ = false;
 
   bool transmitting_ = false;
-  Time tx_done_at_;                        // serialization-done time (while transmitting_)
-  EventId tx_done_id_ = kInvalidEventId;   // its event id (while transmitting_)
-  uint64_t wire_seq_ = 0;                  // monotone key for wire records
-  std::map<uint64_t, WireRecord> wires_;   // packets in flight, keyed by wire_seq_
   bool paused_ = false;
   bool link_up_ = true;
   double loss_probability_ = 0;

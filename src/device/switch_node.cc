@@ -222,102 +222,11 @@ void SwitchNode::UpdateFlowControl() {
 
 void SwitchNode::BroadcastPause(bool paused) {
   // Pause frames are link-local control traffic: modeled out-of-band (no
-  // queueing/serialization), arriving after one propagation delay. Each
-  // in-flight frame is tracked as a descriptor so a checkpoint can re-arm
-  // its delivery event (src/ckpt).
-  for (uint16_t i = 0; i < ports_.size(); ++i) {
-    const uint64_t seq = pause_seq_++;
-    PauseRecord& rec = pending_pauses_[seq];
-    rec.port = i;
-    rec.paused = paused;
-    rec.at = network_->sim().Now() + ports_[i]->prop_delay();
-    rec.event_id =
-        network_->sim().Schedule(ports_[i]->prop_delay(), [this, seq] { DeliverPause(seq); });
-  }
-}
-
-void SwitchNode::DeliverPause(uint64_t seq) {
-  auto it = pending_pauses_.find(seq);
-  DIBS_CHECK(it != pending_pauses_.end()) << "pause record " << seq << " missing at delivery";
-  const PauseRecord rec = it->second;
-  pending_pauses_.erase(it);
-  Port& port = *ports_[rec.port];
-  port.peer()->SetPortPaused(port.peer_port(), rec.paused);
-}
-
-void SwitchNode::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["crashed"] = json::MakeBool(crashed_);
-  o.fields["detours"] = json::MakeUint(detours_);
-  o.fields["drops"] = json::MakeUint(drops_);
-  o.fields["forwarded"] = json::MakeUint(forwarded_);
-  o.fields["pausing"] = json::MakeBool(pausing_neighbors_);
-  o.fields["pause_events"] = json::MakeUint(pause_events_);
-  o.fields["pause_seq"] = json::MakeUint(pause_seq_);
-  json::Value pauses = json::MakeArray();
-  for (const auto& [seq, rec] : pending_pauses_) {
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(seq));
-    e.items.push_back(json::MakeUint(rec.port));
-    e.items.push_back(json::MakeBool(rec.paused));
-    e.items.push_back(json::MakeInt(rec.at.nanos()));
-    e.items.push_back(json::MakeUint(rec.event_id));
-    pauses.items.push_back(std::move(e));
-  }
-  o.fields["pauses"] = std::move(pauses);
-  json::Value ports = json::MakeArray();
-  ports.items.reserve(ports_.size());
-  for (const auto& port : ports_) {
-    json::Value p;
-    port->CkptSave(&p);
-    ports.items.push_back(std::move(p));
-  }
-  o.fields["ports"] = std::move(ports);
-  *out = std::move(o);
-}
-
-void SwitchNode::CkptRestore(const json::Value& in) {
-  json::ReadBool(in, "crashed", &crashed_);
-  json::ReadUint(in, "detours", &detours_);
-  json::ReadUint(in, "drops", &drops_);
-  json::ReadUint(in, "forwarded", &forwarded_);
-  json::ReadBool(in, "pausing", &pausing_neighbors_);
-  json::ReadUint(in, "pause_events", &pause_events_);
-  json::ReadUint(in, "pause_seq", &pause_seq_);
-  const json::Value* pauses = json::Find(in, "pauses");
-  if (pauses == nullptr || pauses->kind != json::Value::Kind::kArray) {
-    throw CodecError("switch.pauses", "missing pause array");
-  }
-  pending_pauses_.clear();
-  for (const json::Value& e : pauses->items) {
-    const uint64_t seq = json::ElemUint(e, 0, "switch.pauses");
-    PauseRecord rec;
-    rec.port = static_cast<uint16_t>(json::ElemUint(e, 1, "switch.pauses"));
-    rec.paused = json::ElemBool(e, 2, "switch.pauses");
-    rec.at = Time::Nanos(json::ElemInt(e, 3, "switch.pauses"));
-    rec.event_id = json::ElemUint(e, 4, "switch.pauses");
-    if (rec.port >= ports_.size()) {
-      throw CodecError("switch.pauses", "pause record for nonexistent port");
-    }
-    network_->sim().RestoreEventAt(rec.at, rec.event_id, [this, seq] { DeliverPause(seq); });
-    pending_pauses_[seq] = rec;
-  }
-  const json::Value* ports = json::Find(in, "ports");
-  if (ports == nullptr || ports->kind != json::Value::Kind::kArray ||
-      ports->items.size() != ports_.size()) {
-    throw CodecError("switch.ports", "port array shape mismatch");
-  }
-  for (size_t i = 0; i < ports_.size(); ++i) {
-    ports_[i]->CkptRestore(ports->items[i]);
-  }
-}
-
-void SwitchNode::CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const {
-  for (const auto& [seq, rec] : pending_pauses_) {
-    out->emplace_back(rec.at, rec.event_id);
-  }
-  for (const auto& port : ports_) {
-    port->CkptPendingEvents(out);
+  // queueing/serialization), arriving after one propagation delay.
+  for (auto& port : ports_) {
+    Port* p = port.get();
+    network_->sim().Schedule(p->prop_delay(),
+                             [p, paused] { p->peer()->SetPortPaused(p->peer_port(), paused); });
   }
 }
 

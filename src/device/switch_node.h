@@ -9,7 +9,6 @@
 #ifndef SRC_DEVICE_SWITCH_NODE_H_
 #define SRC_DEVICE_SWITCH_NODE_H_
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "src/device/node.h"
 #include "src/device/port.h"
 #include "src/net/drop_reason.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -60,20 +58,7 @@ class SwitchNode : public Node {
   uint64_t pause_events() const { return pause_events_; }
   bool pausing_neighbors() const { return pausing_neighbors_; }
 
-  // --- Checkpoint support (src/ckpt), aggregated by the owning Network ---
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
-  void CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const;
-
  private:
-  // One in-flight pause/unpause control frame toward the peer of `port`,
-  // tracked as a descriptor so a checkpoint can re-arm the delivery event.
-  struct PauseRecord {
-    uint16_t port = 0;
-    bool paused = false;
-    Time at;
-    EventId event_id = kInvalidEventId;
-  };
   // Enqueues on `out_port` (must have room) and updates counters.
   void Forward(Packet&& p, uint16_t out_port);
 
@@ -94,9 +79,6 @@ class SwitchNode : public Node {
   void UpdateFlowControl();
   void BroadcastPause(bool paused);
 
-  // Pause-delivery event body: hands pending_pauses_[seq] to the peer.
-  void DeliverPause(uint64_t seq);
-
   Network* network_;
   std::vector<std::unique_ptr<Port>> ports_;
   bool crashed_ = false;
@@ -105,8 +87,6 @@ class SwitchNode : public Node {
   uint64_t forwarded_ = 0;
   bool pausing_neighbors_ = false;
   uint64_t pause_events_ = 0;
-  uint64_t pause_seq_ = 0;                         // monotone key for pause records
-  std::map<uint64_t, PauseRecord> pending_pauses_;  // in-flight pause frames
 };
 
 }  // namespace dibs

@@ -13,7 +13,6 @@
 #include "src/exp/record_codec.h"
 #include "src/exp/run_journal.h"
 #include "src/harness/scenario.h"
-#include "src/util/env.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -56,35 +55,6 @@ void WriteAll(int fd, const char* data, size_t n) {
   }
 }
 
-// <dir>/<sweep>.run<index>.ckpt — one checkpoint file per matrix row, so
-// concurrent runs of one sweep never share a file. Empty when checkpointing
-// is off.
-std::string CkptPathFor(const std::string& dir, const std::string& sweep_name, int index) {
-  if (dir.empty()) {
-    return "";
-  }
-  return dir + "/" + (sweep_name.empty() ? "sweep" : sweep_name) + ".run" +
-         std::to_string(index) + ".ckpt";
-}
-
-// Builds the Scenario with the PR-1 cooperative guards armed. Split out so
-// the checkpoint path can rebuild a pristine simulation after a rejected
-// restore (a failed restore leaves components partially mutated).
-std::unique_ptr<Scenario> MakeGuardedScenario(const RunSpec& run, const SweepOptions& options,
-                                              Clock::time_point start) {
-  auto scenario = std::make_unique<Scenario>(run.config);
-  if (options.event_budget != 0) {
-    scenario->sim().SetEventBudget(options.event_budget);
-  }
-  if (options.run_timeout_sec > 0) {
-    const Clock::time_point deadline =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(options.run_timeout_sec));
-    scenario->sim().SetInterruptCheck([deadline] { return Clock::now() >= deadline; });
-  }
-  return scenario;
-}
-
 }  // namespace
 
 RunRecord ExecuteRunInline(const RunSpec& run, const std::string& sweep_name,
@@ -102,40 +72,22 @@ RunRecord ExecuteRunInline(const RunSpec& run, const std::string& sweep_name,
     if (run.runner) {
       rec.result = run.runner(run.config);
     } else {
-      const std::string ckpt_path = CkptPathFor(options.ckpt_dir, sweep_name, run.index);
-      std::unique_ptr<Scenario> scenario = MakeGuardedScenario(run, options, start);
-      bool restored = false;
-      if (!ckpt_path.empty() && ::access(ckpt_path.c_str(), F_OK) == 0) {
-        // A checkpoint from an earlier attempt (crash, SIGKILL, journal
-        // resume) exists: restore it, or — if it is damaged or stale —
-        // discard the now-dirty simulation and replay from scratch.
-        restored = scenario->TryRestoreCheckpoint(ckpt_path, DigestConfig(run.config));
-        if (!restored) {
-          scenario = MakeGuardedScenario(run, options, start);
-        }
+      Scenario scenario(run.config);
+      if (options.event_budget != 0) {
+        scenario.sim().SetEventBudget(options.event_budget);
       }
-      if (!ckpt_path.empty()) {
-        // The SIGKILL test hook arms only on a fresh execution, so the
-        // resumed attempt runs to completion instead of dying at the same
-        // barrier forever.
-        int kill_at_barrier = -1;
-        if (!restored && env::Int("DIBS_TEST_CKPT_KILL_RUN", -1, -1) == run.index) {
-          kill_at_barrier =
-              static_cast<int>(env::Int("DIBS_TEST_CKPT_KILL_BARRIER", 1, 1, 1000000));
-        }
-        scenario->ArmCheckpoints(ckpt_path,
-                                 Time::Nanos(static_cast<int64_t>(options.ckpt_interval_ms * 1e6)),
-                                 DigestConfig(run.config), kill_at_barrier);
+      if (options.run_timeout_sec > 0) {
+        const Clock::time_point deadline =
+            start + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(options.run_timeout_sec));
+        scenario.sim().SetInterruptCheck([deadline] { return Clock::now() >= deadline; });
       }
-      rec.result = scenario->Run();
-      if (scenario->sim().interrupted()) {
+      rec.result = scenario.Run();
+      if (scenario.sim().interrupted()) {
         rec.status = RunStatus::kTimeout;
         rec.error = "interrupted after " +
                     std::to_string(rec.result.events_processed) + " events at t=" +
-                    std::to_string(scenario->sim().Now().ToMillis()) + "ms";
-      }
-      if (!ckpt_path.empty() && rec.status == RunStatus::kOk) {
-        ::unlink(ckpt_path.c_str());  // the run finished; its snapshot is spent
+                    std::to_string(scenario.sim().Now().ToMillis()) + "ms";
       }
     }
   } catch (const std::exception& e) {

@@ -180,7 +180,7 @@ uint64_t SweepFingerprint(const std::string& sweep_name,
 
 void RunJournal::Open(const std::string& path, const std::string& sweep_name,
                       size_t run_count, uint64_t fingerprint, bool resume,
-                      std::map<int, RunRecord>* resumed, const std::string& ckpt_dir) {
+                      std::map<int, RunRecord>* resumed) {
   std::lock_guard<std::mutex> lock(mu_);
   DIBS_CHECK(!out_.is_open()) << "journal already open";
 
@@ -238,13 +238,9 @@ void RunJournal::Open(const std::string& path, const std::string& sweep_name,
   DIBS_CHECK(out_.Open(path, /*truncate=*/!have_existing, &io_error))
       << "cannot open journal '" << path << "': " << io_error;
   if (!have_existing) {
-    std::string header = "{\"journal\":\"dibs-sweep\",\"version\":1,\"sweep\":\"" +
+    const std::string header = "{\"journal\":\"dibs-sweep\",\"version\":1,\"sweep\":\"" +
                          sweep_name + "\",\"runs\":" + std::to_string(run_count) +
-                         ",\"fingerprint\":\"" + HexFingerprint(fingerprint) + "\"";
-    if (!ckpt_dir.empty()) {
-      header += ",\"ckpt\":\"" + ckpt_dir + "\"";
-    }
-    header += "}\n";
+                         ",\"fingerprint\":\"" + HexFingerprint(fingerprint) + "\"}\n";
     DIBS_CHECK(out_.Append(header, &io_error))
         << "cannot write journal header to '" << path << "': " << io_error;
   }

@@ -57,12 +57,9 @@ class RunJournal {
   // std::runtime_error) and fills `resumed` with the last record per run
   // index, then appends. Without `resume` (or when the file is missing or
   // empty) the file is truncated and a fresh header is written.
-  // `ckpt_dir`, when non-empty, is recorded in the header as an
-  // informational pointer to this sweep's in-run checkpoint directory (the
-  // resuming process resolves the actual directory from its own options).
   void Open(const std::string& path, const std::string& sweep_name,
             size_t run_count, uint64_t fingerprint, bool resume,
-            std::map<int, RunRecord>* resumed, const std::string& ckpt_dir = "");
+            std::map<int, RunRecord>* resumed);
 
   bool is_open() const { return out_.is_open(); }
 

@@ -1,7 +1,6 @@
 #include "src/exp/sweep_engine.h"
 
 #include <poll.h>
-#include <sys/stat.h>
 
 #include <atomic>
 #include <chrono>
@@ -44,20 +43,6 @@ SweepOptions ResolveOptions(SweepOptions options) {
   }
   if (options.resume < 0) {
     options.resume = env::Flag("DIBS_RESUME", false) ? 1 : 0;
-  }
-  if (options.ckpt_dir.empty()) {
-    if (const char* env = std::getenv("DIBS_CKPT_DIR"); env != nullptr) {
-      options.ckpt_dir = env;
-    }
-  }
-  if (!options.ckpt_dir.empty()) {
-    // Best-effort single-level create, so pointing DIBS_CKPT_DIR at a fresh
-    // path just works. A dir that still cannot be opened degrades per run to
-    // the documented warn-and-continue (no snapshots, run still completes).
-    ::mkdir(options.ckpt_dir.c_str(), 0755);
-  }
-  if (options.ckpt_interval_ms <= 0) {
-    options.ckpt_interval_ms = env::Double("DIBS_CKPT_INTERVAL_MS", 100, 0.001, 3600000);
   }
   return options;
 }

@@ -81,19 +81,6 @@ struct SweepOptions {
   // file resumes as a fresh run. -1 resolves from $DIBS_RESUME.
   int resume = -1;
 
-  // In-run checkpoint/restore (src/ckpt). When a directory is set, every run
-  // snapshots its full simulation state at quiescent barriers to
-  // <dir>/<sweep>.run<index>.ckpt; a re-executed run (journal resume or a
-  // retry after a crash/SIGKILL) restores the latest snapshot and produces a
-  // RunRecord byte-identical to an uninterrupted run. Damaged checkpoints
-  // are rejected with a logged warning and the run deterministically replays
-  // from scratch; successful runs delete their checkpoint. Empty resolves
-  // from $DIBS_CKPT_DIR (unset = no checkpointing).
-  std::string ckpt_dir;
-
-  // Sim-time distance between checkpoint barriers, in milliseconds; <= 0
-  // resolves from $DIBS_CKPT_INTERVAL_MS (default 100).
-  double ckpt_interval_ms = 0;
 };
 
 class SweepEngine {

@@ -36,22 +36,15 @@ void FaultInjector::Validate(const FaultEvent& event) const {
 }
 
 void FaultInjector::Start() {
-  sorted_ = plan_.Sorted();
-  event_ids_.assign(sorted_.size(), kInvalidEventId);
-  fired_.assign(sorted_.size(), false);
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    const FaultEvent& event = sorted_[i];
+  for (const FaultEvent& event : plan_.Sorted()) {
     Validate(event);
-    event_ids_[i] = network_->sim().Schedule(event.at - network_->sim().Now(),
-                                             [this, i] { ApplyAt(i); });
+    network_->sim().Schedule(event.at - network_->sim().Now(),
+                             [this, event] { Apply(event); });
     ++events_scheduled_;
   }
 }
 
-void FaultInjector::ApplyAt(size_t index) {
-  fired_[index] = true;
-  event_ids_[index] = kInvalidEventId;
-  const FaultEvent& event = sorted_[index];
+void FaultInjector::Apply(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kLinkDown:
       network_->SetLinkAdminState(event.target, false);
@@ -78,56 +71,6 @@ void FaultInjector::ApplyAt(size_t index) {
       recorder_->OnFaultApplied(event.at);
     } else {
       recorder_->OnFaultRepaired(event.at);
-    }
-  }
-}
-
-void FaultInjector::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["scheduled"] = json::MakeUint(events_scheduled_);
-  o.fields["applied"] = json::MakeUint(events_applied_);
-  json::Value rows = json::MakeArray();
-  rows.items.reserve(sorted_.size());
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeBool(fired_[i]));
-    e.items.push_back(json::MakeUint(event_ids_[i]));
-    rows.items.push_back(std::move(e));
-  }
-  o.fields["cursor"] = std::move(rows);
-  *out = std::move(o);
-}
-
-void FaultInjector::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "scheduled", &events_scheduled_);
-  json::ReadUint(in, "applied", &events_applied_);
-  sorted_ = plan_.Sorted();
-  const json::Value* rows = json::Find(in, "cursor");
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray ||
-      rows->items.size() != sorted_.size()) {
-    throw CodecError("fault.cursor", "cursor does not match the fault plan");
-  }
-  event_ids_.assign(sorted_.size(), kInvalidEventId);
-  fired_.assign(sorted_.size(), false);
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    const json::Value& e = rows->items[i];
-    fired_[i] = json::ElemBool(e, 0, "fault.cursor");
-    const auto id = static_cast<EventId>(json::ElemUint(e, 1, "fault.cursor"));
-    if (fired_[i]) {
-      continue;
-    }
-    if (id == kInvalidEventId) {
-      throw CodecError("fault.cursor", "unfired fault entry with invalid event id");
-    }
-    event_ids_[i] = id;
-    network_->sim().RestoreEventAt(sorted_[i].at, id, [this, i] { ApplyAt(i); });
-  }
-}
-
-void FaultInjector::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  for (size_t i = 0; i < sorted_.size(); ++i) {
-    if (!fired_[i] && event_ids_[i] != kInvalidEventId) {
-      out->emplace_back(sorted_[i].at, event_ids_[i]);
     }
   }
 }

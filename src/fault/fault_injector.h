@@ -14,17 +14,14 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/network.h"
 #include "src/fault/fault_plan.h"
 #include "src/stats/fault_recorder.h"
-#include "src/util/json.h"
 
 namespace dibs::fault {
 
-class FaultInjector : public ckpt::Checkpointable {
+class FaultInjector {
  public:
   // `recorder` may be null (faults still apply, just unrecorded).
   FaultInjector(Network* network, FaultPlan plan, FaultRecorder* recorder = nullptr)
@@ -40,29 +37,15 @@ class FaultInjector : public ckpt::Checkpointable {
   uint64_t events_scheduled() const { return events_scheduled_; }
   uint64_t events_applied() const { return events_applied_; }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // The plan itself is config data (covered by the checkpoint's config
-  // digest), so only the cursor rides along: which entries have fired, and
-  // the event ids of those still armed. Restore re-arms the unfired ones; a
-  // restored injector must NOT also call Start().
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   void Validate(const FaultEvent& event) const;
-  void ApplyAt(size_t index);
+  void Apply(const FaultEvent& event);
 
   Network* network_;
   FaultPlan plan_;
   FaultRecorder* recorder_;
   uint64_t events_scheduled_ = 0;
   uint64_t events_applied_ = 0;
-  // Plan entries in firing order, with per-entry scheduling state.
-  std::vector<FaultEvent> sorted_;
-  std::vector<EventId> event_ids_;
-  std::vector<bool> fired_;
 };
 
 }  // namespace dibs::fault

@@ -23,13 +23,11 @@ void CollapseWatchdog::Start(Time stop_time, bool strict) {
   stop_time_ = stop_time;
   strict_ = strict;
   last_delivered_ = delivered_();
-  sample_at_ = sim_->Now() + config_.collapse_window;
-  sample_id_ = sim_->Schedule(config_.collapse_window, [this] { Sample(); });
+  sim_->Schedule(config_.collapse_window, [this] { Sample(); });
 }
 
 void CollapseWatchdog::Sample() {
   const Time now = sim_->Now();
-  sample_id_ = kInvalidEventId;
   const uint64_t total = delivered_();
   const uint64_t window_packets = total - last_delivered_;
   last_delivered_ = total;
@@ -68,53 +66,7 @@ void CollapseWatchdog::Sample() {
   }
 
   if (now < stop_time_) {
-    sample_at_ = now + config_.collapse_window;
-    sample_id_ = sim_->Schedule(config_.collapse_window, [this] { Sample(); });
-  }
-}
-
-void CollapseWatchdog::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["started"] = json::MakeBool(started_);
-  o.fields["strict"] = json::MakeBool(strict_);
-  o.fields["stop"] = json::MakeInt(stop_time_.nanos());
-  o.fields["last"] = json::MakeUint(last_delivered_);
-  o.fields["peak"] = json::MakeUint(peak_window_packets_);
-  o.fields["streak"] = json::MakeInt(below_streak_);
-  o.fields["windows"] = json::MakeUint(windows_sampled_);
-  o.fields["collapsed"] = json::MakeBool(collapsed_);
-  o.fields["onset_ms"] = json::MakeNum(collapse_onset_ms_);
-  if (sample_id_ != kInvalidEventId) {
-    o.fields["sample_at"] = json::MakeInt(sample_at_.nanos());
-    o.fields["sample_id"] = json::MakeUint(sample_id_);
-  }
-  *out = std::move(o);
-}
-
-void CollapseWatchdog::CkptRestore(const json::Value& in) {
-  json::ReadBool(in, "started", &started_);
-  json::ReadBool(in, "strict", &strict_);
-  stop_time_ = Time::Nanos(json::ReadInt64(in, "stop", 0));
-  json::ReadUint(in, "last", &last_delivered_);
-  json::ReadUint(in, "peak", &peak_window_packets_);
-  json::ReadInt(in, "streak", &below_streak_);
-  json::ReadUint(in, "windows", &windows_sampled_);
-  json::ReadBool(in, "collapsed", &collapsed_);
-  json::ReadDouble(in, "onset_ms", &collapse_onset_ms_);
-  if (json::Find(in, "sample_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "sample_id", 0);
-    if (id == 0) {
-      throw CodecError("watchdog.sample_id", "armed sample with invalid event id");
-    }
-    sample_at_ = Time::Nanos(json::ReadInt64(in, "sample_at", 0));
-    sample_id_ = static_cast<EventId>(id);
-    sim_->RestoreEventAt(sample_at_, sample_id_, [this] { Sample(); });
-  }
-}
-
-void CollapseWatchdog::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (sample_id_ != kInvalidEventId) {
-    out->emplace_back(sample_at_, sample_id_);
+    sim_->Schedule(config_.collapse_window, [this] { Sample(); });
   }
 }
 

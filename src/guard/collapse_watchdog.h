@@ -24,12 +24,9 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/guard/guard_config.h"
 #include "src/sim/simulator.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -39,7 +36,7 @@ class CollapseError : public std::runtime_error {
   explicit CollapseError(const std::string& what) : std::runtime_error(what) {}
 };
 
-class CollapseWatchdog : public ckpt::Checkpointable {
+class CollapseWatchdog {
  public:
   // `delivered` reads the cumulative goodput counter (the scenario passes
   // query completions, or Network::total_delivered without a query
@@ -61,15 +58,6 @@ class CollapseWatchdog : public ckpt::Checkpointable {
   // True iff DIBS_STRICT_COLLAPSE=1 in the environment.
   static bool ReadStrictCollapseEnv();
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // The `delivered` callback is construction wiring; everything else,
-  // including the repeating sample event, rides along. A restored watchdog
-  // must NOT also call Start().
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   void Sample();
 
@@ -86,9 +74,6 @@ class CollapseWatchdog : public ckpt::Checkpointable {
   uint64_t windows_sampled_ = 0;
   bool collapsed_ = false;
   double collapse_onset_ms_ = 0;
-  // Next sample event, as a re-armable descriptor.
-  Time sample_at_;
-  EventId sample_id_ = kInvalidEventId;
 };
 
 }  // namespace dibs

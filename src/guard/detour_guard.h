@@ -23,7 +23,6 @@
 
 #include "src/guard/guard_config.h"
 #include "src/sim/time.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -93,45 +92,6 @@ class DetourGuard {
       total = total + (now - state_since_);
     }
     return total;
-  }
-
-  // --- Checkpoint support (src/ckpt), aggregated by the GuardFabric ---
-  void CkptSave(json::Value* out) const {
-    json::Value o = json::MakeObject();
-    o.fields["state"] = json::MakeUint(static_cast<uint64_t>(state_));
-    o.fields["since"] = json::MakeInt(state_since_.nanos());
-    o.fields["suppressed"] = json::MakeInt(suppressed_total_.nanos());
-    o.fields["wp"] = json::MakeUint(window_packets_);
-    o.fields["wda"] = json::MakeUint(window_detour_attempts_);
-    o.fields["wd"] = json::MakeUint(window_detours_);
-    o.fields["wb"] = json::MakeUint(window_bounces_);
-    o.fields["wttl"] = json::MakeUint(window_ttl_drops_);
-    o.fields["wprobes"] = json::MakeUint(window_probes_used_);
-    o.fields["ewma_d"] = json::MakeNum(ewma_detour_rate_);
-    o.fields["ewma_b"] = json::MakeNum(ewma_bounce_ratio_);
-    o.fields["ewma_t"] = json::MakeNum(ewma_ttl_rate_);
-    o.fields["trips"] = json::MakeUint(trips_);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) {
-    const uint64_t state = json::ReadUint64(in, "state", 0);
-    if (state > static_cast<uint64_t>(GuardState::kProbing)) {
-      throw CodecError("guard.state", "unknown breaker state");
-    }
-    state_ = static_cast<GuardState>(state);
-    state_since_ = Time::Nanos(json::ReadInt64(in, "since", 0));
-    suppressed_total_ = Time::Nanos(json::ReadInt64(in, "suppressed", 0));
-    json::ReadUint(in, "wp", &window_packets_);
-    json::ReadUint(in, "wda", &window_detour_attempts_);
-    json::ReadUint(in, "wd", &window_detours_);
-    json::ReadUint(in, "wb", &window_bounces_);
-    json::ReadUint(in, "wttl", &window_ttl_drops_);
-    json::ReadUint(in, "wprobes", &window_probes_used_);
-    json::ReadDouble(in, "ewma_d", &ewma_detour_rate_);
-    json::ReadDouble(in, "ewma_b", &ewma_bounce_ratio_);
-    json::ReadDouble(in, "ewma_t", &ewma_ttl_rate_);
-    json::ReadUint(in, "trips", &trips_);
   }
 
  private:

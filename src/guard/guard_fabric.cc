@@ -34,8 +34,7 @@ void GuardFabric::Start(Time stop_time) {
   }
   started_ = true;
   stop_time_ = stop_time;
-  tick_at_ = sim_->Now() + config_.window;
-  tick_id_ = sim_->Schedule(config_.window, [this] { Tick(); });
+  sim_->Schedule(config_.window, [this] { Tick(); });
 }
 
 std::optional<DropReason> GuardFabric::AdmitDetour(int node, uint16_t detour_count) {
@@ -84,7 +83,6 @@ const DetourGuard& GuardFabric::GuardAt(int node) const {
 
 void GuardFabric::Tick() {
   const Time now = sim_->Now();
-  tick_id_ = kInvalidEventId;
 
   // Fabric pressure first, so this window's adaptive budget is in force for
   // the packets the next window handles.
@@ -117,75 +115,7 @@ void GuardFabric::Tick() {
   }
 
   if (now < stop_time_) {
-    tick_at_ = now + config_.window;
-    tick_id_ = sim_->Schedule(config_.window, [this] { Tick(); });
-  }
-}
-
-void GuardFabric::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["started"] = json::MakeBool(started_);
-  o.fields["stop"] = json::MakeInt(stop_time_.nanos());
-  if (tick_id_ != kInvalidEventId) {
-    o.fields["tick_at"] = json::MakeInt(tick_at_.nanos());
-    o.fields["tick_id"] = json::MakeUint(tick_id_);
-  }
-  o.fields["wfp"] = json::MakeUint(window_fabric_packets_);
-  o.fields["wfd"] = json::MakeUint(window_fabric_detours_);
-  o.fields["ewma"] = json::MakeNum(ewma_fabric_pressure_);
-  o.fields["budget"] = json::MakeUint(detour_budget_);
-  o.fields["ttl_clamped"] = json::MakeUint(ttl_clamped_);
-  o.fields["denials"] = json::MakeUint(suppressed_denials_);
-  json::Value rows = json::MakeArray();
-  for (const auto& [node, guard] : guards_) {
-    json::Value e = json::MakeObject();
-    e.fields["node"] = json::MakeInt(node);
-    json::Value g;
-    guard.CkptSave(&g);
-    e.fields["g"] = std::move(g);
-    rows.items.push_back(std::move(e));
-  }
-  o.fields["guards"] = std::move(rows);
-  *out = std::move(o);
-}
-
-void GuardFabric::CkptRestore(const json::Value& in) {
-  json::ReadBool(in, "started", &started_);
-  stop_time_ = Time::Nanos(json::ReadInt64(in, "stop", 0));
-  json::ReadUint(in, "wfp", &window_fabric_packets_);
-  json::ReadUint(in, "wfd", &window_fabric_detours_);
-  json::ReadDouble(in, "ewma", &ewma_fabric_pressure_);
-  json::ReadUint(in, "budget", &detour_budget_);
-  json::ReadUint(in, "ttl_clamped", &ttl_clamped_);
-  json::ReadUint(in, "denials", &suppressed_denials_);
-  const json::Value* rows = json::Find(in, "guards");
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray ||
-      rows->items.size() != guards_.size()) {
-    throw CodecError("guard.guards", "breaker set does not match the topology");
-  }
-  for (const json::Value& e : rows->items) {
-    int node = -1;
-    json::ReadInt(e, "node", &node);
-    const json::Value* g = json::Find(e, "g");
-    if (!HasGuard(node) || g == nullptr) {
-      throw CodecError("guard.guards", "breaker for an unknown switch");
-    }
-    GuardAt(node).CkptRestore(*g);
-  }
-  if (json::Find(in, "tick_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "tick_id", 0);
-    if (id == 0) {
-      throw CodecError("guard.tick_id", "armed tick with invalid event id");
-    }
-    tick_at_ = Time::Nanos(json::ReadInt64(in, "tick_at", 0));
-    tick_id_ = static_cast<EventId>(id);
-    sim_->RestoreEventAt(tick_at_, tick_id_, [this] { Tick(); });
-  }
-}
-
-void GuardFabric::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (tick_id_ != kInvalidEventId) {
-    out->emplace_back(tick_at_, tick_id_);
+    sim_->Schedule(config_.window, [this] { Tick(); });
   }
 }
 

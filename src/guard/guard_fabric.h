@@ -23,16 +23,14 @@
 #include <utility>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/guard/detour_guard.h"
 #include "src/guard/guard_config.h"
 #include "src/net/drop_reason.h"
 #include "src/sim/simulator.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
-class GuardFabric : public ckpt::Checkpointable {
+class GuardFabric {
  public:
   // (node, previous state, new state) — invoked from the tick event, in
   // node-id order, for every transition the tick produced.
@@ -92,16 +90,6 @@ class GuardFabric : public ckpt::Checkpointable {
 
   const GuardConfig& config() const { return config_; }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Serializes every breaker plus the fabric EWMA/budget and the repeating
-  // tick event as a re-armable descriptor. A restored fabric must NOT also
-  // call Start(). The transition callback is re-installed by the owner
-  // (Network/Scenario wiring) before any restored tick fires.
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   DetourGuard& GuardAt(int node);
   const DetourGuard& GuardAt(int node) const;
@@ -109,8 +97,8 @@ class GuardFabric : public ckpt::Checkpointable {
 
   Simulator* sim_;
   GuardConfig config_;
-  // (node id, guard) per switch, in node-id order: ticks, transitions and
-  // the checkpoint encoding all walk it in that deterministic order.
+  // (node id, guard) per switch, in node-id order: ticks and transitions
+  // walk it in that deterministic order.
   std::vector<std::pair<int, DetourGuard>> guards_;
   // node id -> index into guards_, -1 for nodes without a guard. Dense, so
   // the per-hop GuardAt is one indexed load.
@@ -118,9 +106,6 @@ class GuardFabric : public ckpt::Checkpointable {
   TransitionCallback on_transition_;
   Time stop_time_;
   bool started_ = false;
-  // Next tick event, as a re-armable descriptor.
-  Time tick_at_;
-  EventId tick_id_ = kInvalidEventId;
 
   // Fabric-wide pressure: detour decisions per handled packet, across every
   // switch, smoothed with the same alpha as the per-switch signals.

@@ -33,10 +33,7 @@ void MaybeInjectTestFailure(int sweep_run_index, Simulator* sim, Time crash_at) 
     // The SIGSEGV fires mid-run (sim time), not at startup, so an armed
     // flight-recorder dump captures the events leading up to the fault —
     // the whole point of a crash dump.
-    // Test-only crash injection: Scenario skips it on restored runs, and if
-    // it were ever live at a barrier the coverage check would refuse the
-    // snapshot rather than write one that cannot re-arm this event.
-    sim->Schedule(crash_at, [] {  // lint:allow(checkpoint-coverage)
+    sim->Schedule(crash_at, [] {
       // Restore the default disposition first so the process dies by the
       // signal even under ASan (which installs its own SEGV reporter) —
       // unless a flight-recorder crash dump is armed: its handler must run
@@ -133,103 +130,9 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
     buffer_monitor_ = std::make_unique<BufferMonitor>(network_.get(), std::move(opts));
   }
 
-  // Checkpoint restore re-materializes in-flight flows, whose completion
-  // callbacks are workload closures that cannot ride in a snapshot. The
-  // resolver rebuilds them from the flow's traffic class: the workloads own
-  // the domain state (query membership, recorders) the closures capture.
-  // Restore order (BuildCheckpointManager) puts the workloads before the
-  // FlowManager so the query-side lookup tables are already populated.
-  flows_->SetCompletionResolver([this](const FlowSpec& spec) -> FlowCompletionCallback {
-    switch (spec.traffic_class) {
-      case TrafficClass::kBackground:
-        return background_ != nullptr ? background_->on_complete() : FlowCompletionCallback();
-      case TrafficClass::kQuery:
-        return query_ != nullptr ? query_->ResolveFlowCompletion(spec) : FlowCompletionCallback();
-      case TrafficClass::kLongLived:
-        return FlowCompletionCallback();  // bench-driven flows have no owner to rebuild
-    }
-    return FlowCompletionCallback();
-  });
 }
 
 Scenario::~Scenario() = default;
-
-// Registration order IS the checkpoint wire format: the saving and the
-// restoring process both derive it from this function, and restore replays
-// it verbatim. Two ordering constraints are load-bearing: the network first
-// (monitors recompute derived state from restored queues), and the
-// workloads before the FlowManager (the completion resolver consults
-// workload lookup tables while flows re-materialize).
-void Scenario::BuildCheckpointManager() {
-  if (ckpt_mgr_ != nullptr) {
-    return;
-  }
-  ckpt_mgr_ = std::make_unique<ckpt::CheckpointManager>(sim_.get());
-  ckpt_mgr_->Register("network", network_.get());
-  if (network_->guard() != nullptr) {
-    ckpt_mgr_->Register("guard", network_->guard());
-  }
-  if (background_ != nullptr) {
-    ckpt_mgr_->Register("background", background_.get());
-  }
-  if (query_ != nullptr) {
-    ckpt_mgr_->Register("query", query_.get());
-  }
-  ckpt_mgr_->Register("flows", flows_.get());
-  if (fault_injector_ != nullptr) {
-    ckpt_mgr_->Register("fault", fault_injector_.get());
-  }
-  if (collapse_watchdog_ != nullptr) {
-    ckpt_mgr_->Register("watchdog", collapse_watchdog_.get());
-  }
-  if (link_monitor_ != nullptr) {
-    ckpt_mgr_->Register("link_monitor", link_monitor_.get());
-  }
-  if (buffer_monitor_ != nullptr) {
-    ckpt_mgr_->Register("buffer_monitor", buffer_monitor_.get());
-  }
-  ckpt_mgr_->Register("detour_recorder", &detour_recorder_);
-  ckpt_mgr_->Register("flow_recorder", &recorder_);
-  ckpt_mgr_->Register("fault_recorder", &fault_recorder_);
-  ckpt_mgr_->Register("guard_recorder", &guard_recorder_);
-  if (network_->invariant_checker() != nullptr) {
-    ckpt_mgr_->Register("checker", network_->invariant_checker());
-  }
-}
-
-bool Scenario::TryRestoreCheckpoint(const std::string& path, uint64_t config_digest) {
-  if (trace_ != nullptr) {
-    DIBS_LOG(kWarning) << "checkpoint restore skipped: tracing is enabled and trace "
-                          "artifacts are not resumable";
-    return false;
-  }
-  BuildCheckpointManager();
-  try {
-    ckpt_mgr_->RestoreFromFile(path, config_digest);
-  } catch (const ckpt::CkptError& e) {
-    DIBS_LOG(kWarning) << "checkpoint '" << path
-                       << "' rejected; replaying from scratch: " << e.what();
-    return false;
-  }
-  restored_ = true;
-  return true;
-}
-
-void Scenario::ArmCheckpoints(const std::string& path, Time interval,
-                              uint64_t config_digest, int kill_at_barrier) {
-  if (trace_ != nullptr) {
-    DIBS_LOG(kWarning) << "checkpointing disabled for this run: tracing is enabled "
-                          "and the two are mutually exclusive";
-    return;
-  }
-  BuildCheckpointManager();
-  ckpt::CkptOptions opts;
-  opts.path = path;
-  opts.interval = interval;
-  opts.config_digest = config_digest;
-  opts.kill_at_barrier = kill_at_barrier;
-  ckpt_mgr_->Arm(std::move(opts));
-}
 
 Topology Scenario::BuildTopology() const {
   switch (config_.topology) {
@@ -262,35 +165,29 @@ Topology Scenario::BuildTopology() const {
 }
 
 ScenarioResult Scenario::Run() {
-  // A restored run schedules NOTHING here: restore already re-armed every
-  // pending event under its original id, and any extra Schedule() call would
-  // shift the event-id sequence away from the uninterrupted run's — the
-  // byte-identity guarantee lives or dies on this block being skipped.
-  if (!restored_) {
-    MaybeInjectTestFailure(config_.sweep_run_index, sim_.get(), config_.duration / 2);
-    if (fault_injector_ != nullptr) {
-      fault_injector_->Start();
-    }
-    if (background_ != nullptr) {
-      background_->Start();
-    }
-    if (query_ != nullptr) {
-      query_->Start();
-    }
-    if (link_monitor_ != nullptr) {
-      link_monitor_->Start();
-    }
-    if (buffer_monitor_ != nullptr) {
-      buffer_monitor_->Start();
-    }
-    if (network_->guard() != nullptr) {
-      network_->guard()->Start(config_.duration + config_.drain);
-    }
-    if (collapse_watchdog_ != nullptr) {
-      // Only watch while load is offered: the drain phase legitimately decays
-      // to zero goodput and must not read as collapse.
-      collapse_watchdog_->Start(config_.duration, CollapseWatchdog::ReadStrictCollapseEnv());
-    }
+  MaybeInjectTestFailure(config_.sweep_run_index, sim_.get(), config_.duration / 2);
+  if (fault_injector_ != nullptr) {
+    fault_injector_->Start();
+  }
+  if (background_ != nullptr) {
+    background_->Start();
+  }
+  if (query_ != nullptr) {
+    query_->Start();
+  }
+  if (link_monitor_ != nullptr) {
+    link_monitor_->Start();
+  }
+  if (buffer_monitor_ != nullptr) {
+    buffer_monitor_->Start();
+  }
+  if (network_->guard() != nullptr) {
+    network_->guard()->Start(config_.duration + config_.drain);
+  }
+  if (collapse_watchdog_ != nullptr) {
+    // Only watch while load is offered: the drain phase legitimately decays
+    // to zero goodput and must not read as collapse.
+    collapse_watchdog_->Start(config_.duration, CollapseWatchdog::ReadStrictCollapseEnv());
   }
 
   try {

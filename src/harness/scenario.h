@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ckpt/manager.h"
 #include "src/device/network.h"
 #include "src/fault/fault_injector.h"
 #include "src/guard/collapse_watchdog.h"
@@ -119,30 +118,8 @@ class Scenario {
   TraceSession* trace() { return trace_.get(); }
   const ExperimentConfig& config() const { return config_; }
 
-  // ---- Checkpoint/restore (src/ckpt) ----
-  //
-  // TryRestoreCheckpoint loads a quiescent-barrier snapshot written by a
-  // previous process running this exact config (`config_digest` must match
-  // the one the snapshot was armed with). Call it on a FRESHLY constructed
-  // Scenario, before Run(). Returns false — after logging why — when the
-  // file is damaged, stale, or inconsistent; the Scenario is then dirty
-  // (components partially restored) and MUST be discarded and rebuilt for a
-  // deterministic from-scratch replay.
-  //
-  // ArmCheckpoints installs the periodic snapshot barrier; compose with
-  // TryRestoreCheckpoint to make a run resumable. Checkpointing and
-  // packet-lifecycle tracing are mutually exclusive (trace files are not
-  // resumable artifacts); arming with tracing attached is refused with a
-  // warning.
-  bool TryRestoreCheckpoint(const std::string& path, uint64_t config_digest);
-  void ArmCheckpoints(const std::string& path, Time interval, uint64_t config_digest,
-                      int kill_at_barrier = -1);
-  bool restored_from_checkpoint() const { return restored_; }
-  ckpt::CheckpointManager* checkpoint_manager() { return ckpt_mgr_.get(); }
-
  private:
   Topology BuildTopology() const;
-  void BuildCheckpointManager();
 
   ExperimentConfig config_;
   std::unique_ptr<Simulator> sim_;
@@ -159,8 +136,6 @@ class Scenario {
   std::unique_ptr<LinkMonitor> link_monitor_;
   std::unique_ptr<BufferMonitor> buffer_monitor_;
   std::unique_ptr<TraceSession> trace_;
-  std::unique_ptr<ckpt::CheckpointManager> ckpt_mgr_;
-  bool restored_ = false;
 };
 
 // Convenience: build, run, return.

@@ -16,7 +16,6 @@
 #include <sstream>
 
 #include "src/net/packet.h"
-#include "src/net/packet_ckpt.h"
 #include "src/net/packet_debug.h"
 #include "src/net/queue.h"
 #include "src/net/shared_buffer.h"
@@ -78,31 +77,6 @@ class DropTailQueue : public Queue {
   size_t capacity_packets() const override { return capacity_; }
 
   size_t mark_threshold() const { return mark_threshold_; }
-
-  void CkptSave(json::Value* out) const override {
-    json::Value o = json::MakeObject();
-    json::Value arr = json::MakeArray();
-    arr.items.reserve(packets_.size());
-    for (const Packet& p : packets_) {
-      arr.items.push_back(PackPacket(p));
-    }
-    o.fields["p"] = std::move(arr);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) override {
-    const json::Value* arr = json::Find(in, "p");
-    if (arr == nullptr || arr->kind != json::Value::Kind::kArray) {
-      throw CodecError("queue.p", "missing resident-packet array");
-    }
-    packets_.clear();
-    bytes_ = 0;
-    for (const json::Value& v : arr->items) {
-      Packet p = UnpackPacket(v);
-      bytes_ += p.size_bytes;
-      packets_.push_back(std::move(p));
-    }
-  }
 
   // Fault injection for the DIBS_VALIDATE test suite: skews the running byte
   // counter so the next validated operation trips the queue.bytes invariant.

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/net/packet.h"
-#include "src/net/packet_ckpt.h"
 #include "src/net/packet_debug.h"
 #include "src/net/queue.h"
 #include "src/util/logging.h"
@@ -116,42 +115,6 @@ class PfabricQueue : public Queue {
   size_t capacity_packets() const override { return capacity_; }
 
   uint64_t evictions() const { return evictions_; }
-
-  // The arrival counter is part of the serialized state: tie-breaking (and
-  // with it dequeue order) depends on the exact per-entry arrival stamps.
-  void CkptSave(json::Value* out) const override {
-    json::Value o = json::MakeObject();
-    o.fields["next_arrival"] = json::MakeUint(next_arrival_);
-    o.fields["evictions"] = json::MakeUint(evictions_);
-    json::Value arr = json::MakeArray();
-    arr.items.reserve(packets_.size());
-    for (const Entry& e : packets_) {
-      json::Value ent = json::MakeArray();
-      ent.items.push_back(json::MakeUint(e.arrival));
-      ent.items.push_back(PackPacket(e.pkt));
-      arr.items.push_back(std::move(ent));
-    }
-    o.fields["p"] = std::move(arr);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) override {
-    const json::Value* arr = json::Find(in, "p");
-    if (arr == nullptr || arr->kind != json::Value::Kind::kArray) {
-      throw CodecError("queue.p", "missing resident-packet array");
-    }
-    json::ReadUint(in, "next_arrival", &next_arrival_);
-    json::ReadUint(in, "evictions", &evictions_);
-    packets_.clear();
-    bytes_ = 0;
-    for (const json::Value& v : arr->items) {
-      Entry e;
-      e.arrival = json::ElemUint(v, 0, "queue.p");
-      e.pkt = UnpackPacket(json::Elem(v, 1, "queue.p"));
-      bytes_ += e.pkt.size_bytes;
-      packets_.push_back(std::move(e));
-    }
-  }
 
   // Fault injection for the DIBS_VALIDATE test suite (see DropTailQueue).
   void TestOnlyCorruptBytes(int64_t delta) { bytes_ += delta; }

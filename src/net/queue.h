@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "src/net/packet.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -35,17 +34,6 @@ class Queue {
 
   // Static per-port capacity in packets; 0 means unbounded (or pool-managed).
   virtual size_t capacity_packets() const = 0;
-
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Serializes the resident packets plus any discipline-private bookkeeping
-  // (pFabric arrival counters), and restores them into a freshly constructed
-  // queue of the same configuration. Restore bypasses admission, marking,
-  // and pool accounting — the checkpointed packets were already admitted
-  // once, and the surrounding state (shared pools, observers) is restored by
-  // the queue's owner. Restore throws CodecError on a malformed snapshot.
-  virtual void CkptSave(json::Value* out) const = 0;
-  virtual void CkptRestore(const json::Value& in) = 0;
 
   bool empty() const { return size_packets() == 0; }
 };

@@ -61,14 +61,6 @@ class SharedBufferPool {
     --used_;
   }
 
-  // Checkpoint restore (src/ckpt): the occupancy counter equals the number
-  // of packets resident in the attached queues, which the owner recomputes
-  // after restoring them — the pool itself serializes nothing.
-  void CkptRestoreUsed(size_t used) {
-    DIBS_CHECK(used <= capacity_) << "restored pool occupancy exceeds capacity";
-    used_ = used;
-  }
-
   size_t used() const { return used_; }
   size_t capacity() const { return capacity_; }
   size_t free_slots() const { return capacity_ - used_; }

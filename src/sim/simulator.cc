@@ -104,45 +104,12 @@ void Simulator::RunUntil(Time until) {
   // runs early and none past `until`.
   while (!stopped_ && !heap_.empty() && !CheckInterrupt() && SkipCancelled() &&
          heap_.front().when <= until) {
-    if (barrier_interval_ > Time::Zero()) {
-      MaybeFireBarriers(heap_.front().when, until);
-      if (stopped_) {
-        break;  // hooks never add or cancel events, so the top is unchanged
-      }
-    }
     RunTop();
   }
   // An interrupted run leaves Now() at the last executed event rather than
   // jumping to `until`; the partial clock is part of the failure report.
   if (!stopped_ && !interrupted_ && now_ < until) {
     now_ = until;
-  }
-}
-
-void Simulator::SetCheckpointBarrier(Time interval, std::function<void()> hook) {
-  barrier_interval_ = interval;
-  barrier_hook_ = std::move(hook);
-  if (interval <= Time::Zero()) {
-    barrier_interval_ = Time();
-    barrier_hook_ = nullptr;
-    return;
-  }
-  // First barrier strictly after the current clock, on the interval grid.
-  // After a restore Now() sits exactly on a barrier, so "strictly after"
-  // also keeps a resumed run from re-writing the checkpoint it came from.
-  const int64_t periods = now_.nanos() / interval.nanos();
-  next_barrier_ = Time::Nanos((periods + 1) * interval.nanos());
-}
-
-void Simulator::MaybeFireBarriers(Time next_when, Time until) {
-  while (barrier_hook_ && next_barrier_ <= next_when && next_barrier_ <= until) {
-    if (next_barrier_ > now_) {
-      // Invisible clock hop, same as RunUntil's trailing `now_ = until`: no
-      // event runs between here and the next pop, so nothing observes it.
-      now_ = next_barrier_;
-    }
-    barrier_hook_();
-    next_barrier_ = next_barrier_ + barrier_interval_;
   }
 }
 
@@ -155,41 +122,6 @@ std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
     }
   }
   return keys;
-}
-
-void Simulator::BeginRestore(Time now, EventId next_id, uint64_t events_processed) {
-  heap_.clear();
-  slots_.clear();
-  free_slots_.clear();
-  now_ = now;
-  next_seq_ = next_id >> kSlotBits;
-  events_processed_ = events_processed;
-  stopped_ = false;
-  interrupted_ = false;
-}
-
-void Simulator::RestoreEventAt(Time when, EventId id, std::function<void()> fn) {
-  const uint64_t seq = id >> kSlotBits;
-  DIBS_CHECK(seq != 0 && seq < next_seq_)
-      << "restored event id " << id << " outside checkpoint epoch (next id " << next_event_id()
-      << ")";
-  DIBS_CHECK(when >= now_) << "restored event in the past: " << when << " < " << now_;
-  const size_t slot = SlotOf(id);
-  if (slot >= slots_.size()) {
-    // Slots skipped over stay free until some restored id claims them.
-    for (size_t s = slots_.size(); s < slot; ++s) {
-      free_slots_.push_back(static_cast<uint32_t>(s));
-    }
-    slots_.resize(slot + 1);
-  } else {
-    DIBS_CHECK(slots_[slot].id == kInvalidEventId)
-        << "restored event id " << id << " shares slot " << slot << " with live event "
-        << slots_[slot].id;
-    free_slots_.erase(std::find(free_slots_.begin(), free_slots_.end(), slot));
-  }
-  slots_[slot].id = id;
-  slots_[slot].fn = std::move(fn);
-  PushKey(Key{when, id});
 }
 
 }  // namespace dibs

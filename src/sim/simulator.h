@@ -98,42 +98,8 @@ class Simulator {
   // Live (scheduled, not yet fired or cancelled) events.
   size_t pending_events() const { return slots_.size() - free_slots_.size(); }
 
-  // --- Checkpoint/restore support (src/ckpt) ---
-  //
-  // Events are closures and cannot be serialized; the checkpoint subsystem
-  // instead re-materializes them from component-owned descriptors. These
-  // hooks give it the three things that requires: a quiescent point between
-  // events to snapshot at, the exact (when, id) keys of every live pending
-  // event (so component coverage can be cross-checked), and a way to
-  // re-insert an event under its original id — same sequence, same slab
-  // slot — so FIFO tie-breaking, and with it the entire event order,
-  // survives a restore byte-for-byte.
-
-  // Installs a barrier fired from RunUntil between events: whenever the next
-  // live event's timestamp reaches or crosses a multiple of `interval`, the
-  // clock is advanced to the barrier time (mirroring RunUntil's end-of-run
-  // behavior; no event observes the intermediate clock) and `hook` runs.
-  // The hook must not schedule or cancel events or draw randomness. Pass a
-  // zero interval to disarm.
-  void SetCheckpointBarrier(Time interval, std::function<void()> hook);
-
   // (when, id) of every live (non-cancelled) pending event, unordered.
   std::vector<std::pair<Time, EventId>> PendingEventKeys() const;
-
-  // Resets the clock, id epoch, and event count to checkpointed values and
-  // clears the queue; RestoreEventAt calls then repopulate it.
-  void BeginRestore(Time now, EventId next_id, uint64_t events_processed);
-
-  // Re-inserts an event captured in a checkpoint under its original id,
-  // taking back that id's slab slot. `id` must come from the epoch being
-  // restored (sequence below next_id's) and be restored once; `when` must
-  // not be in the past.
-  void RestoreEventAt(Time when, EventId id, std::function<void()> fn);
-
-  // The next schedule sequence number, shifted into EventId position: every
-  // id issued so far is below it, every later one at or above it (the
-  // event-id epoch a checkpoint must restore).
-  EventId next_event_id() const { return next_seq_ << kSlotBits; }
 
  private:
   static constexpr int kSlotBits = 24;
@@ -190,13 +156,9 @@ class Simulator {
   // Applies the event budget / interrupt check; true when the run must stop.
   bool CheckInterrupt();
 
-  // Fires any checkpoint barriers due strictly before the next live event at
-  // `next_when` (and no later than `until`).
-  void MaybeFireBarriers(Time next_when, Time until);
-
   // Explicit binary-heap management (std::push_heap/pop_heap over a plain
   // vector instead of std::priority_queue) so PendingEventKeys can iterate
-  // the live queue — the checkpoint coverage check needs to see every key.
+  // the live queue.
   void PushKey(Key key) {
     heap_.push_back(key);
     std::push_heap(heap_.begin(), heap_.end(), KeyLater());
@@ -217,9 +179,6 @@ class Simulator {
   std::vector<Key> heap_;               // binary max-heap under KeyLater
   std::vector<Slot> slots_;             // closure slab, indexed by SlotOf(id)
   std::vector<uint32_t> free_slots_;    // every slot not holding a live event
-  Time barrier_interval_;               // zero = no checkpoint barrier
-  Time next_barrier_;                   // first unfired barrier time
-  std::function<void()> barrier_hook_;
   Rng rng_;
 };
 

@@ -26,8 +26,7 @@ void BufferMonitor::Start() {
   // state. The samples themselves never touch the simulated world, so a run
   // with the monitor attached stays bit-identical modulo these timer events,
   // which are part of the experiment's configuration.
-  sample_at_ = network_->sim().Now() + options_.interval;
-  sample_id_ = network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
+  network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
 }
 
 double BufferMonitor::FreeFraction(const std::vector<int>& switches) const {
@@ -51,7 +50,6 @@ double BufferMonitor::FreeFraction(const std::vector<int>& switches) const {
 }
 
 void BufferMonitor::Sample() {
-  sample_id_ = kInvalidEventId;
   ++total_samples_;
 
   // DIBS_VALIDATE: the event-driven depth matrix must agree with the queues
@@ -113,107 +111,7 @@ void BufferMonitor::Sample() {
 
   if (net().sim().Now() + options_.interval <= options_.stop_time) {
     // Sanctioned timer re-arm; see the note in Start().
-    sample_at_ = net().sim().Now() + options_.interval;
-    sample_id_ = network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
-  }
-}
-
-namespace {
-
-json::Value PackDoubles(const std::vector<double>& v) {
-  json::Value arr = json::MakeArray();
-  arr.items.reserve(v.size());
-  for (const double d : v) {
-    arr.items.push_back(json::MakeNum(d));
-  }
-  return arr;
-}
-
-}  // namespace
-
-void BufferMonitor::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["one_hop"] = PackDoubles(one_hop_free_);
-  o.fields["two_hop"] = PackDoubles(two_hop_free_);
-  o.fields["congested"] = json::MakeUint(congested_samples_);
-  o.fields["total"] = json::MakeUint(total_samples_);
-  json::Value snaps = json::MakeArray();
-  for (const Snapshot& snap : snapshots_) {
-    json::Value s = json::MakeObject();
-    s.fields["at"] = json::MakeInt(snap.at.nanos());
-    json::Value rows = json::MakeArray();
-    for (const std::vector<size_t>& lengths : snap.queue_lengths) {
-      json::Value row = json::MakeArray();
-      row.items.reserve(lengths.size());
-      for (const size_t depth : lengths) {
-        row.items.push_back(json::MakeUint(depth));
-      }
-      rows.items.push_back(std::move(row));
-    }
-    s.fields["q"] = std::move(rows);
-    snaps.items.push_back(std::move(s));
-  }
-  o.fields["snapshots"] = std::move(snaps);
-  if (sample_id_ != kInvalidEventId) {
-    o.fields["sample_at"] = json::MakeInt(sample_at_.nanos());
-    o.fields["sample_id"] = json::MakeUint(sample_id_);
-  }
-  *out = std::move(o);
-}
-
-void BufferMonitor::CkptRestore(const json::Value& in) {
-  json::ReadDoubleArray(in, "one_hop", &one_hop_free_);
-  json::ReadDoubleArray(in, "two_hop", &two_hop_free_);
-  json::ReadUint(in, "congested", &congested_samples_);
-  json::ReadUint(in, "total", &total_samples_);
-  const json::Value* snaps = json::Find(in, "snapshots");
-  if (snaps == nullptr || snaps->kind != json::Value::Kind::kArray) {
-    throw CodecError("bufmon.snapshots", "missing snapshot array");
-  }
-  snapshots_.clear();
-  for (const json::Value& s : snaps->items) {
-    Snapshot snap;
-    snap.at = Time::Nanos(json::ReadInt64(s, "at", 0));
-    const json::Value* rows = json::Find(s, "q");
-    if (rows == nullptr || rows->kind != json::Value::Kind::kArray) {
-      throw CodecError("bufmon.snapshots", "snapshot without queue matrix");
-    }
-    for (const json::Value& row : rows->items) {
-      if (row.kind != json::Value::Kind::kArray) {
-        throw CodecError("bufmon.snapshots", "queue row is not an array");
-      }
-      std::vector<size_t> lengths;
-      lengths.reserve(row.items.size());
-      for (size_t i = 0; i < row.items.size(); ++i) {
-        lengths.push_back(static_cast<size_t>(json::ElemUint(row, i, "bufmon.snapshots")));
-      }
-      snap.queue_lengths.push_back(std::move(lengths));
-    }
-    snapshots_.push_back(std::move(snap));
-  }
-  // Recompute the depth matrix from the restored queues (registration order
-  // guarantees the network restored first).
-  for (int sw : net().switch_ids()) {
-    const SwitchNode& node = net().switch_at(sw);
-    for (uint16_t i = 0; i < node.num_ports(); ++i) {
-      depths_[static_cast<size_t>(sw)][i] = node.port(i).queue().size_packets();
-    }
-  }
-  if (json::Find(in, "sample_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "sample_id", 0);
-    if (id == 0) {
-      throw CodecError("bufmon.sample_id", "armed sample with invalid event id");
-    }
-    sample_at_ = Time::Nanos(json::ReadInt64(in, "sample_at", 0));
-    sample_id_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(sample_at_, sample_id_,
-                                   [this] { Sample(); });  // lint:allow(observer-purity)
-  }
-}
-
-void BufferMonitor::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (sample_id_ != kInvalidEventId) {
-    out->emplace_back(sample_at_, sample_id_);
+    network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
   }
 }
 

@@ -20,15 +20,13 @@
 #include <map>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/network.h"
 #include "src/device/observer.h"
 #include "src/sim/simulator.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
-class BufferMonitor : public NetworkObserver, public ckpt::Checkpointable {
+class BufferMonitor : public NetworkObserver {
  public:
   struct Options {
     Time interval = Time::Millis(1);
@@ -67,16 +65,6 @@ class BufferMonitor : public NetworkObserver, public ckpt::Checkpointable {
   uint64_t congested_samples() const { return congested_samples_; }
   uint64_t total_samples() const { return total_samples_; }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // The depth matrix is NOT serialized: it mirrors queue occupancy, which
-  // restore recomputes from the restored queues themselves (so the matrix
-  // and the device layer can never disagree across a resume). A restored
-  // monitor must NOT also call Start().
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   void Sample();
   double FreeFraction(const std::vector<int>& switches) const;
@@ -109,9 +97,6 @@ class BufferMonitor : public NetworkObserver, public ckpt::Checkpointable {
   std::vector<Snapshot> snapshots_;
   uint64_t congested_samples_ = 0;
   uint64_t total_samples_ = 0;
-  // Next sample event, as a re-armable descriptor.
-  Time sample_at_;
-  EventId sample_id_ = kInvalidEventId;
 };
 
 }  // namespace dibs

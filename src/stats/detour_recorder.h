@@ -12,15 +12,13 @@
 #include <map>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/observer.h"
 #include "src/util/histogram.h"
-#include "src/util/json.h"
 #include "src/util/stats_util.h"
 
 namespace dibs {
 
-class DetourRecorder : public NetworkObserver, public ckpt::Checkpointable {
+class DetourRecorder : public NetworkObserver {
  public:
   // `timeline_bucket`: resolution of the per-switch detour time series.
   explicit DetourRecorder(Time timeline_bucket = Time::Micros(100))
@@ -147,100 +145,6 @@ class DetourRecorder : public NetworkObserver, public ckpt::Checkpointable {
     }
     return out;
   }
-
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Pure accumulator: no timers, so no pending events. The timeline rides as
-  // [node, [[bucket, count]...]] pairs — both maps are ordered, so the
-  // encoding is byte-stable.
-  void CkptSave(json::Value* out) const override {
-    json::Value o = json::MakeObject();
-    o.fields["detours"] = json::MakeUint(total_detours_);
-    o.fields["query_detours"] = json::MakeUint(query_detours_);
-    o.fields["drops"] = json::MakeUint(total_drops_);
-    json::Value by_reason = json::MakeArray();
-    by_reason.items.reserve(kNumDropReasons);
-    for (const uint64_t c : drops_by_reason_) {
-      by_reason.items.push_back(json::MakeUint(c));
-    }
-    o.fields["by_reason"] = std::move(by_reason);
-    o.fields["delivered"] = json::MakeUint(delivered_packets_);
-    o.fields["delivered_detoured"] = json::MakeUint(delivered_with_detours_);
-    o.fields["delivered_marked"] = json::MakeUint(delivered_marked_);
-    delivered_detours_.CkptSave(&o.fields["detour_hist"]);
-    queueing_delay_us_.CkptSave(&o.fields["queueing_hist"]);
-    o.fields["q_count"] = json::MakeUint(queueing_count_);
-    o.fields["q_sum"] = json::MakeNum(queueing_sum_us_);
-    o.fields["q_min"] = json::MakeNum(queueing_min_us_);
-    o.fields["q_max"] = json::MakeNum(queueing_max_us_);
-    json::Value timeline = json::MakeArray();
-    for (const auto& [node, series] : timeline_) {
-      json::Value entry = json::MakeArray();
-      entry.items.push_back(json::MakeInt(node));
-      json::Value buckets = json::MakeArray();
-      buckets.items.reserve(series.size());
-      for (const auto& [bucket, count] : series) {
-        json::Value pair = json::MakeArray();
-        pair.items.push_back(json::MakeInt(bucket));
-        pair.items.push_back(json::MakeUint(count));
-        buckets.items.push_back(std::move(pair));
-      }
-      entry.items.push_back(std::move(buckets));
-      timeline.items.push_back(std::move(entry));
-    }
-    o.fields["timeline"] = std::move(timeline);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) override {
-    json::ReadUint(in, "detours", &total_detours_);
-    json::ReadUint(in, "query_detours", &query_detours_);
-    json::ReadUint(in, "drops", &total_drops_);
-    const json::Value* by_reason = json::Find(in, "by_reason");
-    if (by_reason == nullptr || by_reason->kind != json::Value::Kind::kArray ||
-        by_reason->items.size() != kNumDropReasons) {
-      throw CodecError("detrec.by_reason", "drop breakdown does not match kNumDropReasons");
-    }
-    for (size_t i = 0; i < kNumDropReasons; ++i) {
-      drops_by_reason_[i] = json::ElemUint(*by_reason, i, "detrec.by_reason");
-    }
-    json::ReadUint(in, "delivered", &delivered_packets_);
-    json::ReadUint(in, "delivered_detoured", &delivered_with_detours_);
-    json::ReadUint(in, "delivered_marked", &delivered_marked_);
-    const json::Value* dh = json::Find(in, "detour_hist");
-    const json::Value* qh = json::Find(in, "queueing_hist");
-    if (dh == nullptr || qh == nullptr) {
-      throw CodecError("detrec.hist", "missing histogram state");
-    }
-    delivered_detours_.CkptRestore(*dh);
-    queueing_delay_us_.CkptRestore(*qh);
-    json::ReadUint(in, "q_count", &queueing_count_);
-    json::ReadDouble(in, "q_sum", &queueing_sum_us_);
-    json::ReadDouble(in, "q_min", &queueing_min_us_);
-    json::ReadDouble(in, "q_max", &queueing_max_us_);
-    const json::Value* timeline = json::Find(in, "timeline");
-    if (timeline == nullptr || timeline->kind != json::Value::Kind::kArray) {
-      throw CodecError("detrec.timeline", "missing timeline array");
-    }
-    timeline_.clear();
-    for (const json::Value& entry : timeline->items) {
-      if (entry.kind != json::Value::Kind::kArray || entry.items.size() != 2 ||
-          entry.items[1].kind != json::Value::Kind::kArray) {
-        throw CodecError("detrec.timeline", "malformed timeline entry");
-      }
-      const int node = static_cast<int>(json::ElemInt(entry, 0, "detrec.timeline"));
-      std::map<int64_t, uint64_t>& series = timeline_[node];
-      for (const json::Value& pair : entry.items[1].items) {
-        if (pair.kind != json::Value::Kind::kArray || pair.items.size() != 2) {
-          throw CodecError("detrec.timeline", "malformed timeline bucket");
-        }
-        series[json::ElemInt(pair, 0, "detrec.timeline")] =
-            json::ElemUint(pair, 1, "detrec.timeline");
-      }
-    }
-  }
-
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* /*out*/) const override {}
 
  private:
   Time timeline_bucket_;

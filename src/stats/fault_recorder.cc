@@ -52,84 +52,4 @@ double FaultRecorder::MaxRecoveryMs() const {
   return max_ms;
 }
 
-namespace {
-
-json::Value PackFlowSet(const std::set<FlowId>& flows) {
-  json::Value arr = json::MakeArray();
-  arr.items.reserve(flows.size());
-  for (const FlowId id : flows) {
-    arr.items.push_back(json::MakeUint(id));
-  }
-  return arr;
-}
-
-void UnpackFlowSet(const json::Value& in, const std::string& key,
-                   std::set<FlowId>* out) {
-  const json::Value* arr = json::Find(in, key);
-  if (arr == nullptr || arr->kind != json::Value::Kind::kArray) {
-    throw CodecError("faultrec." + key, "missing flow-id array");
-  }
-  out->clear();
-  for (size_t i = 0; i < arr->items.size(); ++i) {
-    out->insert(static_cast<FlowId>(json::ElemUint(*arr, i, "faultrec.flows")));
-  }
-}
-
-}  // namespace
-
-void FaultRecorder::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  json::Value by_reason = json::MakeArray();
-  by_reason.items.reserve(kNumDropReasons);
-  for (const uint64_t c : drops_by_reason_) {
-    by_reason.items.push_back(json::MakeUint(c));
-  }
-  o.fields["by_reason"] = std::move(by_reason);
-  o.fields["blackholed"] = json::MakeUint(blackholed_);
-  o.fields["applied"] = json::MakeUint(applied_);
-  o.fields["repaired"] = json::MakeUint(repaired_);
-  json::Value open = json::MakeArray();
-  open.items.reserve(open_repairs_.size());
-  for (const Time t : open_repairs_) {
-    open.items.push_back(json::MakeInt(t.nanos()));
-  }
-  o.fields["open_repairs"] = std::move(open);
-  json::Value recovery = json::MakeArray();
-  recovery.items.reserve(recovery_ms_.size());
-  for (const double ms : recovery_ms_) {
-    recovery.items.push_back(json::MakeNum(ms));
-  }
-  o.fields["recovery_ms"] = std::move(recovery);
-  o.fields["fault_flows"] = PackFlowSet(fault_flows_);
-  o.fields["completed_flows"] = PackFlowSet(completed_flows_);
-  *out = std::move(o);
-}
-
-void FaultRecorder::CkptRestore(const json::Value& in) {
-  const json::Value* by_reason = json::Find(in, "by_reason");
-  if (by_reason == nullptr || by_reason->kind != json::Value::Kind::kArray ||
-      by_reason->items.size() != kNumDropReasons) {
-    throw CodecError("faultrec.by_reason", "drop breakdown does not match kNumDropReasons");
-  }
-  for (size_t i = 0; i < kNumDropReasons; ++i) {
-    drops_by_reason_[i] = json::ElemUint(*by_reason, i, "faultrec.by_reason");
-  }
-  json::ReadUint(in, "blackholed", &blackholed_);
-  json::ReadUint(in, "applied", &applied_);
-  json::ReadUint(in, "repaired", &repaired_);
-  const json::Value* open = json::Find(in, "open_repairs");
-  if (open == nullptr || open->kind != json::Value::Kind::kArray) {
-    throw CodecError("faultrec.open_repairs", "missing open-repair array");
-  }
-  open_repairs_.clear();
-  for (size_t i = 0; i < open->items.size(); ++i) {
-    open_repairs_.push_back(Time::Nanos(json::ElemInt(*open, i, "faultrec.open_repairs")));
-  }
-  json::ReadDoubleArray(in, "recovery_ms", &recovery_ms_);
-  UnpackFlowSet(in, "fault_flows", &fault_flows_);
-  UnpackFlowSet(in, "completed_flows", &completed_flows_);
-}
-
-void FaultRecorder::CkptPendingEvents(std::vector<ckpt::EventKey>* /*out*/) const {}
-
 }  // namespace dibs

@@ -18,13 +18,11 @@
 #include <set>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/observer.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
-class FaultRecorder : public NetworkObserver, public ckpt::Checkpointable {
+class FaultRecorder : public NetworkObserver {
  public:
   // NetworkObserver: only fault-attributed events are recorded.
   void OnDrop(int node, const Packet& p, DropReason reason, Time at) override;
@@ -56,14 +54,6 @@ class FaultRecorder : public NetworkObserver, public ckpt::Checkpointable {
   // Closed recovery windows, in repair order, in milliseconds.
   const std::vector<double>& recovery_ms() const { return recovery_ms_; }
   double MaxRecoveryMs() const;
-
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Pure accumulator: no timers, so no pending events. Both flow sets are
-  // std::set, so the encoding is byte-stable.
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
 
  private:
   std::array<uint64_t, kNumDropReasons> drops_by_reason_{};

@@ -8,15 +8,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/transport/flow.h"
-#include "src/util/json.h"
 #include "src/util/stats_util.h"
 #include "src/workload/query.h"
 
 namespace dibs {
 
-class FlowRecorder : public ckpt::Checkpointable {
+class FlowRecorder {
  public:
   void RecordFlow(const FlowResult& r) {
     switch (r.spec.traffic_class) {
@@ -74,120 +72,7 @@ class FlowRecorder : public ckpt::Checkpointable {
   uint64_t total_retransmits() const { return total_retransmits_; }
   uint64_t total_timeouts() const { return total_timeouts_; }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Pure accumulator: records arrive in completion order, which restore
-  // preserves, so end-of-run percentile math is unaffected by a resume.
-  void CkptSave(json::Value* out) const override {
-    json::Value o = json::MakeObject();
-    o.fields["bg"] = PackFlows(background_);
-    o.fields["qf"] = PackFlows(query_flows_);
-    o.fields["ll"] = PackFlows(long_lived_);
-    json::Value queries = json::MakeArray();
-    queries.items.reserve(queries_.size());
-    for (const QueryResult& r : queries_) {
-      json::Value row = json::MakeArray();
-      row.items.push_back(json::MakeUint(r.query_id));
-      row.items.push_back(json::MakeInt(r.target));
-      row.items.push_back(json::MakeInt(r.issue_time.nanos()));
-      row.items.push_back(json::MakeInt(r.completion_time.nanos()));
-      row.items.push_back(json::MakeInt(r.qct.nanos()));
-      row.items.push_back(json::MakeInt(r.degree));
-      row.items.push_back(json::MakeUint(r.total_retransmits));
-      row.items.push_back(json::MakeUint(r.total_timeouts));
-      queries.items.push_back(std::move(row));
-    }
-    o.fields["queries"] = std::move(queries);
-    o.fields["retx"] = json::MakeUint(total_retransmits_);
-    o.fields["to"] = json::MakeUint(total_timeouts_);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) override {
-    UnpackFlows(json::Find(in, "bg"), &background_);
-    UnpackFlows(json::Find(in, "qf"), &query_flows_);
-    UnpackFlows(json::Find(in, "ll"), &long_lived_);
-    const json::Value* queries = json::Find(in, "queries");
-    if (queries == nullptr || queries->kind != json::Value::Kind::kArray) {
-      throw CodecError("flowrec.queries", "missing query record array");
-    }
-    queries_.clear();
-    for (const json::Value& row : queries->items) {
-      if (row.kind != json::Value::Kind::kArray || row.items.size() != 8) {
-        throw CodecError("flowrec.queries", "query record must be an 8-element array");
-      }
-      QueryResult r;
-      r.query_id = json::ElemUint(row, 0, "flowrec.queries");
-      r.target = static_cast<HostId>(json::ElemInt(row, 1, "flowrec.queries"));
-      r.issue_time = Time::Nanos(json::ElemInt(row, 2, "flowrec.queries"));
-      r.completion_time = Time::Nanos(json::ElemInt(row, 3, "flowrec.queries"));
-      r.qct = Time::Nanos(json::ElemInt(row, 4, "flowrec.queries"));
-      r.degree = static_cast<int>(json::ElemInt(row, 5, "flowrec.queries"));
-      r.total_retransmits =
-          static_cast<uint32_t>(json::ElemUint(row, 6, "flowrec.queries"));
-      r.total_timeouts =
-          static_cast<uint32_t>(json::ElemUint(row, 7, "flowrec.queries"));
-      queries_.push_back(r);
-    }
-    json::ReadUint(in, "retx", &total_retransmits_);
-    json::ReadUint(in, "to", &total_timeouts_);
-  }
-
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* /*out*/) const override {}
-
  private:
-  static json::Value PackFlows(const std::vector<FlowResult>& flows) {
-    json::Value arr = json::MakeArray();
-    arr.items.reserve(flows.size());
-    for (const FlowResult& r : flows) {
-      json::Value row = json::MakeArray();
-      row.items.push_back(json::MakeUint(r.spec.id));
-      row.items.push_back(json::MakeInt(r.spec.src));
-      row.items.push_back(json::MakeInt(r.spec.dst));
-      row.items.push_back(json::MakeUint(r.spec.size_bytes));
-      row.items.push_back(json::MakeUint(static_cast<uint64_t>(r.spec.traffic_class)));
-      row.items.push_back(json::MakeInt(r.spec.start_time.nanos()));
-      row.items.push_back(json::MakeInt(r.completion_time.nanos()));
-      row.items.push_back(json::MakeInt(r.fct.nanos()));
-      row.items.push_back(json::MakeUint(r.segments));
-      row.items.push_back(json::MakeUint(r.retransmits));
-      row.items.push_back(json::MakeUint(r.timeouts));
-      row.items.push_back(json::MakeUint(r.marked_acks));
-      arr.items.push_back(std::move(row));
-    }
-    return arr;
-  }
-
-  static void UnpackFlows(const json::Value* arr, std::vector<FlowResult>* out) {
-    if (arr == nullptr || arr->kind != json::Value::Kind::kArray) {
-      throw CodecError("flowrec.flows", "missing flow record array");
-    }
-    out->clear();
-    for (const json::Value& row : arr->items) {
-      if (row.kind != json::Value::Kind::kArray || row.items.size() != 12) {
-        throw CodecError("flowrec.flows", "flow record must be a 12-element array");
-      }
-      FlowResult r;
-      r.spec.id = json::ElemUint(row, 0, "flowrec.flows");
-      r.spec.src = static_cast<HostId>(json::ElemInt(row, 1, "flowrec.flows"));
-      r.spec.dst = static_cast<HostId>(json::ElemInt(row, 2, "flowrec.flows"));
-      r.spec.size_bytes = json::ElemUint(row, 3, "flowrec.flows");
-      const uint64_t tc = json::ElemUint(row, 4, "flowrec.flows");
-      if (tc > static_cast<uint64_t>(TrafficClass::kLongLived)) {
-        throw CodecError("flowrec.flows", "unknown traffic class");
-      }
-      r.spec.traffic_class = static_cast<TrafficClass>(tc);
-      r.spec.start_time = Time::Nanos(json::ElemInt(row, 5, "flowrec.flows"));
-      r.completion_time = Time::Nanos(json::ElemInt(row, 6, "flowrec.flows"));
-      r.fct = Time::Nanos(json::ElemInt(row, 7, "flowrec.flows"));
-      r.segments = static_cast<uint32_t>(json::ElemUint(row, 8, "flowrec.flows"));
-      r.retransmits = static_cast<uint32_t>(json::ElemUint(row, 9, "flowrec.flows"));
-      r.timeouts = static_cast<uint32_t>(json::ElemUint(row, 10, "flowrec.flows"));
-      r.marked_acks = json::ElemUint(row, 11, "flowrec.flows");
-      out->push_back(r);
-    }
-  }
-
   std::vector<FlowResult> background_;
   std::vector<FlowResult> query_flows_;
   std::vector<FlowResult> long_lived_;

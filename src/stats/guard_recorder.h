@@ -14,14 +14,12 @@
 #include <set>
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/observer.h"
 #include "src/guard/guard_config.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
-class GuardRecorder : public NetworkObserver, public ckpt::Checkpointable {
+class GuardRecorder : public NetworkObserver {
  public:
   struct Transition {
     int node = -1;
@@ -77,108 +75,11 @@ class GuardRecorder : public NetworkObserver, public ckpt::Checkpointable {
     return total.ToMillis();
   }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Pure accumulator: no timers, so no pending events. state_since_ and
-  // tripped_switches_ are ordered containers, so the encoding is byte-stable.
-  void CkptSave(json::Value* out) const override {
-    json::Value o = json::MakeObject();
-    json::Value transitions = json::MakeArray();
-    transitions.items.reserve(transitions_.size());
-    for (const Transition& t : transitions_) {
-      json::Value row = json::MakeArray();
-      row.items.push_back(json::MakeInt(t.node));
-      row.items.push_back(json::MakeUint(static_cast<uint64_t>(t.from)));
-      row.items.push_back(json::MakeUint(static_cast<uint64_t>(t.to)));
-      row.items.push_back(json::MakeInt(t.at.nanos()));
-      transitions.items.push_back(std::move(row));
-    }
-    o.fields["transitions"] = std::move(transitions);
-    json::Value spans = json::MakeArray();
-    for (const auto& [node, span] : state_since_) {
-      json::Value row = json::MakeArray();
-      row.items.push_back(json::MakeInt(node));
-      row.items.push_back(json::MakeUint(static_cast<uint64_t>(span.state)));
-      row.items.push_back(json::MakeInt(span.since.nanos()));
-      spans.items.push_back(std::move(row));
-    }
-    o.fields["spans"] = std::move(spans);
-    json::Value tripped = json::MakeArray();
-    tripped.items.reserve(tripped_switches_.size());
-    for (const int node : tripped_switches_) {
-      tripped.items.push_back(json::MakeInt(node));
-    }
-    o.fields["tripped"] = std::move(tripped);
-    o.fields["suppressed_ns"] = json::MakeInt(suppressed_total_.nanos());
-    o.fields["trips"] = json::MakeUint(trips_);
-    o.fields["suppressed_drops"] = json::MakeUint(suppressed_drops_);
-    o.fields["ttl_clamped_drops"] = json::MakeUint(ttl_clamped_drops_);
-    o.fields["no_detour_drops"] = json::MakeUint(no_eligible_detour_drops_);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) override {
-    const json::Value* transitions = json::Find(in, "transitions");
-    if (transitions == nullptr || transitions->kind != json::Value::Kind::kArray) {
-      throw CodecError("guardrec.transitions", "missing transition array");
-    }
-    transitions_.clear();
-    for (const json::Value& row : transitions->items) {
-      if (row.kind != json::Value::Kind::kArray || row.items.size() != 4) {
-        throw CodecError("guardrec.transitions", "transition must be a 4-element array");
-      }
-      Transition t;
-      t.node = static_cast<int>(json::ElemInt(row, 0, "guardrec.transitions"));
-      t.from = DecodeState(json::ElemUint(row, 1, "guardrec.transitions"));
-      t.to = DecodeState(json::ElemUint(row, 2, "guardrec.transitions"));
-      t.at = Time::Nanos(json::ElemInt(row, 3, "guardrec.transitions"));
-      transitions_.push_back(t);
-    }
-    const json::Value* spans = json::Find(in, "spans");
-    if (spans == nullptr || spans->kind != json::Value::Kind::kArray) {
-      throw CodecError("guardrec.spans", "missing state-span array");
-    }
-    state_since_.clear();
-    for (const json::Value& row : spans->items) {
-      if (row.kind != json::Value::Kind::kArray || row.items.size() != 3) {
-        throw CodecError("guardrec.spans", "state span must be a 3-element array");
-      }
-      const int node = static_cast<int>(json::ElemInt(row, 0, "guardrec.spans"));
-      StateSpan span;
-      span.state = DecodeState(json::ElemUint(row, 1, "guardrec.spans"));
-      span.since = Time::Nanos(json::ElemInt(row, 2, "guardrec.spans"));
-      state_since_[node] = span;
-    }
-    const json::Value* tripped = json::Find(in, "tripped");
-    if (tripped == nullptr || tripped->kind != json::Value::Kind::kArray) {
-      throw CodecError("guardrec.tripped", "missing tripped-switch array");
-    }
-    tripped_switches_.clear();
-    for (size_t i = 0; i < tripped->items.size(); ++i) {
-      tripped_switches_.insert(
-          static_cast<int>(json::ElemInt(*tripped, i, "guardrec.tripped")));
-    }
-    suppressed_total_ = Time::Nanos(json::ReadInt64(in, "suppressed_ns", 0));
-    json::ReadUint(in, "trips", &trips_);
-    json::ReadUint(in, "suppressed_drops", &suppressed_drops_);
-    json::ReadUint(in, "ttl_clamped_drops", &ttl_clamped_drops_);
-    json::ReadUint(in, "no_detour_drops", &no_eligible_detour_drops_);
-  }
-
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* /*out*/) const override {}
-
  private:
   struct StateSpan {
     GuardState state = GuardState::kArmed;
     Time since;
   };
-
-  static GuardState DecodeState(uint64_t v) {
-    if (v > static_cast<uint64_t>(GuardState::kProbing)) {
-      throw CodecError("guardrec.state", "unknown guard state");
-    }
-    return static_cast<GuardState>(v);
-  }
 
   std::vector<Transition> transitions_;
   std::map<int, StateSpan> state_since_;  // per-switch current state

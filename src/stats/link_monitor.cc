@@ -35,12 +35,10 @@ void LinkMonitor::Start() {
   for (size_t i = 0; i < ports_.size(); ++i) {
     last_bytes_[i] = ports_[i]->bytes_sent();
   }
-  sample_at_ = network_->sim().Now() + options_.interval;
-  sample_id_ = network_->sim().Schedule(options_.interval, [this] { Sample(); });
+  network_->sim().Schedule(options_.interval, [this] { Sample(); });
 }
 
 void LinkMonitor::Sample() {
-  sample_id_ = kInvalidEventId;
   const double interval_s = options_.interval.ToSeconds();
   size_t hot = 0;
   double max_util = 0.0;
@@ -72,86 +70,7 @@ void LinkMonitor::Sample() {
                                     static_cast<double>(ports_.size()));
 
   if (network_->sim().Now() + options_.interval <= options_.stop_time) {
-    sample_at_ = network_->sim().Now() + options_.interval;
-    sample_id_ = network_->sim().Schedule(options_.interval, [this] { Sample(); });
-  }
-}
-
-namespace {
-
-json::Value PackDoubles(const std::vector<double>& v) {
-  json::Value arr = json::MakeArray();
-  arr.items.reserve(v.size());
-  for (const double d : v) {
-    arr.items.push_back(json::MakeNum(d));
-  }
-  return arr;
-}
-
-}  // namespace
-
-void LinkMonitor::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  json::Value bytes = json::MakeArray();
-  bytes.items.reserve(last_bytes_.size());
-  for (const uint64_t b : last_bytes_) {
-    bytes.items.push_back(json::MakeUint(b));
-  }
-  o.fields["last_bytes"] = std::move(bytes);
-  o.fields["last_util"] = PackDoubles(last_utilizations_);
-  json::Value hot = json::MakeArray();
-  hot.items.reserve(last_hot_links_.size());
-  for (const size_t i : last_hot_links_) {
-    hot.items.push_back(json::MakeUint(i));
-  }
-  o.fields["last_hot"] = std::move(hot);
-  o.fields["hot_fracs"] = PackDoubles(hot_fractions_);
-  o.fields["rel_hot_fracs"] = PackDoubles(relative_hot_fractions_);
-  if (sample_id_ != kInvalidEventId) {
-    o.fields["sample_at"] = json::MakeInt(sample_at_.nanos());
-    o.fields["sample_id"] = json::MakeUint(sample_id_);
-  }
-  *out = std::move(o);
-}
-
-void LinkMonitor::CkptRestore(const json::Value& in) {
-  const json::Value* bytes = json::Find(in, "last_bytes");
-  if (bytes == nullptr || bytes->kind != json::Value::Kind::kArray ||
-      bytes->items.size() != ports_.size()) {
-    throw CodecError("linkmon.last_bytes", "byte counters do not match the port list");
-  }
-  for (size_t i = 0; i < ports_.size(); ++i) {
-    last_bytes_[i] = json::ElemUint(*bytes, i, "linkmon.last_bytes");
-  }
-  json::ReadDoubleArray(in, "last_util", &last_utilizations_);
-  if (last_utilizations_.size() != ports_.size()) {
-    throw CodecError("linkmon.last_util", "utilizations do not match the port list");
-  }
-  const json::Value* hot = json::Find(in, "last_hot");
-  if (hot == nullptr || hot->kind != json::Value::Kind::kArray) {
-    throw CodecError("linkmon.last_hot", "missing hot-link list");
-  }
-  last_hot_links_.clear();
-  for (size_t i = 0; i < hot->items.size(); ++i) {
-    last_hot_links_.push_back(
-        static_cast<size_t>(json::ElemUint(*hot, i, "linkmon.last_hot")));
-  }
-  json::ReadDoubleArray(in, "hot_fracs", &hot_fractions_);
-  json::ReadDoubleArray(in, "rel_hot_fracs", &relative_hot_fractions_);
-  if (json::Find(in, "sample_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "sample_id", 0);
-    if (id == 0) {
-      throw CodecError("linkmon.sample_id", "armed sample with invalid event id");
-    }
-    sample_at_ = Time::Nanos(json::ReadInt64(in, "sample_at", 0));
-    sample_id_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(sample_at_, sample_id_, [this] { Sample(); });
-  }
-}
-
-void LinkMonitor::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (sample_id_ != kInvalidEventId) {
-    out->emplace_back(sample_at_, sample_id_);
+    network_->sim().Schedule(options_.interval, [this] { Sample(); });
   }
 }
 

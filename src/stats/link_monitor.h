@@ -11,15 +11,13 @@
 
 #include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/device/network.h"
 #include "src/device/port.h"
 #include "src/sim/simulator.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
-class LinkMonitor : public ckpt::Checkpointable {
+class LinkMonitor {
  public:
   struct Options {
     Time interval = Time::Millis(1);
@@ -51,15 +49,6 @@ class LinkMonitor : public ckpt::Checkpointable {
 
   size_t num_monitored_links() const { return ports_.size(); }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Accumulated samples plus the repeating sample event ride along; the
-  // monitored port list is construction wiring. A restored monitor must NOT
-  // also call Start().
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   void Sample();
 
@@ -72,9 +61,6 @@ class LinkMonitor : public ckpt::Checkpointable {
   std::vector<size_t> last_hot_links_;
   std::vector<double> hot_fractions_;
   std::vector<double> relative_hot_fractions_;
-  // Next sample event, as a re-armable descriptor.
-  Time sample_at_;
-  EventId sample_id_ = kInvalidEventId;
 };
 
 }  // namespace dibs

@@ -45,8 +45,26 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
 
   // Receiver side: completion merges sender-side counters into the result
   // before invoking the caller.
-  flow.receiver = std::make_unique<TcpReceiver>(network_, spec, flow_ttl(),
-                                                WrapCompletion(id, std::move(on_complete)));
+  const uint8_t ttl = kind_ == TransportKind::kPfabric ? pfabric_config_.initial_ttl
+                                                       : tcp_config_.initial_ttl;
+  flow.receiver = std::make_unique<TcpReceiver>(
+      network_, spec, ttl, [this, id, cb = std::move(on_complete)](const FlowResult& r) {
+        ++flows_completed_;
+        FlowResult merged = r;
+        if (auto it = flows_.find(id); it != flows_.end()) {
+          if (it->second.tcp_sender != nullptr) {
+            merged.retransmits = it->second.tcp_sender->retransmits();
+            merged.timeouts = it->second.tcp_sender->timeouts();
+            merged.marked_acks = it->second.tcp_sender->marked_acks();
+          } else if (it->second.pfabric_sender != nullptr) {
+            merged.retransmits = it->second.pfabric_sender->retransmits();
+            merged.timeouts = it->second.pfabric_sender->timeouts();
+          }
+        }
+        if (cb) {
+          cb(merged);
+        }
+      });
 
   if (kind_ == TransportKind::kPfabric) {
     flow.pfabric_sender = std::make_unique<PfabricSender>(network_, spec, pfabric_config_,
@@ -77,43 +95,13 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
   return id;
 }
 
-uint8_t FlowManager::flow_ttl() const {
-  return kind_ == TransportKind::kPfabric ? pfabric_config_.initial_ttl
-                                          : tcp_config_.initial_ttl;
-}
-
-FlowCompletionCallback FlowManager::WrapCompletion(FlowId id, FlowCompletionCallback cb) {
-  return [this, id, cb = std::move(cb)](const FlowResult& r) {
-    ++flows_completed_;
-    FlowResult merged = r;
-    if (auto it = flows_.find(id); it != flows_.end()) {
-      if (it->second.tcp_sender != nullptr) {
-        merged.retransmits = it->second.tcp_sender->retransmits();
-        merged.timeouts = it->second.tcp_sender->timeouts();
-        merged.marked_acks = it->second.tcp_sender->marked_acks();
-      } else if (it->second.pfabric_sender != nullptr) {
-        merged.retransmits = it->second.pfabric_sender->retransmits();
-        merged.timeouts = it->second.pfabric_sender->timeouts();
-      }
-    }
-    if (cb) {
-      cb(merged);
-    }
-  };
-}
-
 void FlowManager::OnSenderDone(FlowId id) {
   // Called from inside the sender's ACK path: defer the teardown one event so
-  // we never destroy an object that is still on the call stack. Tracked as a
-  // descriptor so checkpoints taken in the deferral window can re-arm it.
-  const Time at = network_->sim().Now();
-  const EventId ev =
-      network_->sim().Schedule(Time::Zero(), [this, id] { FinishTeardown(id); });
-  pending_teardowns_[id] = {at, ev};
+  // we never destroy an object that is still on the call stack.
+  network_->sim().Schedule(Time::Zero(), [this, id] { FinishTeardown(id); });
 }
 
 void FlowManager::FinishTeardown(FlowId id) {
-  pending_teardowns_.erase(id);
   auto it = flows_.find(id);
   if (it == flows_.end()) {
     return;
@@ -122,155 +110,6 @@ void FlowManager::FinishTeardown(FlowId id) {
   it->second.tcp_sender.reset();
   it->second.pfabric_sender.reset();
   // The receiver entry stays: late duplicate data must keep getting ACKed.
-}
-
-void FlowManager::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["next_id"] = json::MakeUint(next_flow_id_);
-  o.fields["started"] = json::MakeUint(flows_started_);
-  o.fields["completed"] = json::MakeUint(flows_completed_);
-  json::Value teardowns = json::MakeArray();
-  for (const auto& [id, td] : pending_teardowns_) {
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(id));
-    e.items.push_back(json::MakeInt(td.first.nanos()));
-    e.items.push_back(json::MakeUint(td.second));
-    teardowns.items.push_back(std::move(e));
-  }
-  o.fields["teardowns"] = std::move(teardowns);
-  json::Value rows = json::MakeArray();
-  for (const auto& [id, flow] : flows_) {
-    json::Value row = json::MakeObject();
-    json::Value spec = json::MakeArray();
-    spec.items.push_back(json::MakeUint(flow.spec.id));
-    spec.items.push_back(json::MakeInt(flow.spec.src));
-    spec.items.push_back(json::MakeInt(flow.spec.dst));
-    spec.items.push_back(json::MakeUint(flow.spec.size_bytes));
-    spec.items.push_back(json::MakeUint(static_cast<uint64_t>(flow.spec.traffic_class)));
-    spec.items.push_back(json::MakeInt(flow.spec.start_time.nanos()));
-    row.fields["spec"] = std::move(spec);
-    json::Value rcv;
-    flow.receiver->CkptSave(&rcv);
-    row.fields["rcv"] = std::move(rcv);
-    if (flow.tcp_sender != nullptr) {
-      json::Value snd;
-      flow.tcp_sender->CkptSave(&snd);
-      row.fields["tcp"] = std::move(snd);
-    } else if (flow.pfabric_sender != nullptr) {
-      json::Value snd;
-      flow.pfabric_sender->CkptSave(&snd);
-      row.fields["pfab"] = std::move(snd);
-    }
-    rows.items.push_back(std::move(row));
-  }
-  o.fields["flows"] = std::move(rows);
-  *out = std::move(o);
-}
-
-void FlowManager::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "next_id", &next_flow_id_);
-  json::ReadUint(in, "started", &flows_started_);
-  json::ReadUint(in, "completed", &flows_completed_);
-  const json::Value* rows = json::Find(in, "flows");
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray) {
-    throw CodecError("flows", "missing flow array");
-  }
-  flows_.clear();
-  for (const json::Value& row : rows->items) {
-    const json::Value* spec_v = json::Find(row, "spec");
-    if (spec_v == nullptr || spec_v->kind != json::Value::Kind::kArray ||
-        spec_v->items.size() != 6) {
-      throw CodecError("flows.spec", "flow spec must be a 6-element array");
-    }
-    FlowSpec spec;
-    spec.id = json::ElemUint(*spec_v, 0, "flows.spec");
-    spec.src = static_cast<HostId>(json::ElemInt(*spec_v, 1, "flows.spec"));
-    spec.dst = static_cast<HostId>(json::ElemInt(*spec_v, 2, "flows.spec"));
-    spec.size_bytes = json::ElemUint(*spec_v, 3, "flows.spec");
-    const uint64_t tc = json::ElemUint(*spec_v, 4, "flows.spec");
-    if (tc > static_cast<uint64_t>(TrafficClass::kLongLived)) {
-      throw CodecError("flows.spec", "unknown traffic class");
-    }
-    spec.traffic_class = static_cast<TrafficClass>(tc);
-    spec.start_time = Time::Nanos(json::ElemInt(*spec_v, 5, "flows.spec"));
-    const FlowId id = spec.id;
-
-    ActiveFlow flow;
-    flow.spec = spec;
-    // Re-materialize the completion callback the workload layer installed.
-    FlowCompletionCallback cb =
-        completion_resolver_ ? completion_resolver_(spec) : nullptr;
-    flow.receiver =
-        std::make_unique<TcpReceiver>(network_, spec, flow_ttl(), WrapCompletion(id, std::move(cb)));
-    const json::Value* rcv = json::Find(row, "rcv");
-    if (rcv == nullptr || rcv->kind != json::Value::Kind::kObject) {
-      throw CodecError("flows.rcv", "missing receiver state");
-    }
-    flow.receiver->CkptRestore(*rcv);
-
-    const json::Value* tcp = json::Find(row, "tcp");
-    const json::Value* pfab = json::Find(row, "pfab");
-    if (tcp != nullptr) {
-      if (kind_ == TransportKind::kPfabric) {
-        throw CodecError("flows.tcp", "tcp sender in a pfabric-transport run");
-      }
-      flow.tcp_sender = std::make_unique<TcpSender>(network_, spec, tcp_config_,
-                                                    [this, id] { OnSenderDone(id); });
-      flow.tcp_sender->CkptRestore(*tcp);
-    } else if (pfab != nullptr) {
-      if (kind_ != TransportKind::kPfabric) {
-        throw CodecError("flows.pfab", "pfabric sender in a tcp-transport run");
-      }
-      flow.pfabric_sender = std::make_unique<PfabricSender>(
-          network_, spec, pfabric_config_, [this, id] { OnSenderDone(id); });
-      flow.pfabric_sender->CkptRestore(*pfab);
-    }
-
-    auto [it, inserted] = flows_.emplace(id, std::move(flow));
-    if (!inserted) {
-      throw CodecError("flows", "duplicate flow id");
-    }
-    ActiveFlow& active = it->second;
-    network_->host(spec.dst).RegisterFlowReceiver(
-        id, [recv = active.receiver.get()](Packet&& p) { recv->OnData(std::move(p)); });
-    if (active.tcp_sender != nullptr) {
-      network_->host(spec.src).RegisterFlowReceiver(
-          id, [snd = active.tcp_sender.get()](Packet&& p) { snd->OnAck(std::move(p)); });
-    } else if (active.pfabric_sender != nullptr) {
-      network_->host(spec.src).RegisterFlowReceiver(
-          id, [snd = active.pfabric_sender.get()](Packet&& p) { snd->OnAck(std::move(p)); });
-    }
-  }
-
-  pending_teardowns_.clear();
-  const json::Value* teardowns = json::Find(in, "teardowns");
-  if (teardowns == nullptr || teardowns->kind != json::Value::Kind::kArray) {
-    throw CodecError("flows.teardowns", "missing teardown array");
-  }
-  for (const json::Value& e : teardowns->items) {
-    const FlowId id = json::ElemUint(e, 0, "flows.teardowns");
-    const Time at = Time::Nanos(json::ElemInt(e, 1, "flows.teardowns"));
-    const auto ev = static_cast<EventId>(json::ElemUint(e, 2, "flows.teardowns"));
-    if (ev == kInvalidEventId) {
-      throw CodecError("flows.teardowns", "teardown with invalid event id");
-    }
-    pending_teardowns_[id] = {at, ev};
-    network_->sim().RestoreEventAt(at, ev, [this, id] { FinishTeardown(id); });
-  }
-}
-
-void FlowManager::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  for (const auto& [id, td] : pending_teardowns_) {
-    out->emplace_back(td.first, td.second);
-  }
-  for (const auto& [id, flow] : flows_) {
-    if (flow.tcp_sender != nullptr) {
-      flow.tcp_sender->CkptPendingEvents(out);
-    }
-    if (flow.pfabric_sender != nullptr) {
-      flow.pfabric_sender->CkptPendingEvents(out);
-    }
-  }
 }
 
 TcpSender* FlowManager::tcp_sender(FlowId id) {

@@ -8,13 +8,9 @@
 #ifndef SRC_TRANSPORT_FLOW_MANAGER_H_
 #define SRC_TRANSPORT_FLOW_MANAGER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <utility>
-#include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/transport/flow.h"
 #include "src/transport/pfabric_sender.h"
 #include "src/transport/tcp_config.h"
@@ -25,11 +21,11 @@ namespace dibs {
 
 class Network;
 
-class FlowManager : public ckpt::Checkpointable {
+class FlowManager {
  public:
   FlowManager(Network* network, TransportKind kind, TcpConfig tcp_config = TcpConfig(),
               PfabricConfig pfabric_config = PfabricConfig());
-  ~FlowManager() override;
+  ~FlowManager();
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
@@ -50,23 +46,6 @@ class FlowManager : public ckpt::Checkpointable {
   TransportKind kind() const { return kind_; }
   const TcpConfig& tcp_config() const { return tcp_config_; }
 
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // The per-flow completion callbacks passed to StartFlow are closures that a
-  // checkpoint cannot serialize, so restore re-materializes them through the
-  // resolver: given the flow's spec, return the callback the workload layer
-  // would have installed (nullptr for flows whose completion no one tracks).
-  // The Scenario installs one resolver dispatching on traffic class BEFORE
-  // CkptRestore runs; restoring in-flight flows without one is an error.
-  using CompletionResolver = std::function<FlowCompletionCallback(const FlowSpec&)>;
-  void SetCompletionResolver(CompletionResolver resolver) {
-    completion_resolver_ = std::move(resolver);
-  }
-
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   struct ActiveFlow {
     FlowSpec spec;
@@ -78,16 +57,10 @@ class FlowManager : public ckpt::Checkpointable {
   void OnSenderDone(FlowId id);
   void FinishTeardown(FlowId id);
 
-  // Builds the receiver-completion closure shared by StartFlow and restore:
-  // merge the sender's counters into the result, then invoke `cb`.
-  FlowCompletionCallback WrapCompletion(FlowId id, FlowCompletionCallback cb);
-  uint8_t flow_ttl() const;
-
   Network* network_;
   TransportKind kind_;
   TcpConfig tcp_config_;
   PfabricConfig pfabric_config_;
-  CompletionResolver completion_resolver_;
 
   FlowId next_flow_id_ = 1;
   uint64_t flows_started_ = 0;
@@ -95,9 +68,6 @@ class FlowManager : public ckpt::Checkpointable {
   // Ordered so teardown and any diagnostic iteration follow FlowId order
   // (determinism lint: unordered-iter ban).
   std::map<FlowId, ActiveFlow> flows_;
-  // Deferred sender teardowns (scheduled by OnSenderDone, not yet fired),
-  // tracked as (when, id) descriptors so checkpoints can re-arm them.
-  std::map<FlowId, std::pair<Time, EventId>> pending_teardowns_;
 };
 
 }  // namespace dibs

@@ -92,58 +92,10 @@ void PfabricSender::ArmRtoTimer() {
     rto = rto * 2;
   }
   rto = std::min(rto, config_.max_rto);
-  rto_deadline_ = network_->sim().Now() + rto;
   rto_timer_ = network_->sim().Schedule(rto, [this] {
     rto_timer_ = kInvalidEventId;
     OnRtoTimeout();
   });
-}
-
-void PfabricSender::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["una"] = json::MakeUint(snd_una_);
-  o.fields["nxt"] = json::MakeUint(snd_nxt_);
-  o.fields["window"] = json::MakeUint(window_);
-  o.fields["consec_to"] = json::MakeUint(consecutive_timeouts_);
-  if (rto_timer_ != kInvalidEventId) {
-    o.fields["rto_at"] = json::MakeInt(rto_deadline_.nanos());
-    o.fields["rto_id"] = json::MakeUint(rto_timer_);
-  }
-  o.fields["retransmits"] = json::MakeUint(retransmits_);
-  o.fields["timeouts"] = json::MakeUint(timeouts_);
-  o.fields["done"] = json::MakeBool(done_);
-  *out = std::move(o);
-}
-
-void PfabricSender::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "una", &snd_una_);
-  json::ReadUint(in, "nxt", &snd_nxt_);
-  json::ReadUint(in, "window", &window_);
-  json::ReadUint(in, "consec_to", &consecutive_timeouts_);
-  json::ReadUint(in, "retransmits", &retransmits_);
-  json::ReadUint(in, "timeouts", &timeouts_);
-  json::ReadBool(in, "done", &done_);
-  if (snd_nxt_ > total_segments_ || snd_una_ > snd_nxt_) {
-    throw CodecError("pfabric.nxt", "window outside the flow's segment range");
-  }
-  if (json::Find(in, "rto_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "rto_id", 0);
-    if (id == 0) {
-      throw CodecError("pfabric.rto_id", "armed RTO timer with invalid event id");
-    }
-    rto_deadline_ = Time::Nanos(json::ReadInt64(in, "rto_at", 0));
-    rto_timer_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(rto_deadline_, rto_timer_, [this] {
-      rto_timer_ = kInvalidEventId;
-      OnRtoTimeout();
-    });
-  }
-}
-
-void PfabricSender::CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const {
-  if (rto_timer_ != kInvalidEventId) {
-    out->emplace_back(rto_deadline_, rto_timer_);
-  }
 }
 
 void PfabricSender::OnRtoTimeout() {

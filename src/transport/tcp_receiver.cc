@@ -52,50 +52,6 @@ void TcpReceiver::OnData(Packet&& p) {
   }
 }
 
-void TcpReceiver::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["next"] = json::MakeUint(next_expected_);
-  o.fields["rcvd"] = json::MakeUint(segments_received_);
-  o.fields["dups"] = json::MakeUint(duplicate_segments_);
-  o.fields["complete"] = json::MakeBool(complete_);
-  json::Value sparse = json::MakeArray();
-  for (uint32_t seq = next_expected_; seq < total_segments_; ++seq) {
-    if (received_[seq]) {
-      sparse.items.push_back(json::MakeUint(seq));
-    }
-  }
-  o.fields["sparse"] = std::move(sparse);
-  *out = std::move(o);
-}
-
-void TcpReceiver::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "next", &next_expected_);
-  json::ReadUint(in, "rcvd", &segments_received_);
-  json::ReadUint(in, "dups", &duplicate_segments_);
-  json::ReadBool(in, "complete", &complete_);
-  if (next_expected_ > total_segments_ || segments_received_ > total_segments_) {
-    throw CodecError("rcv.next", "cursor outside the flow's segment range");
-  }
-  received_.assign(total_segments_, false);
-  for (uint32_t seq = 0; seq < next_expected_; ++seq) {
-    received_[seq] = true;
-  }
-  const json::Value* sparse = json::Find(in, "sparse");
-  if (sparse == nullptr || sparse->kind != json::Value::Kind::kArray) {
-    throw CodecError("rcv.sparse", "missing out-of-order segment list");
-  }
-  for (size_t i = 0; i < sparse->items.size(); ++i) {
-    const uint64_t seq = json::ElemUint(*sparse, i, "rcv.sparse");
-    if (seq < next_expected_ || seq >= total_segments_) {
-      throw CodecError("rcv.sparse", "out-of-order index outside (next, total)");
-    }
-    received_[seq] = true;
-  }
-  if (complete_) {
-    on_complete_ = nullptr;  // already fired before the checkpoint
-  }
-}
-
 void TcpReceiver::SendAck(bool ce_echo) {
   Packet ack;
   ack.uid = network_->NextPacketUid();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/transport/flow.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -31,15 +30,6 @@ class TcpReceiver {
   uint32_t next_expected() const { return next_expected_; }
   uint32_t segments_received() const { return segments_received_; }
   uint64_t duplicate_segments() const { return duplicate_segments_; }
-
-  // --- Checkpoint support (src/ckpt), aggregated by the FlowManager ---
-  //
-  // The received bitmap is stored sparsely: everything below next_expected_
-  // is received by the cumulative invariant, so only out-of-order indices at
-  // or above it are listed. A completed receiver restores with its callback
-  // cleared (it already fired before the checkpoint).
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
 
  private:
   void SendAck(bool ce_echo);

@@ -93,7 +93,6 @@ Time TcpSender::current_rto() const {
 void TcpSender::ArmRtoTimer() {
   CancelRtoTimer();
   const Time rto = current_rto();
-  rto_deadline_ = network_->sim().Now() + rto;
   rto_timer_ = network_->sim().Schedule(rto, [this] {
     rto_timer_ = kInvalidEventId;
     OnRtoTimeout();
@@ -245,101 +244,6 @@ void TcpSender::DctcpPerWindowUpdate(uint32_t newly_acked, bool ece) {
   dctcp_acked_ = 0;
   dctcp_marked_ = 0;
   dctcp_window_end_ = snd_nxt_;
-}
-
-void TcpSender::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  o.fields["una"] = json::MakeUint(snd_una_);
-  o.fields["nxt"] = json::MakeUint(snd_nxt_);
-  o.fields["cwnd"] = json::MakeNum(cwnd_);
-  o.fields["ssthresh"] = json::MakeNum(ssthresh_);
-  o.fields["dupacks"] = json::MakeUint(dupacks_);
-  o.fields["recover"] = json::MakeUint(recover_);
-  o.fields["in_recovery"] = json::MakeBool(in_recovery_);
-  o.fields["have_rtt"] = json::MakeBool(have_rtt_sample_);
-  o.fields["srtt"] = json::MakeInt(srtt_.nanos());
-  o.fields["rttvar"] = json::MakeInt(rttvar_.nanos());
-  o.fields["backoff"] = json::MakeInt(rto_backoff_);
-  if (rto_timer_ != kInvalidEventId) {
-    o.fields["rto_at"] = json::MakeInt(rto_deadline_.nanos());
-    o.fields["rto_id"] = json::MakeUint(rto_timer_);
-  }
-  // Per-segment Karn bookkeeping only exists for segments already sent.
-  json::Value sent = json::MakeArray();
-  json::Value retx = json::MakeArray();
-  sent.items.reserve(snd_nxt_);
-  retx.items.reserve(snd_nxt_);
-  for (uint32_t seq = 0; seq < snd_nxt_; ++seq) {
-    sent.items.push_back(json::MakeInt(first_sent_[seq].nanos()));
-    retx.items.push_back(json::MakeBool(was_retransmitted_[seq]));
-  }
-  o.fields["sent"] = std::move(sent);
-  o.fields["retx"] = std::move(retx);
-  o.fields["alpha"] = json::MakeNum(alpha_);
-  o.fields["dctcp_end"] = json::MakeUint(dctcp_window_end_);
-  o.fields["dctcp_acked"] = json::MakeUint(dctcp_acked_);
-  o.fields["dctcp_marked"] = json::MakeUint(dctcp_marked_);
-  o.fields["ecn_end"] = json::MakeUint(ecn_backoff_window_end_);
-  o.fields["retransmits"] = json::MakeUint(retransmits_);
-  o.fields["timeouts"] = json::MakeUint(timeouts_);
-  o.fields["marked_acks"] = json::MakeUint(marked_acks_);
-  o.fields["done"] = json::MakeBool(done_);
-  *out = std::move(o);
-}
-
-void TcpSender::CkptRestore(const json::Value& in) {
-  json::ReadUint(in, "una", &snd_una_);
-  json::ReadUint(in, "nxt", &snd_nxt_);
-  json::ReadDouble(in, "cwnd", &cwnd_);
-  json::ReadDouble(in, "ssthresh", &ssthresh_);
-  json::ReadUint(in, "dupacks", &dupacks_);
-  json::ReadUint(in, "recover", &recover_);
-  json::ReadBool(in, "in_recovery", &in_recovery_);
-  json::ReadBool(in, "have_rtt", &have_rtt_sample_);
-  srtt_ = Time::Nanos(json::ReadInt64(in, "srtt", 0));
-  rttvar_ = Time::Nanos(json::ReadInt64(in, "rttvar", 0));
-  json::ReadInt(in, "backoff", &rto_backoff_);
-  if (snd_nxt_ > total_segments_ || snd_una_ > snd_nxt_) {
-    throw CodecError("tcp.nxt", "window outside the flow's segment range");
-  }
-  const json::Value* sent = json::Find(in, "sent");
-  const json::Value* retx = json::Find(in, "retx");
-  if (sent == nullptr || sent->kind != json::Value::Kind::kArray ||
-      sent->items.size() != snd_nxt_ || retx == nullptr ||
-      retx->kind != json::Value::Kind::kArray || retx->items.size() != snd_nxt_) {
-    throw CodecError("tcp.sent", "per-segment arrays must cover [0, snd_nxt)");
-  }
-  for (uint32_t seq = 0; seq < snd_nxt_; ++seq) {
-    first_sent_[seq] = Time::Nanos(json::ElemInt(*sent, seq, "tcp.sent"));
-    was_retransmitted_[seq] = json::ElemBool(*retx, seq, "tcp.retx");
-  }
-  json::ReadDouble(in, "alpha", &alpha_);
-  json::ReadUint(in, "dctcp_end", &dctcp_window_end_);
-  json::ReadUint(in, "dctcp_acked", &dctcp_acked_);
-  json::ReadUint(in, "dctcp_marked", &dctcp_marked_);
-  json::ReadUint(in, "ecn_end", &ecn_backoff_window_end_);
-  json::ReadUint(in, "retransmits", &retransmits_);
-  json::ReadUint(in, "timeouts", &timeouts_);
-  json::ReadUint(in, "marked_acks", &marked_acks_);
-  json::ReadBool(in, "done", &done_);
-  if (json::Find(in, "rto_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "rto_id", 0);
-    if (id == 0) {
-      throw CodecError("tcp.rto_id", "armed RTO timer with invalid event id");
-    }
-    rto_deadline_ = Time::Nanos(json::ReadInt64(in, "rto_at", 0));
-    rto_timer_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(rto_deadline_, rto_timer_, [this] {
-      rto_timer_ = kInvalidEventId;
-      OnRtoTimeout();
-    });
-  }
-}
-
-void TcpSender::CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const {
-  if (rto_timer_ != kInvalidEventId) {
-    out->emplace_back(rto_deadline_, rto_timer_);
-  }
 }
 
 void TcpSender::OnDupAck() {

@@ -1,12 +1,13 @@
-// Durable file I/O for harness artifacts (journals, corpus entries,
-// checkpoints, crash dumps).
+// Durable file I/O for harness artifacts: the run journal and chaos corpus
+// entries.
 //
-// Two primitives cover every artifact the harness persists:
+// Two primitives cover both:
 //
-//  - WriteFileDurable: whole-file replace via write-to-temp + fsync +
-//    rename + directory fsync. A reader never observes a torn file: it sees
-//    either the previous complete content or the new complete content, even
-//    across a crash or power loss between the write and the rename.
+//  - WriteFileDurable: whole-file replace (corpus entries) via
+//    write-to-temp + fsync + rename + directory fsync. A reader never
+//    observes a torn file: it sees either the previous complete content or
+//    the new complete content, even across a crash or power loss between
+//    the write and the rename.
 //  - DurableAppendFile: fd-based append that fsyncs after every record, for
 //    append-only logs (the run journal) where rename-replace does not apply.
 //    A crash can still tear the *last* line mid-write — append-only readers

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/json.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -50,36 +49,6 @@ class Histogram {
       acc += counts_[j];
     }
     return static_cast<double>(acc) / static_cast<double>(total_);
-  }
-
-  // --- Checkpoint support (src/ckpt) ---
-  //
-  // Bucket width and count are construction-time configuration (covered by
-  // the config digest); only the accumulated counts ride in the snapshot.
-  void CkptSave(json::Value* out) const {
-    json::Value o = json::MakeObject();
-    json::Value counts = json::MakeArray();
-    counts.items.reserve(counts_.size());
-    for (const uint64_t c : counts_) {
-      counts.items.push_back(json::MakeUint(c));
-    }
-    o.fields["counts"] = std::move(counts);
-    o.fields["total"] = json::MakeUint(total_);
-    o.fields["max"] = json::MakeNum(max_seen_);
-    *out = std::move(o);
-  }
-
-  void CkptRestore(const json::Value& in) {
-    const json::Value* counts = json::Find(in, "counts");
-    if (counts == nullptr || counts->kind != json::Value::Kind::kArray ||
-        counts->items.size() != counts_.size()) {
-      throw CodecError("hist.counts", "bucket counts do not match the configured shape");
-    }
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] = json::ElemUint(*counts, i, "hist.counts");
-    }
-    json::ReadUint(in, "total", &total_);
-    json::ReadDouble(in, "max", &max_seen_);
   }
 
   // Smallest bucket upper-bound value v such that at least `fraction` of

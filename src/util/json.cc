@@ -335,126 +335,6 @@ bool Parse(const std::string& input, Value* out, std::string* error) {
   return Parser(input).Parse(out, error);
 }
 
-namespace {
-
-void DumpTo(const Value& v, std::string* out) {
-  switch (v.kind) {
-    case Value::Kind::kNull:
-      *out += "null";
-      return;
-    case Value::Kind::kBool:
-      *out += v.boolean ? "true" : "false";
-      return;
-    case Value::Kind::kNumber:
-      // The raw token survives parse -> dump untouched, so full-range uint64
-      // values and exact double formatting round-trip byte-for-byte.
-      *out += v.text.empty() ? Num(v.number) : v.text;
-      return;
-    case Value::Kind::kString:
-      *out += '"';
-      *out += Escape(v.text);
-      *out += '"';
-      return;
-    case Value::Kind::kArray: {
-      *out += '[';
-      bool first = true;
-      for (const Value& item : v.items) {
-        if (!first) {
-          *out += ',';
-        }
-        first = false;
-        DumpTo(item, out);
-      }
-      *out += ']';
-      return;
-    }
-    case Value::Kind::kObject: {
-      *out += '{';
-      bool first = true;
-      for (const auto& [key, value] : v.fields) {
-        if (!first) {
-          *out += ',';
-        }
-        first = false;
-        *out += '"';
-        *out += Escape(key);
-        *out += "\":";
-        DumpTo(value, out);
-      }
-      *out += '}';
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-std::string Dump(const Value& v) {
-  std::string out;
-  DumpTo(v, &out);
-  return out;
-}
-
-Value MakeNull() {
-  Value v;
-  v.number = std::numeric_limits<double>::quiet_NaN();
-  return v;
-}
-
-Value MakeBool(bool b) {
-  Value v;
-  v.kind = Value::Kind::kBool;
-  v.boolean = b;
-  return v;
-}
-
-Value MakeUint(uint64_t n) {
-  Value v;
-  v.kind = Value::Kind::kNumber;
-  v.text = std::to_string(n);
-  v.number = static_cast<double>(n);
-  return v;
-}
-
-Value MakeInt(int64_t n) {
-  Value v;
-  v.kind = Value::Kind::kNumber;
-  v.text = std::to_string(n);
-  v.number = static_cast<double>(n);
-  return v;
-}
-
-Value MakeNum(double d) {
-  Value v;
-  const std::string tok = Num(d);
-  if (tok == "null") {
-    return MakeNull();
-  }
-  v.kind = Value::Kind::kNumber;
-  v.text = tok;
-  v.number = d;
-  return v;
-}
-
-Value MakeString(std::string s) {
-  Value v;
-  v.kind = Value::Kind::kString;
-  v.text = std::move(s);
-  return v;
-}
-
-Value MakeArray() {
-  Value v;
-  v.kind = Value::Kind::kArray;
-  return v;
-}
-
-Value MakeObject() {
-  Value v;
-  v.kind = Value::Kind::kObject;
-  return v;
-}
-
 std::string Escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -560,87 +440,6 @@ void ReadInt(const Value& obj, const std::string& key, int* out) {
     throw CodecError(key, "integer out of range: '" + v->text + "'");
   }
   *out = static_cast<int>(parsed);
-}
-
-int64_t ReadInt64(const Value& obj, const std::string& key, int64_t fallback) {
-  const Value* v = Find(obj, key);
-  if (v == nullptr) {
-    return fallback;
-  }
-  if (v->kind != Value::Kind::kNumber) {
-    ThrowKind(key, "number", *v);
-  }
-  if (v->text.find_first_of(".eE") != std::string::npos) {
-    throw CodecError(key, "expected integer, got '" + v->text + "'");
-  }
-  errno = 0;
-  const long long parsed = std::strtoll(v->text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw CodecError(key, "integer out of range: '" + v->text + "'");
-  }
-  return static_cast<int64_t>(parsed);
-}
-
-const Value& Elem(const Value& arr, size_t i, const char* what) {
-  if (arr.kind != Value::Kind::kArray) {
-    ThrowKind(what, "array", arr);
-  }
-  if (i >= arr.items.size()) {
-    throw CodecError(what, "array has " + std::to_string(arr.items.size()) +
-                               " elements, wanted index " + std::to_string(i));
-  }
-  return arr.items[i];
-}
-
-uint64_t ElemUint(const Value& arr, size_t i, const char* what) {
-  const Value& v = Elem(arr, i, what);
-  if (v.kind != Value::Kind::kNumber) {
-    ThrowKind(what, "number element", v);
-  }
-  if (v.text.find_first_of("-.eE") != std::string::npos) {
-    throw CodecError(what, "expected non-negative integer, got '" + v.text + "'");
-  }
-  errno = 0;
-  const uint64_t parsed = std::strtoull(v.text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw CodecError(what, "integer out of range: '" + v.text + "'");
-  }
-  return parsed;
-}
-
-int64_t ElemInt(const Value& arr, size_t i, const char* what) {
-  const Value& v = Elem(arr, i, what);
-  if (v.kind != Value::Kind::kNumber) {
-    ThrowKind(what, "number element", v);
-  }
-  if (v.text.find_first_of(".eE") != std::string::npos) {
-    throw CodecError(what, "expected integer, got '" + v.text + "'");
-  }
-  errno = 0;
-  const long long parsed = std::strtoll(v.text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw CodecError(what, "integer out of range: '" + v.text + "'");
-  }
-  return static_cast<int64_t>(parsed);
-}
-
-double ElemNum(const Value& arr, size_t i, const char* what) {
-  const Value& v = Elem(arr, i, what);
-  if (v.kind == Value::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (v.kind != Value::Kind::kNumber) {
-    ThrowKind(what, "number element", v);
-  }
-  return v.number;
-}
-
-bool ElemBool(const Value& arr, size_t i, const char* what) {
-  const Value& v = Elem(arr, i, what);
-  if (v.kind != Value::Kind::kBool) {
-    ThrowKind(what, "bool element", v);
-  }
-  return v.boolean;
 }
 
 void ReadString(const Value& obj, const std::string& key, std::string* out) {

@@ -55,23 +55,6 @@ struct Value {
 // malformed, truncated, or non-finite input.
 bool Parse(const std::string& input, Value* out, std::string* error);
 
-// Serializes a Value tree to compact JSON. Object keys come out in std::map
-// order and a number's raw token (when present) is emitted verbatim, so
-// Dump(Parse(x)) == x for any output of Dump — byte-stable encoding is what
-// lets checkpoint digests mean anything.
-std::string Dump(const Value& v);
-
-// --- Value factories (writers build trees out of these) ---
-
-Value MakeNull();
-Value MakeBool(bool b);
-Value MakeUint(uint64_t v);   // exact full-range token, not a double
-Value MakeInt(int64_t v);
-Value MakeNum(double v);      // max_digits10 token; NaN/inf encode as null
-Value MakeString(std::string s);
-Value MakeArray();
-Value MakeObject();
-
 // --- Encoding helpers (shared by every writer so escapes and float
 // precision stay consistent across codecs) ---
 
@@ -110,22 +93,6 @@ void ReadString(const Value& obj, const std::string& key, std::string* out);
 void ReadBool(const Value& obj, const std::string& key, bool* out);
 void ReadDoubleArray(const Value& obj, const std::string& key,
                      std::vector<double>* out);
-
-// Full-range signed integer token parsed from the raw text (Time nanos,
-// byte counters). Same contract as ReadUint64.
-int64_t ReadInt64(const Value& obj, const std::string& key, int64_t fallback);
-
-// --- Checked array-element extraction (compact-array codecs) ---
-//
-// `what` names the array in the CodecError on out-of-bounds or wrong-kind
-// elements. Unlike the keyed readers there is no "absent" case: a missing
-// element is corruption.
-
-const Value& Elem(const Value& arr, size_t i, const char* what);
-uint64_t ElemUint(const Value& arr, size_t i, const char* what);
-int64_t ElemInt(const Value& arr, size_t i, const char* what);
-double ElemNum(const Value& arr, size_t i, const char* what);
-bool ElemBool(const Value& arr, size_t i, const char* what);
 
 }  // namespace json
 }  // namespace dibs

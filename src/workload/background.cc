@@ -1,6 +1,5 @@
 #include "src/workload/background.h"
 
-#include <sstream>
 #include <utility>
 
 #include "src/device/network.h"
@@ -35,12 +34,10 @@ void BackgroundWorkload::ScheduleNext() {
   if (when > options_.stop_time) {
     return;
   }
-  arrival_at_ = when;
-  arrival_id_ = network_->sim().ScheduleAt(when, [this] { OnArrival(); });
+  network_->sim().ScheduleAt(when, [this] { OnArrival(); });
 }
 
 void BackgroundWorkload::OnArrival() {
-  arrival_id_ = kInvalidEventId;
   LaunchOne();
   ScheduleNext();
 }
@@ -56,45 +53,6 @@ void BackgroundWorkload::LaunchOne() {
   const auto bytes = static_cast<uint64_t>(sizes_.Sample(rng));
   flows_->StartFlow(src, dst, bytes, TrafficClass::kBackground, on_complete_);
   ++flows_launched_;
-}
-
-void BackgroundWorkload::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  std::ostringstream rng_os;
-  rng_os << rng_.engine();
-  o.fields["rng"] = json::MakeString(rng_os.str());
-  o.fields["launched"] = json::MakeUint(flows_launched_);
-  if (arrival_id_ != kInvalidEventId) {
-    o.fields["arrival_at"] = json::MakeInt(arrival_at_.nanos());
-    o.fields["arrival_id"] = json::MakeUint(arrival_id_);
-  }
-  *out = std::move(o);
-}
-
-void BackgroundWorkload::CkptRestore(const json::Value& in) {
-  std::string rng_state;
-  json::ReadString(in, "rng", &rng_state);
-  std::istringstream rng_is(rng_state);
-  rng_is >> rng_.engine();
-  if (rng_is.fail()) {
-    throw CodecError("background.rng", "unparseable rng engine state");
-  }
-  json::ReadUint(in, "launched", &flows_launched_);
-  if (json::Find(in, "arrival_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "arrival_id", 0);
-    if (id == 0) {
-      throw CodecError("background.arrival_id", "armed arrival with invalid event id");
-    }
-    arrival_at_ = Time::Nanos(json::ReadInt64(in, "arrival_at", 0));
-    arrival_id_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(arrival_at_, arrival_id_, [this] { OnArrival(); });
-  }
-}
-
-void BackgroundWorkload::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (arrival_id_ != kInvalidEventId) {
-    out->emplace_back(arrival_at_, arrival_id_);
-  }
 }
 
 }  // namespace dibs

@@ -7,19 +7,16 @@
 #define SRC_WORKLOAD_BACKGROUND_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/sim/simulator.h"
 #include "src/transport/flow_manager.h"
-#include "src/util/json.h"
 #include "src/workload/distributions.h"
 
 namespace dibs {
 
 class Network;
 
-class BackgroundWorkload : public ckpt::Checkpointable {
+class BackgroundWorkload {
  public:
   struct Options {
     // Mean flow inter-arrival per host (Table 2 default 120ms): each host
@@ -46,15 +43,6 @@ class BackgroundWorkload : public ckpt::Checkpointable {
 
   uint64_t flows_launched() const { return flows_launched_; }
 
-  // Every background flow shares one completion callback; restore paths
-  // (FlowManager::CompletionResolver) fetch it here.
-  const FlowCompletionCallback& on_complete() const { return on_complete_; }
-
-  // --- Checkpoint support (src/ckpt) ---
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   void LaunchOne();
   void ScheduleNext();
@@ -67,9 +55,6 @@ class BackgroundWorkload : public ckpt::Checkpointable {
   FlowCompletionCallback on_complete_;
   Rng rng_;
   uint64_t flows_launched_ = 0;
-  // Next flow-arrival event, as a re-armable descriptor.
-  Time arrival_at_;
-  EventId arrival_id_ = kInvalidEventId;
 };
 
 }  // namespace dibs

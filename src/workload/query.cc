@@ -1,7 +1,5 @@
 #include "src/workload/query.h"
 
-#include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/device/network.h"
@@ -34,12 +32,10 @@ void QueryWorkload::ScheduleNext() {
   if (when > options_.stop_time) {
     return;
   }
-  arrival_at_ = when;
-  arrival_id_ = network_->sim().ScheduleAt(when, [this] { OnArrival(); });
+  network_->sim().ScheduleAt(when, [this] { OnArrival(); });
 }
 
 void QueryWorkload::OnArrival() {
-  arrival_id_ = kInvalidEventId;
   LaunchOne();
   ScheduleNext();
 }
@@ -63,15 +59,12 @@ void QueryWorkload::LaunchOne() {
 
   for (int i = 1; i <= options_.degree; ++i) {
     const auto responder = static_cast<HostId>(picks[static_cast<size_t>(i)]);
-    const FlowId fid = flows_->StartFlow(
-        responder, target, options_.response_bytes, TrafficClass::kQuery,
-        [this, qid](const FlowResult& r) { OnResponseComplete(qid, r); });
-    flow_query_[fid] = qid;
+    flows_->StartFlow(responder, target, options_.response_bytes, TrafficClass::kQuery,
+                      [this, qid](const FlowResult& r) { OnResponseComplete(qid, r); });
   }
 }
 
 void QueryWorkload::OnResponseComplete(uint64_t qid, const FlowResult& r) {
-  flow_query_.erase(r.spec.id);
   auto it = pending_.find(qid);
   DIBS_CHECK(it != pending_.end());
   PendingQuery& entry = it->second;
@@ -89,122 +82,6 @@ void QueryWorkload::OnResponseComplete(uint64_t qid, const FlowResult& r) {
   }
   if (options_.on_flow_complete) {
     options_.on_flow_complete(r);
-  }
-}
-
-FlowCompletionCallback QueryWorkload::ResolveFlowCompletion(const FlowSpec& spec) {
-  auto it = flow_query_.find(spec.id);
-  if (it == flow_query_.end()) {
-    return nullptr;  // the query this flow belonged to already completed
-  }
-  const uint64_t qid = it->second;
-  return [this, qid](const FlowResult& r) { OnResponseComplete(qid, r); };
-}
-
-void QueryWorkload::CkptSave(json::Value* out) const {
-  json::Value o = json::MakeObject();
-  std::ostringstream rng_os;
-  rng_os << rng_.engine();
-  o.fields["rng"] = json::MakeString(rng_os.str());
-  o.fields["next_qid"] = json::MakeUint(next_query_id_);
-  o.fields["launched"] = json::MakeUint(queries_launched_);
-  o.fields["completed"] = json::MakeUint(queries_completed_);
-  if (arrival_id_ != kInvalidEventId) {
-    o.fields["arrival_at"] = json::MakeInt(arrival_at_.nanos());
-    o.fields["arrival_id"] = json::MakeUint(arrival_id_);
-  }
-  // pending_ is unordered; serialize sorted by query id for byte stability.
-  std::vector<uint64_t> qids;
-  qids.reserve(pending_.size());
-  for (const auto& [qid, pq] : pending_) {
-    qids.push_back(qid);
-  }
-  std::sort(qids.begin(), qids.end());
-  json::Value rows = json::MakeArray();
-  for (const uint64_t qid : qids) {
-    const PendingQuery& pq = pending_.at(qid);
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(qid));
-    e.items.push_back(json::MakeInt(pq.result.target));
-    e.items.push_back(json::MakeInt(pq.result.issue_time.nanos()));
-    e.items.push_back(json::MakeInt(pq.result.degree));
-    e.items.push_back(json::MakeUint(pq.result.total_retransmits));
-    e.items.push_back(json::MakeUint(pq.result.total_timeouts));
-    e.items.push_back(json::MakeInt(pq.responses_outstanding));
-    rows.items.push_back(std::move(e));
-  }
-  o.fields["pending"] = std::move(rows);
-  json::Value fq = json::MakeArray();
-  for (const auto& [fid, qid] : flow_query_) {
-    json::Value e = json::MakeArray();
-    e.items.push_back(json::MakeUint(fid));
-    e.items.push_back(json::MakeUint(qid));
-    fq.items.push_back(std::move(e));
-  }
-  o.fields["fq"] = std::move(fq);
-  *out = std::move(o);
-}
-
-void QueryWorkload::CkptRestore(const json::Value& in) {
-  std::string rng_state;
-  json::ReadString(in, "rng", &rng_state);
-  std::istringstream rng_is(rng_state);
-  rng_is >> rng_.engine();
-  if (rng_is.fail()) {
-    throw CodecError("query.rng", "unparseable rng engine state");
-  }
-  json::ReadUint(in, "next_qid", &next_query_id_);
-  json::ReadUint(in, "launched", &queries_launched_);
-  json::ReadUint(in, "completed", &queries_completed_);
-  const json::Value* rows = json::Find(in, "pending");
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray) {
-    throw CodecError("query.pending", "missing pending-query array");
-  }
-  pending_.clear();
-  for (const json::Value& e : rows->items) {
-    const uint64_t qid = json::ElemUint(e, 0, "query.pending");
-    PendingQuery pq;
-    pq.result.query_id = qid;
-    pq.result.target = static_cast<HostId>(json::ElemInt(e, 1, "query.pending"));
-    pq.result.issue_time = Time::Nanos(json::ElemInt(e, 2, "query.pending"));
-    pq.result.degree = static_cast<int>(json::ElemInt(e, 3, "query.pending"));
-    pq.result.total_retransmits =
-        static_cast<uint32_t>(json::ElemUint(e, 4, "query.pending"));
-    pq.result.total_timeouts =
-        static_cast<uint32_t>(json::ElemUint(e, 5, "query.pending"));
-    pq.responses_outstanding = static_cast<int>(json::ElemInt(e, 6, "query.pending"));
-    if (pq.responses_outstanding <= 0) {
-      throw CodecError("query.pending", "pending query with no outstanding responses");
-    }
-    pending_.emplace(qid, pq);
-  }
-  flow_query_.clear();
-  const json::Value* fq = json::Find(in, "fq");
-  if (fq == nullptr || fq->kind != json::Value::Kind::kArray) {
-    throw CodecError("query.fq", "missing flow->query map");
-  }
-  for (const json::Value& e : fq->items) {
-    const FlowId fid = json::ElemUint(e, 0, "query.fq");
-    const uint64_t qid = json::ElemUint(e, 1, "query.fq");
-    if (pending_.find(qid) == pending_.end()) {
-      throw CodecError("query.fq", "flow maps to a query that is not pending");
-    }
-    flow_query_[fid] = qid;
-  }
-  if (json::Find(in, "arrival_id") != nullptr) {
-    const uint64_t id = json::ReadUint64(in, "arrival_id", 0);
-    if (id == 0) {
-      throw CodecError("query.arrival_id", "armed arrival with invalid event id");
-    }
-    arrival_at_ = Time::Nanos(json::ReadInt64(in, "arrival_at", 0));
-    arrival_id_ = static_cast<EventId>(id);
-    network_->sim().RestoreEventAt(arrival_at_, arrival_id_, [this] { OnArrival(); });
-  }
-}
-
-void QueryWorkload::CkptPendingEvents(std::vector<ckpt::EventKey>* out) const {
-  if (arrival_id_ != kInvalidEventId) {
-    out->emplace_back(arrival_at_, arrival_id_);
   }
 }
 

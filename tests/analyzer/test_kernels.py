@@ -403,81 +403,6 @@ class SignalSafetyRuleTest(unittest.TestCase):
         self.assertEqual(run(m, "signal-safety"), [])
 
 
-def sched(name="Schedule", line=10):
-    return call("cs", "dibs::Simulator::" + name, klass="dibs::Simulator",
-                is_method=True, line=line)
-
-
-class CheckpointCoverageRuleTest(unittest.TestCase):
-    def test_uncovered_class_fires(self):
-        m = Model()
-        m.add_record(RecordInfo("r", "Rogue"))
-        m.add_function(fn("u", "Rogue::Start", klass="Rogue", kind="method",
-                          calls=[sched()]))
-        found = run(m, "checkpoint-coverage")
-        self.assertEqual(len(found), 1)
-        self.assertIn("Rogue", found[0].message)
-        self.assertIn("Checkpointable", found[0].message)
-
-    def test_free_function_fires(self):
-        m = Model()
-        m.add_function(fn("u", "FireAndForget", calls=[sched("ScheduleAt")]))
-        found = run(m, "checkpoint-coverage")
-        self.assertEqual(len(found), 1)
-        self.assertIn("free function", found[0].message)
-
-    def test_checkpointable_subclass_silent(self):
-        m = Model()
-        m.add_record(RecordInfo(
-            "r", "Covered", bases=["dibs::ckpt::Checkpointable"]))
-        m.add_function(fn("u", "Covered::Start", klass="Covered",
-                          kind="method", calls=[sched()]))
-        self.assertEqual(run(m, "checkpoint-coverage"), [])
-
-    def test_transitively_checkpointable_silent(self):
-        m = Model()
-        m.add_record(RecordInfo("r1", "Base",
-                                bases=["dibs::ckpt::Checkpointable"]))
-        m.add_record(RecordInfo("r2", "Derived", bases=["Base"]))
-        m.add_function(fn("u", "Derived::Start", klass="Derived",
-                          kind="method", calls=[sched()]))
-        self.assertEqual(run(m, "checkpoint-coverage"), [])
-
-    def test_covered_by_parent_silent(self):
-        # dibs::Port's timers are serialized and re-armed by dibs::Network.
-        m = Model()
-        m.add_record(RecordInfo("r", "dibs::Port"))
-        m.add_function(fn("u", "dibs::Port::ArmDrain", klass="dibs::Port",
-                          kind="method", calls=[sched()]))
-        self.assertEqual(run(m, "checkpoint-coverage"), [])
-
-    def test_simulator_itself_silent(self):
-        m = Model()
-        m.add_record(RecordInfo("r", "dibs::Simulator"))
-        m.add_function(fn("u", "dibs::Simulator::Run",
-                          klass="dibs::Simulator", kind="method",
-                          calls=[sched()]))
-        self.assertEqual(run(m, "checkpoint-coverage"), [])
-
-    def test_const_simulator_reads_silent(self):
-        m = Model()
-        m.add_record(RecordInfo("r", "Rogue"))
-        m.add_function(fn("u", "Rogue::Peek", klass="Rogue", kind="method",
-                          calls=[call("cn", "dibs::Simulator::Now",
-                                      klass="dibs::Simulator", is_method=True,
-                                      is_const=True)]))
-        self.assertEqual(run(m, "checkpoint-coverage"), [])
-
-    def test_restore_event_at_gated_too(self):
-        m = Model()
-        m.add_record(RecordInfo("r", "Rogue"))
-        m.add_function(fn("u", "Rogue::Rearm", klass="Rogue", kind="method",
-                          calls=[sched("RestoreEventAt", line=21)]))
-        found = run(m, "checkpoint-coverage")
-        self.assertEqual(len(found), 1)
-        self.assertEqual(found[0].line, 21)
-
-
 class BaselineTest(unittest.TestCase):
     def test_context_collapses_whitespace_and_masks_comments(self):
         sc = source_text.scan("  int   x;   // rand()\n")

@@ -12,7 +12,6 @@
 #include <functional>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -33,40 +32,8 @@ class QueueModel {
  public:
   explicit QueueModel(uint64_t seed) : rng_(seed) { InstallPolling(); }
 
-  // Continues `source` on a fresh simulator rebuilt through the checkpoint
-  // hooks from source's live keys, restored in an order drawn from
-  // `shuffle`. Everything else (reference, ids, operation stream) is copied,
-  // so both models must go on to fire identically.
-  QueueModel(const QueueModel& source, Rng* shuffle)
-      : rng_(source.rng_),
-        ref_(source.ref_),
-        whens_(source.whens_),
-        ids_(source.ids_),
-        seq_of_(source.seq_of_),
-        fired_(source.fired_),
-        bound_(source.bound_),
-        stop_requested_(source.stop_requested_),
-        stop_seq_(source.stop_seq_),
-        allow_stop_(source.allow_stop_) {
-    InstallPolling();
-    std::vector<std::pair<Time, EventId>> keys = source.sim_.PendingEventKeys();
-    for (size_t i = keys.size(); i > 1; --i) {
-      const auto j = shuffle->UniformInt(0, static_cast<int64_t>(i) - 1);
-      std::swap(keys[i - 1], keys[static_cast<size_t>(j)]);
-    }
-    sim_.BeginRestore(source.sim_.Now(), source.sim_.next_event_id(),
-                      source.sim_.events_processed());
-    for (const auto& [when, id] : keys) {
-      sim_.RestoreEventAt(when, id, Closure(seq_of_.at(id)));
-    }
-  }
-
   QueueModel(const QueueModel&) = delete;
   QueueModel& operator=(const QueueModel&) = delete;
-
-  Simulator& sim() { return sim_; }
-  const std::vector<uint64_t>& fired() const { return fired_; }
-  int64_t bound() const { return bound_; }
 
   // One random top-level operation, then a full comparison.
   void Step() {
@@ -303,41 +270,6 @@ TEST(EventQueueModelTest, RandomSequencesMatchTheReference) {
       model.Step();
     }
     model.RunInterrupted();
-    if (testing::Test::HasFailure()) {
-      return;
-    }
-  }
-}
-
-TEST(EventQueueModelTest, RestoreMidRunContinuesTheSameFiringOrder) {
-  for (int seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    QueueModel original(static_cast<uint64_t>(seed));
-    for (int step = 0; step < kSteps / 2; ++step) {
-      original.Step();
-    }
-    // The first barrier a RunUntil crosses snapshots the queue between two
-    // events; the copy then finishes that RunUntil itself.
-    Rng shuffle(static_cast<uint64_t>(seed));
-    std::unique_ptr<QueueModel> restored;
-    original.sim().SetCheckpointBarrier(Time::Nanos(7), [&] {
-      if (!restored) {
-        restored = std::make_unique<QueueModel>(original, &shuffle);
-      }
-    });
-    while (!restored && !testing::Test::HasFailure()) {
-      original.Step();
-    }
-    ASSERT_NE(restored, nullptr);
-    restored->RunTo(restored->bound());
-    restored->Check();
-    for (int step = 0; step < kSteps / 2 && !testing::Test::HasFailure(); ++step) {
-      original.Step();
-      restored->Step();
-    }
-    EXPECT_EQ(restored->fired(), original.fired());
-    EXPECT_EQ(restored->sim().Now(), original.sim().Now());
-    EXPECT_EQ(restored->sim().events_processed(), original.sim().events_processed());
     if (testing::Test::HasFailure()) {
       return;
     }

@@ -3,11 +3,10 @@
 
 Proves, at the AST/call-graph level, the contracts the runtime checkers can
 only spot-check: determinism (rule determinism-ast), address-order
-nondeterminism (pointer-key-order), observer purity (observer-purity),
-crash-handler async-signal-safety (signal-safety), and checkpoint event
-coverage (checkpoint-coverage). See rules.py for the catalog and DESIGN.md
-"Static analysis" for how the rules relate to DIBS_VALIDATE, the
-flight-recorder crash dumps, and the src/ckpt coverage check.
+nondeterminism (pointer-key-order), observer purity (observer-purity), and
+crash-handler async-signal-safety (signal-safety). See rules.py for the
+catalog and DESIGN.md "Static analysis" for how the rules relate to
+DIBS_VALIDATE and the flight-recorder crash dumps.
 
 Usage:
   tools/analyzer/dibs_analyzer.py [-p BUILD_DIR | --compile-commands FILE]

@@ -30,17 +30,6 @@ Rule catalog (see DESIGN.md "Static analysis" for the contracts these prove):
                      FlightRecorder dump entry point may allocate, throw, or
                      call a function outside the async-signal-safe
                      whitelist.
-  checkpoint-coverage
-                     Every Simulator::Schedule/ScheduleAt/RestoreEventAt
-                     call site must belong to a class the checkpoint layer
-                     can see: one deriving from ckpt::Checkpointable, or one
-                     listed in ckpt_covered_by as owned by a checkpointing
-                     parent (Network covers device timers, FlowManager
-                     covers sender timers). A live event owned by anything
-                     else trips CheckpointManager's coverage check, which
-                     refuses to write every snapshot (degrade-to-no-
-                     checkpoint, by design) — this rule names the offender
-                     at lint time instead of at the first barrier.
 """
 
 import re
@@ -96,21 +85,6 @@ class RuleConfig:
         "strcat", "strncat", "strcmp", "strncmp", "memcpy", "memmove",
         "memset", "memcmp", "__errno_location",
     })
-
-    # checkpoint-coverage: scheduling a simulator event is taking ownership
-    # of state the checkpoint layer must re-materialize on restore.
-    ckpt_bases = frozenset({"dibs::ckpt::Checkpointable"})
-    ckpt_scheduler_classes = frozenset({"dibs::Simulator"})
-    ckpt_event_calls = frozenset({"Schedule", "ScheduleAt", "RestoreEventAt"})
-    # Classes whose pending events a parent Checkpointable reports and
-    # re-arms for them: Network owns every device-layer timer, FlowManager
-    # owns every sender/receiver timer.
-    ckpt_covered_by = frozenset({
-        "dibs::Port", "dibs::SwitchNode", "dibs::HostNode",
-        "dibs::TcpSender", "dibs::PfabricSender", "dibs::TcpReceiver",
-    })
-    # The event-queue mechanism itself schedules on itself.
-    ckpt_exempt = frozenset({"dibs::Simulator"})
 
     # Path prefixes (repo-relative, '/'-separated) where a determinism-ast
     # sub-check is expected: the seeded Rng wraps random_device-free entropy
@@ -388,45 +362,6 @@ def rule_signal_safety(model, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: checkpoint-coverage
-
-
-def rule_checkpoint_coverage(model, cfg):
-    findings = []
-    for f in model.functions.values():
-        if not f.in_repo or not f.is_definition:
-            continue
-        owner = f.class_qualified
-        if owner in cfg.ckpt_exempt or owner in cfg.ckpt_covered_by:
-            continue
-        if owner and model.derives_from(owner, cfg.ckpt_bases):
-            continue
-        for c in f.calls:
-            if c.callee_class not in cfg.ckpt_scheduler_classes or \
-                    c.callee_name not in cfg.ckpt_event_calls:
-                continue
-            if owner:
-                msg = ("'%s' schedules simulator events (%s) but is not "
-                       "checkpoint-covered: derive from ckpt::Checkpointable "
-                       "(report the event in CkptPendingEvents, re-arm it in "
-                       "CkptRestore) or list the class in ckpt_covered_by if "
-                       "a parent component owns its events; an uncovered "
-                       "live event makes every snapshot refuse to write"
-                       % (owner, c.callee_name))
-            else:
-                msg = ("free function '%s' schedules simulator events; only "
-                       "checkpoint-covered components may own pending "
-                       "events — move the call into a ckpt::Checkpointable "
-                       "component, or lint:allow with a justification that "
-                       "the event can never be live at a checkpoint barrier"
-                       % f.qualified)
-            findings.append(Finding(
-                "checkpoint-coverage", c.loc.file, c.loc.line, c.loc.col,
-                msg, symbol=f.qualified))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 
 
 def _short_type(type_str, limit=80):
@@ -438,7 +373,6 @@ RULES = {
     "pointer-key-order": rule_pointer_key_order,
     "observer-purity": rule_observer_purity,
     "signal-safety": rule_signal_safety,
-    "checkpoint-coverage": rule_checkpoint_coverage,
 }
 
 
