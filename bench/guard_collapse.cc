@@ -9,8 +9,9 @@
 // a watchdog that never fires, or a guard that no longer prevents the
 // collapse it exists for, both fail the pipeline.
 //
-// Knobs: DIBS_GUARD_QPS (default 18000 — the first rate where unguarded
-// DIBS collapses in-run while the guarded run holds; see EXPERIMENTS.md),
+// Knobs: DIBS_GUARD_QPS (default 18000, range [1, 1000000] — 18000 is the
+// first rate where unguarded DIBS collapses in-run while the guarded run
+// holds; see EXPERIMENTS.md), DIBS_GUARD_EXPECT (a boolean knob),
 // DIBS_BENCH_DURATION_MS (default 120 here — the watchdog needs enough
 // collapse windows to judge).
 
@@ -20,10 +21,7 @@ using namespace dibs;
 using namespace dibs::bench;
 
 int main() {
-  int qps = 18000;
-  if (const char* env = std::getenv("DIBS_GUARD_QPS"); env != nullptr) {
-    qps = std::atoi(env);
-  }
+  const int qps = static_cast<int>(env::Int("DIBS_GUARD_QPS", 18000, 1, 1000000));
   PrintFigureBanner("Guard negative test",
                     "Collapse watchdog fires unguarded, stays quiet guarded",
                     "bg inter-arrival 120ms, incast degree 40, response 20KB");
@@ -59,8 +57,7 @@ int main() {
                     ResultCell(rec, TablePrinter::Num(r.guard_time_suppressed_ms, 1))});
   }
 
-  const char* expect = std::getenv("DIBS_GUARD_EXPECT");
-  if (expect == nullptr || expect[0] == '0') {
+  if (!env::Flag("DIBS_GUARD_EXPECT", false)) {
     return 0;
   }
   const ScenarioResult& unguarded = FindRecord(records, {{"scheme", "dibs"}}).result;

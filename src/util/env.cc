@@ -31,35 +31,47 @@ const char* Raw(const char* name) {
 
 bool IsSet(const char* name) { return Raw(name) != nullptr; }
 
+bool ParseInt(const char* text, int64_t min, int64_t max, int64_t* out, std::string* error) {
+  // Strict shape check first: strtoll's "parse a prefix" behavior is exactly
+  // the silent-degradation this helper exists to kill.
+  const char* p = text;
+  if (*p == '+' || *p == '-') {
+    ++p;
+  }
+  if (*p == '\0') {
+    *error = "expected an integer";
+    return false;
+  }
+  for (const char* q = p; *q != '\0'; ++q) {
+    if (!std::isdigit(static_cast<unsigned char>(*q))) {
+      *error = "expected an integer";
+      return false;
+    }
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (errno == ERANGE || end == nullptr || *end != '\0') {
+    *error = "integer out of representable range";
+    return false;
+  }
+  if (parsed < min || parsed > max) {
+    *error = "out of range [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 int64_t Int(const char* name, int64_t fallback, int64_t min, int64_t max) {
   const char* v = Raw(name);
   if (v == nullptr) {
     return fallback;
   }
-  // Strict shape check first: strtoll's "parse a prefix" behavior is exactly
-  // the silent-degradation this helper exists to kill.
-  const char* p = v;
-  if (*p == '+' || *p == '-') {
-    ++p;
-  }
-  if (*p == '\0') {
-    throw EnvError(name, v, "expected an integer");
-  }
-  for (const char* q = p; *q != '\0'; ++q) {
-    if (!std::isdigit(static_cast<unsigned char>(*q))) {
-      throw EnvError(name, v, "expected an integer");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') {
-    throw EnvError(name, v, "integer out of representable range");
-  }
-  if (parsed < min || parsed > max) {
-    throw EnvError(name, v,
-                   "out of range [" + std::to_string(min) + ", " +
-                       std::to_string(max) + "]");
+  int64_t parsed = 0;
+  std::string reason;
+  if (!ParseInt(v, min, max, &parsed, &reason)) {
+    throw EnvError(name, v, reason);
   }
   return parsed;
 }

@@ -50,6 +50,11 @@ bool IsSet(const char* name);
 int64_t Int(const char* name, int64_t fallback, int64_t min = INT64_MIN,
             int64_t max = INT64_MAX);
 
+// Int's rule applied to `text` from anywhere else (command-line flags), so
+// both paths accept exactly the same values: true and `*out` set when it
+// parses inside [min, max], false and `*error` set to the reason otherwise.
+bool ParseInt(const char* text, int64_t min, int64_t max, int64_t* out, std::string* error);
+
 // Floating-point knob in [min, max]. The whole value must parse and be
 // finite (no "nan"/"inf" — JSON-style null semantics have no place in env
 // knobs); violations throw EnvError.

@@ -1,6 +1,8 @@
 #include "src/util/env.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +65,23 @@ TEST(EnvTest, IntEnforcesRange) {
   EXPECT_THROW(env::Int(kKnob, 0, 0, 100), EnvError);
   ScopedEnv edge(kKnob, "100");
   EXPECT_EQ(env::Int(kKnob, 0, 0, 100), 100);
+}
+
+TEST(EnvTest, ParseIntAppliesIntsRuleToAnyText) {
+  int64_t out = -7;
+  std::string reason;
+  EXPECT_TRUE(env::ParseInt("100", 1, 100, &out, &reason));
+  EXPECT_EQ(out, 100);
+  for (const char* bad : {"1O0", "abc", "12x", " 3", "", "-", "1e3"}) {
+    out = -7;
+    EXPECT_FALSE(env::ParseInt(bad, 1, 100, &out, &reason)) << "value: " << bad;
+    EXPECT_EQ(reason, "expected an integer") << "value: " << bad;
+    EXPECT_EQ(out, -7) << "a rejected value must leave the output alone";
+  }
+  EXPECT_FALSE(env::ParseInt("-1", 0, 100, &out, &reason));
+  EXPECT_EQ(reason, "out of range [0, 100]");
+  EXPECT_FALSE(env::ParseInt("99999999999999999999", 0, INT64_MAX, &out, &reason));
+  EXPECT_EQ(reason, "integer out of representable range");
 }
 
 TEST(EnvTest, ErrorCarriesNameAndValue) {

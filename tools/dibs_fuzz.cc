@@ -52,9 +52,13 @@ void Usage() {
       << "env: DIBS_FUZZ_SEED, DIBS_FUZZ_CASES, DIBS_FUZZ_BUDGET\n";
 }
 
+// Accepted ranges, shared by the DIBS_FUZZ_* defaults and the flags.
+constexpr int64_t kMaxSeed = INT64_MAX;
+constexpr int64_t kMaxCases = 1000000;
+
 // Flag parsing: --key value pairs after the subcommand; positional args
-// collect in order. Unknown flags are an error (a typo silently ignored
-// would fuzz the wrong stream).
+// collect in order. Unknown flags and junk or out-of-range numbers are
+// errors (a typo silently ignored would fuzz the wrong stream).
 struct Args {
   std::vector<std::string> positional;
   bool ok = true;
@@ -70,8 +74,8 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args args;
-  args.seed = static_cast<uint64_t>(env::Int("DIBS_FUZZ_SEED", 1, 0));
-  args.cases = static_cast<int>(env::Int("DIBS_FUZZ_CASES", 100, 1, 1000000));
+  args.seed = static_cast<uint64_t>(env::Int("DIBS_FUZZ_SEED", 1, 0, kMaxSeed));
+  args.cases = static_cast<int>(env::Int("DIBS_FUZZ_CASES", 100, 1, kMaxCases));
   auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
       std::cerr << "dibs_fuzz: " << flag << " needs a value\n";
@@ -80,12 +84,29 @@ Args Parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Numeric flags go through env::Int's rule, so "--cases 1O0" fails the
+  // same way DIBS_FUZZ_CASES=1O0 does.
+  auto int_value = [&](int& i, const char* flag, int64_t min, int64_t max,
+                       int64_t* out) {
+    const char* v = need_value(i, flag);
+    if (v == nullptr) {
+      return false;
+    }
+    std::string reason;
+    if (!env::ParseInt(v, min, max, out, &reason)) {
+      std::cerr << "dibs_fuzz: " << flag << " '" << v << "': " << reason << "\n";
+      args.ok = false;
+      return false;
+    }
+    return true;
+  };
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
+    int64_t n = 0;
     if (arg == "--seed") {
-      if (const char* v = need_value(i, "--seed")) args.seed = std::stoull(v);
+      if (int_value(i, "--seed", 0, kMaxSeed, &n)) args.seed = static_cast<uint64_t>(n);
     } else if (arg == "--cases") {
-      if (const char* v = need_value(i, "--cases")) args.cases = std::stoi(v);
+      if (int_value(i, "--cases", 1, kMaxCases, &n)) args.cases = static_cast<int>(n);
     } else if (arg == "--corpus") {
       if (const char* v = need_value(i, "--corpus")) args.corpus_dir = v;
     } else if (arg == "--spec") {
@@ -93,8 +114,8 @@ Args Parse(int argc, char** argv) {
     } else if (arg == "--oracle") {
       if (const char* v = need_value(i, "--oracle")) args.oracle_name = v;
     } else if (arg == "--max-failures") {
-      if (const char* v = need_value(i, "--max-failures")) {
-        args.max_failures = std::stoi(v);
+      if (int_value(i, "--max-failures", 1, kMaxCases, &n)) {
+        args.max_failures = static_cast<int>(n);
       }
     } else if (arg == "--no-shrink") {
       args.shrink = false;
