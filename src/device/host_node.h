@@ -9,7 +9,6 @@
 #include <memory>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/device/node.h"
 #include "src/device/port.h"

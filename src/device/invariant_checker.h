@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "src/device/observer.h"
 #include "src/util/validation.h"

@@ -1,7 +1,6 @@
 #include "src/guard/guard_fabric.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/util/logging.h"
 

@@ -45,26 +45,8 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
 
   // Receiver side: completion merges sender-side counters into the result
   // before invoking the caller.
-  const uint8_t ttl = kind_ == TransportKind::kPfabric ? pfabric_config_.initial_ttl
-                                                       : tcp_config_.initial_ttl;
-  flow.receiver = std::make_unique<TcpReceiver>(
-      network_, spec, ttl, [this, id, cb = std::move(on_complete)](const FlowResult& r) {
-        ++flows_completed_;
-        FlowResult merged = r;
-        if (auto it = flows_.find(id); it != flows_.end()) {
-          if (it->second.tcp_sender != nullptr) {
-            merged.retransmits = it->second.tcp_sender->retransmits();
-            merged.timeouts = it->second.tcp_sender->timeouts();
-            merged.marked_acks = it->second.tcp_sender->marked_acks();
-          } else if (it->second.pfabric_sender != nullptr) {
-            merged.retransmits = it->second.pfabric_sender->retransmits();
-            merged.timeouts = it->second.pfabric_sender->timeouts();
-          }
-        }
-        if (cb) {
-          cb(merged);
-        }
-      });
+  flow.receiver = std::make_unique<TcpReceiver>(network_, spec, flow_ttl(),
+                                                WrapCompletion(id, std::move(on_complete)));
 
   if (kind_ == TransportKind::kPfabric) {
     flow.pfabric_sender = std::make_unique<PfabricSender>(network_, spec, pfabric_config_,
@@ -93,6 +75,31 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
 
   ++flows_started_;
   return id;
+}
+
+uint8_t FlowManager::flow_ttl() const {
+  return kind_ == TransportKind::kPfabric ? pfabric_config_.initial_ttl
+                                          : tcp_config_.initial_ttl;
+}
+
+FlowCompletionCallback FlowManager::WrapCompletion(FlowId id, FlowCompletionCallback cb) {
+  return [this, id, cb = std::move(cb)](const FlowResult& r) {
+    ++flows_completed_;
+    FlowResult merged = r;
+    if (auto it = flows_.find(id); it != flows_.end()) {
+      if (it->second.tcp_sender != nullptr) {
+        merged.retransmits = it->second.tcp_sender->retransmits();
+        merged.timeouts = it->second.tcp_sender->timeouts();
+        merged.marked_acks = it->second.tcp_sender->marked_acks();
+      } else if (it->second.pfabric_sender != nullptr) {
+        merged.retransmits = it->second.pfabric_sender->retransmits();
+        merged.timeouts = it->second.pfabric_sender->timeouts();
+      }
+    }
+    if (cb) {
+      cb(merged);
+    }
+  };
 }
 
 void FlowManager::OnSenderDone(FlowId id) {

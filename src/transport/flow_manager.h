@@ -57,6 +57,11 @@ class FlowManager {
   void OnSenderDone(FlowId id);
   void FinishTeardown(FlowId id);
 
+  // The receiver-completion closure: merge the sender's counters into the
+  // result, then invoke `cb`.
+  FlowCompletionCallback WrapCompletion(FlowId id, FlowCompletionCallback cb);
+  uint8_t flow_ttl() const;
+
   Network* network_;
   TransportKind kind_;
   TcpConfig tcp_config_;

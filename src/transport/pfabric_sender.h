@@ -10,8 +10,6 @@
 #define SRC_TRANSPORT_PFABRIC_SENDER_H_
 
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/transport/flow.h"

@@ -18,7 +18,6 @@
 #define SRC_TRANSPORT_TCP_SENDER_H_
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/transport/flow_manager.h"
