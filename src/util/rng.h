@@ -72,7 +72,6 @@ class Rng {
   uint64_t NextUint64() { return engine_(); }
 
   std::mt19937_64& engine() { return engine_; }
-  const std::mt19937_64& engine() const { return engine_; }
 
  private:
   std::mt19937_64 engine_;
