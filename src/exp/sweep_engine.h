@@ -80,7 +80,6 @@ struct SweepOptions {
   // match or RunAll throws std::runtime_error). A missing or empty journal
   // file resumes as a fresh run. -1 resolves from $DIBS_RESUME.
   int resume = -1;
-
 };
 
 class SweepEngine {

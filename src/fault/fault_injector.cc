@@ -38,8 +38,7 @@ void FaultInjector::Validate(const FaultEvent& event) const {
 void FaultInjector::Start() {
   for (const FaultEvent& event : plan_.Sorted()) {
     Validate(event);
-    network_->sim().Schedule(event.at - network_->sim().Now(),
-                             [this, event] { Apply(event); });
+    network_->sim().Schedule(event.at - network_->sim().Now(), [this, event] { Apply(event); });
     ++events_scheduled_;
   }
 }
