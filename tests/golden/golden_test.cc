@@ -14,9 +14,16 @@
 // same one perfbench uses. A row changes only when behaviour changes on
 // purpose; on a mismatch the test prints the replacement row, which that
 // change pastes in and explains.
+//
+// A second table locks the packet-lifecycle trace stream itself: four of the
+// cells rerun with tracing on, and a test-owned sink hashes every encoded
+// JSONL line (FNV-1a-64 over the EncodeTraceEventLine bytes) and counts them.
+// Together those rows must cover every TraceEventType plus a pFabric
+// eviction drop, so no emission point can move or vanish unnoticed.
 
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -28,6 +35,7 @@
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
 #include "src/topo/builders.h"
+#include "src/trace/trace_codec.h"
 
 namespace dibs {
 namespace {
@@ -114,14 +122,17 @@ ExperimentConfig CellConfig(const std::string& name) {
   return ExperimentConfig();
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+uint64_t Fnv1a64(const char* bytes, size_t n, uint64_t h = kFnvOffset) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
     h *= 1099511628211ull;
   }
   return h;
 }
+
+uint64_t Fnv1a64(const std::string& bytes) { return Fnv1a64(bytes.data(), bytes.size()); }
 
 GoldenRow RunRow(const char* name) {
   RunRecord rec;
@@ -162,6 +173,74 @@ TEST(GoldenBehaviour, EveryCellMatchesItsCommittedRow) {
     EXPECT_TRUE(same) << want.name << ": want " << FormatRow(want) << "\n"
                       << "replacement row:\n    " << FormatRow(got);
   }
+}
+
+struct TraceRow {
+  const char* name;
+  uint64_t digest;  // FNV-1a-64 over every encoded line, newlines included
+  uint64_t lines;
+};
+
+// Hashes the encoded stream exactly as a JSONL sink would write it.
+class DigestSink : public TraceSink {
+ public:
+  void OnEvent(const TraceEvent& e) override {
+    char buf[kMaxTraceLineBytes];
+    const size_t n = EncodeTraceEventLine(e, buf, sizeof buf);
+    digest = Fnv1a64(buf, n, digest);
+    ++lines;
+    kinds.set(static_cast<size_t>(e.type));
+    if (e.type == TraceEventType::kDrop && e.drop_reason == kTraceEvictionReason) {
+      ++evictions;
+    }
+  }
+
+  uint64_t digest = kFnvOffset;
+  uint64_t lines = 0;
+  std::bitset<kNumTraceEventTypes> kinds;
+  uint64_t evictions = 0;
+};
+
+std::string FormatTraceRow(const TraceRow& r) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "{\"%s\", 0x%016" PRIx64 "ull, %" PRIu64 "},", r.name,
+                r.digest, r.lines);
+  return buf;
+}
+
+// Recorded from the code before the instrumentation fan-outs were folded into
+// one event stream. Sampling a quarter of packet uids keeps the rows fast and
+// pins the bus filter too; control events (uid 0) always pass it.
+const TraceRow kGoldenTrace[] = {
+    {"dibs_faults", 0x23f3b93fbae41e64ull, 495035},
+    {"pfabric_rto", 0x1bf2be9d837e81b2ull, 487049},
+    {"dctcp_pfc", 0x72670d75de7b4a6eull, 53646},
+    {"dibs_guard_watchdog", 0xe4192d266005e465ull, 433261},
+};
+
+TEST(GoldenBehaviour, TracedCellsMatchTheirCommittedStreams) {
+  std::bitset<kNumTraceEventTypes> kinds;
+  uint64_t evictions = 0;
+  for (const TraceRow& want : kGoldenTrace) {
+    ExperimentConfig config = CellConfig(want.name);
+    config.trace.enabled = true;
+    config.trace.filter.sample = 0.25;
+    Scenario scenario(config);
+    DigestSink sink;
+    scenario.trace()->bus()->AddSink(&sink);
+    scenario.Run();
+    const TraceRow got{want.name, sink.digest, sink.lines};
+    EXPECT_TRUE(got.digest == want.digest && got.lines == want.lines)
+        << want.name << ": want " << FormatTraceRow(want) << "\n"
+        << "replacement row:\n    " << FormatTraceRow(got);
+    kinds |= sink.kinds;
+    evictions += sink.evictions;
+  }
+  for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
+    EXPECT_TRUE(kinds.test(i)) << "no traced row emits "
+                               << TraceEventTypeName(static_cast<TraceEventType>(i));
+  }
+  EXPECT_GT(evictions, 0u) << "no traced row emits a pFabric eviction drop";
 }
 
 }  // namespace
