@@ -24,7 +24,7 @@ int main() {
   Simulator sim(4);
   Network net(&sim, BuildPaperFatTree(), net_cfg);
   DetourRecorder detours(Time::Micros(100));
-  net.AddObserver(&detours);
+  net.Subscribe(&detours, DetourRecorder::kKinds);
   FlowManager flows(&net, TransportKind::kDctcp, TcpConfig::DibsDefault());
 
   // One burst, launched immediately.

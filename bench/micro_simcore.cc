@@ -158,7 +158,7 @@ void BM_SwitchPacketHop(benchmark::State& state) {
 BENCHMARK(BM_SwitchPacketHop);
 
 void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
-  // Same hop loop with a trace bus attached but filtering everything out
+  // Same hop loop with a trace bus subscribed but filtering everything out
   // (sample=0): the cost of *armed* tracing that emits nothing. This is the
   // price paid per hook call when a user traces one flow out of millions.
   Simulator sim;
@@ -167,7 +167,7 @@ void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
   TraceFilter filter;
   filter.sample = 0.0;
   bus.SetFilter(filter);
-  net.AttachTraceBus(&bus);
+  net.Subscribe(&bus);
   uint64_t batch = 0;
   for (auto _ : state) {
     Packet p;
@@ -196,7 +196,7 @@ void BM_SwitchPacketHopTraceRing(benchmark::State& state) {
   TraceBus bus;
   FlightRecorder ring(/*capacity=*/65536);
   bus.AddSink(&ring);
-  net.AttachTraceBus(&bus);
+  net.Subscribe(&bus);
   uint64_t batch = 0;
   for (auto _ : state) {
     Packet p;

@@ -222,7 +222,7 @@ DIBS_BENCH_DURATION_MS=50 DIBS_ISOLATE=process DIBS_TEST_CRASH_RUN=2 \
 echo "trace: crash dump parseable"
 
 echo "== trace: tracing-off overhead guard on micro_simcore =="
-# BM_SwitchPacketHop runs with no trace bus attached; the trace variants ride
+# BM_SwitchPacketHop runs with no subscribers; the trace variants ride
 # along as smoke. The guard ratchets against a per-machine baseline cached in
 # the (incremental, per-machine) build tree — wall-clock baselines do not
 # transfer between machines.

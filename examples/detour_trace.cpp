@@ -4,7 +4,7 @@
 // exactly what the paper's Figure 1 visualizes.
 //
 // Doubles as the minimal manual-wiring example for the trace subsystem: a
-// TraceBus feeding a JourneyBuilder, attached straight to the Network —
+// TraceBus feeding a JourneyBuilder, subscribed straight to the Network —
 // no Scenario, no env vars.
 
 #include <iostream>
@@ -35,7 +35,7 @@ int main() {
   TraceBus bus;
   JourneyBuilder journeys;
   bus.AddSink(&journeys);
-  net.AttachTraceBus(&bus);
+  net.Subscribe(&bus);
 
   QueryWorkload::Options q;
   q.qps = 50;

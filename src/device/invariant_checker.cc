@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "src/net/packet_debug.h"
+#include "src/trace/trace_codec.h"
 #include "src/util/env.h"
 
 namespace dibs {
@@ -12,17 +12,40 @@ namespace dibs {
 InvariantChecker::InvariantChecker()
     : plant_leak_(env::Flag("DIBS_CHAOS_PLANT", false)) {}
 
-void InvariantChecker::FailOn(const char* invariant, const Packet& p,
+void InvariantChecker::FailOn(const char* invariant, const TraceEvent& e,
                               const std::string& detail) const {
-  std::ostringstream os;
-  os << detail << "; " << DescribePacket(p);
-  validate::Fail(invariant, os.str());
+  validate::Fail(invariant, detail + "; event " + EncodeTraceEvent(e));
 }
 
-InvariantChecker::PacketState* InvariantChecker::Observe(const Packet& p,
+void InvariantChecker::OnEvent(const TraceEvent& e) {
+  switch (e.type) {
+    case TraceEventType::kHostSend:
+      OnHostSend(e);
+      break;
+    case TraceEventType::kHostDeliver:
+      OnHostDeliver(e);
+      break;
+    case TraceEventType::kDetour:
+      OnDetour(e);
+      break;
+    case TraceEventType::kDrop:
+      OnDrop(e);
+      break;
+    case TraceEventType::kWireEnter:
+      ++on_wire_;
+      break;
+    case TraceEventType::kWireExit:
+      CloseWire(e);
+      break;
+    default:
+      break;
+  }
+}
+
+InvariantChecker::PacketState* InvariantChecker::Observe(const TraceEvent& e,
                                                          const char* where) {
-  auto it = ledger_.find(p.uid);
-  if (p.uid == 0 || it == ledger_.end()) {
+  auto it = ledger_.find(e.uid);
+  if (e.uid == 0 || it == ledger_.end()) {
     // Not injected through a host NIC (synthetic test traffic): exempt from
     // the per-uid ledger but still counted so CheckBalanced can widen.
     untracked_seen_ = true;
@@ -31,62 +54,67 @@ InvariantChecker::PacketState* InvariantChecker::Observe(const Packet& p,
   }
   PacketState& state = it->second;
   if (state.terminal != Terminal::kInFlight) {
-    FailOn("ledger.terminal-reuse", p,
+    FailOn("ledger.terminal-reuse", e,
            std::string(where) + " observed a packet that already reached its terminal " +
                (state.terminal == Terminal::kDelivered ? "state (delivered)"
                                                        : "state (dropped)"));
   }
-  if (p.ttl > state.last_ttl) {
+  if (e.ttl > state.last_ttl) {
     std::ostringstream os;
     os << where << " saw TTL grow from " << static_cast<int>(state.last_ttl) << " to "
-       << static_cast<int>(p.ttl);
-    FailOn("ledger.ttl-grew", p, os.str());
+       << static_cast<int>(e.ttl);
+    FailOn("ledger.ttl-grew", e, os.str());
   }
-  state.last_ttl = p.ttl;
-  const int hops_consumed = state.injected_ttl - p.ttl;
-  if (p.detour_count > hops_consumed) {
+  state.last_ttl = e.ttl;
+  const int hops_consumed = state.injected_ttl - e.ttl;
+  if (e.detour_count > hops_consumed) {
     std::ostringstream os;
-    os << where << " saw detour count " << p.detour_count << " exceed the "
+    os << where << " saw detour count " << e.detour_count << " exceed the "
        << hops_consumed << " switch hops consumed (injected ttl "
        << static_cast<int>(state.injected_ttl) << "): detours must each burn one TTL hop";
-    FailOn("ledger.detours-exceed-ttl", p, os.str());
+    FailOn("ledger.detours-exceed-ttl", e, os.str());
   }
   return &state;
 }
 
-void InvariantChecker::OnHostSend(HostId host, const Packet& p, Time at) {
-  if (p.uid == 0) {
+void InvariantChecker::OnHostSend(const TraceEvent& e) {
+  if (e.uid == 0) {
     untracked_seen_ = true;
     ++untracked_events_;
     return;
   }
   PacketState state;
-  state.injected_ttl = p.ttl;
-  state.last_ttl = p.ttl;
-  const bool inserted = ledger_.emplace(p.uid, state).second;
+  state.injected_ttl = e.ttl;
+  state.last_ttl = e.ttl;
+  const bool inserted = ledger_.emplace(e.uid, state).second;
   if (!inserted) {
-    FailOn("ledger.duplicate-uid", p,
-           "host " + std::to_string(host) + " injected a uid that is already live");
+    FailOn("ledger.duplicate-uid", e,
+           "host " + std::to_string(e.src) + " injected a uid that is already live");
   }
   ++injected_;
 }
 
-void InvariantChecker::OnDetour(int node, uint16_t detour_port, const Packet& p, Time at) {
-  PacketState* state = Observe(p, "detour");
+void InvariantChecker::OnDetour(const TraceEvent& e) {
+  PacketState* state = Observe(e, "detour");
   if (state == nullptr) {
     return;
   }
-  if (p.detour_count != state->detours + 1) {
+  if (e.detour_count != state->detours + 1) {
     std::ostringstream os;
-    os << "detour at node " << node << " advanced the packet's detour count to "
-       << p.detour_count << " but the ledger has seen " << state->detours << " detours";
-    FailOn("ledger.detour-count", p, os.str());
+    os << "detour at node " << e.node << " advanced the packet's detour count to "
+       << e.detour_count << " but the ledger has seen " << state->detours << " detours";
+    FailOn("ledger.detour-count", e, os.str());
   }
-  state->detours = p.detour_count;
+  state->detours = e.detour_count;
 }
 
-void InvariantChecker::OnDrop(int node, const Packet& p, DropReason reason, Time at) {
-  PacketState* state = Observe(p, "drop");
+void InvariantChecker::OnDrop(const TraceEvent& e) {
+  const bool evicted = e.drop_reason == kTraceEvictionReason;
+  const auto reason = static_cast<DropReason>(e.drop_reason);
+  if (reason == DropReason::kFaultLossy) {
+    CloseWire(e);  // lost in flight after kWireEnter
+  }
+  PacketState* state = Observe(e, evicted ? "pfabric-evict" : "drop");
   if (state == nullptr) {
     return;
   }
@@ -100,8 +128,8 @@ void InvariantChecker::OnDrop(int node, const Packet& p, DropReason reason, Time
   }
 }
 
-void InvariantChecker::OnHostDeliver(HostId host, const Packet& p, Time at) {
-  PacketState* state = Observe(p, "deliver");
+void InvariantChecker::OnHostDeliver(const TraceEvent& e) {
+  PacketState* state = Observe(e, "deliver");
   if (state == nullptr) {
     return;
   }
@@ -115,30 +143,10 @@ void InvariantChecker::OnHostDeliver(HostId host, const Packet& p, Time at) {
   ++delivered_;
 }
 
-void InvariantChecker::OnEvicted(const Packet& p) {
-  PacketState* state = Observe(p, "pfabric-evict");
-  if (state == nullptr) {
-    return;
-  }
-  state->terminal = Terminal::kDropped;
-  ++dropped_;
-}
-
-void InvariantChecker::OnWireEnter(const Packet& p, bool link_up) {
-  if (!link_up) {
-    validate::Fail("ledger.dead-port-delivery",
-                   "a port transmitted a packet while its link was down — down ports "
-                   "must drain or blackhole, never deliver; " +
-                       DescribePacket(p));
-  }
-  ++on_wire_;
-}
-
-void InvariantChecker::OnWireExit(const Packet& p) {
+void InvariantChecker::CloseWire(const TraceEvent& e) {
   if (on_wire_ == 0) {
-    validate::Fail("ledger.wire-underflow",
-                   "a packet landed off the wire that was never transmitted; " +
-                       DescribePacket(p));
+    FailOn("ledger.wire-underflow", e,
+           "a packet landed off the wire that was never transmitted");
   }
   --on_wire_;
 }

@@ -1,8 +1,10 @@
 // DIBS_VALIDATE network-wide packet-conservation ledger.
 //
-// The checker observes every packet the hosts inject (OnHostSend fires after
-// a NIC accepts a packet) and every terminal event (delivery or drop, TTL
-// expiry being a counted drop reason), and enforces:
+// The checker is a TraceSink on the Network's event stream: it sees every
+// packet the hosts inject (kHostSend fires after a NIC accepts a packet),
+// every detour, every wire entry and exit, and every terminal event
+// (delivery or drop — TTL expiry and pFabric eviction included), and
+// enforces:
 //
 //  * every injected uid is injected exactly once;
 //  * every injected packet reaches AT MOST one terminal state — a second
@@ -18,11 +20,14 @@
 // enqueue on switch ports directly) are counted as untracked and exempt from
 // the per-uid ledger; scenario traffic is always tracked.
 //
-// The Network auto-installs one checker when validation is enabled, so
-// `DIBS_VALIDATE=1 ctest` exercises the ledger everywhere. Violations throw
-// ValidationError with the packet's description (uid/TTL/detour count); when
-// tracing is on, the throw also dumps the flight-recorder ring, so the event
-// history leading up to the violation survives for trace_tool.
+// The Network auto-installs one checker when validation is enabled, as the
+// first subscriber of every kind it reads, so `DIBS_VALIDATE=1 ctest`
+// exercises the ledger everywhere and a violation throws before any other
+// sink records the offending event. Violations throw ValidationError naming
+// the offending event as its trace JSONL line (uid, TTL and detour count
+// included); when tracing is on, the throw also dumps the flight-recorder
+// ring, so the event history leading up to the violation survives for
+// trace_tool.
 
 #ifndef SRC_DEVICE_INVARIANT_CHECKER_H_
 #define SRC_DEVICE_INVARIANT_CHECKER_H_
@@ -30,13 +35,18 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "src/device/observer.h"
+#include "src/trace/trace_sink.h"
 #include "src/util/validation.h"
 
 namespace dibs {
 
-class InvariantChecker : public NetworkObserver {
+class InvariantChecker : public TraceSink {
  public:
+  static constexpr TraceKindSet kKinds =
+      TraceKinds({TraceEventType::kHostSend, TraceEventType::kHostDeliver,
+                  TraceEventType::kWireEnter, TraceEventType::kWireExit,
+                  TraceEventType::kDetour, TraceEventType::kDrop});
+
   // Reads DIBS_CHAOS_PLANT once: when set, the checker deliberately
   // corrupts its own ledger (every 64th delivery is not recorded), so the
   // conservation check reports a leak on any run big enough to deliver 64
@@ -45,24 +55,10 @@ class InvariantChecker : public NetworkObserver {
   // outside that test.
   InvariantChecker();
 
-  void OnHostSend(HostId host, const Packet& p, Time at) override;
-  void OnDetour(int node, uint16_t detour_port, const Packet& p, Time at) override;
-  void OnDrop(int node, const Packet& p, DropReason reason, Time at) override;
-  void OnHostDeliver(HostId host, const Packet& p, Time at) override;
-
-  // A pFabric queue destroyed `p` on overflow (arriving loser or evicted
-  // worst packet) — a terminal state the drop path never sees. The Network
-  // wires PfabricQueue::SetEvictionHandler here when validation is on.
-  void OnEvicted(const Packet& p);
-
-  // Wire accounting: a port calls these when a packet leaves its transmitter
-  // and when it lands at the peer, so CheckBalanced can account for packets
-  // that are neither queued nor terminal. `link_up` is the transmitting
-  // port's link state at transmission time: a port whose link is down must
-  // never put a packet on the wire (the fault model drains and blackholes
-  // such ports), so transmitting while down trips ledger.dead-port-delivery.
-  void OnWireEnter(const Packet& p, bool link_up = true);
-  void OnWireExit(const Packet& p);
+  // Wire accounting rides kWireEnter/kWireExit, so CheckBalanced can account
+  // for packets that are neither queued nor terminal. A degraded link emits
+  // kWireEnter before its loss draw, so a kFaultLossy drop closes the slot.
+  void OnEvent(const TraceEvent& e) override;
 
   // Throws unless injected == delivered + dropped exactly (no packet still in
   // flight, none lost without a terminal event). Call only when the
@@ -96,12 +92,18 @@ class InvariantChecker : public NetworkObserver {
     Terminal terminal = Terminal::kInFlight;
   };
 
-  // Returns the tracked state for `p`, or nullptr for untracked packets
-  // (which bump untracked_events_). Applies the TTL/detour monotonicity
-  // checks shared by every observation point.
-  PacketState* Observe(const Packet& p, const char* where);
+  void OnHostSend(const TraceEvent& e);
+  void OnDetour(const TraceEvent& e);
+  void OnDrop(const TraceEvent& e);
+  void OnHostDeliver(const TraceEvent& e);
+  void CloseWire(const TraceEvent& e);
 
-  [[noreturn]] void FailOn(const char* invariant, const Packet& p,
+  // Returns the tracked state for the event's packet, or nullptr for
+  // untracked packets (which bump untracked_events_). Applies the TTL/detour
+  // monotonicity checks shared by every observation point.
+  PacketState* Observe(const TraceEvent& e, const char* where);
+
+  [[noreturn]] void FailOn(const char* invariant, const TraceEvent& e,
                            const std::string& detail) const;
 
   // Keyed lookup only — never iterated except sorted for diagnostics

@@ -29,7 +29,7 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
   // invariants hold per-simulation even when sweeps run many in parallel.
   if (validate::Enabled()) {
     invariant_checker_ = std::make_unique<InvariantChecker>();
-    observers_.push_back(invariant_checker_.get());
+    Subscribe(invariant_checker_.get(), InvariantChecker::kKinds);
   }
 
   // Create nodes.
@@ -67,26 +67,15 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
         queue = MakeSwitchQueue(pools_[static_cast<size_t>(n)].get());
         // pFabric destroys packets inside Enqueue (eviction); the ledger must
         // hear about those terminal states or conservation would not balance,
-        // and the trace must record them or journeys would dangle. Evictions
-        // stay out of NotifyDrop (aggregate drop tables keep their shape) —
-        // they surface only as trace kDrop events with the eviction sentinel.
+        // and the trace must record them or journeys would dangle. They are
+        // kDrop events with the eviction reason, outside total_drops().
         if (config_.pfabric_queues) {
-          static_cast<PfabricQueue*>(queue.get())->SetEvictionHandler([this, n](Packet&& dead) {
-            if (invariant_checker_ != nullptr) {
-              invariant_checker_->OnEvicted(dead);
-            }
-            if (trace_ != nullptr) {
-              TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDrop, sim_->Now(), n,
-                                                   /*port=*/-1, dead);
-              ev.drop_reason = kTraceEvictionReason;
-              trace_->Emit(ev);
-            }
-          });
+          static_cast<PfabricQueue*>(queue.get())->SetEvictionHandler(
+              [this, n](Packet&& dead) { NotifyEviction(n, dead); });
         }
       }
       auto port = std::make_unique<Port>(sim_, nodes_[static_cast<size_t>(n)].get(), i,
                                          std::move(queue), link.rate_bps, link.delay);
-      port->AttachInvariantChecker(invariant_checker_.get());
       port->AttachNetwork(this);
       // Fault-killed packets (drained queues, blackholed enqueues, lossy
       // links) reach their terminal state through the normal drop fan-out,
@@ -173,38 +162,31 @@ const SwitchNode& Network::switch_at(int node_id) const {
   return *static_cast<const SwitchNode*>(nodes_[static_cast<size_t>(node_id)].get());
 }
 
-void Network::NotifyHostSend(HostId host, const Packet& p) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnHostSend(host, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kHostSend, sim_->Now(),
-                                      topo_.host_node(host), /*port=*/-1, p));
+void Network::Subscribe(TraceSink* sink, TraceKindSet kinds) {
+  for (size_t t = 0; t < kNumTraceEventTypes; ++t) {
+    if ((kinds >> t) & 1) {
+      subscribers_[t].push_back(sink);
+    }
   }
 }
 
-void Network::NotifyEnqueue(int node, uint16_t port, size_t queue_depth) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnEnqueue(node, port, queue_depth, sim_->Now());
+void Network::NotifyHostSend(HostId host, const Packet& p) {
+  if (Wants(TraceEventType::kHostSend)) {
+    Dispatch(MakeTracePacketEvent(TraceEventType::kHostSend, sim_->Now(),
+                                  topo_.host_node(host), /*port=*/-1, p));
   }
 }
 
 void Network::NotifyDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDequeue(node, port, p, queue_depth, sim_->Now());
-  }
-  if (trace_ != nullptr) {
+  if (Wants(TraceEventType::kDequeue)) {
     TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDequeue, sim_->Now(), node, port, p);
     ev.queue_depth = static_cast<int32_t>(queue_depth);
-    trace_->Emit(ev);
+    Dispatch(ev);
   }
 }
 
 void Network::NotifyGuardTransition(int node, GuardState from, GuardState to) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnGuardTransition(node, from, to, sim_->Now());
-  }
-  if (trace_ != nullptr) {
+  if (Wants(TraceEventType::kGuardTransition)) {
     TraceEvent ev;
     ev.at = sim_->Now();
     ev.type = TraceEventType::kGuardTransition;
@@ -213,12 +195,12 @@ void Network::NotifyGuardTransition(int node, GuardState from, GuardState to) {
     // fields (same convention as kLinkUp carrying the link id in `port`).
     ev.port = static_cast<int32_t>(from);
     ev.queue_depth = static_cast<int32_t>(to);
-    trace_->Emit(ev);
+    Dispatch(ev);
   }
 }
 
-void Network::TraceTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq) {
-  if (trace_ == nullptr) {
+void Network::NotifyTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq) {
+  if (!Wants(type)) {
     return;
   }
   TraceEvent ev;
@@ -230,7 +212,7 @@ void Network::TraceTransportEvent(TraceEventType type, HostId host, FlowId flow,
   ev.seq = seq;
   // No packet identity: these are sender-state events. uid stays 0 so the
   // filter treats them as control events on the host's node.
-  trace_->Emit(ev);
+  Dispatch(ev);
 }
 
 uint64_t Network::TotalBufferedPackets() const {
@@ -248,23 +230,21 @@ uint64_t Network::TotalBufferedPackets() const {
 
 void Network::NotifyDetour(int node, uint16_t port, const Packet& p) {
   ++total_detours_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDetour(node, port, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kDetour, sim_->Now(), node, port, p));
+  if (Wants(TraceEventType::kDetour)) {
+    Dispatch(MakeTracePacketEvent(TraceEventType::kDetour, sim_->Now(), node, port, p));
   }
 }
 
 void Network::NotifyDrop(int node, const Packet& p, DropReason reason) {
   ++total_drops_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDrop(node, p, reason, sim_->Now());
+  if (Wants(TraceEventType::kDrop)) {
+    Dispatch(MakeTraceDropEvent(sim_->Now(), node, p, static_cast<uint8_t>(reason)));
   }
-  if (trace_ != nullptr) {
-    TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDrop, sim_->Now(), node, /*port=*/-1, p);
-    ev.drop_reason = static_cast<uint8_t>(reason);
-    trace_->Emit(ev);
+}
+
+void Network::NotifyEviction(int node, const Packet& p) {
+  if (Wants(TraceEventType::kDrop)) {
+    Dispatch(MakeTraceDropEvent(sim_->Now(), node, p, kTraceEvictionReason));
   }
 }
 
@@ -293,12 +273,13 @@ void Network::ApplyLinkEffective(int link) {
   const bool up = link_admin_up_[static_cast<size_t>(link)] &&
                   node_up_[static_cast<size_t>(l.node_a)] &&
                   node_up_[static_cast<size_t>(l.node_b)];
-  if (trace_ != nullptr && link_effective_up_[static_cast<size_t>(link)] != up) {
+  const TraceEventType edge = up ? TraceEventType::kLinkUp : TraceEventType::kLinkDown;
+  if (link_effective_up_[static_cast<size_t>(link)] != up && Wants(edge)) {
     TraceEvent ev;
     ev.at = sim_->Now();
-    ev.type = up ? TraceEventType::kLinkUp : TraceEventType::kLinkDown;
+    ev.type = edge;
     ev.port = link;  // link-scoped: port carries the link id, node stays -1
-    trace_->Emit(ev);
+    Dispatch(ev);
   }
   link_effective_up_[static_cast<size_t>(link)] = up;
   const uint16_t port_a = PortIndexOf(l.node_a, link);
@@ -326,12 +307,13 @@ void Network::SetSwitchOperational(int node_id, bool up) {
     return;
   }
   node_up_[static_cast<size_t>(node_id)] = up;
-  if (trace_ != nullptr) {
+  const TraceEventType edge = up ? TraceEventType::kSwitchUp : TraceEventType::kSwitchDown;
+  if (Wants(edge)) {
     TraceEvent ev;
     ev.at = sim_->Now();
-    ev.type = up ? TraceEventType::kSwitchUp : TraceEventType::kSwitchDown;
+    ev.type = edge;
     ev.node = node_id;
-    trace_->Emit(ev);
+    Dispatch(ev);
   }
   switch_at(node_id).SetCrashed(!up);
   // Every adjacent link's effective state may have changed. Crashing drains
@@ -363,12 +345,9 @@ bool Network::SwitchOperational(int node_id) const {
 
 void Network::NotifyHostDeliver(HostId host, const Packet& p) {
   ++total_delivered_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnHostDeliver(host, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kHostDeliver, sim_->Now(),
-                                      topo_.host_node(host), /*port=*/-1, p));
+  if (Wants(TraceEventType::kHostDeliver)) {
+    Dispatch(MakeTracePacketEvent(TraceEventType::kHostDeliver, sim_->Now(),
+                                  topo_.host_node(host), /*port=*/-1, p));
   }
 }
 

@@ -1,10 +1,11 @@
 // Network: instantiates hosts, switches, ports, and routing state from a
 // Topology, and provides the shared services the forwarding path needs
-// (simulator access, FIB, detour policy, packet uids, observer fan-out).
+// (simulator access, FIB, detour policy, packet uids, instrumentation).
 
 #ifndef SRC_DEVICE_NETWORK_H_
 #define SRC_DEVICE_NETWORK_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -12,13 +13,12 @@
 
 #include "src/core/detour_policy.h"
 #include "src/device/node.h"
-#include "src/device/observer.h"
 #include "src/guard/guard_config.h"
 #include "src/guard/guard_fabric.h"
 #include "src/sim/simulator.h"
 #include "src/topo/routing.h"
 #include "src/topo/topology.h"
-#include "src/trace/trace_bus.h"
+#include "src/trace/trace_sink.h"
 
 namespace dibs {
 
@@ -84,9 +84,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Const overloads exist so read-only code — observers and trace sinks in
-  // particular, which the observer-purity analyzer rule holds to a no-
-  // mutation contract — can go through `const Network&` end to end.
+  // Const overloads exist so read-only code — trace sinks in particular,
+  // which the observer-purity analyzer rule holds to a no-mutation
+  // contract — can go through `const Network&` end to end.
   Simulator& sim() { return *sim_; }
   const Simulator& sim() const { return *sim_; }
   const Topology& topology() const { return topo_; }
@@ -104,41 +104,43 @@ class Network {
 
   uint64_t NextPacketUid() { return next_uid_++; }
 
-  void AddObserver(NetworkObserver* observer) { observers_.push_back(observer); }
+  // ---- Instrumentation (src/trace) ----
+  //
+  // Every hook emits one TraceEvent to the sinks subscribed to its kind, in
+  // subscription order; the DIBS_VALIDATE ledger, installed at
+  // construction, comes first. A kind with no subscriber costs one branch
+  // and its event is never built. Subscribe before the run starts; sinks
+  // are not owned. Sinks never draw simulator RNG or schedule events, so a
+  // run is bit-identical whatever is subscribed.
+  void Subscribe(TraceSink* sink, TraceKindSet kinds = kAllTraceKinds);
+  bool Wants(TraceEventType type) const {
+    return !subscribers_[static_cast<size_t>(type)].empty();
+  }
+  void Dispatch(const TraceEvent& e) {
+    for (TraceSink* sink : subscribers_[static_cast<size_t>(e.type)]) {
+      sink->OnEvent(e);
+    }
+  }
 
-  // Observer fan-out, called from the forwarding path.
+  // Forwarding-path hooks. Port emits its own enqueue, wire and pause events.
   void NotifyHostSend(HostId host, const Packet& p);
   void NotifyDetour(int node, uint16_t port, const Packet& p);
   void NotifyDrop(int node, const Packet& p, DropReason reason);
+  void NotifyEviction(int node, const Packet& p);  // pFabric; not a DropReason
   void NotifyHostDeliver(HostId host, const Packet& p);
-  void NotifyEnqueue(int node, uint16_t port, size_t queue_depth);
   void NotifyDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth);
   void NotifyGuardTransition(int node, GuardState from, GuardState to);
+  // Transport-layer events (RTO fired / segment retransmitted), attributed
+  // to the sending host's node.
+  void NotifyTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq);
 
   // ---- Overload guard (src/guard) ----
   //
   // Constructed when config.guard.enabled; the fabric reports breaker
-  // transitions back through NotifyGuardTransition (observers + trace).
+  // transitions back through NotifyGuardTransition.
   // Callers running outside a Scenario must Start() it themselves.
   GuardFabric* guard() { return guard_.get(); }
   const GuardFabric* guard() const { return guard_.get(); }
-
-  // ---- Packet-lifecycle tracing (src/trace) ----
-  //
-  // Attaching a TraceBus arms event emission across the forwarding path;
-  // with no bus attached every emission site is a single pointer check.
-  // Tracing never consumes simulator RNG and never changes scheduling, so a
-  // traced run is bit-identical to the same run untraced.
-  void AttachTraceBus(TraceBus* bus) { trace_ = bus; }
-  bool TraceArmed() const { return trace_ != nullptr; }
-  void EmitTrace(const TraceEvent& e) {
-    if (trace_ != nullptr) {
-      trace_->Emit(e);
-    }
-  }
-  // Transport-layer events (RTO fired / segment retransmitted), attributed
-  // to the sending host's node.
-  void TraceTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq);
 
   // ---- Fault model (driven by fault::FaultInjector or tests) ----
   //
@@ -174,7 +176,8 @@ class Network {
   // balance; packets on the wire are counted by the checker itself).
   uint64_t TotalBufferedPackets() const;
 
-  // Aggregate counters (also broken out per reason via observers).
+  // Aggregate counters. Drops exclude pFabric evictions; DetourRecorder
+  // breaks drops out per reason.
   uint64_t total_drops() const { return total_drops_; }
   uint64_t total_detours() const { return total_detours_; }
   uint64_t total_delivered() const { return total_delivered_; }
@@ -208,9 +211,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;                 // indexed by topo node id
   std::vector<std::unique_ptr<SharedBufferPool>> pools_;     // per switch when DBA on
   std::vector<int> switch_ids_;
-  std::vector<NetworkObserver*> observers_;
-  std::unique_ptr<InvariantChecker> invariant_checker_;      // DIBS_VALIDATE only
-  TraceBus* trace_ = nullptr;                                // not owned; may be null
+  std::array<std::vector<TraceSink*>, kNumTraceEventTypes> subscribers_;  // by kind
+  std::unique_ptr<InvariantChecker> invariant_checker_;  // DIBS_VALIDATE only
 
   uint64_t next_uid_ = 1;
   uint64_t total_drops_ = 0;

@@ -3,9 +3,10 @@
 #include <optional>
 #include <utility>
 
-#include "src/device/invariant_checker.h"
 #include "src/device/network.h"
+#include "src/net/packet_debug.h"
 #include "src/util/logging.h"
+#include "src/util/validation.h"
 
 namespace dibs {
 
@@ -21,23 +22,19 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
   }
   p.enqueued_at = sim_->Now();
   // The packet is gone after Enqueue (moved, possibly destroyed by a pFabric
-  // eviction), so snapshot the trace event first — but only when a bus is
-  // armed, so the untraced hot path never copies packet fields.
+  // eviction), so snapshot the event first — but only when some sink wants
+  // it, so the hot path never copies packet fields for nobody.
   std::optional<TraceEvent> ev;
-  if (network_ != nullptr && network_->TraceArmed()) {
+  if (network_ != nullptr && network_->Wants(TraceEventType::kEnqueue)) {
     ev.emplace(MakeTracePacketEvent(TraceEventType::kEnqueue, sim_->Now(), owner_->id(),
                                     index_, p));
   }
   if (!queue_->Enqueue(std::move(p))) {
     return false;
   }
-  if (network_ != nullptr) {
-    const size_t depth = queue_->size_packets();
-    network_->NotifyEnqueue(owner_->id(), index_, depth);
-    if (ev.has_value()) {
-      ev->queue_depth = static_cast<int32_t>(depth);
-      network_->EmitTrace(*ev);
-    }
+  if (ev.has_value()) {
+    ev->queue_depth = static_cast<int32_t>(queue_->size_packets());
+    network_->Dispatch(*ev);
   }
   MaybeTransmit();
   return true;
@@ -46,13 +43,14 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
 void Port::SetPaused(bool paused) {
   if (paused_ != paused) {
     paused_ = paused;
-    if (network_ != nullptr && network_->TraceArmed()) {
+    const TraceEventType edge = paused ? TraceEventType::kPause : TraceEventType::kUnpause;
+    if (network_ != nullptr && network_->Wants(edge)) {
       TraceEvent ev;
       ev.at = sim_->Now();
-      ev.type = paused ? TraceEventType::kPause : TraceEventType::kUnpause;
+      ev.type = edge;
       ev.node = owner_->id();
       ev.port = index_;
-      network_->EmitTrace(ev);
+      network_->Dispatch(ev);
     }
   }
   if (!paused_) {
@@ -91,7 +89,7 @@ void Port::MaybeTransmit() {
   // Note: deliberately no link_up_ guard here. SetLinkUp(false) drains the
   // queue and EnqueueAndTransmit blackholes while down, so a correct device
   // never has anything to transmit on a dead link; if a bug does push one
-  // through, the conservation ledger's dead-port-delivery invariant trips.
+  // through, DIBS_VALIDATE's dead-port-delivery invariant trips below.
   if (transmitting_ || paused_) {
     return;
   }
@@ -101,7 +99,6 @@ void Port::MaybeTransmit() {
   }
   DIBS_CHECK(peer_ != nullptr) << "port transmitted before Connect()";
   owner_->OnPortDequeue(index_);
-  const bool traced = network_ != nullptr && network_->TraceArmed();
   if (network_ != nullptr) {
     network_->NotifyDequeue(owner_->id(), index_, *next, queue_->size_packets());
   }
@@ -115,9 +112,17 @@ void Port::MaybeTransmit() {
   // onto the wire correctly.
   sim_->Schedule(serialization, [this] { OnTxDone(); });
 
-  if (traced) {
-    network_->EmitTrace(MakeTracePacketEvent(TraceEventType::kWireEnter, sim_->Now(),
-                                             owner_->id(), index_, *next));
+  if (!link_up_ && validate::Enabled()) {
+    validate::Fail("ledger.dead-port-delivery",
+                   "a port transmitted a packet while its link was down — down ports "
+                   "must drain or blackhole, never deliver; " +
+                       DescribePacket(*next));
+  }
+  // The packet is "on the wire" from here until the peer takes it (or a
+  // lossy link kills it); the conservation ledger tracks that window.
+  if (network_ != nullptr && network_->Wants(TraceEventType::kWireEnter)) {
+    network_->Dispatch(MakeTracePacketEvent(TraceEventType::kWireEnter, sim_->Now(),
+                                            owner_->id(), index_, *next));
   }
 
   // Degraded link: the frame may be corrupted in flight. The wire slot is
@@ -133,16 +138,8 @@ void Port::MaybeTransmit() {
   if (extra_jitter_ > Time::Zero()) {
     prop = prop + Time::Nanos(sim_->rng().UniformInt(0, extra_jitter_.nanos()));
   }
-
-  // The packet is "on the wire" from the moment it left the queue until the
-  // peer takes it; the conservation ledger tracks that window (and flags a
-  // transmission through a down link as a dead-port delivery).
-  if (checker_ != nullptr) {
-    checker_->OnWireEnter(*next, link_up_);
-  }
-  sim_->Schedule(serialization + prop, [this, pkt = std::move(*next), traced]() mutable {
-    DeliverWire(std::move(pkt), traced);
-  });
+  sim_->Schedule(serialization + prop,
+                 [this, pkt = std::move(*next)]() mutable { DeliverWire(std::move(pkt)); });
 }
 
 void Port::OnTxDone() {
@@ -150,13 +147,10 @@ void Port::OnTxDone() {
   MaybeTransmit();
 }
 
-void Port::DeliverWire(Packet&& pkt, bool traced) {
-  if (checker_ != nullptr) {
-    checker_->OnWireExit(pkt);
-  }
-  if (traced && network_ != nullptr) {
-    network_->EmitTrace(MakeTracePacketEvent(TraceEventType::kWireExit, sim_->Now(),
-                                             peer_->id(), peer_port_, pkt));
+void Port::DeliverWire(Packet&& pkt) {
+  if (network_ != nullptr && network_->Wants(TraceEventType::kWireExit)) {
+    network_->Dispatch(MakeTracePacketEvent(TraceEventType::kWireExit, sim_->Now(),
+                                            peer_->id(), peer_port_, pkt));
   }
   peer_->HandleReceive(std::move(pkt), peer_port_);
 }

@@ -20,7 +20,6 @@
 
 namespace dibs {
 
-class InvariantChecker;
 class Network;
 
 class Port {
@@ -85,7 +84,7 @@ class Port {
 
   // Wires the terminal-drop path for fault-killed packets (drained queues,
   // blackholed enqueues, lossy-link losses). Installed by the Network so the
-  // drop reaches observers/recorders as a normal NotifyDrop.
+  // drop reaches the recorders as a normal NotifyDrop.
   using FaultDropHandler = std::function<void(Packet&&, DropReason)>;
   void SetFaultDropHandler(FaultDropHandler handler) { fault_drop_ = std::move(handler); }
 
@@ -93,13 +92,9 @@ class Port {
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t packets_sent() const { return packets_sent_; }
 
-  // DIBS_VALIDATE: wires the conservation ledger's on-the-wire accounting
-  // into this port's transmitter. Null (the default) disables it.
-  void AttachInvariantChecker(InvariantChecker* checker) { checker_ = checker; }
-
-  // Wires observer/trace fan-out (enqueue/dequeue depth, wire events, pause
-  // transitions) through the owning Network. Null (the default, and what
-  // unit tests that build bare Ports get) disables all of it.
+  // Wires instrumentation (enqueue/dequeue depth, wire events, pause
+  // transitions, fault drops) through the owning Network. Null (the
+  // default, and what unit tests that build bare Ports get) disables it.
   void AttachNetwork(Network* network) { network_ = network; }
 
  private:
@@ -108,9 +103,8 @@ class Port {
   // Serialization of the head packet finished: the transmitter frees up.
   void OnTxDone();
 
-  // Wire-delivery event body: hands `pkt` to the peer node. `traced` is
-  // whether the wire-exit trace emission was armed at transmit time.
-  void DeliverWire(Packet&& pkt, bool traced);
+  // Wire-delivery event body: hands `pkt` to the peer node.
+  void DeliverWire(Packet&& pkt);
 
   Simulator* sim_;
   Node* owner_;
@@ -131,8 +125,7 @@ class Port {
   FaultDropHandler fault_drop_;
   uint64_t bytes_sent_ = 0;
   uint64_t packets_sent_ = 0;
-  InvariantChecker* checker_ = nullptr;  // DIBS_VALIDATE wire accounting
-  Network* network_ = nullptr;           // observer/trace fan-out; may be null
+  Network* network_ = nullptr;  // instrumentation; may be null
 };
 
 }  // namespace dibs

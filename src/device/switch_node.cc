@@ -14,7 +14,6 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
   // A crashed switch eats everything — packets that were already on the wire
   // toward it when it died land here and die with it.
   if (crashed_) {
-    ++drops_;
     net.NotifyDrop(id(), p, DropReason::kFaultSwitchDown);
     return;
   }
@@ -29,7 +28,6 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
   // TTL: one decrement per switch hop; bounds the total detour budget
   // (§5.5.3). A packet arriving with ttl 1 cannot be forwarded again.
   if (p.ttl <= 1) {
-    ++drops_;
     if (guard != nullptr) {
       guard->NoteTtlExpiry(id());
     }
@@ -43,7 +41,6 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
     // Distinguish "the topology never had a path" from "paths exist but every
     // next-hop link is currently down" — the latter is a fault drop.
     const bool had_route = !net.fib().AllNextHopPorts(id(), p.dst).empty();
-    ++drops_;
     net.NotifyDrop(id(), p,
                    had_route ? DropReason::kFaultNoLiveRoute : DropReason::kNoRoute);
     return;
@@ -76,7 +73,6 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
       snapshot = SnapshotPorts(p);
       ctx.ports = &snapshot;
       if (auto port = net.detour_policy().ChoosePort(ctx, net.sim().rng()); port.has_value()) {
-        ++detours_;
         ++p.detour_count;
         if (guard != nullptr) {
           guard->NoteDetour(id(), /*bounce_back=*/*port == in_port);
@@ -106,7 +102,6 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_por
   const bool dibs_configured = net.config().detour_policy != "none";
   if (GuardFabric* guard = net.guard(); guard != nullptr && dibs_configured) {
     if (auto deny = guard->AdmitDetour(id(), p.detour_count); deny.has_value()) {
-      ++drops_;
       net.NotifyDrop(id(), p, *deny);
       return;
     }
@@ -125,12 +120,10 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_por
 
   std::optional<uint16_t> port = net.detour_policy().ChoosePort(ctx, net.sim().rng());
   if (!port.has_value()) {
-    ++drops_;
     net.NotifyDrop(id(), p, DeclineReason(snapshot, desired_port, dibs_configured));
     return;
   }
 
-  ++detours_;
   ++p.detour_count;
   if (GuardFabric* guard = net.guard(); guard != nullptr) {
     guard->NoteDetour(id(), /*bounce_back=*/*port == in_port);
@@ -174,7 +167,6 @@ DropReason SwitchNode::DeclineReason(const std::vector<DetourPortInfo>& snapshot
 }
 
 void SwitchNode::Forward(Packet&& p, uint16_t out_port) {
-  ++forwarded_;
   const bool accepted = ports_[out_port]->EnqueueAndTransmit(std::move(p));
   if (network_->config().pfc_enabled) {
     UpdateFlowControl();

@@ -52,14 +52,11 @@ class SwitchNode : public Node {
   void SetCrashed(bool crashed) { crashed_ = crashed; }
   bool crashed() const { return crashed_; }
 
-  uint64_t detours() const { return detours_; }
-  uint64_t drops() const { return drops_; }
-  uint64_t forwarded() const { return forwarded_; }
   uint64_t pause_events() const { return pause_events_; }
   bool pausing_neighbors() const { return pausing_neighbors_; }
 
  private:
-  // Enqueues on `out_port` (must have room) and updates counters.
+  // Enqueues on `out_port` (must have room) and re-evaluates flow control.
   void Forward(Packet&& p, uint16_t out_port);
 
   // Detour-or-drop slow path once the desired queue refused the packet.
@@ -82,9 +79,6 @@ class SwitchNode : public Node {
   Network* network_;
   std::vector<std::unique_ptr<Port>> ports_;
   bool crashed_ = false;
-  uint64_t detours_ = 0;
-  uint64_t drops_ = 0;
-  uint64_t forwarded_ = 0;
   bool pausing_neighbors_ = false;
   uint64_t pause_events_ = 0;
 };

@@ -12,9 +12,9 @@
 // it re-opens.
 //
 // DetourGuard mutates switch forwarding behavior, so the observer-purity
-// analyzer rule lists it as simulation state: a NetworkObserver must never
-// call its non-const methods. It is driven by GuardFabric (tick cadence) and
-// SwitchNode (per-packet notes), never by observers.
+// analyzer rule lists it as simulation state: a TraceSink must never call
+// its non-const methods. It is driven by GuardFabric (tick cadence) and
+// SwitchNode (per-packet notes), never by sinks.
 
 #ifndef SRC_GUARD_DETOUR_GUARD_H_
 #define SRC_GUARD_DETOUR_GUARD_H_

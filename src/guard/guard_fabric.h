@@ -4,7 +4,7 @@
 // One tick per GuardConfig::window walks the switches in node-id order
 // (deterministic), rolls each guard's window into its EWMAs, runs its state
 // machine, and reports every transition through the callback the Network
-// installs (which fans out to observers and the trace bus). The same tick
+// installs (which emits a kGuardTransition event). The same tick
 // refreshes the fabric detour-pressure EWMA that the adaptive TTL clamp is
 // derived from. Everything runs on the simulation clock with plain counter
 // arithmetic — no RNG, no wall clock — so guarded runs stay bit-identical

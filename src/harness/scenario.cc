@@ -57,8 +57,8 @@ void MaybeInjectTestFailure(int sweep_run_index, Simulator* sim, Time crash_at) 
 Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   sim_ = std::make_unique<Simulator>(config_.seed);
   network_ = std::make_unique<Network>(sim_.get(), BuildTopology(), config_.net);
-  network_->AddObserver(&detour_recorder_);
-  network_->AddObserver(&guard_recorder_);
+  network_->Subscribe(&detour_recorder_, DetourRecorder::kKinds);
+  network_->Subscribe(&guard_recorder_, GuardRecorder::kKinds);
   if (config_.net.guard.watchdog) {
     // Goodput signal: flow completions, not raw delivered packets. Deep in
     // the fig14 regime the downlinks stay saturated — delivered packets per
@@ -76,10 +76,10 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   // missed. The env overlay lets sweeps/CI trace without touching configs.
   if (TraceConfig tcfg = ApplyTraceEnv(config_.trace); tcfg.enabled) {
     trace_ = std::make_unique<TraceSession>(tcfg, config_.sweep_run_index);
-    network_->AttachTraceBus(trace_->bus());
+    network_->Subscribe(trace_->bus());
   }
   if (!config_.faults.empty()) {
-    network_->AddObserver(&fault_recorder_);
+    network_->Subscribe(&fault_recorder_, FaultRecorder::kKinds);
     fault_injector_ = std::make_unique<fault::FaultInjector>(network_.get(), config_.faults,
                                                              &fault_recorder_);
   }
@@ -263,8 +263,8 @@ ScenarioResult Scenario::Run() {
   r.timeouts = recorder_.total_timeouts();
   r.guard_trips = guard_recorder_.trips();
   r.guard_transitions = guard_recorder_.transition_count();
-  r.guard_suppressed_drops = guard_recorder_.suppressed_drops();
-  r.guard_ttl_clamped_drops = guard_recorder_.ttl_clamped_drops();
+  r.guard_suppressed_drops = detour_recorder_.drops(DropReason::kGuardSuppressed);
+  r.guard_ttl_clamped_drops = detour_recorder_.drops(DropReason::kGuardTtlClamped);
   r.guard_time_suppressed_ms = guard_recorder_.SuppressedMsUpTo(sim_->Now());
   if (collapse_watchdog_ != nullptr) {
     r.collapse_detected = collapse_watchdog_->collapse_detected();

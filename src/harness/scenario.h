@@ -58,7 +58,8 @@ struct ScenarioResult {
   double detour_count_p99 = 0;       // per-packet detour-count 99th pct (§5.4.4)
   // Per-hop queueing delay in µs across every dequeue (host NICs included).
   // count/mean/min/max exact, percentiles histogram-approximate. Always
-  // populated — it rides the observer hooks, not the trace subsystem.
+  // populated — DetourRecorder reads it off kDequeue, with or without a
+  // trace bus.
   Summary queueing_delay_us;
   // Packets whose reconstructed journey revisited a node (forwarding loops,
   // the failure mode TTL exists to bound). Zero unless tracing was enabled;

@@ -1,5 +1,5 @@
 // Packet drop vocabulary, shared by the forwarding path, the fault model,
-// and every accounting surface (observers, recorders, tables, JSONL/CSV
+// and every accounting surface (recorders, tables, JSONL/CSV
 // sinks, validation diagnostics).
 //
 // Reasons 0-3 are the healthy-network outcomes; 4-7 come from the fault

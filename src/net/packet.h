@@ -64,7 +64,7 @@ struct Packet {
 
   Time sent_time;  // stamped by the sending host
 
-  // Stamped by Port on queue admission; OnDequeue observers read it to get
+  // Stamped by Port on queue admission; kDequeue events carry it, giving
   // exact per-hop queueing delay without shadow-tracking queue state.
   Time enqueued_at;
 };

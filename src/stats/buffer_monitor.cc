@@ -17,7 +17,7 @@ BufferMonitor::BufferMonitor(Network* network, Options options)
     two_hop_[sw] = net().topology().SwitchNeighborhood(sw, 2);
     depths_[static_cast<size_t>(sw)].resize(net().switch_at(sw).num_ports(), 0);
   }
-  network_->AddObserver(this);
+  network_->Subscribe(this, kKinds);
 }
 
 void BufferMonitor::Start() {
@@ -54,7 +54,7 @@ void BufferMonitor::Sample() {
 
   // DIBS_VALIDATE: the event-driven depth matrix must agree with the queues
   // themselves — a divergence means an enqueue/dequeue path skipped its
-  // observer notification.
+  // event.
   if (validate::Enabled()) {
     for (int sw : net().switch_ids()) {
       const SwitchNode& node = net().switch_at(sw);

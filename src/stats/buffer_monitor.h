@@ -7,9 +7,9 @@
 //    above `congested_fraction` of capacity), record the fraction of buffer
 //    space still free across its 1-hop and 2-hop switch neighborhoods.
 //
-// Queue depths come from the OnEnqueue/OnDequeue observer hooks (every event
-// reports the occupancy after the operation), so sampling reads a local
-// matrix instead of re-polling every queue — and the monitor's view is, by
+// Queue depths come from kEnqueue/kDequeue events (every event reports the
+// occupancy after the operation), so sampling reads a local matrix instead
+// of re-polling every queue — and the monitor's view is, by
 // construction, exactly the device layer's. DIBS_VALIDATE cross-checks the
 // two on every sample.
 
@@ -21,13 +21,15 @@
 #include <vector>
 
 #include "src/device/network.h"
-#include "src/device/observer.h"
 #include "src/sim/simulator.h"
 
 namespace dibs {
 
-class BufferMonitor : public NetworkObserver {
+class BufferMonitor : public TraceSink {
  public:
+  static constexpr TraceKindSet kKinds =
+      TraceKinds({TraceEventType::kEnqueue, TraceEventType::kDequeue});
+
   struct Options {
     Time interval = Time::Millis(1);
     double congested_fraction = 0.9;
@@ -40,19 +42,18 @@ class BufferMonitor : public NetworkObserver {
     std::vector<std::vector<size_t>> queue_lengths;  // [snapshot switch][port]
   };
 
-  // Registers itself as an observer on `network`.
+  // Subscribes itself to `network`'s enqueue/dequeue events.
   BufferMonitor(Network* network, Options options);
 
   void Start();
 
-  // Observer hooks: keep the per-switch depth matrix current. Host-node
-  // events are ignored (hosts have no per-port entry in the matrix).
-  void OnEnqueue(int node, uint16_t port, size_t queue_depth, Time at) override {
-    RecordDepth(node, port, queue_depth);
-  }
-  void OnDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth,
-                 Time at) override {
-    RecordDepth(node, port, queue_depth);
+  // Keeps the per-switch depth matrix current. Host-node events are
+  // ignored (hosts have no per-port entry in the matrix).
+  void OnEvent(const TraceEvent& e) override {
+    std::vector<size_t>& depths = depths_[static_cast<size_t>(e.node)];
+    if (static_cast<size_t>(e.port) < depths.size()) {
+      depths[static_cast<size_t>(e.port)] = static_cast<size_t>(e.queue_depth);
+    }
   }
 
   // Figure 5 samples: per (sample, congested switch), fraction of neighbor
@@ -74,17 +75,10 @@ class BufferMonitor : public NetworkObserver {
   // carries an explicit lint:allow(observer-purity).
   const Network& net() const { return *network_; }
 
-  void RecordDepth(int node, uint16_t port, size_t queue_depth) {
-    std::vector<size_t>& depths = depths_[static_cast<size_t>(node)];
-    if (port < depths.size()) {
-      depths[port] = queue_depth;
-    }
-  }
-
   Network* network_;
   Options options_;
   // depths_[node][port] = occupancy after the last enqueue/dequeue there.
-  // Host nodes get empty vectors, so their events fall through RecordDepth.
+  // Host nodes get empty vectors, so their events fall through OnEvent.
   std::vector<std::vector<size_t>> depths_;
   // Precomputed switch neighborhoods. Ordered map: emission paths walk these
   // keyed off switch_ids(), and an ordered container keeps any future

@@ -1,8 +1,8 @@
 // DIBS-specific instrumentation: per-switch detour time series (Figure 2a),
 // per-packet detour-count distribution (§5.4.4), drop accounting by reason,
 // and per-hop queueing-delay telemetry (exact moments + histogram
-// percentiles, fed by the OnDequeue observer hook). Implemented as a
-// NetworkObserver.
+// percentiles, fed by kDequeue events). A TraceSink subscribed to the kinds
+// in kKinds; it is the one per-reason drop table every report reads.
 
 #ifndef SRC_STATS_DETOUR_RECORDER_H_
 #define SRC_STATS_DETOUR_RECORDER_H_
@@ -12,56 +12,42 @@
 #include <map>
 #include <vector>
 
-#include "src/device/observer.h"
+#include "src/trace/trace_sink.h"
 #include "src/util/histogram.h"
 #include "src/util/stats_util.h"
 
 namespace dibs {
 
-class DetourRecorder : public NetworkObserver {
+class DetourRecorder : public TraceSink {
  public:
+  static constexpr TraceKindSet kKinds =
+      TraceKinds({TraceEventType::kDetour, TraceEventType::kDrop, TraceEventType::kDequeue,
+                  TraceEventType::kHostDeliver});
+
   // `timeline_bucket`: resolution of the per-switch detour time series.
   explicit DetourRecorder(Time timeline_bucket = Time::Micros(100))
       : timeline_bucket_(timeline_bucket), delivered_detours_(1.0, 128) {}
 
-  void OnDetour(int node, uint16_t port, const Packet& p, Time at) override {
-    ++total_detours_;
-    if (p.traffic_class == TrafficClass::kQuery) {
-      ++query_detours_;
-    }
-    const auto bucket = static_cast<int64_t>(at.nanos() / timeline_bucket_.nanos());
-    ++timeline_[node][bucket];
-  }
-
-  void OnDrop(int node, const Packet& p, DropReason reason, Time at) override {
-    ++drops_by_reason_[static_cast<size_t>(reason)];
-    ++total_drops_;
-  }
-
-  // Per-hop queueing delay, measured exactly from the admission stamp the
-  // Port writes onto the packet — no shadow queue-state tracking.
-  void OnDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth,
-                 Time at) override {
-    const double us = (at - p.enqueued_at).ToMicros();
-    queueing_delay_us_.Add(us);
-    queueing_sum_us_ += us;
-    if (queueing_count_ == 0 || us < queueing_min_us_) {
-      queueing_min_us_ = us;
-    }
-    if (queueing_count_ == 0 || us > queueing_max_us_) {
-      queueing_max_us_ = us;
-    }
-    ++queueing_count_;
-  }
-
-  void OnHostDeliver(HostId host, const Packet& p, Time at) override {
-    ++delivered_packets_;
-    if (p.detour_count > 0) {
-      ++delivered_with_detours_;
-    }
-    delivered_detours_.Add(p.detour_count);
-    if (p.ce) {
-      ++delivered_marked_;
+  void OnEvent(const TraceEvent& e) override {
+    switch (e.type) {
+      case TraceEventType::kDetour:
+        OnDetour(e);
+        break;
+      case TraceEventType::kDrop:
+        // pFabric evictions are not a DropReason; the tables skip them.
+        if (e.drop_reason != kTraceEvictionReason) {
+          ++drops_by_reason_[e.drop_reason];
+          ++total_drops_;
+        }
+        break;
+      case TraceEventType::kDequeue:
+        OnDequeue(e);
+        break;
+      case TraceEventType::kHostDeliver:
+        OnHostDeliver(e);
+        break;
+      default:
+        break;
     }
   }
 
@@ -147,6 +133,41 @@ class DetourRecorder : public NetworkObserver {
   }
 
  private:
+  void OnDetour(const TraceEvent& e) {
+    ++total_detours_;
+    if (e.tclass == static_cast<uint8_t>(TrafficClass::kQuery)) {
+      ++query_detours_;
+    }
+    const auto bucket = static_cast<int64_t>(e.at.nanos() / timeline_bucket_.nanos());
+    ++timeline_[e.node][bucket];
+  }
+
+  // Per-hop queueing delay, measured exactly from the admission stamp the
+  // Port writes onto the packet — no shadow queue-state tracking.
+  void OnDequeue(const TraceEvent& e) {
+    const double us = (e.at - e.enqueued_at).ToMicros();
+    queueing_delay_us_.Add(us);
+    queueing_sum_us_ += us;
+    if (queueing_count_ == 0 || us < queueing_min_us_) {
+      queueing_min_us_ = us;
+    }
+    if (queueing_count_ == 0 || us > queueing_max_us_) {
+      queueing_max_us_ = us;
+    }
+    ++queueing_count_;
+  }
+
+  void OnHostDeliver(const TraceEvent& e) {
+    ++delivered_packets_;
+    if (e.detour_count > 0) {
+      ++delivered_with_detours_;
+    }
+    delivered_detours_.Add(e.detour_count);
+    if (e.ce) {
+      ++delivered_marked_;
+    }
+  }
+
   Time timeline_bucket_;
   uint64_t total_detours_ = 0;
   uint64_t query_detours_ = 0;

@@ -4,23 +4,20 @@
 
 namespace dibs {
 
-void FaultRecorder::OnDrop(int node, const Packet& p, DropReason reason, Time at) {
-  if (!IsFaultDrop(reason)) {
+void FaultRecorder::OnEvent(const TraceEvent& e) {
+  if (e.type == TraceEventType::kDrop) {
+    if (IsFaultDrop(static_cast<DropReason>(e.drop_reason))) {
+      fault_flows_.insert(e.flow);
+    }
     return;
   }
-  ++blackholed_;
-  ++drops_by_reason_[static_cast<size_t>(reason)];
-  fault_flows_.insert(p.flow);
-}
-
-void FaultRecorder::OnHostDeliver(HostId host, const Packet& p, Time at) {
   if (open_repairs_.empty()) {
     return;
   }
   // First delivery anywhere after a repair closes every pending window: the
   // network is demonstrably moving traffic end-to-end again.
   for (Time repaired_at : open_repairs_) {
-    recovery_ms_.push_back((at - repaired_at).ToMillis());
+    recovery_ms_.push_back((e.at - repaired_at).ToMillis());
   }
   open_repairs_.clear();
 }

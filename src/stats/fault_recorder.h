@@ -1,9 +1,10 @@
-// Fault-impact instrumentation: how many packets died to faults (and why),
-// which flows a fault touched and whether they eventually finished, and how
-// long the network took to deliver again after each repair.
+// Fault-impact instrumentation: which flows a fault touched and whether they
+// eventually finished, and how long the network took to deliver again after
+// each repair. How many packets died to faults, and why, is DetourRecorder's
+// per-reason drop table.
 //
-// Observer half: counts fault-attributed drops (DropReason::kFault*) and
-// remembers the flows they belonged to. Injector half: FaultInjector calls
+// Sink half (kDrop, kHostDeliver): remembers the flows that lost a packet to
+// a fault (DropReason::kFault*). Injector half: FaultInjector calls
 // OnFaultApplied/OnFaultRepaired as it fires plan events; each repair opens a
 // recovery window that the next network-wide delivery closes — "per-event
 // recovery time" is repair -> first packet delivered anywhere afterwards.
@@ -13,20 +14,20 @@
 #ifndef SRC_STATS_FAULT_RECORDER_H_
 #define SRC_STATS_FAULT_RECORDER_H_
 
-#include <array>
 #include <cstdint>
 #include <set>
 #include <vector>
 
-#include "src/device/observer.h"
+#include "src/trace/trace_sink.h"
 
 namespace dibs {
 
-class FaultRecorder : public NetworkObserver {
+class FaultRecorder : public TraceSink {
  public:
-  // NetworkObserver: only fault-attributed events are recorded.
-  void OnDrop(int node, const Packet& p, DropReason reason, Time at) override;
-  void OnHostDeliver(HostId host, const Packet& p, Time at) override;
+  static constexpr TraceKindSet kKinds =
+      TraceKinds({TraceEventType::kDrop, TraceEventType::kHostDeliver});
+
+  void OnEvent(const TraceEvent& e) override;
 
   // FaultInjector hooks. "Applied" = something broke (down/crash/degrade);
   // "repaired" = something healed (up/restart/restore).
@@ -35,13 +36,6 @@ class FaultRecorder : public NetworkObserver {
 
   // Scenario wiring: flow `id` ran to completion.
   void NoteFlowCompleted(FlowId id);
-
-  // Packets that died to any fault (blackholed at dead ports, eaten by
-  // crashed switches, lost on degraded links, or routeless due to faults).
-  uint64_t blackholed_packets() const { return blackholed_; }
-  uint64_t drops(DropReason reason) const {
-    return drops_by_reason_[static_cast<size_t>(reason)];
-  }
 
   uint64_t events_applied() const { return applied_; }
   uint64_t events_repaired() const { return repaired_; }
@@ -56,8 +50,6 @@ class FaultRecorder : public NetworkObserver {
   double MaxRecoveryMs() const;
 
  private:
-  std::array<uint64_t, kNumDropReasons> drops_by_reason_{};
-  uint64_t blackholed_ = 0;
   uint64_t applied_ = 0;
   uint64_t repaired_ = 0;
   std::vector<Time> open_repairs_;      // repairs awaiting the next delivery

@@ -1,10 +1,11 @@
-// Overload-guard instrumentation: breaker transitions, guard-attributed
-// drops, and per-state dwell time, implemented as a pure NetworkObserver.
+// Overload-guard instrumentation: breaker transitions and per-state dwell
+// time, a pure TraceSink subscribed to kGuardTransition. Guard-attributed
+// drops are DetourRecorder's per-reason table entries.
 //
-// GuardRecorder only READS the simulation — it counts OnGuardTransition and
-// OnDrop callbacks and never touches DetourGuard or any other forwarding
-// state (the observer-purity analyzer rule enforces exactly this split:
-// DetourGuard is simulation state, GuardRecorder is observation).
+// GuardRecorder only READS the simulation — it folds transition events and
+// never touches DetourGuard or any other forwarding state (the
+// observer-purity analyzer rule enforces exactly this split: DetourGuard is
+// simulation state, GuardRecorder is observation).
 
 #ifndef SRC_STATS_GUARD_RECORDER_H_
 #define SRC_STATS_GUARD_RECORDER_H_
@@ -14,13 +15,15 @@
 #include <set>
 #include <vector>
 
-#include "src/device/observer.h"
 #include "src/guard/guard_config.h"
+#include "src/trace/trace_sink.h"
 
 namespace dibs {
 
-class GuardRecorder : public NetworkObserver {
+class GuardRecorder : public TraceSink {
  public:
+  static constexpr TraceKindSet kKinds = TraceKinds({TraceEventType::kGuardTransition});
+
   struct Transition {
     int node = -1;
     GuardState from = GuardState::kArmed;
@@ -28,28 +31,21 @@ class GuardRecorder : public NetworkObserver {
     Time at;
   };
 
-  void OnGuardTransition(int node, GuardState from, GuardState to, Time at) override {
-    transitions_.push_back({node, from, to, at});
+  // The from/to states ride the event's port/queue_depth fields.
+  void OnEvent(const TraceEvent& e) override {
+    const auto from = static_cast<GuardState>(e.port);
+    const auto to = static_cast<GuardState>(e.queue_depth);
+    transitions_.push_back({e.node, from, to, e.at});
     if (to == GuardState::kSuppressed && from == GuardState::kArmed) {
       ++trips_;
-      tripped_switches_.insert(node);
+      tripped_switches_.insert(e.node);
     }
     // Accumulate dwell in the state being left.
-    auto [it, inserted] = state_since_.try_emplace(node, StateSpan{from, Time()});
+    auto [it, inserted] = state_since_.try_emplace(e.node, StateSpan{from, Time()});
     if (it->second.state == GuardState::kSuppressed) {
-      suppressed_total_ = suppressed_total_ + (at - it->second.since);
+      suppressed_total_ = suppressed_total_ + (e.at - it->second.since);
     }
-    it->second = {to, at};
-  }
-
-  void OnDrop(int node, const Packet& p, DropReason reason, Time at) override {
-    if (reason == DropReason::kGuardSuppressed) {
-      ++suppressed_drops_;
-    } else if (reason == DropReason::kGuardTtlClamped) {
-      ++ttl_clamped_drops_;
-    } else if (reason == DropReason::kNoEligibleDetour) {
-      ++no_eligible_detour_drops_;
-    }
+    it->second = {to, e.at};
   }
 
   // Breaker trips (ARMED -> SUPPRESSED edges) across all switches.
@@ -58,10 +54,6 @@ class GuardRecorder : public NetworkObserver {
   const std::vector<Transition>& transitions() const { return transitions_; }
   // Distinct switches that tripped at least once, ordered by node id.
   const std::set<int>& tripped_switches() const { return tripped_switches_; }
-
-  uint64_t suppressed_drops() const { return suppressed_drops_; }
-  uint64_t ttl_clamped_drops() const { return ttl_clamped_drops_; }
-  uint64_t no_eligible_detour_drops() const { return no_eligible_detour_drops_; }
 
   // Total sim time switches spent SUPPRESSED, summed across switches, up to
   // `end` (breakers still open at `end` count their open stretch).
@@ -86,9 +78,6 @@ class GuardRecorder : public NetworkObserver {
   std::set<int> tripped_switches_;
   Time suppressed_total_;
   uint64_t trips_ = 0;
-  uint64_t suppressed_drops_ = 0;
-  uint64_t ttl_clamped_drops_ = 0;
-  uint64_t no_eligible_detour_drops_ = 0;
 };
 
 }  // namespace dibs

@@ -1,8 +1,9 @@
-// TraceBus: filtered fan-out from emission sites to sinks.
+// TraceBus: the filtered trace sink behind DIBS_TRACE.
 //
-// The bus applies the runtime filter (node set, flow set, traffic class,
-// head-sampling rate) once per event and forwards survivors to every
-// registered sink. Sampling is a pure hash of the packet uid — no RNG state
+// Subscribed to every kind on the Network, the bus applies the runtime
+// filter (node set, flow set, traffic class, head-sampling rate) once per
+// event and forwards survivors to its own sinks (flight recorder, journeys,
+// JSONL, Perfetto buffer). Sampling is a pure hash of the packet uid — no RNG state
 // is consumed, so attaching a bus can never perturb the simulation, and the
 // same uids are sampled on every run of a given workload.
 
@@ -49,7 +50,7 @@ inline bool SampledUid(uint64_t uid, double sample) {
   return static_cast<double>(h) < sample * 9007199254740992.0;  // 2^53
 }
 
-class TraceBus {
+class TraceBus : public TraceSink {
  public:
   void SetFilter(TraceFilter filter) {
     filter_ = std::move(filter);
@@ -61,7 +62,7 @@ class TraceBus {
   // Sinks are not owned; callers keep them alive for the bus's lifetime.
   void AddSink(TraceSink* sink) { sinks_.push_back(sink); }
 
-  void Emit(const TraceEvent& e) {
+  void OnEvent(const TraceEvent& e) override {
     if (!pass_all_ && !Passes(e)) {
       return;
     }
@@ -70,7 +71,7 @@ class TraceBus {
     }
   }
 
-  void Finish() {
+  void Finish() override {
     for (TraceSink* sink : sinks_) {
       sink->Finish();
     }

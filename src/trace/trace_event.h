@@ -1,16 +1,20 @@
-// Structured event-tracing taxonomy for the packet lifecycle.
+// Packet-lifecycle event taxonomy: the simulator's one instrumentation
+// stream.
 //
 // A TraceEvent is a fixed-size POD snapshot of one forwarding-path moment:
 // host send/deliver, queue enqueue/dequeue (with queue depth), wire
-// enter/exit, DIBS detour, drop (with reason), TCP timeout/retransmit,
-// Ethernet pause/unpause, and fault up/down transitions. Events carry only
-// simulation-time state (no wall clocks, no RNG draws), so a trace is
-// bit-identical for a given seed regardless of worker count or process
-// isolation — the same contract the rest of the simulator keeps.
+// enter/exit, DIBS detour, drop (with reason; a pFabric eviction is a drop
+// with kTraceEvictionReason), TCP timeout/retransmit, Ethernet
+// pause/unpause, link and switch up/down transitions, and overload-guard
+// breaker transitions. Events carry only simulation-time state (no wall
+// clocks, no RNG draws), so a trace is bit-identical for a given seed
+// regardless of worker count or process isolation — the same contract the
+// rest of the simulator keeps.
 //
-// Emission is guarded at the Network layer by a single pointer check
-// (Network::TraceArmed()); with no TraceBus attached the hot path pays one
-// predictable branch per site and allocates nothing.
+// Every consumer — the stats recorders, the DIBS_VALIDATE ledger and the
+// TraceBus — is a TraceSink subscribed to the kinds it reads
+// (Network::Subscribe). A hook whose kind has no subscriber pays one
+// predictable branch and never builds its event.
 
 #ifndef SRC_TRACE_TRACE_EVENT_H_
 #define SRC_TRACE_TRACE_EVENT_H_
@@ -91,9 +95,9 @@ inline const char* TraceEventTypeName(TraceEventType t) {
 }
 
 // pFabric destroys packets inside Enqueue (priority eviction); those losses
-// are queue-internal and deliberately NOT routed through NotifyDrop (the
-// aggregate drop tables would change shape), but the trace still records them
-// as kDrop events with this sentinel reason so journeys terminate correctly.
+// are kDrop events with this sentinel reason, so journeys terminate and the
+// ledger sees a terminal state. They are not a DropReason: Network's drop
+// total and every per-reason drop table skip them.
 inline constexpr uint8_t kTraceEvictionReason = 255;
 
 inline const char* TraceDropReasonName(uint8_t reason) {
@@ -122,6 +126,11 @@ struct TraceEvent {
   HostId src = kInvalidHost;
   HostId dst = kInvalidHost;
   uint32_t seq = 0;  // data seq or cumulative ack, per is_ack
+  // In-memory only (the JSONL codec does not encode them): the packet's CE
+  // mark, and when it was admitted to the queue it is entering or leaving,
+  // which gives a kDequeue its exact per-hop queueing delay.
+  bool ce = false;
+  Time enqueued_at;
 };
 
 // Fills the packet-derived fields; callers set queue_depth/drop_reason after.
@@ -141,6 +150,15 @@ inline TraceEvent MakeTracePacketEvent(TraceEventType type, Time at, int32_t nod
   e.ttl = p.ttl;
   e.tclass = static_cast<uint8_t>(p.traffic_class);
   e.detour_count = p.detour_count;
+  e.ce = p.ce;
+  e.enqueued_at = p.enqueued_at;
+  return e;
+}
+
+// A kDrop of `p`; `reason` is a DropReason value or kTraceEvictionReason.
+inline TraceEvent MakeTraceDropEvent(Time at, int32_t node, const Packet& p, uint8_t reason) {
+  TraceEvent e = MakeTracePacketEvent(TraceEventType::kDrop, at, node, /*port=*/-1, p);
+  e.drop_reason = reason;
   return e;
 }
 

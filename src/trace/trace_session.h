@@ -1,8 +1,8 @@
 // TraceSession: owns one run's trace plumbing — the bus, the flight
 // recorder (crash-dump armed for its lifetime), the optional streaming
 // JSONL sink, the journey builder, and the optional event buffer backing a
-// Perfetto export. Scenario creates one per traced run and attaches its bus
-// to the Network.
+// Perfetto export. Scenario creates one per traced run and subscribes its
+// bus to every event kind on the Network.
 
 #ifndef SRC_TRACE_TRACE_SESSION_H_
 #define SRC_TRACE_TRACE_SESSION_H_

@@ -1,6 +1,7 @@
 // dibs-analyzer fixture: every marked line must fire [observer-purity].
-// Minimal mirrors of the dibs:: simulation-state and observer base classes —
-// the rule keys on qualified names, so these stand in for the real ones.
+// Minimal mirrors of the dibs:: simulation-state classes and the TraceSink
+// base — the rule keys on qualified names, so these stand in for the real
+// ones.
 
 namespace dibs {
 
@@ -27,13 +28,6 @@ class Network {
   int injected_ = 0;
 };
 
-class NetworkObserver {
- public:
-  virtual ~NetworkObserver() = default;
-  virtual void OnDrop(int uid) { (void)uid; }
-  virtual void OnEnqueue(int uid) { (void)uid; }
-};
-
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -50,21 +44,30 @@ void PokeNetwork(dibs::Network& net) {
   net.Inject(99);  // expect(observer-purity)
 }
 
-class MeddlingObserver : public dibs::NetworkObserver {
+class MeddlingObserver : public dibs::TraceSink {
  public:
   explicit MeddlingObserver(dibs::Network& net) : net_(net) {
     net_.Inject(0);  // constructors are exempt: registration-time setup
   }
-  void OnDrop(int uid) override {
+  void OnEvent(int ev) override {
+    if (ev < 0) {
+      OnDrop(-ev);
+    } else {
+      OnEnqueue(ev);
+    }
+  }
+
+ private:
+  // Private helpers of a sink are sink code too.
+  void OnDrop(int uid) {
     net_.sim().Schedule(1.0);  // expect(observer-purity)
     net_.Inject(uid);          // expect(observer-purity)
   }
-  void OnEnqueue(int uid) override {
+  void OnEnqueue(int uid) {
     (void)uid;
     PokeNetwork(net_);  // indirect: flagged inside PokeNetwork, not here
   }
 
- private:
   dibs::Network& net_;
 };
 

@@ -26,13 +26,6 @@ class Network {
   int injected_ = 0;
 };
 
-class NetworkObserver {
- public:
-  virtual ~NetworkObserver() = default;
-  virtual void OnDrop(int uid) { (void)uid; }
-  virtual void OnEnqueue(int uid) { (void)uid; }
-};
-
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -45,21 +38,29 @@ namespace fixture {
 
 // Observers may read as much simulated state as they like — through const
 // accessors — and mutate their OWN state freely.
-class PassiveObserver : public dibs::NetworkObserver {
+class PassiveObserver : public dibs::TraceSink {
  public:
   explicit PassiveObserver(const dibs::Network& net) : net_(net) {}
-  void OnDrop(int uid) override {
+  void OnEvent(int ev) override {
+    if (ev < 0) {
+      OnDrop(-ev);
+    } else {
+      OnEnqueue(ev);
+    }
+  }
+
+ private:
+  void OnDrop(int uid) {
     drops_ += uid;
     last_now_ = net_.sim().Now();  // const sim() + const Now(): pure
   }
-  void OnEnqueue(int uid) override {
+  void OnEnqueue(int uid) {
     peak_ = uid > peak_ ? uid : peak_;
     if (injector_ != nullptr) {
       injector_->Inject(uid);  // lint:allow(observer-purity)
     }
   }
 
- private:
   const dibs::Network& net_;
   dibs::Network* injector_ = nullptr;
   long drops_ = 0;

@@ -33,15 +33,10 @@ class GuardFabric {
   int last_node_ = 0;
 };
 
-class NetworkObserver {
+class TraceSink {
  public:
-  virtual ~NetworkObserver() = default;
-  virtual void OnGuardTransition(int node, int from, int to) {
-    (void)node;
-    (void)from;
-    (void)to;
-  }
-  virtual void OnDrop(int uid) { (void)uid; }
+  virtual ~TraceSink() = default;
+  virtual void OnEvent(int ev) { (void)ev; }
 };
 
 }  // namespace dibs
@@ -54,24 +49,32 @@ void PumpDemand(dibs::DetourGuard& guard) {
   guard.AdmitDetour();  // expect(observer-purity)
 }
 
-class SteeringObserver : public dibs::NetworkObserver {
+class SteeringObserver : public dibs::TraceSink {
  public:
   SteeringObserver(dibs::GuardFabric& fabric, dibs::DetourGuard& guard)
       : fabric_(fabric), guard_(guard) {
     fabric_.NotePacket(0);  // constructors are exempt: registration-time setup
   }
-  void OnGuardTransition(int node, int from, int to) override {
+  void OnEvent(int ev) override {
+    if (ev < 0) {
+      OnDrop(-ev);
+    } else {
+      OnGuardTransition(ev, 0, 1);
+    }
+  }
+
+ private:
+  void OnGuardTransition(int node, int from, int to) {
     (void)from;
     (void)to;
     fabric_.NoteDetour(node, false);  // expect(observer-purity)
     guard_.NoteTtlExpiry();           // expect(observer-purity)
   }
-  void OnDrop(int uid) override {
+  void OnDrop(int uid) {
     (void)uid;
     PumpDemand(guard_);  // indirect: flagged inside PumpDemand, not here
   }
 
- private:
   dibs::GuardFabric& fabric_;
   dibs::DetourGuard& guard_;
 };

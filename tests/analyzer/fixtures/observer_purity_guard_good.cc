@@ -38,15 +38,10 @@ class GuardFabric {
   int last_node_ = 0;
 };
 
-class NetworkObserver {
+class TraceSink {
  public:
-  virtual ~NetworkObserver() = default;
-  virtual void OnGuardTransition(int node, int from, int to) {
-    (void)node;
-    (void)from;
-    (void)to;
-  }
-  virtual void OnDrop(int uid) { (void)uid; }
+  virtual ~TraceSink() = default;
+  virtual void OnEvent(int ev) { (void)ev; }
 };
 
 }  // namespace dibs
@@ -54,10 +49,19 @@ class NetworkObserver {
 namespace fixture {
 
 // The GuardRecorder shape: transition bookkeeping and const reads only.
-class GuardRecorder : public dibs::NetworkObserver {
+class GuardRecorder : public dibs::TraceSink {
  public:
   explicit GuardRecorder(const dibs::GuardFabric& fabric) : fabric_(fabric) {}
-  void OnGuardTransition(int node, int from, int to) override {
+  void OnEvent(int ev) override {
+    if (ev < 0) {
+      OnDrop(-ev);
+    } else {
+      OnGuardTransition(ev, 0, 1);
+    }
+  }
+
+ private:
+  void OnGuardTransition(int node, int from, int to) {
     ++transitions_;
     if (from == 0 && to == 1) {
       ++trips_;
@@ -66,14 +70,13 @@ class GuardRecorder : public dibs::NetworkObserver {
     last_trips_ = fabric_.guard(node).trips();       // const chain: pure
     dwell_ = fabric_.guard(node).SuppressedFor(1.0); // const: pure
   }
-  void OnDrop(int uid) override {
+  void OnDrop(int uid) {
     (void)uid;
     if (meddler_ != nullptr) {
       meddler_->NotePacket(0);  // lint:allow(observer-purity)
     }
   }
 
- private:
   const dibs::GuardFabric& fabric_;
   dibs::GuardFabric* meddler_ = nullptr;
   long transitions_ = 0;

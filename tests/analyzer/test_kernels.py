@@ -130,10 +130,10 @@ class ModelTest(unittest.TestCase):
     def test_derives_from_transitive(self):
         m = Model()
         m.add_record(RecordInfo("u1", "A", bases=["B"]))
-        m.add_record(RecordInfo("u2", "B", bases=["dibs::NetworkObserver"]))
-        self.assertTrue(m.derives_from("A", {"dibs::NetworkObserver"}))
-        self.assertFalse(m.derives_from("A", {"dibs::TraceSink"}))
-        self.assertFalse(m.derives_from("missing", {"dibs::NetworkObserver"}))
+        m.add_record(RecordInfo("u2", "B", bases=["dibs::TraceSink"]))
+        self.assertTrue(m.derives_from("A", {"dibs::TraceSink"}))
+        self.assertFalse(m.derives_from("A", {"dibs::Queue"}))
+        self.assertFalse(m.derives_from("missing", {"dibs::TraceSink"}))
 
     def test_derives_from_cycle_terminates(self):
         m = Model()
@@ -272,17 +272,17 @@ class PointerKeyRuleTest(unittest.TestCase):
 
 
 def observer_model():
-    """An Obs subclass of dibs::NetworkObserver with one hook method."""
+    """An Obs subclass of dibs::TraceSink with one hook method."""
     m = Model()
-    m.add_record(RecordInfo("r1", "dibs::NetworkObserver"))
-    m.add_record(RecordInfo("r2", "Obs", bases=["dibs::NetworkObserver"]))
+    m.add_record(RecordInfo("r1", "dibs::TraceSink"))
+    m.add_record(RecordInfo("r2", "Obs", bases=["dibs::TraceSink"]))
     return m
 
 
 class ObserverPurityRuleTest(unittest.TestCase):
     def test_nonconst_sim_call_fires(self):
         m = observer_model()
-        m.add_function(fn("u", "Obs::OnDrop", klass="Obs", kind="method",
+        m.add_function(fn("u", "Obs::OnEvent", klass="Obs", kind="method",
                           calls=[call("c", "dibs::Network::Inject",
                                       klass="dibs::Network", is_method=True)]))
         found = run(m, "observer-purity")
@@ -291,7 +291,7 @@ class ObserverPurityRuleTest(unittest.TestCase):
 
     def test_schedule_gets_dedicated_message(self):
         m = observer_model()
-        m.add_function(fn("u", "Obs::OnDrop", klass="Obs", kind="method",
+        m.add_function(fn("u", "Obs::OnEvent", klass="Obs", kind="method",
                           calls=[call("c", "dibs::Simulator::Schedule",
                                       klass="dibs::Simulator",
                                       is_method=True)]))
@@ -301,7 +301,7 @@ class ObserverPurityRuleTest(unittest.TestCase):
 
     def test_const_call_silent(self):
         m = observer_model()
-        m.add_function(fn("u", "Obs::OnDrop", klass="Obs", kind="method",
+        m.add_function(fn("u", "Obs::OnEvent", klass="Obs", kind="method",
                           calls=[call("c", "dibs::Simulator::Now",
                                       klass="dibs::Simulator", is_method=True,
                                       is_const=True)]))
@@ -316,7 +316,7 @@ class ObserverPurityRuleTest(unittest.TestCase):
 
     def test_indirect_through_helper_fires_at_helper(self):
         m = observer_model()
-        m.add_function(fn("u1", "Obs::OnDrop", klass="Obs", kind="method",
+        m.add_function(fn("u1", "Obs::OnEvent", klass="Obs", kind="method",
                           calls=[call("u2", "Poke")]))
         m.add_function(fn("u2", "Poke", line=40,
                           calls=[call("c", "dibs::Network::Inject",
@@ -336,7 +336,7 @@ class ObserverPurityRuleTest(unittest.TestCase):
 
     def test_operator_assign_exempt(self):
         m = observer_model()
-        m.add_function(fn("u", "Obs::OnDrop", klass="Obs", kind="method",
+        m.add_function(fn("u", "Obs::OnEvent", klass="Obs", kind="method",
                           calls=[call("c", "dibs::Packet::operator=",
                                       klass="dibs::Packet", is_method=True)]))
         self.assertEqual(run(m, "observer-purity"), [])

@@ -96,14 +96,14 @@ TEST(NetworkTest, SharedBufferCapsWholeSwitch) {
 }
 
 TEST(NetworkTest, ObserverSeesDeliveries) {
-  struct CountingObserver : NetworkObserver {
+  struct CountingSink : TraceSink {
     int delivered = 0;
-    void OnHostDeliver(HostId host, const Packet& p, Time at) override { ++delivered; }
+    void OnEvent(const TraceEvent& e) override { ++delivered; }
   };
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  CountingObserver obs;
-  net.AddObserver(&obs);
+  CountingSink obs;
+  net.Subscribe(&obs, TraceKinds({TraceEventType::kHostDeliver}));
   Packet p;
   p.uid = net.NextPacketUid();
   p.src = 0;

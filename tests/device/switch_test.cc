@@ -50,7 +50,7 @@ TEST(SwitchTest, TtlExpiryDropsPacket) {
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
   bool got = false;
   net.host(127).RegisterFlowReceiver(1, [&](Packet&& p) { got = true; });
   net.host(0).Send(RawPacket(net, 0, 127, /*ttl=*/3));  // needs 5 switch hops
@@ -83,7 +83,7 @@ class OverflowFixture : public ::testing::Test {
     cfg.detour_policy = policy;
     sim_ = std::make_unique<Simulator>(7);
     net_ = std::make_unique<Network>(sim_.get(), BuildPaperFatTree(), cfg);
-    net_->AddObserver(&rec_);
+    net_->Subscribe(&rec_, DetourRecorder::kKinds);
     net_->host(0).RegisterFlowReceiver(1, [&](Packet&& p) { ++received_; });
     for (int s = 1; s <= senders; ++s) {
       for (int i = 0; i < packets_each; ++i) {
@@ -130,7 +130,7 @@ TEST(SwitchTest, DetouredEctPacketsAreCeMarked) {
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
   int received = 0;
   net.host(0).RegisterFlowReceiver(1, [&](Packet&& p) { ++received; });
   for (int s = 1; s <= 5; ++s) {
@@ -187,7 +187,7 @@ TEST(SwitchTest, JourneyRecordsDetourHops) {
   TraceBus bus;
   JourneyBuilder journeys;
   bus.AddSink(&journeys);
-  net.AttachTraceBus(&bus);
+  net.Subscribe(&bus);
   for (int s = 1; s <= 8; ++s) {
     for (int i = 0; i < 10; ++i) {
       Packet p;
@@ -234,7 +234,7 @@ TEST(SwitchTest, PfcStormWithAllUplinksPausedDropsAsNoEligibleDetour) {
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
   int received = 0;
   net.host(0).RegisterFlowReceiver(1, [&](Packet&&) { ++received; });
   SwitchNode& edge =
@@ -268,7 +268,7 @@ TEST(SwitchTest, PartialPauseStillDetoursWithoutEligibilityDrops) {
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
   net.host(0).RegisterFlowReceiver(1, [](Packet&&) {});
   SwitchNode& edge =
       net.switch_at(net.topology().ports(net.topology().host_node(0))[0].neighbor);

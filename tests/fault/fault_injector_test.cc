@@ -74,7 +74,7 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
   Simulator sim;
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // 10 back-to-back packets pile up in h0's NIC queue (12us serialization
   // each). At t=30us packets 0-2 have entered the wire; 3-9 are still queued.
@@ -106,7 +106,9 @@ TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
   Simulator sim;
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
   FaultRecorder frec;
-  net.AddObserver(&frec);
+  net.Subscribe(&frec, FaultRecorder::kKinds);
+  DetourRecorder rec;  // fault drops are counted in the per-reason drop table
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   fault::FaultPlan plan;
   plan.LinkDown(0, Time::Micros(30)).LinkUp(0, Time::Micros(60));
@@ -125,8 +127,8 @@ TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
   EXPECT_EQ(frec.events_applied(), 1u);   // the breakage
   EXPECT_EQ(frec.events_repaired(), 1u);  // the heal
   EXPECT_TRUE(net.LinkUp(0));
-  EXPECT_EQ(frec.blackholed_packets(), 7u);
-  EXPECT_EQ(frec.drops(DropReason::kFaultLinkDown), 7u);
+  EXPECT_EQ(rec.fault_drops(), 7u);
+  EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 7u);
   ASSERT_EQ(frec.recovery_ms().size(), 1u);
   EXPECT_GT(frec.recovery_ms()[0], 0.0);
   EXPECT_LT(frec.recovery_ms()[0], 1.0);  // ~36us repair-to-delivery
@@ -137,7 +139,7 @@ TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
   Simulator sim;
   Network net(&sim, DiamondTopology(), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // Two equal-cost uplinks from s0 toward h1.
   ASSERT_EQ(net.fib().NextHopPorts(0, /*dst=*/1).size(), 2u);
@@ -168,7 +170,7 @@ TEST(FaultModelTest, AllPathsDeadDropsAsFaultNoLiveRoute) {
   Simulator sim;
   Network net(&sim, DiamondTopology(), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   net.SetLinkAdminState(1, false);
   net.SetLinkAdminState(2, false);
@@ -195,7 +197,7 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
   Simulator sim;
   Network net(&sim, std::move(t), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // The packet enters the s0->s1 wire at t=25us and would land at t=45us.
   net.host(0).Send(RawPacket(net, 0, 1));
@@ -225,7 +227,7 @@ std::pair<uint64_t, uint64_t> RunLossyLink(uint64_t seed, int count, double loss
   Simulator sim(seed);
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
   net.SetLinkDegraded(0, loss, Time::Zero());
   for (int i = 0; i < count; ++i) {
     net.host(0).Send(RawPacket(net, 0, 1));
@@ -331,7 +333,7 @@ TEST(FaultDibsInteractionTest, AllNeighborsCrashedMeansDropNotDetour) {
   Network net(&sim, f.topo, f.Config());
   ASSERT_NE(net.invariant_checker(), nullptr);
   DetourRecorder rec;
-  net.AddObserver(&rec);
+  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   const std::vector<int> neighbors = fault::SwitchNeighbors(f.topo, f.tor);
   ASSERT_EQ(neighbors.size(), 2u);
@@ -396,10 +398,17 @@ TEST(FaultRecorderTest, FlowsSplitIntoRecoveredAndStalled) {
   Packet b;
   b.uid = 2;
   b.flow = 20;
-  rec.OnDrop(0, a, DropReason::kFaultLinkDown, Time::Millis(1));
-  rec.OnDrop(0, b, DropReason::kFaultLossy, Time::Millis(2));
-  rec.OnDrop(0, b, DropReason::kQueueOverflow, Time::Millis(3));  // not a fault
-  EXPECT_EQ(rec.blackholed_packets(), 2u);
+  // Both recorders see the same drops; DetourRecorder counts them.
+  DetourRecorder drops;
+  const auto drop = [&](const Packet& p, DropReason reason, Time at) {
+    const TraceEvent e = MakeTraceDropEvent(at, 0, p, static_cast<uint8_t>(reason));
+    rec.OnEvent(e);
+    drops.OnEvent(e);
+  };
+  drop(a, DropReason::kFaultLinkDown, Time::Millis(1));
+  drop(b, DropReason::kFaultLossy, Time::Millis(2));
+  drop(b, DropReason::kQueueOverflow, Time::Millis(3));  // not a fault
+  EXPECT_EQ(drops.fault_drops(), 2u);
   rec.NoteFlowCompleted(10);
   rec.NoteFlowCompleted(99);  // fault-free flow: irrelevant
   EXPECT_EQ(rec.FlowsRecovered(), 1u);  // flow 10
@@ -408,11 +417,11 @@ TEST(FaultRecorderTest, FlowsSplitIntoRecoveredAndStalled) {
   rec.OnFaultApplied(Time::Millis(1));
   rec.OnFaultRepaired(Time::Millis(5));
   EXPECT_TRUE(rec.recovery_ms().empty());
-  rec.OnHostDeliver(0, a, Time::Millis(7));
+  rec.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(7), 0, -1, a));
   ASSERT_EQ(rec.recovery_ms().size(), 1u);
   EXPECT_DOUBLE_EQ(rec.recovery_ms()[0], 2.0);
   // Later deliveries do not reopen the closed window.
-  rec.OnHostDeliver(0, a, Time::Millis(9));
+  rec.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(9), 0, -1, a));
   EXPECT_EQ(rec.recovery_ms().size(), 1u);
   EXPECT_DOUBLE_EQ(rec.MaxRecoveryMs(), 2.0);
 }

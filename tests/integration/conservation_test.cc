@@ -7,21 +7,30 @@
 
 #include <tuple>
 
-#include "src/device/observer.h"
+#include "src/trace/trace_sink.h"
 #include "tests/transport/transport_test_util.h"
 
 namespace dibs {
 namespace {
 
-class CountingObserver : public NetworkObserver {
+class CountingSink : public TraceSink {
  public:
+  static constexpr TraceKindSet kKinds = TraceKinds(
+      {TraceEventType::kDetour, TraceEventType::kDrop, TraceEventType::kHostDeliver});
+
   uint64_t drops = 0;
   uint64_t detours = 0;
   uint64_t delivered = 0;
 
-  void OnDetour(int node, uint16_t port, const Packet& p, Time at) override { ++detours; }
-  void OnDrop(int node, const Packet& p, DropReason reason, Time at) override { ++drops; }
-  void OnHostDeliver(HostId host, const Packet& p, Time at) override { ++delivered; }
+  void OnEvent(const TraceEvent& e) override {
+    if (e.type == TraceEventType::kDetour) {
+      ++detours;
+    } else if (e.type == TraceEventType::kDrop) {
+      ++drops;
+    } else {
+      ++delivered;  // kHostDeliver, the only other subscribed kind
+    }
+  }
 };
 
 using Param = std::tuple<std::string, size_t>;  // (policy, buffer)
@@ -37,8 +46,8 @@ TEST_P(ConservationSweep, FlowsCompleteAndCountsBalance) {
   tcp_cfg.dupack_threshold = policy == "none" ? 3 : 0;
   TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kDctcp, tcp_cfg,
                      /*seed=*/17);
-  CountingObserver obs;
-  h.net().AddObserver(&obs);
+  CountingSink obs;
+  h.net().Subscribe(&obs, CountingSink::kKinds);
 
   for (HostId src = 0; src < 5; ++src) {
     for (int i = 0; i < 3; ++i) {
@@ -79,8 +88,8 @@ TEST(ConservationTest, HoldsOnFatTreeUnderIncast) {
   net_cfg.switch_buffer_packets = 20;
   TransportHarness h(BuildPaperFatTree(), net_cfg, TransportKind::kDctcp,
                      TcpConfig::DibsDefault(), /*seed=*/23);
-  CountingObserver obs;
-  h.net().AddObserver(&obs);
+  CountingSink obs;
+  h.net().Subscribe(&obs, CountingSink::kKinds);
   for (HostId src = 1; src <= 30; ++src) {
     h.StartFlow(src, 0, 20000, TrafficClass::kQuery);
   }
@@ -99,8 +108,8 @@ TEST(ConservationTest, HoldsOnJellyFish) {
   net_cfg.switch_buffer_packets = 10;
   TransportHarness h(BuildJellyFish(JellyFishOptions{}), net_cfg, TransportKind::kDctcp,
                      TcpConfig::DibsDefault(), /*seed=*/29);
-  CountingObserver obs;
-  h.net().AddObserver(&obs);
+  CountingSink obs;
+  h.net().Subscribe(&obs, CountingSink::kKinds);
   const HostId target = 0;
   for (HostId src = 1; src <= 12; ++src) {
     h.StartFlow(src, target, 30000, TrafficClass::kQuery);

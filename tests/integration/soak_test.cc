@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/device/observer.h"
 #include "src/harness/scenario.h"
 #include "src/workload/long_lived.h"
 #include "tests/transport/transport_test_util.h"

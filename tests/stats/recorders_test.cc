@@ -74,13 +74,37 @@ Packet DeliveredPacket(uint16_t detours, bool ce = false,
   return p;
 }
 
+// The events the Network's hooks dispatch for these inputs.
+TraceEvent DetourEvent(int node, uint16_t port, const Packet& p, Time at) {
+  return MakeTracePacketEvent(TraceEventType::kDetour, at, node, port, p);
+}
+
+TraceEvent DropEvent(int node, const Packet& p, DropReason reason, Time at) {
+  return MakeTraceDropEvent(at, node, p, static_cast<uint8_t>(reason));
+}
+
+TraceEvent DeliverEvent(int node, const Packet& p, Time at) {
+  return MakeTracePacketEvent(TraceEventType::kHostDeliver, at, node, /*port=*/-1, p);
+}
+
+// Breaker transitions carry from/to in port/queue_depth.
+TraceEvent GuardEvent(int node, GuardState from, GuardState to, Time at) {
+  TraceEvent e;
+  e.at = at;
+  e.type = TraceEventType::kGuardTransition;
+  e.node = node;
+  e.port = static_cast<int32_t>(from);
+  e.queue_depth = static_cast<int32_t>(to);
+  return e;
+}
+
 TEST(DetourRecorderTest, CountsDetoursByClass) {
   DetourRecorder rec;
   Packet q = DeliveredPacket(0, false, TrafficClass::kQuery);
   Packet b = DeliveredPacket(0, false, TrafficClass::kBackground);
-  rec.OnDetour(3, 1, q, Time::Millis(1));
-  rec.OnDetour(3, 2, q, Time::Millis(1));
-  rec.OnDetour(4, 1, b, Time::Millis(2));
+  rec.OnEvent(DetourEvent(3, 1, q, Time::Millis(1)));
+  rec.OnEvent(DetourEvent(3, 2, q, Time::Millis(1)));
+  rec.OnEvent(DetourEvent(4, 1, b, Time::Millis(2)));
   EXPECT_EQ(rec.total_detours(), 3u);
   EXPECT_EQ(rec.query_detours(), 2u);
 }
@@ -88,10 +112,10 @@ TEST(DetourRecorderTest, CountsDetoursByClass) {
 TEST(DetourRecorderTest, TimelineBucketsPerSwitch) {
   DetourRecorder rec(Time::Micros(100));
   Packet p = DeliveredPacket(0);
-  rec.OnDetour(7, 0, p, Time::Micros(50));    // bucket 0
-  rec.OnDetour(7, 0, p, Time::Micros(70));    // bucket 0
-  rec.OnDetour(7, 0, p, Time::Micros(250));   // bucket 2
-  rec.OnDetour(9, 0, p, Time::Micros(130));   // other switch
+  rec.OnEvent(DetourEvent(7, 0, p, Time::Micros(50)));    // bucket 0
+  rec.OnEvent(DetourEvent(7, 0, p, Time::Micros(70)));    // bucket 0
+  rec.OnEvent(DetourEvent(7, 0, p, Time::Micros(250)));   // bucket 2
+  rec.OnEvent(DetourEvent(9, 0, p, Time::Micros(130)));   // other switch
   const auto series7 = rec.TimelineFor(7);
   ASSERT_EQ(series7.size(), 2u);
   EXPECT_EQ(series7[0].first, Time::Zero());
@@ -105,22 +129,31 @@ TEST(DetourRecorderTest, TimelineBucketsPerSwitch) {
 TEST(DetourRecorderTest, DropAccountingByReason) {
   DetourRecorder rec;
   Packet p = DeliveredPacket(0);
-  rec.OnDrop(1, p, DropReason::kTtlExpired, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kQueueOverflow, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kQueueOverflow, Time::Zero());
+  rec.OnEvent(DropEvent(1, p, DropReason::kTtlExpired, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kQueueOverflow, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kQueueOverflow, Time::Zero()));
   EXPECT_EQ(rec.total_drops(), 3u);
   EXPECT_EQ(rec.drops(DropReason::kQueueOverflow), 2u);
   EXPECT_EQ(rec.drops(DropReason::kTtlExpired), 1u);
   EXPECT_EQ(rec.drops(DropReason::kNoDetourAvailable), 0u);
 }
 
+TEST(DetourRecorderTest, PfabricEvictionsStayOutOfTheDropTables) {
+  DetourRecorder rec;
+  rec.OnEvent(MakeTraceDropEvent(Time::Zero(), 1, DeliveredPacket(0), kTraceEvictionReason));
+  EXPECT_EQ(rec.total_drops(), 0u);
+  for (uint64_t n : rec.drops_by_reason()) {
+    EXPECT_EQ(n, 0u);
+  }
+}
+
 TEST(DetourRecorderTest, DeliveredFractionAndQuantiles) {
   DetourRecorder rec;
   for (int i = 0; i < 80; ++i) {
-    rec.OnHostDeliver(0, DeliveredPacket(0), Time::Zero());
+    rec.OnEvent(DeliverEvent(0, DeliveredPacket(0), Time::Zero()));
   }
   for (int i = 0; i < 20; ++i) {
-    rec.OnHostDeliver(0, DeliveredPacket(5), Time::Zero());
+    rec.OnEvent(DeliverEvent(0, DeliveredPacket(5), Time::Zero()));
   }
   EXPECT_DOUBLE_EQ(rec.DetouredFraction(), 0.2);
   EXPECT_EQ(rec.delivered_packets(), 100u);
@@ -131,22 +164,22 @@ TEST(DetourRecorderTest, DeliveredFractionAndQuantiles) {
 
 TEST(DetourRecorderTest, MarkedDeliveryCount) {
   DetourRecorder rec;
-  rec.OnHostDeliver(0, DeliveredPacket(1, /*ce=*/true), Time::Zero());
-  rec.OnHostDeliver(0, DeliveredPacket(0, /*ce=*/false), Time::Zero());
+  rec.OnEvent(DeliverEvent(0, DeliveredPacket(1, /*ce=*/true), Time::Zero()));
+  rec.OnEvent(DeliverEvent(0, DeliveredPacket(0, /*ce=*/false), Time::Zero()));
   EXPECT_EQ(rec.delivered_marked(), 1u);
 }
 
 TEST(GuardRecorderTest, CountsTripsAndTrippedSwitchesFromTransitions) {
   GuardRecorder rec;
   // Switch 7: full cycle. Switch 9: trips and stays open.
-  rec.OnGuardTransition(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(1));
-  rec.OnGuardTransition(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(5));
-  rec.OnGuardTransition(7, GuardState::kProbing, GuardState::kArmed, Time::Millis(7));
-  rec.OnGuardTransition(9, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(2));
+  rec.OnEvent(GuardEvent(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(1)));
+  rec.OnEvent(GuardEvent(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(5)));
+  rec.OnEvent(GuardEvent(7, GuardState::kProbing, GuardState::kArmed, Time::Millis(7)));
+  rec.OnEvent(GuardEvent(9, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(2)));
   // PROBING -> SUPPRESSED re-opens but is not a fresh ARMED-edge trip.
-  rec.OnGuardTransition(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(10));
-  rec.OnGuardTransition(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(14));
-  rec.OnGuardTransition(7, GuardState::kProbing, GuardState::kSuppressed, Time::Millis(16));
+  rec.OnEvent(GuardEvent(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(10)));
+  rec.OnEvent(GuardEvent(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(14)));
+  rec.OnEvent(GuardEvent(7, GuardState::kProbing, GuardState::kSuppressed, Time::Millis(16)));
 
   EXPECT_EQ(rec.trips(), 3u);
   EXPECT_EQ(rec.transition_count(), 7u);
@@ -155,24 +188,25 @@ TEST(GuardRecorderTest, CountsTripsAndTrippedSwitchesFromTransitions) {
 
 TEST(GuardRecorderTest, SuppressedDwellIncludesOpenStretches) {
   GuardRecorder rec;
-  rec.OnGuardTransition(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(1));
-  rec.OnGuardTransition(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(5));
-  rec.OnGuardTransition(9, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(2));
+  rec.OnEvent(GuardEvent(7, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(1)));
+  rec.OnEvent(GuardEvent(7, GuardState::kSuppressed, GuardState::kProbing, Time::Millis(5)));
+  rec.OnEvent(GuardEvent(9, GuardState::kArmed, GuardState::kSuppressed, Time::Millis(2)));
   // Switch 7 banked 4ms closed; switch 9 is still open at the 10ms cutoff.
   EXPECT_DOUBLE_EQ(rec.SuppressedMsUpTo(Time::Millis(10)), 4.0 + 8.0);
 }
 
+// Guard-attributed drops are entries of the one per-reason drop table.
 TEST(GuardRecorderTest, AttributesGuardDropReasons) {
-  GuardRecorder rec;
+  DetourRecorder rec;
   Packet p = DeliveredPacket(0);
-  rec.OnDrop(1, p, DropReason::kGuardSuppressed, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kGuardSuppressed, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kGuardTtlClamped, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kNoEligibleDetour, Time::Zero());
-  rec.OnDrop(1, p, DropReason::kQueueOverflow, Time::Zero());  // not guard's
-  EXPECT_EQ(rec.suppressed_drops(), 2u);
-  EXPECT_EQ(rec.ttl_clamped_drops(), 1u);
-  EXPECT_EQ(rec.no_eligible_detour_drops(), 1u);
+  rec.OnEvent(DropEvent(1, p, DropReason::kGuardSuppressed, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kGuardSuppressed, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kGuardTtlClamped, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kNoEligibleDetour, Time::Zero()));
+  rec.OnEvent(DropEvent(1, p, DropReason::kQueueOverflow, Time::Zero()));  // not guard's
+  EXPECT_EQ(rec.drops(DropReason::kGuardSuppressed), 2u);
+  EXPECT_EQ(rec.drops(DropReason::kGuardTtlClamped), 1u);
+  EXPECT_EQ(rec.drops(DropReason::kNoEligibleDetour), 1u);
 }
 
 }  // namespace

@@ -166,26 +166,26 @@ TEST(TraceBusTest, FiltersByNodeFlowClassAndSample) {
   f.tclass = static_cast<int>(TrafficClass::kQuery);
   bus.SetFilter(f);
 
-  bus.Emit(FullEvent(1));  // matches everything
+  bus.OnEvent(FullEvent(1));  // matches everything
   EXPECT_EQ(sink.n, 1);
   TraceEvent wrong_node = FullEvent(1);
   wrong_node.node = 3;
-  bus.Emit(wrong_node);
+  bus.OnEvent(wrong_node);
   EXPECT_EQ(sink.n, 1);
   TraceEvent wrong_flow = FullEvent(1);
   wrong_flow.flow = 7;
-  bus.Emit(wrong_flow);
+  bus.OnEvent(wrong_flow);
   EXPECT_EQ(sink.n, 1);
   TraceEvent wrong_class = FullEvent(1);
   wrong_class.tclass = static_cast<uint8_t>(TrafficClass::kBackground);
-  bus.Emit(wrong_class);
+  bus.OnEvent(wrong_class);
   EXPECT_EQ(sink.n, 1);
 
   // Control events (uid 0) bypass packet dimensions but honor the node set.
   TraceEvent control;
   control.type = TraceEventType::kPause;
   control.node = 17;
-  bus.Emit(control);
+  bus.OnEvent(control);
   EXPECT_EQ(sink.n, 2);
 }
 
@@ -310,7 +310,9 @@ TEST(TraceScenario, ValidationErrorDumpsFlightRecorder) {
   phantom.src = 0;
   phantom.dst = 1;
   phantom.flow = 777;
-  scenario.network().invariant_checker()->OnHostSend(0, phantom, Time::Zero());
+  scenario.network().invariant_checker()->OnEvent(MakeTracePacketEvent(
+      TraceEventType::kHostSend, Time::Zero(), scenario.network().topology().host_node(0),
+      /*port=*/-1, phantom));
 
   EXPECT_THROW(scenario.Run(), ValidationError);
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/device/observer.h"
+#include "src/transport/tcp_receiver.h"
 #include "tests/transport/transport_test_util.h"
 
 namespace dibs {
@@ -26,21 +26,20 @@ TEST(PfabricTest, SingleFlowCompletes) {
 }
 
 TEST(PfabricTest, PrioritiesDecreaseAlongFlow) {
-  struct PriorityObserver : NetworkObserver {
-    std::vector<std::pair<uint32_t, int64_t>> data;  // (seq, priority)
-    void OnHostDeliver(HostId host, const Packet& p, Time at) override {
-      if (!p.is_ack) {
-        data.emplace_back(p.seq, p.priority);
-      }
-    }
-  };
   TransportHarness h(BuildEmulabTestbed(), PfabricNet(), TransportKind::kPfabric);
-  PriorityObserver obs;
-  h.net().AddObserver(&obs);
-  h.StartFlow(0, 5, 150000);
+  const FlowId id = h.StartFlow(0, 5, 150000);
+  // Trace events carry no priority, so tap the data delivered to host 5
+  // ahead of the flow's own receiver.
+  std::vector<std::pair<uint32_t, int64_t>> data;  // (seq, priority)
+  TcpReceiver* receiver = h.flows().receiver(id);
+  h.net().host(5).UnregisterFlowReceiver(id);
+  h.net().host(5).RegisterFlowReceiver(id, [&data, receiver](Packet&& p) {
+    data.emplace_back(p.seq, p.priority);
+    receiver->OnData(std::move(p));
+  });
   h.Run();
-  ASSERT_FALSE(obs.data.empty());
-  for (const auto& [seq, priority] : obs.data) {
+  ASSERT_FALSE(data.empty());
+  for (const auto& [seq, priority] : data) {
     // priority = (total_segments - seq) * MSS: strictly decreasing in seq.
     EXPECT_EQ(priority,
               static_cast<int64_t>(SegmentsForBytes(150000) - seq) * kMaxSegmentBytes);

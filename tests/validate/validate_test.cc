@@ -32,6 +32,15 @@ Packet MakePacket(uint64_t uid, uint32_t size_bytes = 1500) {
   return p;
 }
 
+// The host-send / host-deliver events the Network dispatches for `p`.
+TraceEvent SendEvent(const Packet& p) {
+  return MakeTracePacketEvent(TraceEventType::kHostSend, Time::Zero(), 0, -1, p);
+}
+
+TraceEvent DeliverEvent(const Packet& p) {
+  return MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Zero(), 1, -1, p);
+}
+
 // Runs `fn`, captures the ValidationError it must throw, and returns it.
 template <typename Fn>
 ValidationError CaptureViolation(Fn&& fn) {
@@ -82,7 +91,7 @@ TEST(ValidateFaultInjection, ScheduleIntoPastIsCaught) {
 TEST(ValidateFaultInjection, LeakedPacketIsCaught) {
   validate::ScopedEnable on;
   InvariantChecker checker;
-  checker.OnHostSend(0, MakePacket(/*uid=*/7), Time::Zero());
+  checker.OnEvent(SendEvent(MakePacket(/*uid=*/7)));
   EXPECT_EQ(checker.injected(), 1u);
   const ValidationError e = CaptureViolation([&] { checker.CheckQuiescent(); });
   EXPECT_EQ(e.invariant(), "ledger.leak");
@@ -97,10 +106,10 @@ TEST(ValidateFaultInjection, LeakedPacketIsCaught) {
 TEST(ValidateFaultInjection, DoubleDeliveryIsCaught) {
   validate::ScopedEnable on;
   InvariantChecker checker;
-  checker.OnHostSend(0, MakePacket(3), Time::Zero());
-  checker.OnHostDeliver(1, MakePacket(3), Time::Zero());
+  checker.OnEvent(SendEvent(MakePacket(3)));
+  checker.OnEvent(DeliverEvent(MakePacket(3)));
   const ValidationError e = CaptureViolation(
-      [&] { checker.OnHostDeliver(1, MakePacket(3), Time::Zero()); });
+      [&] { checker.OnEvent(DeliverEvent(MakePacket(3))); });
   EXPECT_EQ(e.invariant(), "ledger.terminal-reuse");
   EXPECT_NE(e.detail().find("delivered"), std::string::npos) << e.what();
 }
@@ -108,9 +117,9 @@ TEST(ValidateFaultInjection, DoubleDeliveryIsCaught) {
 TEST(ValidateFaultInjection, DuplicateUidInjectionIsCaught) {
   validate::ScopedEnable on;
   InvariantChecker checker;
-  checker.OnHostSend(0, MakePacket(9), Time::Zero());
+  checker.OnEvent(SendEvent(MakePacket(9)));
   const ValidationError e =
-      CaptureViolation([&] { checker.OnHostSend(0, MakePacket(9), Time::Zero()); });
+      CaptureViolation([&] { checker.OnEvent(SendEvent(MakePacket(9))); });
   EXPECT_EQ(e.invariant(), "ledger.duplicate-uid");
 }
 
@@ -119,10 +128,10 @@ TEST(ValidateFaultInjection, TtlGrowthIsCaught) {
   InvariantChecker checker;
   Packet p = MakePacket(4);
   p.ttl = 8;
-  checker.OnHostSend(0, p, Time::Zero());
+  checker.OnEvent(SendEvent(p));
   p.ttl = 9;
   const ValidationError e =
-      CaptureViolation([&] { checker.OnHostDeliver(1, p, Time::Zero()); });
+      CaptureViolation([&] { checker.OnEvent(DeliverEvent(p)); });
   EXPECT_EQ(e.invariant(), "ledger.ttl-grew");
 }
 

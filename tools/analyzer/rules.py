@@ -18,13 +18,15 @@ Rule catalog (see DESIGN.md "Static analysis" for the contracts these prove):
                      container breaks bit-identical replay. Use an id key,
                      or lint:allow with a written justification that the
                      order never escapes.
-  observer-purity    Methods of NetworkObserver / TraceSink subclasses (and
-                     everything they transitively call within the repo) must
-                     not call non-const methods of the simulation-state
-                     classes nor schedule simulator events: observers are
-                     what make a traced run bit-identical to an untraced
-                     one. Constructors/destructors are exempt (observer
-                     registration happens there, before the run).
+  observer-purity    Methods of TraceSink subclasses — every instrument: the
+                     recorders, the ledger, the trace bus and its sinks —
+                     (and everything they transitively call within the
+                     repo) must not call non-const methods of the
+                     simulation-state classes nor schedule simulator
+                     events: that is what makes an instrumented run
+                     bit-identical to a bare one. Constructors/destructors
+                     are exempt (subscription happens there, before the
+                     run).
   signal-safety      Nothing reachable from a registered signal handler
                      (sigaction/signal, sa_handler assignments) or from the
                      FlightRecorder dump entry point may allocate, throw, or
@@ -58,7 +60,7 @@ class Finding:
 
 class RuleConfig:
     # Classes whose subclasses are held to the purity contract.
-    observer_bases = frozenset({"dibs::NetworkObserver", "dibs::TraceSink"})
+    observer_bases = frozenset({"dibs::TraceSink"})
 
     # Simulation-state classes: calling a non-const method on any of these
     # from observer code mutates the simulated world.

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Tracing-off overhead guard for the simulator hot path.
 
-The trace subsystem's contract is "free when off": with no TraceBus attached,
-the per-hop observer hooks are a null-pointer check. This guard enforces that
+The instrumentation contract is "free when off": with no subscribers, each
+per-hop hook is one branch and builds no event. This guard enforces that
 by ratcheting BM_SwitchPacketHop (google-benchmark JSON output) against a
 per-machine baseline cached in the build tree:
 
