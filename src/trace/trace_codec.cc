@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace dibs {
 namespace {
@@ -126,10 +127,11 @@ bool ParseQuoted(const char*& p, std::string* out) {
   return true;
 }
 
-bool ParseInt(const char*& p, int64_t* out) {
-  bool neg = false;
-  if (*p == '-') {
-    neg = true;
+// One decimal integer as a sign and a 64-bit magnitude; false when there are
+// no digits or the magnitude overflows.
+bool ParseInt(const char*& p, bool* neg, uint64_t* mag) {
+  *neg = *p == '-';
+  if (*neg) {
     ++p;
   }
   if (*p < '0' || *p > '9') {
@@ -137,10 +139,33 @@ bool ParseInt(const char*& p, int64_t* out) {
   }
   uint64_t v = 0;
   while (*p >= '0' && *p <= '9') {
-    v = v * 10 + static_cast<uint64_t>(*p - '0');
+    const auto digit = static_cast<uint64_t>(*p - '0');
+    if (v > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    v = v * 10 + digit;
     ++p;
   }
-  *out = neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+  *mag = v;
+  return true;
+}
+
+// Stores the parsed integer in `field` if it fits the field's type; an
+// out-of-range value rejects the line instead of wrapping.
+template <typename T>
+bool Store(bool neg, uint64_t mag, T* field) {
+  using Limits = std::numeric_limits<T>;
+  if (neg && mag != 0) {
+    if (!Limits::is_signed || mag > 0 - static_cast<uint64_t>(Limits::min())) {
+      return false;
+    }
+    *field = static_cast<T>(0 - mag);  // two's complement: exact down to min()
+    return true;
+  }
+  if (mag > static_cast<uint64_t>(Limits::max())) {
+    return false;
+  }
+  *field = static_cast<T>(mag);
   return true;
 }
 
@@ -213,36 +238,43 @@ bool DecodeTraceEvent(const std::string& line, TraceEvent* out) {
       }
       continue;
     }
-    int64_t v = 0;
-    if (!ParseInt(p, &v)) {
+    bool neg = false;
+    uint64_t mag = 0;
+    if (!ParseInt(p, &neg, &mag)) {
       return false;
     }
+    bool fits = true;
     if (key == "t") {
-      out->at = Time::Nanos(v);
+      int64_t nanos = 0;
+      fits = Store(neg, mag, &nanos);
+      out->at = Time::Nanos(nanos);
     } else if (key == "node") {
-      out->node = static_cast<int32_t>(v);
+      fits = Store(neg, mag, &out->node);
     } else if (key == "port") {
-      out->port = static_cast<int32_t>(v);
+      fits = Store(neg, mag, &out->port);
     } else if (key == "uid") {
-      out->uid = static_cast<uint64_t>(v);
+      fits = Store(neg, mag, &out->uid);
     } else if (key == "flow") {
-      out->flow = static_cast<FlowId>(v);
+      fits = Store(neg, mag, &out->flow);
     } else if (key == "src") {
-      out->src = static_cast<HostId>(v);
+      fits = Store(neg, mag, &out->src);
     } else if (key == "dst") {
-      out->dst = static_cast<HostId>(v);
+      fits = Store(neg, mag, &out->dst);
     } else if (key == "seq") {
-      out->seq = static_cast<uint32_t>(v);
+      fits = Store(neg, mag, &out->seq);
     } else if (key == "ack") {
-      out->is_ack = v != 0;
+      fits = Store(neg, mag, &out->is_ack);
     } else if (key == "ttl") {
-      out->ttl = static_cast<uint8_t>(v);
+      fits = Store(neg, mag, &out->ttl);
     } else if (key == "tc") {
-      out->tclass = static_cast<uint8_t>(v);
+      fits = Store(neg, mag, &out->tclass);
     } else if (key == "det") {
-      out->detour_count = static_cast<uint16_t>(v);
+      fits = Store(neg, mag, &out->detour_count);
     } else if (key == "depth") {
-      out->queue_depth = static_cast<int32_t>(v);
+      fits = Store(neg, mag, &out->queue_depth);
+    }
+    if (!fits) {
+      return false;
     }
   }
   SkipSpace(p);

@@ -31,7 +31,7 @@ std::string EncodeTraceEvent(const TraceEvent& e);
 
 // Parses one encoded line (with or without trailing newline). Unknown keys
 // are skipped; missing keys keep their defaults. Returns false on malformed
-// input or an unknown event-type name.
+// input, an unknown event-type name, or an integer outside its field's type.
 bool DecodeTraceEvent(const std::string& line, TraceEvent* out);
 
 // Streaming JSONL sink: one encoded event per line, flushed on Finish.

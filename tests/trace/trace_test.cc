@@ -53,7 +53,7 @@ std::string ReadFile(const std::string& path) {
 }
 
 TEST(TraceCodec, RoundTripAllFields) {
-  const TraceEvent e = FullEvent(99);
+  const TraceEvent e = FullEvent(~0ull);  // the largest uid decodes exactly
   TraceEvent d;
   ASSERT_TRUE(DecodeTraceEvent(EncodeTraceEvent(e), &d));
   EXPECT_EQ(d.at, e.at);
@@ -117,6 +117,17 @@ TEST(TraceCodec, RejectsMalformedLines) {
   TraceEvent d;
   EXPECT_FALSE(DecodeTraceEvent("", &d));
   EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"no-such-event\"}", &d));
+  // Integers outside their field's type reject the line instead of wrapping.
+  EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"drop\",\"uid\":99999999999999999999999}", &d));
+  EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"drop\",\"node\":4294967297}", &d));
+}
+
+TEST(TraceCodec, RoundTripMostNegativeTime) {
+  TraceEvent e = FullEvent(1);
+  e.at = Time::Nanos(INT64_MIN);
+  TraceEvent d;
+  ASSERT_TRUE(DecodeTraceEvent(EncodeTraceEvent(e), &d));
+  EXPECT_EQ(d.at, e.at);
 }
 
 TEST(FlightRecorder, RingWrapsKeepingNewest) {
