@@ -5,51 +5,48 @@
 namespace dibs {
 namespace {
 
-const char* Env(const char* name) { return env::Raw(name); }
-
+// A comma-separated id list; each item goes through env::ParseInt's
+// digit-and-range rule, and a bad one throws EnvError naming the variable.
 template <typename Int>
-std::vector<Int> ParseIdList(const char* s) {
+std::vector<Int> ParseIdList(const char* name, const char* value, int64_t max) {
   std::vector<Int> out;
-  long long cur = 0;
-  bool have = false;
-  for (; ; ++s) {
-    if (*s >= '0' && *s <= '9') {
-      cur = cur * 10 + (*s - '0');
-      have = true;
-    } else {
-      if (have) {
-        out.push_back(static_cast<Int>(cur));
-      }
-      cur = 0;
-      have = false;
-      if (*s == '\0') {
-        break;
-      }
+  std::string item;
+  for (const char* s = value;; ++s) {
+    if (*s != ',' && *s != '\0') {
+      item += *s;
+      continue;
     }
+    int64_t id = 0;
+    std::string reason;
+    if (!env::ParseInt(item.c_str(), 0, max, &id, &reason)) {
+      throw EnvError(name, value, "item '" + item + "': " + reason);
+    }
+    out.push_back(static_cast<Int>(id));
+    if (*s == '\0') {
+      return out;
+    }
+    item.clear();
   }
-  return out;
 }
 
 }  // namespace
 
 TraceConfig ApplyTraceEnv(const TraceConfig& base) {
   TraceConfig cfg = base;
-  if (const char* v = Env("DIBS_TRACE")) {
-    cfg.enabled = !(v[0] == '0' && v[1] == '\0');
-  }
-  if (const char* v = Env("DIBS_TRACE_JSONL")) {
+  cfg.enabled = env::Flag("DIBS_TRACE", cfg.enabled);
+  if (const char* v = env::Raw("DIBS_TRACE_JSONL")) {
     cfg.jsonl_path = v;
     cfg.enabled = true;
   }
-  if (const char* v = Env("DIBS_TRACE_PERFETTO")) {
+  if (const char* v = env::Raw("DIBS_TRACE_PERFETTO")) {
     cfg.perfetto_path = v;
     cfg.enabled = true;
   }
-  if (const char* v = Env("DIBS_TRACE_NODES")) {
-    cfg.filter.nodes = ParseIdList<int32_t>(v);
+  if (const char* v = env::Raw("DIBS_TRACE_NODES")) {
+    cfg.filter.nodes = ParseIdList<int32_t>("DIBS_TRACE_NODES", v, INT32_MAX);
   }
-  if (const char* v = Env("DIBS_TRACE_FLOWS")) {
-    cfg.filter.flows = ParseIdList<FlowId>(v);
+  if (const char* v = env::Raw("DIBS_TRACE_FLOWS")) {
+    cfg.filter.flows = ParseIdList<FlowId>("DIBS_TRACE_FLOWS", v, INT64_MAX);
   }
   // Checked parses: a mistyped filter knob aborts the run with EnvError
   // instead of silently tracing class 0 / sampling 0% of packets.
@@ -60,7 +57,7 @@ TraceConfig ApplyTraceEnv(const TraceConfig& base) {
       env::Int("DIBS_TRACE_RING", static_cast<int64_t>(cfg.ring_capacity), 1,
                1 << 30));
   cfg.dump_at_end = env::Flag("DIBS_TRACE_DUMP", cfg.dump_at_end);
-  if (const char* v = Env("DIBS_TRACE_DUMP_PATH")) {
+  if (const char* v = env::Raw("DIBS_TRACE_DUMP_PATH")) {
     cfg.dump_path = v;
   }
   cfg.filter.Normalize();  // env lists arrive in arbitrary order

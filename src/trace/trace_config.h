@@ -38,7 +38,7 @@ struct TraceConfig {
 };
 
 // Returns `base` overlaid with the DIBS_TRACE* environment:
-//   DIBS_TRACE=0|1          master switch
+//   DIBS_TRACE=0|1          master switch (any env::Flag boolean)
 //   DIBS_TRACE_JSONL=path   streaming JSONL sink
 //   DIBS_TRACE_PERFETTO=path  Perfetto JSON export
 //   DIBS_TRACE_NODES=1,2,9  node filter (comma-separated ids)
@@ -48,6 +48,8 @@ struct TraceConfig {
 //   DIBS_TRACE_RING=8192    flight-recorder capacity
 //   DIBS_TRACE_DUMP=1       dump the ring at end of run
 //   DIBS_TRACE_DUMP_PATH=path  where dumps (end-of-run and crash) go
+// A malformed value (a non-boolean switch, a list item that is not a
+// non-negative id in range) throws EnvError naming the variable.
 TraceConfig ApplyTraceEnv(const TraceConfig& base);
 
 // File path for one run of a sweep: inserts ".run<N>" before the extension

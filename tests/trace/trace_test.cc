@@ -21,6 +21,7 @@
 #include "src/trace/trace_bus.h"
 #include "src/trace/trace_codec.h"
 #include "src/trace/trace_config.h"
+#include "src/util/env.h"
 #include "src/util/validation.h"
 
 namespace dibs {
@@ -226,6 +227,7 @@ TEST(TraceConfigTest, EnvOverlayOverridesBase) {
   ::setenv("DIBS_TRACE", "1", 1);
   ::setenv("DIBS_TRACE_JSONL", "x.jsonl", 1);
   ::setenv("DIBS_TRACE_NODES", "3,1,2", 1);
+  ::setenv("DIBS_TRACE_FLOWS", "17,4", 1);
   ::setenv("DIBS_TRACE_SAMPLE", "0.5", 1);
   ::setenv("DIBS_TRACE_RING", "128", 1);
   ::setenv("DIBS_TRACE_DUMP", "1", 1);
@@ -233,15 +235,50 @@ TEST(TraceConfigTest, EnvOverlayOverridesBase) {
   ::unsetenv("DIBS_TRACE");
   ::unsetenv("DIBS_TRACE_JSONL");
   ::unsetenv("DIBS_TRACE_NODES");
+  ::unsetenv("DIBS_TRACE_FLOWS");
   ::unsetenv("DIBS_TRACE_SAMPLE");
   ::unsetenv("DIBS_TRACE_RING");
   ::unsetenv("DIBS_TRACE_DUMP");
   EXPECT_TRUE(c.enabled);
   EXPECT_EQ(c.jsonl_path, "x.jsonl");
   EXPECT_EQ(c.filter.nodes, (std::vector<int32_t>{1, 2, 3}));
+  EXPECT_EQ(c.filter.flows, (std::vector<FlowId>{4, 17}));
   EXPECT_DOUBLE_EQ(c.filter.sample, 0.5);
   EXPECT_EQ(c.ring_capacity, 128u);
   EXPECT_TRUE(c.dump_at_end);
+}
+
+TEST(TraceConfigTest, EnvOverlaySwitchIsACheckedBoolean) {
+  TraceConfig base;
+  base.enabled = true;
+  ::setenv("DIBS_TRACE", "false", 1);
+  const TraceConfig c = ApplyTraceEnv(base);
+  ::unsetenv("DIBS_TRACE");
+  EXPECT_FALSE(c.enabled);
+}
+
+// Sets one knob, applies the overlay, and returns the variable the EnvError
+// named ("" when the value was accepted).
+std::string RejectedKnob(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  std::string rejected;
+  try {
+    ApplyTraceEnv(TraceConfig{});
+  } catch (const EnvError& e) {
+    rejected = e.name();
+  }
+  ::unsetenv(name);
+  return rejected;
+}
+
+TEST(TraceConfigTest, EnvOverlayRejectsMalformedKnobs) {
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE", "treu"), "DIBS_TRACE");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "tor1,tor2"), "DIBS_TRACE_NODES");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "4294967298"), "DIBS_TRACE_NODES");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "1,,2"), "DIBS_TRACE_NODES");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_FLOWS", "-7"), "DIBS_TRACE_FLOWS");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_FLOWS", "4;17"), "DIBS_TRACE_FLOWS");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "2147483647"), "");
 }
 
 // A miniature DIBS scenario with buffers small enough to guarantee detours.
