@@ -110,8 +110,8 @@ class Network {
   // subscription order; the DIBS_VALIDATE ledger, installed at
   // construction, comes first. A kind with no subscriber costs one branch
   // and its event is never built. Subscribe before the run starts; sinks
-  // are not owned. Sinks never draw simulator RNG or schedule events, so a
-  // run is bit-identical whatever is subscribed.
+  // are not owned. OnEvent never draws simulator RNG or schedules events, so
+  // a run is bit-identical whatever is subscribed.
   void Subscribe(TraceSink* sink, TraceKindSet kinds = kAllTraceKinds);
   bool Wants(TraceEventType type) const {
     return !subscribers_[static_cast<size_t>(type)].empty();
@@ -137,8 +137,8 @@ class Network {
   // ---- Overload guard (src/guard) ----
   //
   // Constructed when config.guard.enabled; the fabric reports breaker
-  // transitions back through NotifyGuardTransition.
-  // Callers running outside a Scenario must Start() it themselves.
+  // transitions back through NotifyGuardTransition. Callers running outside
+  // a Scenario must Start() it themselves.
   GuardFabric* guard() { return guard_.get(); }
   const GuardFabric* guard() const { return guard_.get(); }
 

@@ -15,6 +15,7 @@ namespace dibs {
 
 // A set of TraceEventTypes, one bit per kind.
 using TraceKindSet = uint32_t;
+static_assert(kNumTraceEventTypes < 32, "TraceKindSet has one bit per kind");
 
 constexpr TraceKindSet TraceKinds(std::initializer_list<TraceEventType> kinds) {
   TraceKindSet set = 0;
