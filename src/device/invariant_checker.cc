@@ -109,23 +109,16 @@ void InvariantChecker::OnDetour(const TraceEvent& e) {
 }
 
 void InvariantChecker::OnDrop(const TraceEvent& e) {
-  const bool evicted = e.drop_reason == kTraceEvictionReason;
-  const auto reason = static_cast<DropReason>(e.drop_reason);
-  if (reason == DropReason::kFaultLossy) {
+  if (e.drop_reason == static_cast<uint8_t>(DropReason::kFaultLossy)) {
     CloseWire(e);  // lost in flight after kWireEnter
   }
-  PacketState* state = Observe(e, evicted ? "pfabric-evict" : "drop");
+  PacketState* state =
+      Observe(e, e.drop_reason == kTraceEvictionReason ? "pfabric-evict" : "drop");
   if (state == nullptr) {
     return;
   }
   state->terminal = Terminal::kDropped;
   ++dropped_;
-  if (reason == DropReason::kTtlExpired) {
-    ++ttl_dropped_;
-  }
-  if (IsFaultDrop(reason)) {
-    ++fault_dropped_;
-  }
 }
 
 void InvariantChecker::OnHostDeliver(const TraceEvent& e) {

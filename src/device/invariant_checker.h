@@ -76,8 +76,6 @@ class InvariantChecker : public TraceSink {
   uint64_t injected() const { return injected_; }
   uint64_t delivered() const { return delivered_; }
   uint64_t dropped() const { return dropped_; }
-  uint64_t ttl_dropped() const { return ttl_dropped_; }
-  uint64_t fault_dropped() const { return fault_dropped_; }
   uint64_t in_flight() const { return injected_ - delivered_ - dropped_; }
   uint64_t on_wire() const { return on_wire_; }
   uint64_t untracked_events() const { return untracked_events_; }
@@ -112,8 +110,6 @@ class InvariantChecker : public TraceSink {
   uint64_t injected_ = 0;
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;
-  uint64_t ttl_dropped_ = 0;
-  uint64_t fault_dropped_ = 0;
   uint64_t on_wire_ = 0;
   uint64_t untracked_events_ = 0;
   bool untracked_seen_ = false;
