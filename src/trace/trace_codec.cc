@@ -180,13 +180,18 @@ bool EventTypeFromName(const std::string& name, TraceEventType* out) {
   return false;
 }
 
-uint8_t DropReasonFromName(const std::string& name) {
+bool DropReasonFromName(const std::string& name, uint8_t* out) {
+  if (name == TraceDropReasonName(kTraceEvictionReason)) {
+    *out = kTraceEvictionReason;
+    return true;
+  }
   for (size_t i = 0; i < kNumDropReasons; ++i) {
     if (name == DropReasonName(static_cast<DropReason>(i))) {
-      return static_cast<uint8_t>(i);
+      *out = static_cast<uint8_t>(i);
+      return true;
     }
   }
-  return kTraceEvictionReason;  // "pfabric-eviction" (or unknown) maps here
+  return false;
 }
 
 }  // namespace
@@ -202,6 +207,7 @@ bool DecodeTraceEvent(const std::string& line, TraceEvent* out) {
   std::string key;
   std::string sval;
   bool first = true;
+  bool have_type = false;
   for (;;) {
     SkipSpace(p);
     if (*p == '}') {
@@ -233,8 +239,11 @@ bool DecodeTraceEvent(const std::string& line, TraceEvent* out) {
         if (!EventTypeFromName(sval, &out->type)) {
           return false;
         }
+        have_type = true;
       } else if (key == "reason" && !sval.empty()) {
-        out->drop_reason = DropReasonFromName(sval);
+        if (!DropReasonFromName(sval, &out->drop_reason)) {
+          return false;
+        }
       }
       continue;
     }
@@ -278,7 +287,7 @@ bool DecodeTraceEvent(const std::string& line, TraceEvent* out) {
     }
   }
   SkipSpace(p);
-  return *p == '\0';
+  return *p == '\0' && have_type;
 }
 
 }  // namespace dibs

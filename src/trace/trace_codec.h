@@ -30,8 +30,10 @@ size_t EncodeTraceEventLine(const TraceEvent& e, char* buf, size_t cap);
 std::string EncodeTraceEvent(const TraceEvent& e);
 
 // Parses one encoded line (with or without trailing newline). Unknown keys
-// are skipped; missing keys keep their defaults. Returns false on malformed
-// input, an unknown event-type name, or an integer outside its field's type.
+// are skipped; missing keys other than "ev" keep their defaults. Returns
+// false on malformed input, a missing or unknown event-type name, a
+// non-empty reason that names no drop reason, or an integer outside its
+// field's type.
 bool DecodeTraceEvent(const std::string& line, TraceEvent* out);
 
 // Streaming JSONL sink: one encoded event per line, flushed on Finish.

@@ -118,6 +118,12 @@ TEST(TraceCodec, RejectsMalformedLines) {
   TraceEvent d;
   EXPECT_FALSE(DecodeTraceEvent("", &d));
   EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"no-such-event\"}", &d));
+  // Every line names its event type; a default-constructed host-send is not
+  // a decoding of a line that has none.
+  EXPECT_FALSE(DecodeTraceEvent("{}", &d));
+  EXPECT_FALSE(DecodeTraceEvent("{\"t\":1}", &d));
+  // An unknown drop reason is corrupt, not a pFabric eviction.
+  EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"drop\",\"reason\":\"queue-overfow\"}", &d));
   // Integers outside their field's type reject the line instead of wrapping.
   EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"drop\",\"uid\":99999999999999999999999}", &d));
   EXPECT_FALSE(DecodeTraceEvent("{\"t\":1,\"ev\":\"drop\",\"node\":4294967297}", &d));
