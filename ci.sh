@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point. Stages, in order:
+# CI entry point. Each stage prints a `== <name>: ... ==` banner; other
+# files cite a stage by that name, never by its number. Stages, in order:
 #
-#   1. determinism lint   — tools/determinism_lint.py, the fast textual
-#                           pre-pass banning rand()/random_device/wall-clock
-#                           on the simulation path.
-#   2. format check       — clang-format --dry-run over the tree (skipped
+#   1. lint               — tools/determinism_lint.py, the textual
+#                           determinism rules: no rand()/random_device/
+#                           wall-clock on the simulation path, no unallowed
+#                           unordered container in src/, no pointer-keyed
+#                           ordered container.
+#   2. format             — clang-format --dry-run over the tree (skipped
 #                           when clang-format is not installed).
 #   3. tier-1             — default build + full ctest suite.
 #   4. perfbench          — the benchmark's own self-test (planted digest and
@@ -14,24 +17,16 @@
 #                           finish ok with the reference digest. A change to
 #                           event order fails here, not only in the
 #                           benchmark pipeline.
-#   5. clang-tidy         — `tidy` target over src/ using the tier-1 build's
+#   5. tidy               — `tidy` target over src/ using the tier-1 build's
 #                           compile_commands.json (skips itself when
 #                           clang-tidy is not installed).
-#   6. analyze            — dibs-analyzer (tools/analyzer/): libclang
-#                           semantic lint over src/ (determinism-ast,
-#                           pointer-key-order, observer-purity,
-#                           signal-safety) against the tier-1 build's
-#                           compile_commands.json. Fails on any finding
-#                           not in tools/analyzer/baseline.json;
-#                           prints a skip message where the python libclang
-#                           bindings are not installed.
-#   7. asan+ubsan         — full ctest suite under ASan+UBSan with
+#   6. asan+ubsan         — full ctest suite under ASan+UBSan with
 #                           DIBS_VALIDATE=1, so every scenario test also
 #                           runs the invariant checker and its conservation
 #                           ledger must balance, and golden_behaviour must
 #                           reproduce its committed digests in this build
 #                           too.
-#   8. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
+#   7. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
 #                           (invariant + metamorphic oracles) must come back
@@ -40,12 +35,12 @@
 #                           the bug in and green without — proof the oracle
 #                           actually bites. Corpus replay itself rides in
 #                           tier-1 ctest (chaos_corpus_replay).
-#   9. fig11 smoke        — the incast-degree figure bench end-to-end with
+#   8. fig11              — the incast-degree figure bench end-to-end with
 #                           DIBS_VALIDATE=1 and DIBS_REQUIRE_OK=1 (any run
 #                           a validation throw fails is fatal), on the
 #                           tier-1 build tree.
-#  10. trace smoke        — fig11 again with DIBS_TRACE=1: tables must be
-#                           byte-identical to the untraced stage-9 run, every
+#   9. trace              — fig11 again with DIBS_TRACE=1: tables must be
+#                           byte-identical to the fig11 stage's run, every
 #                           per-run trace JSONL must pass `trace_tool
 #                           summarize`, the Perfetto export must be valid
 #                           JSON, and the same traced bench must run clean
@@ -57,23 +52,23 @@
 #                           within 2% of the per-machine ratcheted baseline
 #                           cached in the build tree
 #                           (tools/check_trace_overhead.py).
-#  11. resilience smoke   — the fault-injection bench under ASan+UBSan with
+#  10. resilience         — the fault-injection bench under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (the conservation ledger must
 #                           balance through link flaps, lossy links, and a
 #                           ToR crash), run twice — DIBS_JOBS=1 then
 #                           DIBS_JOBS=8 — and diffed: tables byte-identical,
 #                           JSONL identical modulo host-side wall-clock
 #                           metadata (wall_ms / events_per_sec).
-#  12. crash-resume      — kills (SIGKILL) the resilience bench mid-sweep,
+#  11. crash-resume       — kills (SIGKILL) the resilience bench mid-sweep,
 #                           resumes it from its run journal (DIBS_RESUME=1),
 #                           and byte-diffs the resumed tables/JSONL against
 #                           an uninterrupted run at DIBS_JOBS=1 and 8 — the
 #                           acceptance bar for journal-backed resume. The
 #                           crash/hang injection hooks behind the same
 #                           machinery (DIBS_TEST_CRASH_RUN, DIBS_ISOLATE)
-#                           are exercised by tests/exp under stage 7's
-#                           ASan+UBSan config.
-#  13. guard             — overload-protection smoke: the guarded fig14
+#                           are exercised by tests/exp under the
+#                           asan+ubsan stage's config.
+#  12. guard              — overload-protection smoke: the guarded fig14
 #                           extreme-qps sweep under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (guard drops must keep the
 #                           conservation ledger balanced, and the breaker
@@ -83,7 +78,7 @@
 #                           the collapse point and must not flag the
 #                           guarded run (DIBS_GUARD_EXPECT=1 makes the
 #                           bench exit nonzero otherwise).
-#  14. tsan              — sweep engine under ThreadSanitizer (tests/exp)
+#  13. tsan               — sweep engine under ThreadSanitizer (tests/exp)
 #                           so data races in the threaded layer fail the
 #                           pipeline.
 #
@@ -129,12 +124,6 @@ done
 echo "== tidy: clang-tidy over src/ =="
 cmake --build build --target tidy
 
-echo "== analyze: dibs-analyzer semantic lint over src/ =="
-# Fails on any finding not grandfathered in tools/analyzer/baseline.json;
-# self-degrades with a skip message where libclang is unavailable.
-python3 tools/analyzer/dibs_analyzer.py \
-  --compile-commands build/compile_commands.json
-
 echo "== asan+ubsan: full test suite with DIBS_VALIDATE=1 =="
 cmake -B build-asan -S . -DDIBS_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$JOBS"
@@ -174,7 +163,7 @@ fi
 ./build/tools/dibs_fuzz replay tests/chaos/corpus
 echo "fuzz: planted-bug repro replays red with the bug, green without"
 
-echo "== smoke: fig11 incast-degree bench with DIBS_VALIDATE=1 =="
+echo "== fig11: incast-degree bench with DIBS_VALIDATE=1 =="
 DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 \
   ./build/bench/fig11_incast_degree | tee "$CI_TMP/fig11_plain.txt"
 
@@ -183,7 +172,7 @@ TR_TMP="$CI_TMP/trace"
 mkdir -p "$TR_TMP"
 cmake --build build -j"$JOBS" --target trace_tool
 # Tracing must be an observer, never a participant: the traced run's tables
-# must be byte-identical to the untraced stage-9 run.
+# must be byte-identical to the fig11 stage's untraced run.
 DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 \
   DIBS_TRACE=1 DIBS_TRACE_JSONL="$TR_TMP/fig11.jsonl" \
   ./build/bench/fig11_incast_degree > "$TR_TMP/fig11_traced.txt"
@@ -232,8 +221,8 @@ echo "== trace: tracing-off overhead guard on micro_simcore =="
 python3 tools/check_trace_overhead.py "$TR_TMP/switch_hop.json" \
   build/trace_overhead_baseline.json 2.0
 
-echo "== smoke: resilience fault-injection bench, seed-determinism across DIBS_JOBS =="
-# ASan+UBSan build (stage 7 already built it) with the invariant checker on:
+echo "== resilience: fault-injection bench, seed-determinism across DIBS_JOBS =="
+# ASan+UBSan build (the asan+ubsan stage already built it) with the invariant checker on:
 # every fault cell must keep the conservation ledger balanced, and the whole
 # sweep must be reproducible regardless of worker count.
 cmake --build build-asan -j"$JOBS" --target resilience

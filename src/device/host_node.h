@@ -53,7 +53,7 @@ class HostNode : public Node {
   Network* network_;
   HostId host_id_;
   std::unique_ptr<Port> port_;
-  std::unordered_map<FlowId, Receiver> receivers_;
+  std::unordered_map<FlowId, Receiver> receivers_;  // lint:allow(unordered-iter): lookup only
   uint64_t stray_packets_ = 0;
   uint64_t nic_drops_ = 0;
 };

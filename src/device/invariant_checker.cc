@@ -151,9 +151,10 @@ void InvariantChecker::CheckQuiescent() const {
   // Leak: some injected packets never reached a terminal state. Report the
   // lowest leaked uids (sorted, so the diagnostic is deterministic).
   std::vector<uint64_t> leaked;
-  // Unordered iteration is safe here: the fold only builds `leaked`, which is
-  // sorted before anything order-sensitive (the diagnostic) consumes it.
-  for (const auto& [uid, state] : ledger_) {  // lint:allow(determinism-ast)
+  // Unordered iteration is safe here (hence ledger_'s unordered-iter allow):
+  // the fold only builds `leaked`, which is sorted before anything
+  // order-sensitive (the diagnostic) consumes it.
+  for (const auto& [uid, state] : ledger_) {
     if (state.terminal == Terminal::kInFlight) {
       leaked.push_back(uid);
     }

@@ -104,9 +104,9 @@ class InvariantChecker : public TraceSink {
   [[noreturn]] void FailOn(const char* invariant, const TraceEvent& e,
                            const std::string& detail) const;
 
-  // Keyed lookup only — never iterated except sorted for diagnostics
-  // (determinism lint: unordered iteration ban).
-  std::unordered_map<uint64_t, PacketState> ledger_;
+  // Keyed lookup, plus one fold in CheckQuiescent that sorts what it collects
+  // before the leak diagnostic reads it.
+  std::unordered_map<uint64_t, PacketState> ledger_;  // lint:allow(unordered-iter): sorted on use
   uint64_t injected_ = 0;
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;

@@ -85,8 +85,9 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // Const overloads exist so read-only code — trace sinks in particular,
-  // which the observer-purity analyzer rule holds to a no-mutation
-  // contract — can go through `const Network&` end to end.
+  // which must never mutate the run (the chaos trace oracle and
+  // GoldenBehaviour.InstrumentsDoNotPerturb compare runs with them on and
+  // off) — can go through `const Network&` end to end.
   Simulator& sim() { return *sim_; }
   const Simulator& sim() const { return *sim_; }
   const Topology& topology() const { return topo_; }

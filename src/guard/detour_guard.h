@@ -11,9 +11,10 @@
 // the re-arm line sits below the trip line) the breaker re-ARMs, otherwise
 // it re-opens.
 //
-// DetourGuard mutates switch forwarding behavior, so the observer-purity
-// analyzer rule lists it as simulation state: a TraceSink must never call
-// its non-const methods. It is driven by GuardFabric (tick cadence) and
+// DetourGuard mutates switch forwarding behavior, so it is simulation state:
+// a TraceSink must never call its non-const methods (GuardRecorder rides in
+// every golden cell and the trace bus in every traced one, so the golden
+// digests would move). It is driven by GuardFabric (tick cadence) and
 // SwitchNode (per-packet notes), never by sinks.
 
 #ifndef SRC_GUARD_DETOUR_GUARD_H_

@@ -25,8 +25,9 @@ void BufferMonitor::Start() {
   // re-arming its own timer is its one sanctioned mutation of simulator
   // state. The samples themselves never touch the simulated world, so a run
   // with the monitor attached stays bit-identical modulo these timer events,
-  // which are part of the experiment's configuration.
-  network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
+  // which are part of the experiment's configuration
+  // (GoldenBehaviour.InstrumentsDoNotPerturb).
+  network_->sim().Schedule(options_.interval, [this] { Sample(); });
 }
 
 double BufferMonitor::FreeFraction(const std::vector<int>& switches) const {
@@ -111,7 +112,7 @@ void BufferMonitor::Sample() {
 
   if (net().sim().Now() + options_.interval <= options_.stop_time) {
     // Sanctioned timer re-arm; see the note in Start().
-    network_->sim().Schedule(options_.interval, [this] { Sample(); });  // lint:allow(observer-purity)
+    network_->sim().Schedule(options_.interval, [this] { Sample(); });
   }
 }
 

@@ -71,8 +71,9 @@ class BufferMonitor : public TraceSink {
   double FreeFraction(const std::vector<int>& switches) const;
 
   // All observation goes through the const view: the only non-const use of
-  // network_ outside the constructor is re-arming the sampling timer, which
-  // carries an explicit lint:allow(observer-purity).
+  // network_ outside the constructor is re-arming the sampling timer, and
+  // GoldenBehaviour.InstrumentsDoNotPerturb checks those ticks change nothing
+  // else.
   const Network& net() const { return *network_; }
 
   Network* network_;
@@ -82,7 +83,7 @@ class BufferMonitor : public TraceSink {
   std::vector<std::vector<size_t>> depths_;
   // Precomputed switch neighborhoods. Ordered map: emission paths walk these
   // keyed off switch_ids(), and an ordered container keeps any future
-  // iteration deterministic (analyzer rule: determinism-ast).
+  // iteration deterministic (determinism lint rule: unordered-iter).
   std::map<int, std::vector<int>> one_hop_;
   std::map<int, std::vector<int>> two_hop_;
 

@@ -3,9 +3,9 @@
 // drops are DetourRecorder's per-reason table entries.
 //
 // GuardRecorder only READS the simulation — it folds transition events and
-// never touches DetourGuard or any other forwarding state (the
-// observer-purity analyzer rule enforces exactly this split: DetourGuard is
-// simulation state, GuardRecorder is observation).
+// never touches DetourGuard or any other forwarding state. DetourGuard is
+// simulation state, GuardRecorder is observation; every Scenario attaches a
+// GuardRecorder, so the golden digests would move if it ever wrote back.
 
 #ifndef SRC_STATS_GUARD_RECORDER_H_
 #define SRC_STATS_GUARD_RECORDER_H_

@@ -71,7 +71,7 @@ class FlowManager {
   uint64_t flows_started_ = 0;
   uint64_t flows_completed_ = 0;
   // Ordered so teardown and any diagnostic iteration follow FlowId order
-  // (determinism lint: unordered-iter ban).
+  // (determinism lint rule: unordered-iter).
   std::map<FlowId, ActiveFlow> flows_;
 };
 

@@ -74,7 +74,7 @@ class QueryWorkload {
   uint64_t next_query_id_ = 1;
   uint64_t queries_launched_ = 0;
   uint64_t queries_completed_ = 0;
-  std::unordered_map<uint64_t, PendingQuery> pending_;
+  std::unordered_map<uint64_t, PendingQuery> pending_;  // lint:allow(unordered-iter): lookup only
 };
 
 }  // namespace dibs

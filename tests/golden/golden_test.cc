@@ -20,6 +20,10 @@
 // JSONL line (FNV-1a-64 over the EncodeTraceEventLine bytes) and counts them.
 // Together those rows must cover every TraceEventType plus a pFabric
 // eviction drop, so no emission point can move or vanish unnoticed.
+//
+// A third test runs one cell with every instrument on and again with every
+// instrument off, and requires the same record: observation must never
+// perturb forwarding.
 
 #include <gtest/gtest.h>
 
@@ -241,6 +245,29 @@ TEST(GoldenBehaviour, TracedCellsMatchTheirCommittedStreams) {
                                << TraceEventTypeName(static_cast<TraceEventType>(i));
   }
   EXPECT_GT(evictions, 0u) << "no traced row emits a pFabric eviction drop";
+}
+
+// The DIBS cell draws from the simulator RNG on every detour, so an
+// instrument that took a draw, or scheduled anything but its own sampling
+// tick, would shift every later forwarding decision. The monitors' outputs
+// and those ticks (counted in events_processed) are the only differences
+// allowed.
+TEST(GoldenBehaviour, InstrumentsDoNotPerturb) {
+  const auto run = [](bool instruments) {
+    ExperimentConfig config = CellConfig("dibs_incast_background");
+    config.monitor_links = instruments;
+    config.monitor_buffers = instruments;
+    config.trace.enabled = instruments;
+    RunRecord rec;
+    rec.result = RunScenario(config);
+    rec.result.hot_fractions.clear();
+    rec.result.relative_hot_fractions.clear();
+    rec.result.one_hop_free.clear();
+    rec.result.two_hop_free.clear();
+    rec.result.events_processed = 0;
+    return chaos::CanonicalRecord(rec, /*drop_trace_only=*/true);
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace
