@@ -39,7 +39,7 @@ CorpusEntry DecodeCorpusEntry(const std::string& text) {
     throw CodecError("oracle", "corpus entry is missing its failing oracle");
   }
   json::ReadString(root, "detail", &entry.detail);
-  json::ReadUint(root, "master_seed", &entry.master_seed);
+  json::ReadInt(root, "master_seed", &entry.master_seed);
   json::ReadInt(root, "found_case", &entry.found_case);
   const json::Value* spec = json::Find(root, "spec");
   if (spec == nullptr) {

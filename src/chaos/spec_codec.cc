@@ -101,7 +101,7 @@ ChaosSpec DecodeChaosSpec(const json::Value& root) {
   }
 
   ChaosSpec s;
-  json::ReadUint(root, "seed", &s.seed);
+  json::ReadInt(root, "seed", &s.seed);
   s.case_index = ReadBoundedInt(root, "case", 0, 0, 1 << 30);
   json::ReadString(root, "topology", &s.topology);
   if (s.topology != "fat-tree" && s.topology != "leaf-spine" &&
@@ -134,7 +134,7 @@ ChaosSpec DecodeChaosSpec(const json::Value& root) {
                                            s.bg_interarrival_ms, 0.01, 10000);
   s.qps = ReadBoundedDouble(root, "qps", s.qps, 1, 100000);
   s.incast_degree = ReadBoundedInt(root, "incast_degree", s.incast_degree, 1, 1024);
-  json::ReadUint(root, "response_bytes", &s.response_bytes);
+  json::ReadInt(root, "response_bytes", &s.response_bytes);
   if (s.response_bytes < 100 || s.response_bytes > 10000000) {
     throw CodecError("response_bytes", "outside [100, 10000000]");
   }

@@ -47,9 +47,8 @@ InvariantChecker::PacketState* InvariantChecker::Observe(const TraceEvent& e,
   auto it = ledger_.find(e.uid);
   if (e.uid == 0 || it == ledger_.end()) {
     // Not injected through a host NIC (synthetic test traffic): exempt from
-    // the per-uid ledger but still counted so CheckBalanced can widen.
+    // the per-uid ledger but still noted so CheckBalanced can widen.
     untracked_seen_ = true;
-    ++untracked_events_;
     return nullptr;
   }
   PacketState& state = it->second;
@@ -80,7 +79,6 @@ InvariantChecker::PacketState* InvariantChecker::Observe(const TraceEvent& e,
 void InvariantChecker::OnHostSend(const TraceEvent& e) {
   if (e.uid == 0) {
     untracked_seen_ = true;
-    ++untracked_events_;
     return;
   }
   PacketState state;

@@ -78,7 +78,6 @@ class InvariantChecker : public TraceSink {
   uint64_t dropped() const { return dropped_; }
   uint64_t in_flight() const { return injected_ - delivered_ - dropped_; }
   uint64_t on_wire() const { return on_wire_; }
-  uint64_t untracked_events() const { return untracked_events_; }
 
  private:
   enum class Terminal : uint8_t { kInFlight = 0, kDelivered = 1, kDropped = 2 };
@@ -97,7 +96,7 @@ class InvariantChecker : public TraceSink {
   void CloseWire(const TraceEvent& e);
 
   // Returns the tracked state for the event's packet, or nullptr for
-  // untracked packets (which bump untracked_events_). Applies the TTL/detour
+  // untracked packets (which set untracked_seen_). Applies the TTL/detour
   // monotonicity checks shared by every observation point.
   PacketState* Observe(const TraceEvent& e, const char* where);
 
@@ -111,7 +110,6 @@ class InvariantChecker : public TraceSink {
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;
   uint64_t on_wire_ = 0;
-  uint64_t untracked_events_ = 0;
   bool untracked_seen_ = false;
 
   // DIBS_CHAOS_PLANT state (see the constructor comment).

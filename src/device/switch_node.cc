@@ -18,7 +18,7 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
     return;
   }
 
-  // Overload guard: per-packet pressure signals. One null check when the
+  // Overload guard: per-packet pressure signal. One null check when the
   // guard is off; plain counter increments when it is on.
   GuardFabric* guard = net.guard();
   if (guard != nullptr) {
@@ -28,9 +28,6 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
   // TTL: one decrement per switch hop; bounds the total detour budget
   // (§5.5.3). A packet arriving with ttl 1 cannot be forwarded again.
   if (p.ttl <= 1) {
-    if (guard != nullptr) {
-      guard->NoteTtlExpiry(id());
-    }
     net.NotifyDrop(id(), p, DropReason::kTtlExpired);
     return;
   }
@@ -75,7 +72,7 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
       if (auto port = net.detour_policy().ChoosePort(ctx, net.sim().rng()); port.has_value()) {
         ++p.detour_count;
         if (guard != nullptr) {
-          guard->NoteDetour(id(), /*bounce_back=*/*port == in_port);
+          guard->NoteDetour();
         }
         if (p.ect) {
           p.ce = true;
@@ -126,7 +123,7 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_por
 
   ++p.detour_count;
   if (GuardFabric* guard = net.guard(); guard != nullptr) {
-    guard->NoteDetour(id(), /*bounce_back=*/*port == in_port);
+    guard->NoteDetour();
   }
   // Detoured packets travel a longer path through congested territory — mark
   // them so DCTCP still sees the congestion signal (§5.3).

@@ -47,7 +47,7 @@ void GetSummary(const Value& obj, const std::string& key, Summary* out) {
   if (v->kind != Value::Kind::kObject) {
     throw CodecError(key, "expected summary object");
   }
-  json::ReadUint(*v, "count", &out->count);
+  json::ReadInt(*v, "count", &out->count);
   json::ReadDouble(*v, "mean", &out->mean);
   json::ReadDouble(*v, "min", &out->min);
   json::ReadDouble(*v, "max", &out->max);
@@ -149,7 +149,7 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
     json::ReadInt(root, "run", &r.index);
     json::ReadString(root, "sweep", &r.sweep);
     json::ReadInt(root, "replication", &r.replication);
-    json::ReadUint(root, "seed", &r.seed);
+    json::ReadInt(root, "seed", &r.seed);
     json::ReadInt(root, "attempts", &r.attempts);
     json::ReadString(root, "error", &r.error);
     json::ReadDouble(root, "wall_ms", &r.wall_ms);
@@ -161,10 +161,8 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
       throw CodecError("status", "unknown status '" + status_name + "'");
     }
 
-    // The encoder writes axes as an object; key order in the line is the
-    // matrix axis order, but json::Value stores objects as a sorted map.
-    // Re-scan the raw axes object textually so RunRecord::points preserves
-    // axis order (FindRecord and CSV folding depend on it).
+    // The encoder writes axes as an object in matrix axis order, and Parse
+    // keeps that order (FindRecord and CSV folding depend on it).
     if (const Value* axes = json::Find(root, "axes"); axes != nullptr) {
       if (axes->kind != Value::Kind::kObject) {
         throw CodecError("axes", "expected object");
@@ -173,35 +171,7 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
         if (value.kind != Value::Kind::kString) {
           throw CodecError("axes." + key, "expected string label");
         }
-      }
-      if (!axes->fields.empty()) {
-        const size_t open = line.find("\"axes\":{");
-        if (open != std::string::npos) {
-          size_t pos = open + 8;
-          while (pos < line.size() && line[pos] != '}') {
-            const size_t key_start = line.find('"', pos);
-            const size_t key_end = line.find('"', key_start + 1);
-            const size_t val_start = line.find('"', key_end + 1);
-            const size_t val_end = line.find('"', val_start + 1);
-            if (key_end == std::string::npos || val_end == std::string::npos) {
-              break;
-            }
-            const std::string key =
-                line.substr(key_start + 1, key_end - key_start - 1);
-            const auto it = axes->fields.find(key);
-            if (it != axes->fields.end()) {
-              r.points.push_back({key, it->second.text});
-            }
-            pos = val_end + 1;
-          }
-        }
-        // Fallback (hand-written input with escaped axis names): sorted order.
-        if (r.points.size() != axes->fields.size()) {
-          r.points.clear();
-          for (const auto& [key, value] : axes->fields) {
-            r.points.push_back({key, value.text});
-          }
-        }
+        r.points.push_back({key, value.text});
       }
     }
 
@@ -215,40 +185,40 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
       json::ReadDouble(*res, "bg_fct99_all_ms", &s.bg_fct99_all_ms);
       GetSummary(*res, "qct", &s.qct);
       GetSummary(*res, "bg_fct_short", &s.bg_fct_short);
-      json::ReadUint(*res, "queries_completed", &s.queries_completed);
-      json::ReadUint(*res, "queries_launched", &s.queries_launched);
-      json::ReadUint(*res, "flows_completed", &s.flows_completed);
-      json::ReadUint(*res, "flows_started", &s.flows_started);
-      json::ReadUint(*res, "drops", &s.drops);
-      json::ReadUint(*res, "ttl_drops", &s.ttl_drops);
+      json::ReadInt(*res, "queries_completed", &s.queries_completed);
+      json::ReadInt(*res, "queries_launched", &s.queries_launched);
+      json::ReadInt(*res, "flows_completed", &s.flows_completed);
+      json::ReadInt(*res, "flows_started", &s.flows_started);
+      json::ReadInt(*res, "drops", &s.drops);
+      json::ReadInt(*res, "ttl_drops", &s.ttl_drops);
       if (const Value* by = json::Find(*res, "drops_by_reason"); by != nullptr) {
         if (by->kind != Value::Kind::kObject) {
           throw CodecError("drops_by_reason", "expected object");
         }
         s.drops_by_reason.assign(kNumDropReasons, 0);
         for (size_t i = 0; i < kNumDropReasons; ++i) {
-          json::ReadUint(*by, DropReasonName(static_cast<DropReason>(i)),
-                         &s.drops_by_reason[i]);
+          json::ReadInt(*by, DropReasonName(static_cast<DropReason>(i)),
+                        &s.drops_by_reason[i]);
         }
       }
-      json::ReadUint(*res, "fault_drops", &s.fault_drops);
-      json::ReadUint(*res, "fault_events_applied", &s.fault_events_applied);
-      json::ReadUint(*res, "fault_flows_stalled", &s.fault_flows_stalled);
-      json::ReadUint(*res, "fault_flows_recovered", &s.fault_flows_recovered);
+      json::ReadInt(*res, "fault_drops", &s.fault_drops);
+      json::ReadInt(*res, "fault_events_applied", &s.fault_events_applied);
+      json::ReadInt(*res, "fault_flows_stalled", &s.fault_flows_stalled);
+      json::ReadInt(*res, "fault_flows_recovered", &s.fault_flows_recovered);
       json::ReadDouble(*res, "fault_recovery_ms_max", &s.fault_recovery_ms_max);
-      json::ReadUint(*res, "detours", &s.detours);
-      json::ReadUint(*res, "delivered_packets", &s.delivered_packets);
+      json::ReadInt(*res, "detours", &s.detours);
+      json::ReadInt(*res, "delivered_packets", &s.delivered_packets);
       json::ReadDouble(*res, "detoured_fraction", &s.detoured_fraction);
       json::ReadDouble(*res, "query_detour_share", &s.query_detour_share);
       json::ReadDouble(*res, "detour_count_p99", &s.detour_count_p99);
       GetSummary(*res, "queueing_delay_us", &s.queueing_delay_us);
-      json::ReadUint(*res, "loop_packets", &s.loop_packets);
-      json::ReadUint(*res, "retransmits", &s.retransmits);
-      json::ReadUint(*res, "timeouts", &s.timeouts);
-      json::ReadUint(*res, "guard_trips", &s.guard_trips);
-      json::ReadUint(*res, "guard_transitions", &s.guard_transitions);
-      json::ReadUint(*res, "guard_suppressed_drops", &s.guard_suppressed_drops);
-      json::ReadUint(*res, "guard_ttl_clamped_drops", &s.guard_ttl_clamped_drops);
+      json::ReadInt(*res, "loop_packets", &s.loop_packets);
+      json::ReadInt(*res, "retransmits", &s.retransmits);
+      json::ReadInt(*res, "timeouts", &s.timeouts);
+      json::ReadInt(*res, "guard_trips", &s.guard_trips);
+      json::ReadInt(*res, "guard_transitions", &s.guard_transitions);
+      json::ReadInt(*res, "guard_suppressed_drops", &s.guard_suppressed_drops);
+      json::ReadInt(*res, "guard_ttl_clamped_drops", &s.guard_ttl_clamped_drops);
       json::ReadDouble(*res, "guard_time_suppressed_ms",
                        &s.guard_time_suppressed_ms);
       json::ReadBool(*res, "collapse_detected", &s.collapse_detected);
@@ -258,7 +228,7 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
                             &s.relative_hot_fractions);
       json::ReadDoubleArray(*res, "one_hop_free", &s.one_hop_free);
       json::ReadDoubleArray(*res, "two_hop_free", &s.two_hop_free);
-      json::ReadUint(*res, "events_processed", &s.events_processed);
+      json::ReadInt(*res, "events_processed", &s.events_processed);
     }
   } catch (const CodecError& e) {
     if (error != nullptr) {

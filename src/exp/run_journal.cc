@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/exp/record_codec.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -49,20 +50,23 @@ std::string HexFingerprint(uint64_t fp) {
   return buf;
 }
 
-// Pulls "key":"value" out of the (machine-written) header line.
-bool HeaderString(const std::string& line, const std::string& key, std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) {
+// Reads the header line's fingerprint and sweep name; false unless the line
+// is a JSON object marked "journal":"dibs-sweep" with a string fingerprint.
+bool ReadHeader(const std::string& line, std::string* fingerprint,
+                std::string* sweep) {
+  json::Value header;
+  std::string marker;
+  if (!json::Parse(line, &header, nullptr)) {
     return false;
   }
-  const size_t start = at + needle.size();
-  const size_t end = line.find('"', start);
-  if (end == std::string::npos) {
+  try {
+    json::ReadString(header, "journal", &marker);
+    json::ReadString(header, "fingerprint", fingerprint);
+    json::ReadString(header, "sweep", sweep);
+  } catch (const CodecError&) {
     return false;
   }
-  *out = line.substr(start, end - start);
-  return true;
+  return marker == "dibs-sweep" && !fingerprint->empty();
 }
 
 }  // namespace
@@ -96,8 +100,6 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
   h.Mix(g.window);
   h.Mix(g.ewma_alpha);
   h.Mix(g.trip_detour_rate);
-  h.Mix(g.trip_bounce_ratio);
-  h.Mix(g.trip_ttl_rate);
   h.Mix(static_cast<uint64_t>(g.min_window_packets));
   h.Mix(g.rearm_detour_rate);
   h.Mix(g.suppress_hold);
@@ -190,16 +192,13 @@ void RunJournal::Open(const std::string& path, const std::string& sweep_name,
     std::string line;
     if (in.is_open() && std::getline(in, line) && !line.empty()) {
       have_existing = true;
-      std::string marker;
       std::string file_fp;
-      if (!HeaderString(line, "journal", &marker) || marker != "dibs-sweep" ||
-          !HeaderString(line, "fingerprint", &file_fp)) {
+      std::string file_sweep = "?";
+      if (!ReadHeader(line, &file_fp, &file_sweep)) {
         throw std::runtime_error("journal '" + path +
                                  "' has no valid dibs-sweep header; refusing to resume");
       }
       if (file_fp != HexFingerprint(fingerprint)) {
-        std::string file_sweep = "?";
-        HeaderString(line, "sweep", &file_sweep);
         throw std::runtime_error(
             "journal '" + path + "' fingerprint " + file_fp + " (sweep '" +
             file_sweep + "') does not match this sweep's fingerprint " +
@@ -239,7 +238,7 @@ void RunJournal::Open(const std::string& path, const std::string& sweep_name,
       << "cannot open journal '" << path << "': " << io_error;
   if (!have_existing) {
     const std::string header = "{\"journal\":\"dibs-sweep\",\"version\":1,\"sweep\":\"" +
-                         sweep_name + "\",\"runs\":" + std::to_string(run_count) +
+                         json::Escape(sweep_name) + "\",\"runs\":" + std::to_string(run_count) +
                          ",\"fingerprint\":\"" + HexFingerprint(fingerprint) + "\"}\n";
     DIBS_CHECK(out_.Append(header, &io_error))
         << "cannot write journal header to '" << path << "': " << io_error;

@@ -12,34 +12,19 @@ double Ewma(double prev, double sample, double alpha) {
 GuardState DetourGuard::OnWindowTick(Time now) {
   const GuardState previous = state_;
 
-  // Fold the window into the EWMAs. Windows with too little traffic update
+  // Fold the window into the EWMA. Windows with too little traffic update
   // nothing: an idle switch must neither trip (division by tiny counts
   // produces wild rates) nor decay its memory of a storm it just left.
   const bool judged = window_packets_ >= config_.min_window_packets;
   if (judged) {
-    const double packets = static_cast<double>(window_packets_);
-    ewma_detour_rate_ = Ewma(
-        ewma_detour_rate_, static_cast<double>(window_detour_attempts_) / packets,
-        config_.ewma_alpha);
-    ewma_ttl_rate_ = Ewma(ewma_ttl_rate_,
-                          static_cast<double>(window_ttl_drops_) / packets,
-                          config_.ewma_alpha);
-    // Bounce ratio is only observable while detours actually happen (ARMED
-    // and PROBING); while SUPPRESSED the last smoothed value carries over.
-    if (window_detours_ > 0) {
-      ewma_bounce_ratio_ = Ewma(
-          ewma_bounce_ratio_,
-          static_cast<double>(window_bounces_) / static_cast<double>(window_detours_),
-          config_.ewma_alpha);
-    }
+    ewma_detour_rate_ = Ewma(ewma_detour_rate_,
+                             static_cast<double>(window_detour_attempts_) /
+                                 static_cast<double>(window_packets_),
+                             config_.ewma_alpha);
   }
 
-  const bool over_trip = ewma_detour_rate_ >= config_.trip_detour_rate ||
-                         ewma_bounce_ratio_ >= config_.trip_bounce_ratio ||
-                         ewma_ttl_rate_ >= config_.trip_ttl_rate;
-  const bool under_rearm = ewma_detour_rate_ < config_.rearm_detour_rate &&
-                           ewma_bounce_ratio_ < config_.trip_bounce_ratio &&
-                           ewma_ttl_rate_ < config_.trip_ttl_rate;
+  const bool over_trip = ewma_detour_rate_ >= config_.trip_detour_rate;
+  const bool under_rearm = ewma_detour_rate_ < config_.rearm_detour_rate;
 
   switch (state_) {
     case GuardState::kArmed:
@@ -66,9 +51,6 @@ GuardState DetourGuard::OnWindowTick(Time now) {
 
   window_packets_ = 0;
   window_detour_attempts_ = 0;
-  window_detours_ = 0;
-  window_bounces_ = 0;
-  window_ttl_drops_ = 0;
   window_probes_used_ = 0;
   return previous;
 }

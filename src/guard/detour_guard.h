@@ -1,9 +1,8 @@
 // Per-switch detour-storm circuit breaker.
 //
-// A DetourGuard watches one switch's forwarding behavior through three
-// windowed signals — detour demand, bounce-back ratio, and TTL-expiry
-// incidence — smoothed into EWMAs on a fixed tick cadence. When any signal
-// crosses its trip threshold the breaker opens (SUPPRESSED): the switch
+// A DetourGuard watches one switch's detour demand — detour decisions per
+// handled packet — smoothed into an EWMA on a fixed tick cadence. When the
+// EWMA crosses its trip threshold the breaker opens (SUPPRESSED): the switch
 // falls back to plain drop-tail and overflow packets die with the
 // guard-suppressed drop reason instead of feeding the storm. After a dwell
 // the breaker half-closes (PROBING), admitting a bounded number of probe
@@ -33,7 +32,6 @@ class DetourGuard {
       : config_(config), state_since_(armed_at) {}
 
   GuardState state() const { return state_; }
-  Time state_since() const { return state_since_; }
 
   // True when the breaker currently lets this switch detour at all. In
   // PROBING the per-window probe budget still applies — AdmitDetour is the
@@ -62,26 +60,17 @@ class DetourGuard {
     return true;
   }
 
-  // Per-packet notes from the switch's receive path.
+  // Per-packet note from the switch's receive path.
   void NotePacket() { ++window_packets_; }
-  void NoteDetour(bool bounce_back) {
-    ++window_detours_;
-    if (bounce_back) {
-      ++window_bounces_;
-    }
-  }
-  void NoteTtlExpiry() { ++window_ttl_drops_; }
 
   // Window rollup, called by GuardFabric once per config.window at time
-  // `now`. Folds the window counters into the EWMAs, runs the state
+  // `now`. Folds the window counters into the EWMA, runs the state
   // machine, resets the window, and returns the previous state (callers
   // compare against state() to detect a transition).
   GuardState OnWindowTick(Time now);
 
-  // Smoothed signals (post-tick values).
+  // Smoothed signal (post-tick value).
   double ewma_detour_rate() const { return ewma_detour_rate_; }
-  double ewma_bounce_ratio() const { return ewma_bounce_ratio_; }
-  double ewma_ttl_rate() const { return ewma_ttl_rate_; }
 
   // Lifetime accounting.
   uint64_t trips() const { return trips_; }
@@ -106,14 +95,9 @@ class DetourGuard {
   // Current-window counters, reset every tick.
   uint64_t window_packets_ = 0;
   uint64_t window_detour_attempts_ = 0;
-  uint64_t window_detours_ = 0;
-  uint64_t window_bounces_ = 0;
-  uint64_t window_ttl_drops_ = 0;
   uint64_t window_probes_used_ = 0;
 
   double ewma_detour_rate_ = 0;
-  double ewma_bounce_ratio_ = 0;
-  double ewma_ttl_rate_ = 0;
 
   uint64_t trips_ = 0;
 };

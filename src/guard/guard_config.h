@@ -31,18 +31,6 @@ enum class GuardState : uint8_t {
   kProbing = 2,     // limited probe detours test whether pressure subsided
 };
 
-inline const char* GuardStateName(GuardState s) {
-  switch (s) {
-    case GuardState::kArmed:
-      return "armed";
-    case GuardState::kSuppressed:
-      return "suppressed";
-    case GuardState::kProbing:
-      return "probing";
-  }
-  return "?";
-}
-
 inline constexpr size_t kNumGuardStates = 3;
 
 struct GuardConfig {
@@ -60,23 +48,18 @@ struct GuardConfig {
   Time window = Time::Millis(8);
   double ewma_alpha = 0.5;  // weight of the newest window in the EWMA
 
-  // Trip thresholds (evaluated at tick, only when the window saw at least
+  // Trip threshold (evaluated at tick, only when the window saw at least
   // min_window_packets): detour_rate = detour decisions (incl. suppressed
-  // attempts) per packet handled; bounce_ratio = detours sent back out the
-  // arrival port per detour; ttl_rate = TTL expiries per packet handled.
-  // Tuned against the fig14 sweep: at 6000 qps (stressed but sustainable)
-  // the breaker stays quiet and guarded QCT stays well under DCTCP's; at
-  // 18000 qps it still suppresses the detour storm before the collapse
-  // watchdog's verdict lands (EXPERIMENTS.md "Reproducing collapse and
-  // recovery").
+  // attempts) per packet handled. Tuned against the fig14 sweep: at 6000
+  // qps (stressed but sustainable) the breaker stays quiet and guarded QCT
+  // stays well under DCTCP's; at 18000 qps it still suppresses the detour
+  // storm before the collapse watchdog's verdict lands (EXPERIMENTS.md
+  // "Reproducing collapse and recovery").
   double trip_detour_rate = 0.45;
-  double trip_bounce_ratio = 0.60;
-  double trip_ttl_rate = 0.02;
   uint64_t min_window_packets = 64;
 
   // Hysteresis: PROBING re-arms only once the detour-rate EWMA falls below
-  // rearm_detour_rate (must sit below trip_detour_rate) and the other two
-  // signals are back under their trip lines.
+  // rearm_detour_rate (must sit below trip_detour_rate).
   double rearm_detour_rate = 0.20;
 
   // Dwell in SUPPRESSED before probing again, and the number of probe

@@ -2,7 +2,7 @@
 // adaptive-TTL state, and drives them all from a single repeating sim event.
 //
 // One tick per GuardConfig::window walks the switches in node-id order
-// (deterministic), rolls each guard's window into its EWMAs, runs its state
+// (deterministic), rolls each guard's window into its EWMA, runs its state
 // machine, and reports every transition through the callback the Network
 // installs (which emits a kGuardTransition event). The same tick
 // refreshes the fabric detour-pressure EWMA that the adaptive TTL clamp is
@@ -63,11 +63,8 @@ class GuardFabric {
     GuardAt(node).NotePacket();
     ++window_fabric_packets_;
   }
-  void NoteDetour(int node, bool bounce_back) {
-    GuardAt(node).NoteDetour(bounce_back);
-    ++window_fabric_detours_;
-  }
-  void NoteTtlExpiry(int node) { GuardAt(node).NoteTtlExpiry(); }
+  // A detour left a switch; feeds the fabric pressure only.
+  void NoteDetour() { ++window_fabric_detours_; }
 
   // ---- Adaptive TTL ----
 
@@ -108,7 +105,7 @@ class GuardFabric {
   bool started_ = false;
 
   // Fabric-wide pressure: detour decisions per handled packet, across every
-  // switch, smoothed with the same alpha as the per-switch signals.
+  // switch, smoothed with the same alpha as the per-switch signal.
   uint64_t window_fabric_packets_ = 0;
   uint64_t window_fabric_detours_ = 0;
   double ewma_fabric_pressure_ = 0;

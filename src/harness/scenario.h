@@ -109,12 +109,10 @@ class Scenario {
   FlowRecorder& recorder() { return recorder_; }
   DetourRecorder& detours() { return detour_recorder_; }
   FaultRecorder& faults() { return fault_recorder_; }
-  GuardRecorder& guard_stats() { return guard_recorder_; }
   // Null unless config.net.guard.watchdog was set.
   CollapseWatchdog* collapse_watchdog() { return collapse_watchdog_.get(); }
   LinkMonitor* link_monitor() { return link_monitor_.get(); }
   BufferMonitor* buffer_monitor() { return buffer_monitor_.get(); }
-  QueryWorkload* query_workload() { return query_.get(); }
   // Null unless tracing was enabled (config.trace / DIBS_TRACE* env).
   TraceSession* trace() { return trace_.get(); }
   const ExperimentConfig& config() const { return config_; }

@@ -81,12 +81,6 @@ inline bool IsFaultDrop(DropReason reason) {
   }
 }
 
-// True for the drop reasons introduced by the overload guard (src/guard) —
-// the population GuardRecorder attributes to breaker/TTL-clamp decisions.
-inline bool IsGuardDrop(DropReason reason) {
-  return reason == DropReason::kGuardSuppressed || reason == DropReason::kGuardTtlClamped;
-}
-
 }  // namespace dibs
 
 #endif  // SRC_NET_DROP_REASON_H_

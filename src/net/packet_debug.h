@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/net/drop_reason.h"
 #include "src/net/packet.h"
 
 namespace dibs {
@@ -29,15 +28,6 @@ inline std::string DescribePacket(const Packet& p) {
     os << " fin";
   }
   os << "}";
-  return os.str();
-}
-
-// One-line drop diagnostic: reason name plus the full packet description —
-// what FaultRecorder diagnostics and DIBS_VALIDATE violation reports print
-// when a packet dies (to a fault or otherwise).
-inline std::string DescribeDrop(const Packet& p, DropReason reason) {
-  std::ostringstream os;
-  os << "drop{" << DropReasonName(reason) << " " << DescribePacket(p) << "}";
   return os.str();
 }
 

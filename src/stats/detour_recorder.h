@@ -73,7 +73,6 @@ class DetourRecorder : public TraceSink {
     return total;
   }
   uint64_t delivered_packets() const { return delivered_packets_; }
-  uint64_t delivered_with_detours() const { return delivered_with_detours_; }
   uint64_t delivered_marked() const { return delivered_marked_; }
 
   // Fraction of delivered packets that were detoured at least once.

@@ -38,9 +38,6 @@ class LinkMonitor {
   // most-utilized link (the Flyways/Figure-3 definition of "hot").
   const std::vector<double>& relative_hot_fractions() const { return relative_hot_fractions_; }
 
-  // Directed-link utilizations of the most recent sample.
-  const std::vector<double>& last_utilizations() const { return last_utilizations_; }
-
   // Indices (into the monitored port list) of hot links in the last sample.
   const std::vector<size_t>& last_hot_links() const { return last_hot_links_; }
 

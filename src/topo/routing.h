@@ -43,12 +43,6 @@ class Fib {
   // the live set, so flows re-hash onto surviving paths immediately.
   void SetPortState(int node, uint16_t port, bool up);
 
-  // True when SetPortState has masked this port.
-  bool PortMasked(int node, uint16_t port) const {
-    const auto& up = port_up_[static_cast<size_t>(node)];
-    return port < up.size() && !up[port];
-  }
-
   // Hop count from `node` to host `dst` (-1 if unreachable).
   int Distance(int node, HostId dst) const {
     return dist_[static_cast<size_t>(node)][static_cast<size_t>(dst)];

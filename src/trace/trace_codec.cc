@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
+
+#include "src/util/json.h"
 
 namespace dibs {
 namespace {
@@ -105,70 +106,6 @@ std::string EncodeTraceEvent(const TraceEvent& e) {
 
 namespace {
 
-void SkipSpace(const char*& p) {
-  while (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n') {
-    ++p;
-  }
-}
-
-bool ParseQuoted(const char*& p, std::string* out) {
-  if (*p != '"') {
-    return false;
-  }
-  ++p;
-  out->clear();
-  while (*p != '"') {
-    if (*p == '\0' || *p == '\\') {
-      return false;  // encoded strings never contain escapes
-    }
-    out->push_back(*p++);
-  }
-  ++p;
-  return true;
-}
-
-// One decimal integer as a sign and a 64-bit magnitude; false when there are
-// no digits or the magnitude overflows.
-bool ParseInt(const char*& p, bool* neg, uint64_t* mag) {
-  *neg = *p == '-';
-  if (*neg) {
-    ++p;
-  }
-  if (*p < '0' || *p > '9') {
-    return false;
-  }
-  uint64_t v = 0;
-  while (*p >= '0' && *p <= '9') {
-    const auto digit = static_cast<uint64_t>(*p - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    v = v * 10 + digit;
-    ++p;
-  }
-  *mag = v;
-  return true;
-}
-
-// Stores the parsed integer in `field` if it fits the field's type; an
-// out-of-range value rejects the line instead of wrapping.
-template <typename T>
-bool Store(bool neg, uint64_t mag, T* field) {
-  using Limits = std::numeric_limits<T>;
-  if (neg && mag != 0) {
-    if (!Limits::is_signed || mag > 0 - static_cast<uint64_t>(Limits::min())) {
-      return false;
-    }
-    *field = static_cast<T>(0 - mag);  // two's complement: exact down to min()
-    return true;
-  }
-  if (mag > static_cast<uint64_t>(Limits::max())) {
-    return false;
-  }
-  *field = static_cast<T>(mag);
-  return true;
-}
-
 bool EventTypeFromName(const std::string& name, TraceEventType* out) {
   for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
     const TraceEventType t = static_cast<TraceEventType>(i);
@@ -198,96 +135,38 @@ bool DropReasonFromName(const std::string& name, uint8_t* out) {
 
 bool DecodeTraceEvent(const std::string& line, TraceEvent* out) {
   *out = TraceEvent{};
-  const char* p = line.c_str();
-  SkipSpace(p);
-  if (*p != '{') {
+  json::Value root;
+  if (!json::Parse(line, &root, nullptr)) {
     return false;
   }
-  ++p;
-  std::string key;
-  std::string sval;
-  bool first = true;
-  bool have_type = false;
-  for (;;) {
-    SkipSpace(p);
-    if (*p == '}') {
-      ++p;
-      break;
-    }
-    if (!first) {
-      if (*p != ',') {
-        return false;
-      }
-      ++p;
-      SkipSpace(p);
-    }
-    first = false;
-    if (!ParseQuoted(p, &key)) {
+  try {
+    std::string name;
+    std::string reason;
+    json::ReadString(root, "ev", &name);
+    json::ReadString(root, "reason", &reason);
+    if (!EventTypeFromName(name, &out->type) ||
+        (!reason.empty() && !DropReasonFromName(reason, &out->drop_reason))) {
       return false;
     }
-    SkipSpace(p);
-    if (*p != ':') {
-      return false;
-    }
-    ++p;
-    SkipSpace(p);
-    if (*p == '"') {
-      if (!ParseQuoted(p, &sval)) {
-        return false;
-      }
-      if (key == "ev") {
-        if (!EventTypeFromName(sval, &out->type)) {
-          return false;
-        }
-        have_type = true;
-      } else if (key == "reason" && !sval.empty()) {
-        if (!DropReasonFromName(sval, &out->drop_reason)) {
-          return false;
-        }
-      }
-      continue;
-    }
-    bool neg = false;
-    uint64_t mag = 0;
-    if (!ParseInt(p, &neg, &mag)) {
-      return false;
-    }
-    bool fits = true;
-    if (key == "t") {
-      int64_t nanos = 0;
-      fits = Store(neg, mag, &nanos);
-      out->at = Time::Nanos(nanos);
-    } else if (key == "node") {
-      fits = Store(neg, mag, &out->node);
-    } else if (key == "port") {
-      fits = Store(neg, mag, &out->port);
-    } else if (key == "uid") {
-      fits = Store(neg, mag, &out->uid);
-    } else if (key == "flow") {
-      fits = Store(neg, mag, &out->flow);
-    } else if (key == "src") {
-      fits = Store(neg, mag, &out->src);
-    } else if (key == "dst") {
-      fits = Store(neg, mag, &out->dst);
-    } else if (key == "seq") {
-      fits = Store(neg, mag, &out->seq);
-    } else if (key == "ack") {
-      fits = Store(neg, mag, &out->is_ack);
-    } else if (key == "ttl") {
-      fits = Store(neg, mag, &out->ttl);
-    } else if (key == "tc") {
-      fits = Store(neg, mag, &out->tclass);
-    } else if (key == "det") {
-      fits = Store(neg, mag, &out->detour_count);
-    } else if (key == "depth") {
-      fits = Store(neg, mag, &out->queue_depth);
-    }
-    if (!fits) {
-      return false;
-    }
+    int64_t nanos = out->at.nanos();
+    json::ReadInt(root, "t", &nanos);
+    out->at = Time::Nanos(nanos);
+    json::ReadInt(root, "node", &out->node);
+    json::ReadInt(root, "port", &out->port);
+    json::ReadInt(root, "uid", &out->uid);
+    json::ReadInt(root, "flow", &out->flow);
+    json::ReadInt(root, "src", &out->src);
+    json::ReadInt(root, "dst", &out->dst);
+    json::ReadInt(root, "seq", &out->seq);
+    json::ReadInt(root, "ack", &out->is_ack);
+    json::ReadInt(root, "ttl", &out->ttl);
+    json::ReadInt(root, "tc", &out->tclass);
+    json::ReadInt(root, "det", &out->detour_count);
+    json::ReadInt(root, "depth", &out->queue_depth);
+  } catch (const CodecError&) {
+    return false;
   }
-  SkipSpace(p);
-  return *p == '\0' && have_type;
+  return true;
 }
 
 }  // namespace dibs

@@ -27,7 +27,6 @@ void TcpReceiver::OnData(Packet&& p) {
   DIBS_CHECK_LT(seq, total_segments_);
 
   if (received_[seq]) {
-    ++duplicate_segments_;
     // Re-ACK so a sender whose ACK was lost still makes progress.
     SendAck(p.ce);
     return;

@@ -27,9 +27,7 @@ class TcpReceiver {
   void OnData(Packet&& p);
 
   bool complete() const { return complete_; }
-  uint32_t next_expected() const { return next_expected_; }
   uint32_t segments_received() const { return segments_received_; }
-  uint64_t duplicate_segments() const { return duplicate_segments_; }
 
  private:
   void SendAck(bool ce_echo);
@@ -43,7 +41,6 @@ class TcpReceiver {
   std::vector<bool> received_;
   uint32_t next_expected_ = 0;  // cumulative: first segment not yet received
   uint32_t segments_received_ = 0;
-  uint64_t duplicate_segments_ = 0;
   bool complete_ = false;
   FlowResult result_;
 };

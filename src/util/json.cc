@@ -1,7 +1,5 @@
 #include "src/util/json.h"
 
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -245,21 +243,31 @@ class Parser {
       case '{': {
         ++pos_;
         out->kind = Value::Kind::kObject;
+        // Room for a typical encoded object (a trace line has 17 members)
+        // up front, instead of regrowing from one member.
+        out->fields.reserve(32);
         SkipSpace();
         if (pos_ < in_.size() && in_[pos_] == '}') {
           ++pos_;
           return true;
         }
         while (true) {
+          const size_t key_at = pos_;
           std::string key;
-          if (!ParseString(&key) || !Consume(':')) {
+          if (!ParseString(&key)) {
             return false;
           }
-          Value value;
-          if (!ParseValue(&value)) {
+          if (Find(*out, key) != nullptr) {
+            pos_ = key_at;
+            return Fail("repeated key '" + key + "'");
+          }
+          if (!Consume(':')) {
             return false;
           }
-          out->fields[key] = std::move(value);
+          out->fields.emplace_back(std::move(key), Value());
+          if (!ParseValue(&out->fields.back().second)) {
+            return false;
+          }
           SkipSpace();
           if (pos_ < in_.size() && in_[pos_] == ',') {
             ++pos_;
@@ -280,7 +288,7 @@ class Parser {
           return Fail("unexpected character");
         }
         out->kind = Value::Kind::kNumber;
-        out->text = in_.substr(start, pos_ - start);
+        out->text.assign(in_, start, pos_ - start);
         if (!IsJsonNumber(out->text)) {
           pos_ = start;
           return Fail("malformed number '" + out->text + "'");
@@ -332,6 +340,7 @@ const char* KindName(Value::Kind k) {
 }  // namespace
 
 bool Parse(const std::string& input, Value* out, std::string* error) {
+  *out = Value();
   return Parser(input).Parse(out, error);
 }
 
@@ -379,11 +388,12 @@ std::string Num(double v) {
 }
 
 const Value* Find(const Value& obj, const std::string& key) {
-  if (obj.kind != Value::Kind::kObject) {
-    return nullptr;
+  for (const auto& [name, value] : obj.fields) {
+    if (name == key) {
+      return &value;
+    }
   }
-  const auto it = obj.fields.find(key);
-  return it == obj.fields.end() ? nullptr : &it->second;
+  return nullptr;
 }
 
 void ReadDouble(const Value& obj, const std::string& key, double* out) {
@@ -399,47 +409,6 @@ void ReadDouble(const Value& obj, const std::string& key, double* out) {
     ThrowKind(key, "number or null", *v);
   }
   *out = v->number;
-}
-
-uint64_t ReadUint64(const Value& obj, const std::string& key,
-                    uint64_t fallback) {
-  const Value* v = Find(obj, key);
-  if (v == nullptr) {
-    return fallback;
-  }
-  if (v->kind != Value::Kind::kNumber) {
-    ThrowKind(key, "number", *v);
-  }
-  // strtoull("-1") silently wraps to UINT64_MAX; a count field holding a
-  // negative or fractional token is corruption, not a value.
-  if (v->text.find_first_of("-.eE") != std::string::npos) {
-    throw CodecError(key, "expected non-negative integer, got '" + v->text + "'");
-  }
-  errno = 0;
-  const uint64_t parsed = std::strtoull(v->text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    throw CodecError(key, "integer out of range: '" + v->text + "'");
-  }
-  return parsed;
-}
-
-void ReadInt(const Value& obj, const std::string& key, int* out) {
-  const Value* v = Find(obj, key);
-  if (v == nullptr) {
-    return;
-  }
-  if (v->kind != Value::Kind::kNumber) {
-    ThrowKind(key, "number", *v);
-  }
-  if (v->text.find_first_of(".eE") != std::string::npos) {
-    throw CodecError(key, "expected integer, got '" + v->text + "'");
-  }
-  errno = 0;
-  const long long parsed = std::strtoll(v->text.c_str(), nullptr, 10);
-  if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
-    throw CodecError(key, "integer out of range: '" + v->text + "'");
-  }
-  *out = static_cast<int>(parsed);
 }
 
 void ReadString(const Value& obj, const std::string& key, std::string* out) {
@@ -486,5 +455,35 @@ void ReadDoubleArray(const Value& obj, const std::string& key,
   }
 }
 
+namespace detail {
+
+bool IntToken(const Value& obj, const std::string& key, uint64_t max_negative,
+              uint64_t max_positive, bool* negative, uint64_t* magnitude) {
+  const Value* v = Find(obj, key);
+  if (v == nullptr) {
+    return false;
+  }
+  if (v->kind != Value::Kind::kNumber) {
+    ThrowKind(key, "number", *v);
+  }
+  // Parse checked the JSON number grammar, so the token is -?[0-9]+ unless
+  // it carries a fraction or an exponent.
+  if (v->text.find_first_of(".eE") != std::string::npos) {
+    throw CodecError(key, "expected integer, got '" + v->text + "'");
+  }
+  *negative = v->text[0] == '-';
+  const uint64_t limit = *negative ? max_negative : max_positive;
+  *magnitude = 0;
+  for (size_t i = *negative ? 1 : 0; i < v->text.size(); ++i) {
+    const auto digit = static_cast<uint64_t>(v->text[i] - '0');
+    if (digit > limit || *magnitude > (limit - digit) / 10) {
+      throw CodecError(key, "integer out of range: '" + v->text + "'");
+    }
+    *magnitude = *magnitude * 10 + digit;
+  }
+  return true;
+}
+
+}  // namespace detail
 }  // namespace json
 }  // namespace dibs

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -137,11 +138,19 @@ TEST(RecordCodecTest, NonFiniteDoublesRoundTripThroughNull) {
 }
 
 TEST(RecordCodecTest, AxisValuesWithSpecialCharactersSurvive) {
-  RunRecord r = FullRecord();
-  r.points = {{"fault", "uplink-flap"}, {"label", "a \"b\" \\ c"}};
-  RunRecord decoded;
-  ASSERT_TRUE(DecodeRunRecord(EncodeRunRecord(r), &decoded));
-  EXPECT_EQ(decoded.points, r.points);
+  using Points = std::vector<AxisPoint>;
+  for (const Points& points : {
+           Points{{"fault", "uplink-flap"}, {"label", "a \"b\" \\ c"}},
+           // The escaped axis first, and axes out of sorted order.
+           Points{{"label", "a \"b\" \\ c"}, {"fault", "uplink-flap"}},
+           Points{{"b", "a\"b"}, {"a", "a\"b"}, {"c", "3"}},
+       }) {
+    RunRecord r = FullRecord();
+    r.points = points;
+    RunRecord decoded;
+    ASSERT_TRUE(DecodeRunRecord(EncodeRunRecord(r), &decoded));
+    EXPECT_EQ(decoded.points, r.points);
+  }
 }
 
 TEST(RecordCodecTest, RejectsMalformedLines) {

@@ -19,6 +19,7 @@
 #include "src/exp/record_codec.h"
 #include "src/exp/sweep_spec.h"
 #include "src/harness/config.h"
+#include "src/util/json.h"
 
 namespace dibs {
 namespace {
@@ -187,6 +188,37 @@ TEST(RunJournalTest, ResumeRefusesMismatchedFingerprint) {
   std::map<int, RunRecord> resumed;
   EXPECT_THROW(journal.Open(path, "journal", 2, /*fingerprint=*/2, true, &resumed),
                std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(RunJournalTest, SweepNameNeedingEscapesJournalsAndResumes) {
+  const std::string path = TempPath("quoted");
+  const std::string sweep = "fig\"11";
+  {
+    RunJournal journal;
+    journal.Open(path, sweep, 2, /*fingerprint=*/42, false, nullptr);
+    RunRecord record = SampleRecord(0);
+    record.sweep = sweep;
+    journal.Append(record);
+  }
+  {
+    // The header is one well-formed JSON object naming the sweep exactly.
+    std::ifstream in(path);
+    std::string header;
+    ASSERT_TRUE(std::getline(in, header));
+    json::Value parsed;
+    std::string error;
+    ASSERT_TRUE(json::Parse(header, &parsed, &error)) << error;
+    std::string name;
+    json::ReadString(parsed, "sweep", &name);
+    EXPECT_EQ(name, sweep);
+  }
+  std::map<int, RunRecord> resumed;
+  RunJournal journal;
+  journal.Open(path, sweep, 2, 42, /*resume=*/true, &resumed);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed.at(0).sweep, sweep);
+  journal.Close();
   std::remove(path.c_str());
 }
 

@@ -23,8 +23,6 @@ GuardConfig TestConfig() {
   g.window = Time::Millis(1);
   g.ewma_alpha = 1.0;  // no smoothing: window rate == EWMA, thresholds exact
   g.trip_detour_rate = 0.25;
-  g.trip_bounce_ratio = 0.60;
-  g.trip_ttl_rate = 0.02;
   g.min_window_packets = 10;
   g.rearm_detour_rate = 0.10;
   g.suppress_hold = Time::Millis(2);
@@ -40,9 +38,7 @@ GuardState FeedWindow(DetourGuard& guard, uint64_t packets, uint64_t detours,
     guard.NotePacket();
   }
   for (uint64_t i = 0; i < detours; ++i) {
-    if (guard.AdmitDetour()) {
-      guard.NoteDetour(/*bounce_back=*/false);
-    }
+    guard.AdmitDetour();
   }
   return guard.OnWindowTick(now);
 }
@@ -63,33 +59,6 @@ TEST(DetourGuardTest, TripsOnDetourRateAndCountsTrip) {
   EXPECT_EQ(guard.trips(), 1u);
   EXPECT_FALSE(guard.DetourEnabled());
   EXPECT_FALSE(guard.AdmitDetour());
-}
-
-TEST(DetourGuardTest, TripsOnBounceRatioAlone) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  for (uint64_t i = 0; i < 100; ++i) {
-    guard.NotePacket();
-  }
-  // Detour rate 0.10 (under trip) but every detour bounces back out the
-  // arrival port — the loop signature.
-  for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(guard.AdmitDetour());
-    guard.NoteDetour(/*bounce_back=*/true);
-  }
-  guard.OnWindowTick(Time::Millis(1));
-  EXPECT_EQ(guard.state(), GuardState::kSuppressed);
-}
-
-TEST(DetourGuardTest, TripsOnTtlExpiryRateAlone) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  for (uint64_t i = 0; i < 100; ++i) {
-    guard.NotePacket();
-  }
-  for (int i = 0; i < 5; ++i) {
-    guard.NoteTtlExpiry();  // rate 0.05 >= trip 0.02
-  }
-  guard.OnWindowTick(Time::Millis(1));
-  EXPECT_EQ(guard.state(), GuardState::kSuppressed);
 }
 
 TEST(DetourGuardTest, IdleWindowNeitherTripsNorDecays) {
@@ -259,8 +228,6 @@ TEST(GuardFabricTest, AdaptiveTtlTightensBudgetWithPressure) {
   cfg.ttl_pressure_full = 0.40;
   // Keep the breaker quiet so only the clamp acts.
   cfg.trip_detour_rate = 10.0;
-  cfg.trip_bounce_ratio = 10.0;
-  cfg.trip_ttl_rate = 10.0;
   cfg.rearm_detour_rate = 9.0;
   GuardFabric fabric(&sim, cfg, {1});
   EXPECT_EQ(fabric.DetourBudget(), 64);  // starts wide open
@@ -309,8 +276,6 @@ TEST(GuardFabricTest, MidBandPressureLerpsBetweenBudgetEndpoints) {
   cfg.ttl_pressure_full = 0.40;
   cfg.trip_detour_rate = 10.0;
   cfg.rearm_detour_rate = 9.0;
-  cfg.trip_bounce_ratio = 10.0;
-  cfg.trip_ttl_rate = 10.0;
   GuardFabric fabric(&sim, cfg, {1});
   fabric.Start(Time::Millis(5));
   sim.Schedule(Time::Micros(100), [&] {

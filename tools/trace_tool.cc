@@ -11,6 +11,7 @@
 // begin mid-journey, which is fine — the journey builder tolerates it).
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -21,6 +22,7 @@
 #include "src/trace/perfetto.h"
 #include "src/trace/trace_codec.h"
 #include "src/trace/trace_event.h"
+#include "src/util/env.h"
 
 namespace dibs {
 namespace {
@@ -187,7 +189,13 @@ int Main(int argc, char** argv) {
     return Load(argv[2], &t) ? Summarize(t) : 1;
   }
   if (cmd == "journey" && argc == 4) {
-    return Load(argv[3], &t) ? Journey(t, std::stoull(argv[2])) : 1;
+    int64_t uid = 0;
+    std::string error;
+    if (!env::ParseInt(argv[2], 0, INT64_MAX, &uid, &error)) {
+      std::cerr << "trace_tool: uid '" << argv[2] << "': " << error << "\n";
+      return 2;
+    }
+    return Load(argv[3], &t) ? Journey(t, static_cast<uint64_t>(uid)) : 1;
   }
   if (cmd == "loops" && argc == 3) {
     return Load(argv[2], &t) ? Loops(t) : 1;
