@@ -8,7 +8,9 @@
 // and event paths: wire deliveries and teardowns under detouring, pFabric RTO
 // cancel/re-arm, PFC pause frames, reordering lossy links with a flap and a
 // ToR crash, the overload guard's tick and the collapse watchdog's sample,
-// and the link/buffer monitors over a shared-buffer switch.
+// the link/buffer monitors over a shared-buffer switch, and every detour
+// policy (random, load-aware, flow-based, probabilistic with its early
+// detours; "none" in the DCTCP cells).
 //
 // The digest is FNV-1a-64 over chaos::CanonicalRecord(record) + "\n", the
 // same one perfbench uses. A row changes only when behaviour changes on
@@ -114,6 +116,14 @@ ExperimentConfig CellConfig(const std::string& name) {
     c.net.guard.watchdog = true;
     return c;
   }
+  if (name == "dibs_load_aware" || name == "dibs_flow_based" || name == "dibs_probabilistic") {
+    // The incast/background cell under each other §7 detour policy.
+    ExperimentConfig c = CellConfig("dibs_incast_background");
+    c.net.detour_policy = name == "dibs_load_aware"   ? "load-aware"
+                          : name == "dibs_flow_based" ? "flow-based"
+                                                      : "probabilistic";
+    return c;
+  }
   if (name == "dctcp_monitors_shared_buffer") {
     ExperimentConfig c = Reduced(DctcpConfig(), 30, 15);
     c.qps = 2000;
@@ -165,6 +175,9 @@ const GoldenRow kGolden[] = {
     {"dibs_faults", 0x94fb2a042b0ceb9full, 901114, 1283, 17997},
     {"dibs_guard_watchdog", 0x69ecbed9e0e6f3e6ull, 674045, 63, 71298},
     {"dctcp_monitors_shared_buffer", 0x2fbc5a7e2f7b83d9ull, 743245, 1074, 0},
+    {"dibs_load_aware", 0xb4fda38f54780139ull, 911725, 1071, 48231},
+    {"dibs_flow_based", 0x9bd883d5aab8a457ull, 862748, 1069, 36997},
+    {"dibs_probabilistic", 0xb44a41d382a648b7ull, 796469, 1072, 19301},
 };
 
 TEST(GoldenBehaviour, EveryCellMatchesItsCommittedRow) {
