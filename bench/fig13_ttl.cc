@@ -22,7 +22,6 @@ int main() {
     c = Standard(DibsConfig(), duration);
     c.bg_interarrival = Time::Millis(10);
     c.net.initial_ttl = static_cast<uint8_t>(ttl);
-    c.tcp.initial_ttl = static_cast<uint8_t>(ttl);
   });
   spec.axes.push_back(std::move(ttl_axis));
 

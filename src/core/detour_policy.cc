@@ -6,65 +6,36 @@
 
 namespace dibs {
 
-std::vector<const DetourPortInfo*> DetourPolicy::EligiblePorts(const DetourContext& ctx) {
-  DIBS_DCHECK(ctx.ports != nullptr);
-  std::vector<const DetourPortInfo*> eligible;
-  eligible.reserve(ctx.ports->size());
-  for (const DetourPortInfo& info : *ctx.ports) {
-    if (info.port == ctx.desired_port) {
-      continue;  // the full queue we are escaping
-    }
-    if (!info.to_switch) {
-      continue;  // hosts do not forward packets not meant for them (§2)
-    }
-    if (info.full) {
-      continue;  // never detour into another full buffer (§2)
-    }
-    if (!info.link_up) {
-      continue;  // down link / crashed peer: detouring there is a blackhole
-    }
-    if (info.paused) {
-      continue;  // paused transmitter cannot drain what we'd park there
-    }
-    eligible.push_back(&info);
-  }
-  return eligible;
-}
-
-std::optional<uint16_t> RandomDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
-  const auto eligible = EligiblePorts(ctx);
-  if (eligible.empty()) {
-    return std::nullopt;
-  }
+uint16_t RandomDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
+  const auto& candidates = ctx.candidates;
   const auto pick =
-      static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1));
-  return eligible[pick]->port;
+      static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1));
+  return candidates[pick].port;
 }
 
-std::optional<uint16_t> LoadAwareDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
-  const auto eligible = EligiblePorts(ctx);
-  if (eligible.empty()) {
-    return std::nullopt;
-  }
+uint16_t LoadAwareDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
   size_t best_len = SIZE_MAX;
-  for (const DetourPortInfo* info : eligible) {
-    best_len = std::min(best_len, info->queue_len);
-  }
-  std::vector<uint16_t> best;
-  for (const DetourPortInfo* info : eligible) {
-    if (info->queue_len == best_len) {
-      best.push_back(info->port);
+  int64_t ties = 0;
+  for (const DetourCandidate& c : ctx.candidates) {
+    if (c.queue_len < best_len) {
+      best_len = c.queue_len;
+      ties = 0;
+    }
+    if (c.queue_len == best_len) {
+      ++ties;
     }
   }
-  const auto pick = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(best.size()) - 1));
-  return best[pick];
+  int64_t pick = rng.UniformInt(0, ties - 1);
+  for (const DetourCandidate& c : ctx.candidates) {
+    if (c.queue_len == best_len && pick-- == 0) {
+      return c.port;
+    }
+  }
+  DIBS_LOG(kFatal) << "load-aware detour lost its shortest queue";
+  return 0;
 }
 
-std::optional<uint16_t> FlowBasedDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
-  const auto eligible = EligiblePorts(ctx);
-  if (eligible.empty()) {
-    return std::nullopt;
-  }
+uint16_t FlowBasedDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
   DIBS_DCHECK(ctx.packet != nullptr);
   // Hash (flow, node) so one flow leaves one switch through a consistent
   // detour port, but different switches decorrelate.
@@ -73,7 +44,7 @@ std::optional<uint16_t> FlowBasedDetour::ChoosePort(const DetourContext& ctx, Rn
   x ^= x >> 32;
   x *= 0xD6E8FEB86659FD93ull;
   x ^= x >> 32;
-  return eligible[x % eligible.size()]->port;
+  return ctx.candidates[x % ctx.candidates.size()].port;
 }
 
 bool ProbabilisticDetour::ShouldDetourEarly(const DetourContext& ctx, Rng& rng) {
@@ -96,35 +67,31 @@ bool ProbabilisticDetour::ShouldDetourEarly(const DetourContext& ctx, Rng& rng) 
   return rng.Bernoulli(p);
 }
 
-std::optional<uint16_t> ProbabilisticDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
+uint16_t ProbabilisticDetour::ChoosePort(const DetourContext& ctx, Rng& rng) {
   // Port selection itself is load-aware-ish: prefer emptier queues by
-  // weighting each eligible port by its free space.
-  const auto eligible = EligiblePorts(ctx);
-  if (eligible.empty()) {
-    return std::nullopt;
-  }
+  // weighting each candidate by its free space.
+  const auto weight = [](const DetourCandidate& c) {
+    const double cap = c.queue_cap == 0 ? static_cast<double>(c.queue_len + 64)
+                                        : static_cast<double>(c.queue_cap);
+    return std::max(1.0, cap - static_cast<double>(c.queue_len));
+  };
   double total_weight = 0.0;
-  std::vector<double> weights(eligible.size());
-  for (size_t i = 0; i < eligible.size(); ++i) {
-    const DetourPortInfo* info = eligible[i];
-    const double cap = info->queue_cap == 0 ? static_cast<double>(info->queue_len + 64)
-                                            : static_cast<double>(info->queue_cap);
-    weights[i] = std::max(1.0, cap - static_cast<double>(info->queue_len));
-    total_weight += weights[i];
+  for (const DetourCandidate& c : ctx.candidates) {
+    total_weight += weight(c);
   }
   double draw = rng.UniformDouble() * total_weight;
-  for (size_t i = 0; i < eligible.size(); ++i) {
-    draw -= weights[i];
+  for (const DetourCandidate& c : ctx.candidates) {
+    draw -= weight(c);
     if (draw <= 0.0) {
-      return eligible[i]->port;
+      return c.port;
     }
   }
-  return eligible.back()->port;
+  return ctx.candidates.back().port;
 }
 
 std::unique_ptr<DetourPolicy> MakeDetourPolicy(const std::string& name) {
   if (name == "none") {
-    return std::make_unique<NoDetour>();
+    return nullptr;
   }
   if (name == "random") {
     return std::make_unique<RandomDetour>();

@@ -1,53 +1,43 @@
 // Detour-induced buffer sharing (DIBS) — the paper's core mechanism.
 //
-// A DetourPolicy answers the four questions of §2: when to start detouring,
-// which packets, where to, and when to stop. The switch invokes the policy
-// when (and, for ProbabilisticDetour, slightly before) the desired output
-// queue is full. Hard rules enforced by eligibility filtering, per §2 (and
-// the failure model the paper leaves implicit — borrowing a neighbor's
-// buffer assumes the neighbor is alive and draining):
-//   * never detour to a host-facing port (hosts do not forward),
-//   * never detour to a port whose own queue is full,
-//   * never detour to a port whose link is down or whose peer has crashed,
-//   * never detour to an Ethernet-paused port (its queue cannot drain),
-//   * the input port IS eligible (packets may bounce straight back, Fig 1).
-// The paper's default policy is RandomDetour — parameterless by design.
+// A DetourPolicy answers two of §2's four questions: when to start
+// detouring (ShouldDetourEarly, before the desired queue is full) and where
+// to (ChoosePort). Which ports may take a detour is not the policy's call:
+// SwitchNode applies §2's rule once per decision and hands the policy only
+// the candidates that pass it — switch-facing ports other than the desired
+// one, whose link is up, whose transmitter is not paused and whose queue has
+// room, in port order. The input port is a candidate (packets may bounce
+// straight back, Fig 1). Policy "none" is no policy at all: the switch drops
+// on overflow. The paper's default policy is RandomDetour — parameterless by
+// design.
 
 #ifndef SRC_CORE_DETOUR_POLICY_H_
 #define SRC_CORE_DETOUR_POLICY_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "src/net/packet.h"
 #include "src/util/rng.h"
 
 namespace dibs {
 
-inline constexpr uint16_t kNoPort = UINT16_MAX;
-
-// Snapshot of one output port, assembled by the switch per decision.
-struct DetourPortInfo {
-  uint16_t port = kNoPort;
-  bool to_switch = false;  // peer is a switch (eligible) vs a host (never eligible)
-  bool full = false;       // that port's queue would refuse this packet
+// One port a packet may detour to.
+struct DetourCandidate {
+  uint16_t port = 0;
   size_t queue_len = 0;
-  size_t queue_cap = 0;   // 0 = unbounded
-  bool link_up = true;    // false: link down or peer crashed — never eligible
-  bool paused = false;    // Ethernet-paused transmitter cannot drain — never eligible
+  size_t queue_cap = 0;  // 0 = unbounded
 };
 
 struct DetourContext {
-  int node = -1;               // switch making the decision
-  uint16_t desired_port = kNoPort;
-  uint16_t in_port = kNoPort;  // arrival port; kNoPort for host-originated injection
+  int node = -1;  // switch making the decision
   size_t desired_queue_len = 0;
   size_t desired_queue_cap = 0;
   const Packet* packet = nullptr;
-  const std::vector<DetourPortInfo>* ports = nullptr;  // all ports of the switch
+  // Non-empty whenever ChoosePort runs; empty for ShouldDetourEarly.
+  std::span<const DetourCandidate> candidates;
 };
 
 class DetourPolicy {
@@ -60,45 +50,31 @@ class DetourPolicy {
   // detour anyway. Only ProbabilisticDetour uses this (§7). Default: never.
   virtual bool ShouldDetourEarly(const DetourContext& ctx, Rng& rng) { return false; }
 
-  // Picks the detour port among eligible candidates, or nullopt to drop.
-  // Eligible = switch-facing, not full, not the desired port.
-  virtual std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) = 0;
-
- protected:
-  // Shared eligibility filter used by all concrete policies.
-  static std::vector<const DetourPortInfo*> EligiblePorts(const DetourContext& ctx);
+  // Picks the detour port from ctx.candidates.
+  virtual uint16_t ChoosePort(const DetourContext& ctx, Rng& rng) = 0;
 };
 
-// Baseline: never detour — packets are dropped on overflow (plain DCTCP).
-class NoDetour : public DetourPolicy {
- public:
-  std::string name() const override { return "none"; }
-  std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) override {
-    return std::nullopt;
-  }
-};
-
-// The paper's default: uniform random among eligible ports. No parameters.
+// The paper's default: uniform random among the candidates. No parameters.
 class RandomDetour : public DetourPolicy {
  public:
   std::string name() const override { return "random"; }
-  std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) override;
+  uint16_t ChoosePort(const DetourContext& ctx, Rng& rng) override;
 };
 
-// §7 "Load-aware detouring": pick the eligible port with the shortest queue;
+// §7 "Load-aware detouring": pick the candidate with the shortest queue;
 // ties broken uniformly at random.
 class LoadAwareDetour : public DetourPolicy {
  public:
   std::string name() const override { return "load-aware"; }
-  std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) override;
+  uint16_t ChoosePort(const DetourContext& ctx, Rng& rng) override;
 };
 
-// §7 "Flow-based detouring": hash the flow id over the eligible set so all
+// §7 "Flow-based detouring": hash the flow id over the candidates so all
 // detoured packets of one flow leave through a consistent port.
 class FlowBasedDetour : public DetourPolicy {
  public:
   std::string name() const override { return "flow-based"; }
-  std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) override;
+  uint16_t ChoosePort(const DetourContext& ctx, Rng& rng) override;
 };
 
 // §7 "Probabilistic detouring": detour probability rises with the desired
@@ -111,14 +87,14 @@ class ProbabilisticDetour : public DetourPolicy {
 
   std::string name() const override { return "probabilistic"; }
   bool ShouldDetourEarly(const DetourContext& ctx, Rng& rng) override;
-  std::optional<uint16_t> ChoosePort(const DetourContext& ctx, Rng& rng) override;
+  uint16_t ChoosePort(const DetourContext& ctx, Rng& rng) override;
 
  private:
   double onset_;
 };
 
-// Factory by policy name ("none", "random", "load-aware", "flow-based",
-// "probabilistic"). Aborts on unknown names.
+// Factory by policy name ("random", "load-aware", "flow-based",
+// "probabilistic"); "none" returns nullptr. Aborts on unknown names.
 std::unique_ptr<DetourPolicy> MakeDetourPolicy(const std::string& name);
 
 }  // namespace dibs

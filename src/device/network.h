@@ -49,7 +49,9 @@ struct NetworkConfig {
 
   // DIBS configuration.
   std::string detour_policy = "none";  // none|random|load-aware|flow-based|probabilistic
-  uint8_t initial_ttl = 255;           // §5.5.3 sweeps this down to 12
+  // TTL every host stamps on the data and ACKs it sends; it bounds a
+  // packet's detours (§5.5.3 sweeps it down to 12).
+  uint8_t initial_ttl = 255;
 
   // Hop-by-hop Ethernet flow control (§6 comparison): when ANY output queue
   // of a switch reaches the XOFF watermark, the switch pauses every
@@ -93,7 +95,7 @@ class Network {
   const Topology& topology() const { return topo_; }
   const Fib& fib() const { return fib_; }
   const NetworkConfig& config() const { return config_; }
-  DetourPolicy& detour_policy() { return *policy_; }
+  DetourPolicy* detour_policy() { return policy_.get(); }  // nullptr for "none"
 
   HostNode& host(HostId h);
   const HostNode& host(HostId h) const;

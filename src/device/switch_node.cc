@@ -49,80 +49,96 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
   } else {
     desired = net.fib().EcmpPort(id(), p.dst, p.flow);
   }
-  Port& out = *ports_[desired];
-
-  if (!out.queue().IsFull(p)) {
+  if (!ports_[desired]->queue().IsFull(p)) {
     // Probabilistic detouring (§7) may move low-priority traffic aside even
-    // before the queue fills. All other policies never fire here.
-    DetourContext ctx;
-    ctx.node = id();
-    ctx.desired_port = desired;
-    ctx.in_port = in_port;
-    ctx.desired_queue_len = out.queue().size_packets();
-    ctx.desired_queue_cap = out.queue().capacity_packets();
-    ctx.packet = &p;
-    std::vector<DetourPortInfo> snapshot;
-    // A suppressed breaker also vetoes early (probabilistic) detours — the
-    // packet simply takes its desired queue, which has room here.
+    // before the queue fills. All other policies never fire here. A
+    // suppressed breaker also vetoes early detours — the packet simply takes
+    // its desired queue, which has room here.
+    DetourPolicy* policy = net.detour_policy();
     const bool guard_allows = guard == nullptr || (guard->DetourEnabled(id()) &&
                                                    p.detour_count < guard->DetourBudget());
-    if (guard_allows && net.detour_policy().ShouldDetourEarly(ctx, net.sim().rng())) {
-      snapshot = SnapshotPorts(p);
-      ctx.ports = &snapshot;
-      if (auto port = net.detour_policy().ChoosePort(ctx, net.sim().rng()); port.has_value()) {
-        ++p.detour_count;
-        if (guard != nullptr) {
-          guard->NoteDetour();
-        }
-        if (p.ect) {
-          p.ce = true;
-        }
-        net.NotifyDetour(id(), *port, p);
-        Forward(std::move(p), *port);
-        return;
-      }
+    if (policy != nullptr && guard_allows &&
+        policy->ShouldDetourEarly(ContextFor(p, desired, {}), net.sim().rng()) &&
+        !FindCandidates(p, desired).has_value()) {
+      Detour(std::move(p), *policy, desired);
+      return;
     }
     Forward(std::move(p), desired);
     return;
   }
 
-  DetourOrDrop(std::move(p), desired, in_port);
+  DetourOrDrop(std::move(p), desired);
 }
 
-void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_port) {
+void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port) {
   Network& net = *network_;
+  DetourPolicy* policy = net.detour_policy();
+  if (policy == nullptr) {
+    net.NotifyDrop(id(), p, DropReason::kQueueOverflow);  // DIBS off: plain drop-tail
+    return;
+  }
 
   // Overload guard: the breaker (guard-suppressed) and the adaptive TTL
   // clamp (guard-ttl-clamped) veto before the policy runs — a vetoed
   // decision must not consume policy RNG, or suppressed stretches would
   // perturb every later draw.
-  const bool dibs_configured = net.config().detour_policy != "none";
-  if (GuardFabric* guard = net.guard(); guard != nullptr && dibs_configured) {
+  if (GuardFabric* guard = net.guard(); guard != nullptr) {
     if (auto deny = guard->AdmitDetour(id(), p.detour_count); deny.has_value()) {
       net.NotifyDrop(id(), p, *deny);
       return;
     }
   }
 
-  std::vector<DetourPortInfo> snapshot = SnapshotPorts(p);
-
-  DetourContext ctx;
-  ctx.node = id();
-  ctx.desired_port = desired_port;
-  ctx.in_port = in_port;
-  ctx.desired_queue_len = ports_[desired_port]->queue().size_packets();
-  ctx.desired_queue_cap = ports_[desired_port]->queue().capacity_packets();
-  ctx.packet = &p;
-  ctx.ports = &snapshot;
-
-  std::optional<uint16_t> port = net.detour_policy().ChoosePort(ctx, net.sim().rng());
-  if (!port.has_value()) {
-    net.NotifyDrop(id(), p, DeclineReason(snapshot, desired_port, dibs_configured));
+  if (auto reason = FindCandidates(p, desired_port); reason.has_value()) {
+    net.NotifyDrop(id(), p, *reason);
     return;
   }
+  Detour(std::move(p), *policy, desired_port);
+}
 
+std::optional<DropReason> SwitchNode::FindCandidates(const Packet& p, uint16_t desired_port) {
+  candidates_.clear();
+  bool any_switch_facing = false;
+  bool any_live = false;
+  for (uint16_t i = 0; i < ports_.size(); ++i) {
+    const Port& port = *ports_[i];
+    if (i == desired_port || !port.peer_is_switch()) {
+      continue;
+    }
+    any_switch_facing = true;
+    if (!port.link_up() || port.paused()) {
+      continue;
+    }
+    any_live = true;
+    if (!port.queue().IsFull(p)) {
+      candidates_.push_back({i, port.queue().size_packets(), port.queue().capacity_packets()});
+    }
+  }
+  if (!candidates_.empty()) {
+    return std::nullopt;
+  }
+  if (ports_.size() == 1) {
+    return DropReason::kQueueOverflow;
+  }
+  return any_switch_facing && !any_live ? DropReason::kNoEligibleDetour
+                                        : DropReason::kNoDetourAvailable;
+}
+
+DetourContext SwitchNode::ContextFor(const Packet& p, uint16_t desired_port,
+                                     std::span<const DetourCandidate> candidates) const {
+  const Queue& desired = ports_[desired_port]->queue();
+  return {.node = id(),
+          .desired_queue_len = desired.size_packets(),
+          .desired_queue_cap = desired.capacity_packets(),
+          .packet = &p,
+          .candidates = candidates};
+}
+
+void SwitchNode::Detour(Packet&& p, DetourPolicy& policy, uint16_t desired_port) {
+  const uint16_t port =
+      policy.ChoosePort(ContextFor(p, desired_port, candidates_), network_->sim().rng());
   ++p.detour_count;
-  if (GuardFabric* guard = net.guard(); guard != nullptr) {
+  if (GuardFabric* guard = network_->guard(); guard != nullptr) {
     guard->NoteDetour();
   }
   // Detoured packets travel a longer path through congested territory — mark
@@ -130,37 +146,8 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_por
   if (p.ect) {
     p.ce = true;
   }
-  net.NotifyDetour(id(), *port, p);
-  Forward(std::move(p), *port);
-}
-
-DropReason SwitchNode::DeclineReason(const std::vector<DetourPortInfo>& snapshot,
-                                     uint16_t desired_port, bool dibs_configured) const {
-  const bool dibs_active = snapshot.size() > 1 && dibs_configured;
-  if (!dibs_active) {
-    return DropReason::kQueueOverflow;
-  }
-  // Distinguish WHY the policy declined. kNoDetourAvailable keeps its
-  // historical meaning — live candidates existed but every one was full.
-  // When switch-facing neighbors exist yet every one is paused or down (a
-  // fabric-wide PFC storm, or every neighbor dead), the eligible set was
-  // structurally empty and the drop is a distinct failure mode.
-  bool any_switch_facing = false;
-  bool any_live = false;
-  for (const DetourPortInfo& info : snapshot) {
-    if (info.port == desired_port || !info.to_switch) {
-      continue;
-    }
-    any_switch_facing = true;
-    if (info.link_up && !info.paused) {
-      any_live = true;
-      break;
-    }
-  }
-  if (any_switch_facing && !any_live) {
-    return DropReason::kNoEligibleDetour;
-  }
-  return DropReason::kNoDetourAvailable;
+  network_->NotifyDetour(id(), port, p);
+  Forward(std::move(p), port);
 }
 
 void SwitchNode::Forward(Packet&& p, uint16_t out_port) {
@@ -217,21 +204,6 @@ void SwitchNode::BroadcastPause(bool paused) {
     network_->sim().Schedule(p->prop_delay(),
                              [p, paused] { p->peer()->SetPortPaused(p->peer_port(), paused); });
   }
-}
-
-std::vector<DetourPortInfo> SwitchNode::SnapshotPorts(const Packet& p) const {
-  std::vector<DetourPortInfo> snapshot(ports_.size());
-  for (uint16_t i = 0; i < ports_.size(); ++i) {
-    const Port& port = *ports_[i];
-    snapshot[i].port = i;
-    snapshot[i].to_switch = port.peer_is_switch();
-    snapshot[i].full = port.queue().IsFull(p);
-    snapshot[i].queue_len = port.queue().size_packets();
-    snapshot[i].queue_cap = port.queue().capacity_packets();
-    snapshot[i].link_up = port.link_up();
-    snapshot[i].paused = port.paused();
-  }
-  return snapshot;
 }
 
 size_t SwitchNode::buffered_packets() const {

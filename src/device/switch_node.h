@@ -2,14 +2,24 @@
 //
 // Receive path (§2, §4): decrement TTL → FIB lookup → flow-level ECMP pick →
 // if the desired queue has room, enqueue (the queue CE-marks above the DCTCP
-// threshold) → otherwise consult the detour policy: detour to an eligible
-// port (CE-marking the packet, per §5.3 "the detoured packets are also
-// marked") or drop when every eligible buffer is full.
+// threshold) → otherwise detour to a candidate port the detour policy picks
+// (CE-marking the packet, per §5.3 "the detoured packets are also marked"),
+// or drop when there is none. The switch alone decides which ports are
+// candidates (§2 plus the failure model the paper leaves implicit —
+// borrowing a neighbor's buffer assumes the neighbor is alive and draining):
+//   * never the desired port, and never a host-facing port (hosts do not
+//     forward),
+//   * never a port whose own queue is full,
+//   * never a port whose link is down or whose peer has crashed,
+//   * never an Ethernet-paused port (its queue cannot drain),
+//   * the input port IS a candidate (packets may bounce straight back, Fig 1).
 
 #ifndef SRC_DEVICE_SWITCH_NODE_H_
 #define SRC_DEVICE_SWITCH_NODE_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,16 +70,23 @@ class SwitchNode : public Node {
   void Forward(Packet&& p, uint16_t out_port);
 
   // Detour-or-drop slow path once the desired queue refused the packet.
-  void DetourOrDrop(Packet&& p, uint16_t desired_port, uint16_t in_port);
+  void DetourOrDrop(Packet&& p, uint16_t desired_port);
 
-  // Why the policy declined: queue-overflow (DIBS off / nowhere to try),
-  // no-detour-available (live candidates all full), or no-eligible-detour
-  // (every switch-facing port paused or down — a fabric-wide PFC storm).
-  DropReason DeclineReason(const std::vector<DetourPortInfo>& snapshot,
-                           uint16_t desired_port, bool dibs_configured) const;
+  // Fills candidates_, in port order, with the ports a packet bound for
+  // `desired_port` may detour to (see the file comment). Returns nullopt
+  // when there is at least one, else the drop reason: queue-overflow on a
+  // one-port switch, no-eligible-detour when every other switch-facing port
+  // is down or paused (a fabric-wide PFC storm, or every neighbor dead), and
+  // no-detour-available otherwise (live candidates all full).
+  std::optional<DropReason> FindCandidates(const Packet& p, uint16_t desired_port);
 
-  // Builds the per-port snapshot the policy decides over.
-  std::vector<DetourPortInfo> SnapshotPorts(const Packet& p) const;
+  // The policy's view of a decision for `p` bound for `desired_port`.
+  DetourContext ContextFor(const Packet& p, uint16_t desired_port,
+                           std::span<const DetourCandidate> candidates) const;
+
+  // Runs `policy` over candidates_ and commits the detour it picks: counts
+  // it, feeds the guard, CE-marks the packet and forwards it.
+  void Detour(Packet&& p, DetourPolicy& policy, uint16_t desired_port);
 
   // Ethernet flow control: crossing XOFF pauses all neighbors; dropping back
   // to XON resumes them.
@@ -81,6 +98,7 @@ class SwitchNode : public Node {
   bool crashed_ = false;
   bool pausing_neighbors_ = false;
   uint64_t pause_events_ = 0;
+  std::vector<DetourCandidate> candidates_;  // reused by every detour decision
 };
 
 }  // namespace dibs

@@ -127,12 +127,10 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
   h.Mix(static_cast<int64_t>(t.cc));
   h.Mix(t.dctcp_g);
   h.Mix(static_cast<uint64_t>(t.max_cwnd_segments));
-  h.Mix(static_cast<int64_t>(t.initial_ttl));
   const PfabricConfig& p = c.pfabric;
   h.Mix(static_cast<uint64_t>(p.window_segments));
   h.Mix(p.rto);
   h.Mix(p.max_rto);
-  h.Mix(static_cast<int64_t>(p.initial_ttl));
 
   h.Mix(c.enable_background);
   h.Mix(c.bg_interarrival);

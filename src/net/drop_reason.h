@@ -24,7 +24,7 @@
 namespace dibs {
 
 enum class DropReason : uint8_t {
-  kQueueOverflow = 0,      // desired queue full, no DIBS (or policy declined)
+  kQueueOverflow = 0,      // desired queue full, no DIBS (or a one-port switch)
   kNoDetourAvailable = 1,  // DIBS active but every eligible port was full
   kTtlExpired = 2,
   kNoRoute = 3,            // destination unreachable in the pristine topology

@@ -45,8 +45,8 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
 
   // Receiver side: completion merges sender-side counters into the result
   // before invoking the caller.
-  flow.receiver = std::make_unique<TcpReceiver>(network_, spec, flow_ttl(),
-                                                WrapCompletion(id, std::move(on_complete)));
+  flow.receiver =
+      std::make_unique<TcpReceiver>(network_, spec, WrapCompletion(id, std::move(on_complete)));
 
   if (kind_ == TransportKind::kPfabric) {
     flow.pfabric_sender = std::make_unique<PfabricSender>(network_, spec, pfabric_config_,
@@ -75,11 +75,6 @@ FlowId FlowManager::StartFlow(HostId src, HostId dst, uint64_t bytes,
 
   ++flows_started_;
   return id;
-}
-
-uint8_t FlowManager::flow_ttl() const {
-  return kind_ == TransportKind::kPfabric ? pfabric_config_.initial_ttl
-                                          : tcp_config_.initial_ttl;
 }
 
 FlowCompletionCallback FlowManager::WrapCompletion(FlowId id, FlowCompletionCallback cb) {

@@ -60,7 +60,6 @@ class FlowManager {
   // The receiver-completion closure: merge the sender's counters into the
   // result, then invoke `cb`.
   FlowCompletionCallback WrapCompletion(FlowId id, FlowCompletionCallback cb);
-  uint8_t flow_ttl() const;
 
   Network* network_;
   TransportKind kind_;

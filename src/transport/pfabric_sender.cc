@@ -68,7 +68,7 @@ void PfabricSender::SendSegment(uint32_t seq, bool is_retransmit) {
   p.src = spec_.src;
   p.dst = spec_.dst;
   p.size_bytes = SegmentBytes(seq);
-  p.ttl = config_.initial_ttl;
+  p.ttl = network_->config().initial_ttl;
   p.ect = false;  // pFabric does not use ECN
   p.flow = spec_.id;
   p.traffic_class = spec_.traffic_class;

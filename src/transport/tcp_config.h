@@ -32,7 +32,6 @@ struct TcpConfig {
   CongestionControl cc = CongestionControl::kDctcp;
   double dctcp_g = 1.0 / 16.0;       // alpha EWMA gain
   uint32_t max_cwnd_segments = 1u << 16;
-  uint8_t initial_ttl = 255;         // stamped on every packet the host sends
 
   // The paper's DCTCP+DIBS host configuration (§4): reordering from detours
   // must not trigger spurious retransmissions. The paper's primary choice —
@@ -55,7 +54,6 @@ struct PfabricConfig {
   uint32_t window_segments = 12;   // ~BDP at 1Gbps with shallow queues
   Time rto = Time::Micros(350);    // §5.8: minRTO adjusted to 350us for 1Gbps
   Time max_rto = Time::Millis(40);
-  uint8_t initial_ttl = 255;
 };
 
 }  // namespace dibs

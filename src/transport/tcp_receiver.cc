@@ -8,11 +8,10 @@
 
 namespace dibs {
 
-TcpReceiver::TcpReceiver(Network* network, const FlowSpec& spec, uint8_t initial_ttl,
+TcpReceiver::TcpReceiver(Network* network, const FlowSpec& spec,
                          FlowCompletionCallback on_complete)
     : network_(network),
       spec_(spec),
-      initial_ttl_(initial_ttl),
       on_complete_(std::move(on_complete)),
       total_segments_(SegmentsForBytes(spec.size_bytes)),
       received_(total_segments_, false) {
@@ -57,7 +56,7 @@ void TcpReceiver::SendAck(bool ce_echo) {
   ack.src = spec_.dst;
   ack.dst = spec_.src;
   ack.size_bytes = kAckBytes;
-  ack.ttl = initial_ttl_;
+  ack.ttl = network_->config().initial_ttl;
   ack.flow = spec_.id;
   ack.traffic_class = spec_.traffic_class;
   ack.is_ack = true;

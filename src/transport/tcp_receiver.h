@@ -17,8 +17,7 @@ class Network;
 class TcpReceiver {
  public:
   // `on_complete` fires exactly once, when the last missing segment arrives.
-  TcpReceiver(Network* network, const FlowSpec& spec, uint8_t initial_ttl,
-              FlowCompletionCallback on_complete);
+  TcpReceiver(Network* network, const FlowSpec& spec, FlowCompletionCallback on_complete);
 
   TcpReceiver(const TcpReceiver&) = delete;
   TcpReceiver& operator=(const TcpReceiver&) = delete;
@@ -34,7 +33,6 @@ class TcpReceiver {
 
   Network* network_;
   FlowSpec spec_;
-  uint8_t initial_ttl_;
   FlowCompletionCallback on_complete_;
 
   uint32_t total_segments_;

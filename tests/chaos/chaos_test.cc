@@ -5,9 +5,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "src/chaos/oracles.h"
 #include "src/chaos/shrinker.h"
 #include "src/chaos/spec_codec.h"
+#include "src/harness/scenario.h"
 #include "src/util/json.h"
 
 namespace dibs::chaos {
@@ -94,6 +97,77 @@ TEST(Generator, EverySpecSurvivesItsOwnEnvelope) {
     ChaosSpec decoded;
     ASSERT_NO_THROW(decoded = DecodeChaosSpec(encoded)) << encoded;
     EXPECT_EQ(encoded, EncodeChaosSpec(decoded)) << "case " << i;
+  }
+}
+
+// Every knob the generator varies must reach the run: changing it alone
+// changes the canonical record. A knob that never reached a packet would
+// let the fuzzer claim coverage it never had.
+TEST(Generator, EveryVariedKnobReachesTheRun) {
+  // Busy enough that every knob shows: shallow buffers and a wide incast
+  // keep detours (and so TTL expiry) frequent.
+  ChaosSpec base;
+  base.seed = 11;
+  base.switch_buffer_packets = 12;
+  base.ecn_threshold_packets = 6;
+  base.qps = 1200;
+  base.incast_degree = 15;
+  base.duration_ms = 4;
+  base.drain_ms = 40;
+  const auto record = [](const ChaosSpec& s) {
+    RunRecord rec;
+    rec.result = RunScenario(s.ToConfig());
+    return CanonicalRecord(rec);
+  };
+  struct Knob {
+    const char* name;  // its key in the spec codec
+    std::function<void(ChaosSpec&)> prerequisite;
+    std::function<void(ChaosSpec&)> change;
+  };
+  const auto none = [](ChaosSpec&) {};
+  const auto guarded = [](ChaosSpec& s) { s.guard_enabled = true; };
+  const Knob knobs[] = {
+      {"seed", none, [](ChaosSpec& s) { s.seed = 12; }},
+      {"topology", none, [](ChaosSpec& s) { s.topology = "leaf-spine"; }},
+      {"fat_tree_k", none, [](ChaosSpec& s) { s.fat_tree_k = 6; }},
+      {"oversubscription", none, [](ChaosSpec& s) { s.oversubscription = 4; }},
+      {"switch_buffer_packets", none, [](ChaosSpec& s) { s.switch_buffer_packets = 24; }},
+      {"ecn_threshold_packets", none, [](ChaosSpec& s) { s.ecn_threshold_packets = 3; }},
+      {"use_shared_buffer", none, [](ChaosSpec& s) { s.use_shared_buffer = true; }},
+      {"detour_policy", none, [](ChaosSpec& s) { s.detour_policy = "load-aware"; }},
+      {"initial_ttl", none, [](ChaosSpec& s) { s.initial_ttl = 8; }},
+      {"guard_enabled", none, guarded},
+      {"guard_adaptive_ttl", guarded, [](ChaosSpec& s) { s.guard_adaptive_ttl = true; }},
+      {"guard_watchdog", none, [](ChaosSpec& s) { s.guard_watchdog = true; }},
+      {"enable_background", none, [](ChaosSpec& s) { s.enable_background = true; }},
+      {"bg_interarrival_ms", [](ChaosSpec& s) { s.enable_background = true; },
+       [](ChaosSpec& s) { s.bg_interarrival_ms = 2; }},
+      {"qps", none, [](ChaosSpec& s) { s.qps = 600; }},
+      {"incast_degree", none, [](ChaosSpec& s) { s.incast_degree = 8; }},
+      {"response_bytes", none, [](ChaosSpec& s) { s.response_bytes = 40000; }},
+      {"duration_ms", none, [](ChaosSpec& s) { s.duration_ms = 6; }},
+      {"drain_ms", none, [](ChaosSpec& s) { s.drain_ms = 10; }},
+      {"faults", none,
+       [](ChaosSpec& s) { s.faults = fault::FaultPlan().LinkDown(0, Time::Millis(1)).events(); }},
+  };
+
+  // The list covers every field the codec writes except the case index,
+  // which only names the case.
+  json::Value encoded;
+  std::string error;
+  ASSERT_TRUE(json::Parse(EncodeChaosSpec(base), &encoded, &error)) << error;
+  for (const auto& [key, value] : encoded.fields) {
+    const bool listed = std::any_of(std::begin(knobs), std::end(knobs),
+                                    [&](const Knob& k) { return key == k.name; });
+    EXPECT_TRUE(listed || key == "case") << "spec field " << key << " has no knob check";
+  }
+
+  for (const Knob& knob : knobs) {
+    ChaosSpec before = base;
+    knob.prerequisite(before);
+    ChaosSpec after = before;
+    knob.change(after);
+    EXPECT_NE(record(after), record(before)) << knob.name << " never reached the run";
   }
 }
 

@@ -1,3 +1,7 @@
+// Detour policies choose among candidates the switch has already filtered;
+// which ports are candidates is tested at the switch
+// (SwitchDetourEligibility in tests/device/switch_test.cc).
+
 #include "src/core/detour_policy.h"
 
 #include <gtest/gtest.h>
@@ -6,149 +10,103 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace dibs {
 namespace {
 
-// Builds a context with ports: [0]=desired (full), [1]=host-facing (free),
-// [2..n-1] switch-facing with given fullness.
+// A decision at switch 5 for flow 42 whose desired queue (100 packets) is
+// full, over candidates on ports 2, 3, ... with the given queue lengths.
 struct ContextFixture {
-  ContextFixture(std::vector<bool> switch_port_full, TrafficClass cls = TrafficClass::kQuery) {
-    ports.push_back({0, /*to_switch=*/true, /*full=*/true, 100, 100});   // desired
-    ports.push_back({1, /*to_switch=*/false, /*full=*/false, 0, 100});   // host port
-    uint16_t idx = 2;
-    for (bool full : switch_port_full) {
-      ports.push_back({idx++, true, full, full ? size_t{100} : size_t{10}, 100});
+  explicit ContextFixture(std::vector<size_t> queue_lens,
+                          TrafficClass cls = TrafficClass::kQuery) {
+    uint16_t port = 2;
+    for (size_t len : queue_lens) {
+      candidates.push_back({port++, len, 100});
     }
     packet.flow = 42;
     packet.traffic_class = cls;
     ctx.node = 5;
-    ctx.desired_port = 0;
-    ctx.in_port = 2;
     ctx.desired_queue_len = 100;
     ctx.desired_queue_cap = 100;
     ctx.packet = &packet;
-    ctx.ports = &ports;
+    ctx.candidates = candidates;
   }
 
-  std::vector<DetourPortInfo> ports;
+  std::vector<DetourCandidate> candidates;
   Packet packet;
   DetourContext ctx;
 };
 
-TEST(NoDetourTest, AlwaysDeclines) {
-  ContextFixture f({false, false, false});
-  NoDetour policy;
-  Rng rng(1);
-  EXPECT_FALSE(policy.ChoosePort(f.ctx, rng).has_value());
-  EXPECT_FALSE(policy.ShouldDetourEarly(f.ctx, rng));
-}
-
-TEST(RandomDetourTest, NeverPicksDesiredHostOrFullPorts) {
-  ContextFixture f({false, true, false, true});
-  RandomDetour policy;
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const auto port = policy.ChoosePort(f.ctx, rng);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_NE(*port, 0);  // desired
-    EXPECT_NE(*port, 1);  // host-facing
-    EXPECT_NE(*port, 3);  // full
-    EXPECT_NE(*port, 5);  // full
-  }
-}
-
 TEST(RandomDetourTest, CoversAllEligiblePorts) {
-  ContextFixture f({false, false, false, false});
+  ContextFixture f({10, 10, 10, 10});
   RandomDetour policy;
   Rng rng(11);
   std::set<uint16_t> seen;
   for (int i = 0; i < 500; ++i) {
-    seen.insert(*policy.ChoosePort(f.ctx, rng));
+    seen.insert(policy.ChoosePort(f.ctx, rng));
   }
   EXPECT_EQ(seen, (std::set<uint16_t>{2, 3, 4, 5}));
 }
 
 TEST(RandomDetourTest, RoughlyUniform) {
-  ContextFixture f({false, false, false, false});
+  ContextFixture f({10, 10, 10, 10});
   RandomDetour policy;
   Rng rng(13);
   std::map<uint16_t, int> counts;
   const int n = 8000;
   for (int i = 0; i < n; ++i) {
-    ++counts[*policy.ChoosePort(f.ctx, rng)];
+    ++counts[policy.ChoosePort(f.ctx, rng)];
   }
   for (const auto& [port, count] : counts) {
     EXPECT_NEAR(static_cast<double>(count) / n, 0.25, 0.03);
   }
 }
 
-TEST(RandomDetourTest, DropsWhenAllEligibleFull) {
-  ContextFixture f({true, true, true});
-  RandomDetour policy;
-  Rng rng(3);
-  EXPECT_FALSE(policy.ChoosePort(f.ctx, rng).has_value());
-}
-
-TEST(RandomDetourTest, InputPortIsEligible) {
-  // Only the input port (2) is free: packets may bounce straight back.
-  ContextFixture f({false, true, true});
-  RandomDetour policy;
-  Rng rng(5);
-  EXPECT_EQ(*policy.ChoosePort(f.ctx, rng), 2);
-}
-
 TEST(LoadAwareDetourTest, PicksShortestQueue) {
-  ContextFixture f({false, false});
-  // Make port 3 clearly the emptiest.
-  f.ports[2].queue_len = 50;
-  f.ports[3].queue_len = 5;
+  ContextFixture f({50, 5});  // port 3 is clearly the emptiest
   LoadAwareDetour policy;
   Rng rng(9);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(*policy.ChoosePort(f.ctx, rng), 3);
+    EXPECT_EQ(policy.ChoosePort(f.ctx, rng), 3);
   }
 }
 
 TEST(LoadAwareDetourTest, BreaksTiesRandomly) {
-  ContextFixture f({false, false, false});
-  for (auto& info : f.ports) {
-    info.queue_len = 10;
-  }
+  ContextFixture f({10, 10, 10});
   LoadAwareDetour policy;
   Rng rng(17);
   std::set<uint16_t> seen;
   for (int i = 0; i < 300; ++i) {
-    seen.insert(*policy.ChoosePort(f.ctx, rng));
+    seen.insert(policy.ChoosePort(f.ctx, rng));
   }
   EXPECT_GT(seen.size(), 1u);
 }
 
 TEST(FlowBasedDetourTest, ConsistentPerFlow) {
-  ContextFixture f({false, false, false, false});
+  ContextFixture f({10, 10, 10, 10});
   FlowBasedDetour policy;
   Rng rng(21);
-  const auto first = policy.ChoosePort(f.ctx, rng);
-  ASSERT_TRUE(first.has_value());
+  const uint16_t first = policy.ChoosePort(f.ctx, rng);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(policy.ChoosePort(f.ctx, rng), first);
   }
 }
 
 TEST(FlowBasedDetourTest, DifferentFlowsSpread) {
-  ContextFixture f({false, false, false, false});
+  ContextFixture f({10, 10, 10, 10});
   FlowBasedDetour policy;
   Rng rng(23);
   std::set<uint16_t> seen;
   for (FlowId flow = 1; flow <= 64; ++flow) {
     f.packet.flow = flow;
-    seen.insert(*policy.ChoosePort(f.ctx, rng));
+    seen.insert(policy.ChoosePort(f.ctx, rng));
   }
   EXPECT_GT(seen.size(), 2u);
 }
 
 TEST(ProbabilisticDetourTest, QueryTrafficNeverDetoursEarly) {
-  ContextFixture f({false, false}, TrafficClass::kQuery);
+  ContextFixture f({10, 10}, TrafficClass::kQuery);
   f.ctx.desired_queue_len = 99;
   ProbabilisticDetour policy(0.5);
   Rng rng(29);
@@ -158,7 +116,7 @@ TEST(ProbabilisticDetourTest, QueryTrafficNeverDetoursEarly) {
 }
 
 TEST(ProbabilisticDetourTest, BackgroundDetoursEarlyWhenNearlyFull) {
-  ContextFixture f({false, false}, TrafficClass::kBackground);
+  ContextFixture f({10, 10}, TrafficClass::kBackground);
   f.ctx.desired_queue_len = 99;
   ProbabilisticDetour policy(0.5);
   Rng rng(31);
@@ -170,7 +128,7 @@ TEST(ProbabilisticDetourTest, BackgroundDetoursEarlyWhenNearlyFull) {
 }
 
 TEST(ProbabilisticDetourTest, NoEarlyDetourBelowOnset) {
-  ContextFixture f({false, false}, TrafficClass::kBackground);
+  ContextFixture f({10, 10}, TrafficClass::kBackground);
   f.ctx.desired_queue_len = 30;
   ProbabilisticDetour policy(0.8);
   Rng rng(37);
@@ -180,7 +138,7 @@ TEST(ProbabilisticDetourTest, NoEarlyDetourBelowOnset) {
 }
 
 TEST(ProbabilisticDetourTest, UnboundedQueueNeverEarly) {
-  ContextFixture f({false, false}, TrafficClass::kBackground);
+  ContextFixture f({10, 10}, TrafficClass::kBackground);
   f.ctx.desired_queue_cap = 0;
   f.ctx.desired_queue_len = 100000;
   ProbabilisticDetour policy(0.5);
@@ -188,92 +146,18 @@ TEST(ProbabilisticDetourTest, UnboundedQueueNeverEarly) {
   EXPECT_FALSE(policy.ShouldDetourEarly(f.ctx, rng));
 }
 
-TEST(ProbabilisticDetourTest, ChoosesEligiblePort) {
-  ContextFixture f({false, true, false}, TrafficClass::kBackground);
-  ProbabilisticDetour policy;
-  Rng rng(43);
-  for (int i = 0; i < 200; ++i) {
-    const auto port = policy.ChoosePort(f.ctx, rng);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_TRUE(*port == 2 || *port == 4);
-  }
-}
-
-TEST(RandomDetourTest, NeverPicksDownPorts) {
-  ContextFixture f({false, false, false});
-  f.ports[2].link_up = false;  // fault model took this uplink down
-  f.ports[4].link_up = false;
-  RandomDetour policy;
-  Rng rng(53);
-  for (int i = 0; i < 300; ++i) {
-    const auto port = policy.ChoosePort(f.ctx, rng);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_EQ(*port, 3);  // the only live switch-facing port
-  }
-}
-
-TEST(RandomDetourTest, NeverPicksPausedPorts) {
-  ContextFixture f({false, false, false});
-  f.ports[3].paused = true;  // flow control XOFF'd this transmitter
-  RandomDetour policy;
-  Rng rng(59);
-  for (int i = 0; i < 300; ++i) {
-    const auto port = policy.ChoosePort(f.ctx, rng);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_NE(*port, 3);
-  }
-}
-
-TEST(RandomDetourTest, DropsWhenEveryEligiblePortIsDownOrPaused) {
-  ContextFixture f({false, false, false});
-  f.ports[2].link_up = false;
-  f.ports[3].paused = true;
-  f.ports[4].link_up = false;
-  RandomDetour policy;
-  Rng rng(61);
-  EXPECT_FALSE(policy.ChoosePort(f.ctx, rng).has_value());
-}
-
-TEST(LoadAwareDetourTest, ShortestQueueLosesToLiveness) {
-  ContextFixture f({false, false});
-  f.ports[2].queue_len = 1;  // emptiest, but dead
-  f.ports[2].link_up = false;
-  f.ports[3].queue_len = 80;
-  LoadAwareDetour policy;
-  Rng rng(67);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(*policy.ChoosePort(f.ctx, rng), 3);
-  }
-}
-
-// Factory behavior and the policy-name round trip.
+// Factory behavior and the policy-name round trip; "none" is no policy.
 class PolicyFactorySweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PolicyFactorySweep, FactoryProducesNamedPolicy) {
   const std::string name = GetParam();
   auto policy = MakeDetourPolicy(name);
+  if (name == "none") {
+    EXPECT_EQ(policy, nullptr);
+    return;
+  }
   ASSERT_NE(policy, nullptr);
   EXPECT_EQ(policy->name(), name);
-}
-
-TEST_P(PolicyFactorySweep, AllPoliciesRespectEligibility) {
-  auto policy = MakeDetourPolicy(GetParam());
-  ContextFixture f({true, false, true, false, false, false});
-  f.ports[6].link_up = false;  // downed by the fault model
-  f.ports[7].paused = true;    // XOFF'd by flow control
-  Rng rng(47);
-  for (int i = 0; i < 100; ++i) {
-    const auto port = policy->ChoosePort(f.ctx, rng);
-    if (!port.has_value()) {
-      continue;  // NoDetour
-    }
-    EXPECT_NE(*port, 0);
-    EXPECT_NE(*port, 1);
-    EXPECT_NE(*port, 2);  // full
-    EXPECT_NE(*port, 4);  // full
-    EXPECT_NE(*port, 6);  // down
-    EXPECT_NE(*port, 7);  // paused
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyFactorySweep,

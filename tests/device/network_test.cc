@@ -122,7 +122,8 @@ TEST(NetworkTest, DetourPolicyFactoryWiring) {
   cfg.detour_policy = "load-aware";
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), cfg);
-  EXPECT_EQ(net.detour_policy().name(), "load-aware");
+  ASSERT_NE(net.detour_policy(), nullptr);
+  EXPECT_EQ(net.detour_policy()->name(), "load-aware");
 }
 
 // Every built-in topology builds a functioning network end to end.

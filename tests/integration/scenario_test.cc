@@ -116,7 +116,6 @@ TEST(ScenarioTest, TtlLimitCausesTtlDropsUnderStress) {
   ExperimentConfig c = Miniature(DibsConfig());
   c.net.initial_ttl = 12;
   c.net.switch_buffer_packets = 10;  // force heavy detouring
-  c.tcp.initial_ttl = 12;
   c.incast_degree = 12;
   const ScenarioResult r = RunScenario(c);
   // With TTL 12 and 10-packet buffers, some packets run out of detours.
