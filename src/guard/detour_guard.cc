@@ -29,7 +29,6 @@ GuardState DetourGuard::OnWindowTick(Time now) {
   switch (state_) {
     case GuardState::kArmed:
       if (judged && over_trip) {
-        ++trips_;
         TransitionTo(GuardState::kSuppressed, now);
       }
       break;
@@ -56,9 +55,6 @@ GuardState DetourGuard::OnWindowTick(Time now) {
 }
 
 void DetourGuard::TransitionTo(GuardState next, Time now) {
-  if (state_ == GuardState::kSuppressed) {
-    suppressed_total_ = suppressed_total_ + (now - state_since_);
-  }
   state_ = next;
   state_since_ = now;
 }

@@ -72,25 +72,12 @@ class DetourGuard {
   // Smoothed signal (post-tick value).
   double ewma_detour_rate() const { return ewma_detour_rate_; }
 
-  // Lifetime accounting.
-  uint64_t trips() const { return trips_; }
-  // Total sim time spent SUPPRESSED, including the current stretch up to
-  // `now` when the breaker is open right now.
-  Time SuppressedFor(Time now) const {
-    Time total = suppressed_total_;
-    if (state_ == GuardState::kSuppressed) {
-      total = total + (now - state_since_);
-    }
-    return total;
-  }
-
  private:
   void TransitionTo(GuardState next, Time now);
 
   GuardConfig config_;
   GuardState state_ = GuardState::kArmed;
   Time state_since_;
-  Time suppressed_total_;
 
   // Current-window counters, reset every tick.
   uint64_t window_packets_ = 0;
@@ -98,8 +85,6 @@ class DetourGuard {
   uint64_t window_probes_used_ = 0;
 
   double ewma_detour_rate_ = 0;
-
-  uint64_t trips_ = 0;
 };
 
 }  // namespace dibs

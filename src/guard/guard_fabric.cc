@@ -38,7 +38,6 @@ void GuardFabric::Start(Time stop_time) {
 
 std::optional<DropReason> GuardFabric::AdmitDetour(int node, uint16_t detour_count) {
   if (detour_count >= detour_budget_) {
-    ++ttl_clamped_;
     // Still demand: a clamped packet wanted a detour, and the breaker's
     // pressure signal must see it even though the clamp fired first.
     GuardAt(node).AdmitDetour();
@@ -46,28 +45,11 @@ std::optional<DropReason> GuardFabric::AdmitDetour(int node, uint16_t detour_cou
     return DropReason::kGuardTtlClamped;
   }
   if (!GuardAt(node).AdmitDetour()) {
-    ++suppressed_denials_;
     ++window_fabric_detours_;
     return DropReason::kGuardSuppressed;
   }
   ++window_fabric_detours_;
   return std::nullopt;
-}
-
-uint64_t GuardFabric::TotalTrips() const {
-  uint64_t total = 0;
-  for (const auto& [node, guard] : guards_) {
-    total += guard.trips();
-  }
-  return total;
-}
-
-Time GuardFabric::TotalSuppressed(Time now) const {
-  Time total;
-  for (const auto& [node, guard] : guards_) {
-    total = total + guard.SuppressedFor(now);
-  }
-  return total;
 }
 
 DetourGuard& GuardFabric::GuardAt(int node) {

@@ -12,7 +12,9 @@
 //
 // Layering: src/guard sits below src/device. The fabric never touches
 // Network; SwitchNode pushes per-packet notes down and the Network receives
-// transitions through the callback.
+// transitions through the callback. The fabric keeps no tallies: trips,
+// transitions and suppressed time are GuardRecorder's, derived from the
+// transition events, and guard drops are DetourRecorder's.
 
 #ifndef SRC_GUARD_GUARD_FABRIC_H_
 #define SRC_GUARD_GUARD_FABRIC_H_
@@ -74,20 +76,11 @@ class GuardFabric {
   uint16_t DetourBudget() const { return detour_budget_; }
   double FabricPressure() const { return ewma_fabric_pressure_; }
 
-  // ---- Accounting (read by GuardRecorder-free callers: benches, tests) ----
-  const DetourGuard& guard(int node) const { return GuardAt(node); }
+ private:
   bool HasGuard(int node) const {
     return node >= 0 && static_cast<size_t>(node) < guard_index_.size() &&
            guard_index_[static_cast<size_t>(node)] >= 0;
   }
-  uint64_t TotalTrips() const;
-  Time TotalSuppressed(Time now) const;
-  uint64_t ttl_clamped() const { return ttl_clamped_; }
-  uint64_t suppressed_denials() const { return suppressed_denials_; }
-
-  const GuardConfig& config() const { return config_; }
-
- private:
   DetourGuard& GuardAt(int node);
   const DetourGuard& GuardAt(int node) const;
   void Tick();
@@ -110,9 +103,6 @@ class GuardFabric {
   uint64_t window_fabric_detours_ = 0;
   double ewma_fabric_pressure_ = 0;
   uint16_t detour_budget_;
-
-  uint64_t ttl_clamped_ = 0;
-  uint64_t suppressed_denials_ = 0;
 };
 
 }  // namespace dibs

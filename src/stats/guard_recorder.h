@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
-#include <vector>
 
 #include "src/guard/guard_config.h"
 #include "src/trace/trace_sink.h"
@@ -24,21 +22,13 @@ class GuardRecorder : public TraceSink {
  public:
   static constexpr TraceKindSet kKinds = TraceKinds({TraceEventType::kGuardTransition});
 
-  struct Transition {
-    int node = -1;
-    GuardState from = GuardState::kArmed;
-    GuardState to = GuardState::kArmed;
-    Time at;
-  };
-
   // The from/to states ride the event's port/queue_depth fields.
   void OnEvent(const TraceEvent& e) override {
     const auto from = static_cast<GuardState>(e.port);
     const auto to = static_cast<GuardState>(e.queue_depth);
-    transitions_.push_back({e.node, from, to, e.at});
+    ++transitions_;
     if (to == GuardState::kSuppressed && from == GuardState::kArmed) {
       ++trips_;
-      tripped_switches_.insert(e.node);
     }
     // Accumulate dwell in the state being left.
     auto [it, inserted] = state_since_.try_emplace(e.node, StateSpan{from, Time()});
@@ -50,10 +40,7 @@ class GuardRecorder : public TraceSink {
 
   // Breaker trips (ARMED -> SUPPRESSED edges) across all switches.
   uint64_t trips() const { return trips_; }
-  uint64_t transition_count() const { return transitions_.size(); }
-  const std::vector<Transition>& transitions() const { return transitions_; }
-  // Distinct switches that tripped at least once, ordered by node id.
-  const std::set<int>& tripped_switches() const { return tripped_switches_; }
+  uint64_t transition_count() const { return transitions_; }
 
   // Total sim time switches spent SUPPRESSED, summed across switches, up to
   // `end` (breakers still open at `end` count their open stretch).
@@ -73,10 +60,9 @@ class GuardRecorder : public TraceSink {
     Time since;
   };
 
-  std::vector<Transition> transitions_;
   std::map<int, StateSpan> state_since_;  // per-switch current state
-  std::set<int> tripped_switches_;
   Time suppressed_total_;
+  uint64_t transitions_ = 0;
   uint64_t trips_ = 0;
 };
 

@@ -49,14 +49,14 @@ TEST(DetourGuardTest, StaysArmedUnderTripRate) {
     FeedWindow(guard, 100, 10, Time::Millis(w));  // rate 0.10 < trip 0.25
     EXPECT_EQ(guard.state(), GuardState::kArmed);
   }
-  EXPECT_EQ(guard.trips(), 0u);
 }
 
 TEST(DetourGuardTest, TripsOnDetourRateAndCountsTrip) {
   DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));  // rate 0.40 >= 0.25
+  // rate 0.40 >= 0.25: the tick reports the ARMED -> SUPPRESSED edge that
+  // GuardRecorder counts as a trip.
+  EXPECT_EQ(FeedWindow(guard, 100, 40, Time::Millis(1)), GuardState::kArmed);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
-  EXPECT_EQ(guard.trips(), 1u);
   EXPECT_FALSE(guard.DetourEnabled());
   EXPECT_FALSE(guard.AdmitDetour());
 }
@@ -128,21 +128,10 @@ TEST(DetourGuardTest, ProbingReopensWhenPressureReturns) {
   FeedWindow(guard, 100, 0, Time::Millis(2));
   FeedWindow(guard, 100, 0, Time::Millis(3));
   ASSERT_EQ(guard.state(), GuardState::kProbing);
-  FeedWindow(guard, 100, 50, Time::Millis(4));  // storm still raging
+  // Storm still raging. Re-entering SUPPRESSED from PROBING is not a fresh
+  // trip: the edge GuardRecorder sees starts at PROBING, not ARMED.
+  EXPECT_EQ(FeedWindow(guard, 100, 50, Time::Millis(4)), GuardState::kProbing);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
-  // Re-entering SUPPRESSED from PROBING is not a fresh trip.
-  EXPECT_EQ(guard.trips(), 1u);
-}
-
-TEST(DetourGuardTest, SuppressedForAccumulatesAcrossStretches) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));  // suppressed at 1ms
-  // Open stretch counts up to `now` while still suppressed.
-  EXPECT_EQ(guard.SuppressedFor(Time::Millis(2)), Time::Millis(1));
-  FeedWindow(guard, 100, 0, Time::Millis(2));
-  FeedWindow(guard, 100, 0, Time::Millis(3));  // probing at 3ms: 2ms banked
-  ASSERT_EQ(guard.state(), GuardState::kProbing);
-  EXPECT_EQ(guard.SuppressedFor(Time::Millis(10)), Time::Millis(2));
 }
 
 TEST(DetourGuardTest, SuppressedAttemptsStillFeedTheDemandSignal) {
@@ -187,7 +176,8 @@ TEST(GuardFabricTest, TickWalksGuardsAndReportsTransitions) {
   EXPECT_EQ(std::get<0>(seen[1]), 7);
   EXPECT_EQ(std::get<1>(seen[0]), GuardState::kArmed);
   EXPECT_EQ(std::get<2>(seen[0]), GuardState::kSuppressed);
-  EXPECT_EQ(fabric.TotalTrips(), 2u);
+  EXPECT_FALSE(fabric.DetourEnabled(3));
+  EXPECT_FALSE(fabric.DetourEnabled(7));
 }
 
 TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
@@ -208,7 +198,6 @@ TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
   EXPECT_TRUE(fabric.DetourEnabled(2));
   EXPECT_EQ(fabric.AdmitDetour(1, 0), DropReason::kGuardSuppressed);
   EXPECT_EQ(fabric.AdmitDetour(2, 0), std::nullopt);
-  EXPECT_GT(fabric.suppressed_denials(), 0u);
 }
 
 TEST(GuardFabricTest, BudgetUnlimitedWithoutAdaptiveTtl) {
@@ -250,7 +239,6 @@ TEST(GuardFabricTest, AdaptiveTtlTightensBudgetWithPressure) {
   // breaker and the probe budget.
   EXPECT_EQ(fabric.AdmitDetour(1, 8), DropReason::kGuardTtlClamped);
   EXPECT_EQ(fabric.AdmitDetour(1, 7), std::nullopt);
-  EXPECT_EQ(fabric.ttl_clamped(), 1u);
 
   // Pressure decays once the storm ends (idle fabric windows don't update;
   // feed calm traffic instead), and the budget walks back up the lerp.
