@@ -362,11 +362,6 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
       records[static_cast<size_t>(index)] = std::move(rec);
       done[static_cast<size_t>(index)] = 1;
     }
-    if (summary_.resumed > 0) {
-      DIBS_LOG(kInfo) << "sweep " << sweep_name << ": resumed " << summary_.resumed
-                      << "/" << n << " ok rows from journal '" << options.journal_path
-                      << "'";
-    }
   }
 
   ProgressReporter progress(sweep_name.empty() ? "sweep" : sweep_name, n,

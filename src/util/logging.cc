@@ -1,12 +1,9 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <mutex>
 
 namespace dibs {
 namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 // Guards emission so lines from concurrent sweep workers never interleave.
 std::mutex& EmitMutex() {
@@ -18,12 +15,6 @@ thread_local std::string tl_log_tag;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kTrace:
-      return "TRACE";
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
     case LogLevel::kWarning:
       return "WARN";
     case LogLevel::kError:
@@ -52,32 +43,9 @@ void Emit(const std::string& line) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
 void SetThreadLogTag(const std::string& tag) { tl_log_tag = tag; }
 
 const std::string& ThreadLogTag() { return tl_log_tag; }
-
-LogLevel ParseLogLevel(const std::string& name) {
-  if (name == "trace") {
-    return LogLevel::kTrace;
-  }
-  if (name == "debug") {
-    return LogLevel::kDebug;
-  }
-  if (name == "warning" || name == "warn") {
-    return LogLevel::kWarning;
-  }
-  if (name == "error") {
-    return LogLevel::kError;
-  }
-  if (name == "fatal") {
-    return LogLevel::kFatal;
-  }
-  return LogLevel::kInfo;
-}
 
 namespace internal {
 

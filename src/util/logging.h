@@ -1,12 +1,11 @@
 // Minimal logging and assertion support for the DIBS library.
 //
-// Each simulation is single-threaded (the simulator is a deterministic
-// discrete-event engine), but the sweep engine (src/exp) runs many
-// simulations on worker threads, so the logger is thread-safe: the active
-// level is atomic and emission is mutex-guarded so concurrent log lines
-// never interleave. Sweep workers tag their lines with a per-run id via
-// SetThreadLogTag(). Everything below the active level compiles down to a
-// short-circuited stream that is never evaluated.
+// DIBS_LOG(kWarning | kError | kFatal) always prints, to stderr; kFatal then
+// aborts. Each simulation is single-threaded (the simulator is a
+// deterministic discrete-event engine), but the sweep engine (src/exp) runs
+// many simulations on worker threads, so emission is mutex-guarded and
+// concurrent log lines never interleave. Sweep workers tag their lines with
+// a per-run id via SetThreadLogTag().
 
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
@@ -19,23 +18,10 @@
 namespace dibs {
 
 enum class LogLevel : int {
-  kTrace = 0,
-  kDebug = 1,
-  kInfo = 2,
-  kWarning = 3,
-  kError = 4,
-  kFatal = 5,
+  kWarning = 0,
+  kError = 1,
+  kFatal = 2,
 };
-
-// Returns the currently active minimum severity.
-LogLevel GetLogLevel();
-
-// Sets the active minimum severity. Messages below this level are discarded.
-void SetLogLevel(LogLevel level);
-
-// Parses a level name ("trace", "debug", "info", "warning", "error", "fatal").
-// Unknown names return kInfo.
-LogLevel ParseLogLevel(const std::string& name);
 
 // Tags every log line emitted from the calling thread with `tag` (e.g. the
 // sweep engine sets "fig07#12" while executing run 12). An empty tag clears
@@ -77,21 +63,16 @@ class FatalMessage {
 };
 
 struct Voidify {
-  // Lowest-precedence operator that still binds tighter than ?: — lets the
-  // macros below swallow the stream expression when the level is disabled.
+  // Lowest-precedence operator that still binds tighter than ?: — lets
+  // DIBS_CHECK swallow the stream expression when the check passes.
   void operator&(std::ostream&) {}
 };
 
 }  // namespace internal
 }  // namespace dibs
 
-#define DIBS_LOG_IS_ON(level) (::dibs::LogLevel::level >= ::dibs::GetLogLevel())
-
-#define DIBS_LOG(level)                                 \
-  !DIBS_LOG_IS_ON(level)                                \
-      ? (void)0                                         \
-      : ::dibs::internal::Voidify() &                   \
-            ::dibs::internal::LogMessage(::dibs::LogLevel::level, __FILE__, __LINE__).stream()
+#define DIBS_LOG(level) \
+  ::dibs::internal::LogMessage(::dibs::LogLevel::level, __FILE__, __LINE__).stream()
 
 // Always-on invariant check; aborts with a message when violated.
 #define DIBS_CHECK(condition)         \
