@@ -116,9 +116,9 @@ TEST(OutputPortLookupTest, WithoutDibsDropsOnFullDesired) {
   EXPECT_EQ(ok.port, 2);
 }
 
-// Behavioral equivalence with the simulator's DIBS semantics on randomized
-// cases: forward iff a desired port has room; otherwise detour iff an
-// available switch-facing non-desired port exists; otherwise drop.
+// The model against §2's rule, restated here, on randomized cases: forward
+// iff a desired port has room; otherwise detour iff an available
+// switch-facing non-desired port exists; otherwise drop.
 TEST(OutputPortLookupTest, MatchesReferenceSemanticsOnRandomCases) {
   OutputPortLookup lookup(/*switch_facing=*/0b1111'1100, 8);
   uint32_t state = 12345;
