@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "src/device/host_node.h"
 #include "src/device/network.h"
 #include "src/stats/detour_recorder.h"
@@ -297,118 +292,6 @@ TEST(SwitchTest, PartialPauseStillDetoursWithoutEligibilityDrops) {
   EXPECT_GT(net.total_detours(), 0u);
   EXPECT_EQ(rec.drops(DropReason::kNoEligibleDetour), 0u);
 }
-
-// A star: switch node 0 with host 0 on port 0 (the destination), host 1 on
-// port 1, and one-port switches on ports 2..7. The simulator never runs:
-// tests fill queues by enqueueing on ports, then hand packets to
-// HandleReceive directly, so every detour decision sees exactly the port
-// state the test set up.
-class Star : public TraceSink {
- public:
-  explicit Star(const std::string& policy) {
-    Topology topo;
-    const int center = topo.AddNode(NodeKind::kSwitch, "center");
-    for (int h = 0; h < 2; ++h) {
-      topo.AddLink(center, topo.AddHost("h" + std::to_string(h)), kGbps, kDefaultLinkDelay);
-    }
-    for (int n = 0; n < 6; ++n) {
-      const int neighbor = topo.AddNode(NodeKind::kSwitch, "n" + std::to_string(n));
-      topo.AddLink(center, neighbor, kGbps, kDefaultLinkDelay);
-    }
-    NetworkConfig cfg;
-    cfg.switch_buffer_packets = 4;
-    cfg.detour_policy = policy;
-    net_ = std::make_unique<Network>(&sim_, std::move(topo), cfg);
-    net_->Subscribe(this, TraceKinds({TraceEventType::kDetour, TraceEventType::kDrop}));
-  }
-
-  void OnEvent(const TraceEvent& e) override {
-    if (e.type == TraceEventType::kDetour) {
-      detour_ports.push_back(static_cast<uint16_t>(e.port));
-    } else {
-      drops.push_back(static_cast<DropReason>(e.drop_reason));
-    }
-  }
-
-  Network& net() { return *net_; }
-  SwitchNode& center() { return net_->switch_at(0); }
-  // The switch on `port` of the center, and the link between them.
-  SwitchNode& neighbor(uint16_t port) {
-    return net_->switch_at(net_->topology().ports(0)[port].neighbor);
-  }
-  int link(uint16_t port) const { return net_->topology().ports(0)[port].link; }
-
-  void Fill(SwitchNode& sw, uint16_t port) {
-    while (!sw.port(port).queue().IsFull(Packet())) {
-      sw.port(port).EnqueueAndTransmit(RawPacket(*net_, 1, 0));
-    }
-  }
-
-  // A packet for host 0 arriving at `sw` on `in_port`.
-  void Receive(SwitchNode& sw, uint16_t in_port, FlowId flow = 1) {
-    sw.HandleReceive(RawPacket(*net_, 1, 0, /*ttl=*/64, flow), in_port);
-  }
-
-  std::vector<uint16_t> detour_ports;
-  std::vector<DropReason> drops;
-
- private:
-  Simulator sim_{7};
-  std::unique_ptr<Network> net_;
-};
-
-// §2's eligibility rule lives in SwitchNode alone; every policy only
-// chooses among the candidates it passes. (Policy "none" never detours:
-// OverflowFixture.DropTailDropsUnderBurst.)
-class SwitchDetourEligibility : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(SwitchDetourEligibility, OnlyLiveSwitchPortsWithRoomAreCandidates) {
-  {
-    // Port 2 is the input port; 3 is full, 5 down, 6 paused; 4 and 7 are
-    // live with room. Detours fill 2, 4 and 7 until none has room.
-    Star star(GetParam());
-    star.Fill(star.center(), 0);
-    star.Fill(star.center(), 3);
-    star.net().SetLinkAdminState(star.link(5), false);
-    star.center().SetPortPaused(6, true);
-    for (FlowId flow = 1; star.drops.empty(); ++flow) {
-      ASSERT_LT(flow, 100u) << "live candidates never filled";
-      star.Receive(star.center(), /*in_port=*/2, flow);
-    }
-    for (uint16_t port : star.detour_ports) {
-      EXPECT_TRUE(port == 2 || port == 4 || port == 7) << "detoured out of port " << port;
-    }
-    EXPECT_NE(std::count(star.detour_ports.begin(), star.detour_ports.end(), 2), 0)
-        << "the input port is a candidate";
-    EXPECT_EQ(star.drops, std::vector<DropReason>{DropReason::kNoDetourAvailable});
-  }
-  {
-    // Every other switch-facing port is down or paused: nothing to borrow.
-    Star star(GetParam());
-    star.Fill(star.center(), 0);
-    for (uint16_t port : {2, 3, 4}) {
-      star.net().SetLinkAdminState(star.link(port), false);
-    }
-    for (uint16_t port : {5, 6, 7}) {
-      star.center().SetPortPaused(port, true);
-    }
-    star.Receive(star.center(), /*in_port=*/2);
-    EXPECT_TRUE(star.detour_ports.empty());
-    EXPECT_EQ(star.drops, std::vector<DropReason>{DropReason::kNoEligibleDetour});
-  }
-  {
-    // A one-port switch has nowhere to detour.
-    Star star(GetParam());
-    SwitchNode& edge = star.neighbor(2);
-    star.Fill(edge, 0);
-    star.Receive(edge, /*in_port=*/0);
-    EXPECT_EQ(star.drops, std::vector<DropReason>{DropReason::kQueueOverflow});
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, SwitchDetourEligibility,
-                         ::testing::Values("random", "load-aware", "flow-based",
-                                           "probabilistic"));
 
 TEST(SwitchTest, BufferedPacketAccounting) {
   Simulator sim;
