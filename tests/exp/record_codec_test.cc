@@ -17,6 +17,8 @@
 namespace dibs {
 namespace {
 
+// Every leaf holds a distinct, non-default value, so a decoder that skips or
+// swaps a field changes the re-encoded bytes.
 RunRecord FullRecord() {
   RunRecord r;
   r.index = 42;
@@ -24,26 +26,25 @@ RunRecord FullRecord() {
   r.points = {{"scheme", "dibs"}, {"degree", "100"}};
   r.replication = 3;
   r.seed = std::numeric_limits<uint64_t>::max();
-  r.status = RunStatus::kOk;
+  r.status = RunStatus::kTimeout;
   r.attempts = 2;
+  r.error = "watchdog: \"stalled\"\tat 5 ms";
   r.wall_ms = 123.456789012345;
   r.events_per_sec = 2.5e6;
   r.result.qct99_ms = 17.25;
   r.result.bg_fct99_ms = 3.125;
   r.result.bg_fct99_all_ms = 4.0625;
-  r.result.qct.count = 130;
-  r.result.qct.mean = 9.5;
-  r.result.qct.p50 = 8.25;
-  r.result.qct.p99 = 17.25;
-  r.result.qct.max = 21.0;
-  r.result.bg_fct_short.count = 77;
-  r.result.queries_completed = 130;
+  r.result.qct = {.count = 130, .mean = 9.5, .min = 1.75, .max = 21.0,
+                  .p50 = 8.25, .p90 = 14.5, .p99 = 17.125, .p999 = 20.5};
+  r.result.bg_fct_short = {.count = 77, .mean = 1.5, .min = 0.375, .max = 6.75,
+                           .p50 = 1.25, .p90 = 2.625, .p99 = 3.0625, .p999 = 5.5};
+  r.result.queries_completed = 128;
   r.result.queries_launched = 131;
   r.result.flows_completed = 5200;
   r.result.flows_started = 5210;
-  r.result.drops = 7;
-  r.result.ttl_drops = 2;
-  r.result.drops_by_reason = {3, 0, 2, 0, 1, 0, 0, 1, 4, 2, 6};
+  r.result.drops = 97;
+  r.result.ttl_drops = 12;
+  r.result.drops_by_reason = {201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211};
   static_assert(kNumDropReasons == 11,
                 "extend the drops_by_reason fixture when adding reasons");
   r.result.fault_drops = 4;
@@ -56,19 +57,23 @@ RunRecord FullRecord() {
   r.result.detoured_fraction = 0.0625;
   r.result.query_detour_share = 0.875;
   r.result.detour_count_p99 = 40;
+  r.result.queueing_delay_us = {.count = 987654, .mean = 35.5, .min = 0.25,
+                                .max = 16000.5, .p50 = 22, .p90 = 64,
+                                .p99 = 250, .p999 = 1024};
+  r.result.loop_packets = 8;
   r.result.retransmits = 17;
   r.result.timeouts = 5;
-  r.result.guard_trips = 3;
-  r.result.guard_transitions = 9;
-  r.result.guard_suppressed_drops = 4;
-  r.result.guard_ttl_clamped_drops = 2;
+  r.result.guard_trips = 10;
+  r.result.guard_transitions = 31;
+  r.result.guard_suppressed_drops = 14;
+  r.result.guard_ttl_clamped_drops = 13;
   r.result.guard_time_suppressed_ms = 6.5;
   r.result.collapse_detected = true;
   r.result.collapse_onset_ms = 42.25;
   r.result.hot_fractions = {0.5, 0.25};
   r.result.relative_hot_fractions = {0.75};
   r.result.one_hop_free = {0.125, 0.0009765625};
-  r.result.two_hop_free = {1.0};
+  r.result.two_hop_free = {0.9375};
   r.result.events_processed = 1000000;
   return r;
 }
@@ -105,6 +110,43 @@ TEST(RecordCodecTest, EncodeDecodeRoundTripsEveryField) {
 
   // The byte-identity property everything else relies on.
   EXPECT_EQ(EncodeRunRecord(decoded), line);
+}
+
+// The exact bytes of FullRecord(), recorded before the codec was driven by
+// the field lists. Golden rows, journal resume and the process-isolation
+// pipe all hash or diff these bytes, so an encoder change must keep them.
+TEST(RecordCodecTest, EncodingIsPinned) {
+  EXPECT_EQ(
+      EncodeRunRecord(FullRecord()),
+      R"json({"sweep":"fig11","run":42,"axes":{"scheme":"dibs","degree":"100"},)json"
+      R"json("replication":3,"seed":18446744073709551615,"status":"timeout",)json"
+      R"json("attempts":2,"error":"watchdog: \"stalled\"\tat 5 ms",)json"
+      R"json("wall_ms":123.456789012345,"events_per_sec":2500000,"result":{)json"
+      R"json("qct99_ms":17.25,"bg_fct99_ms":3.125,"bg_fct99_all_ms":4.0625,)json"
+      R"json("qct":{"count":130,"mean":9.5,"min":1.75,"max":21,"p50":8.25,)json"
+      R"json("p90":14.5,"p99":17.125,"p999":20.5},)json"
+      R"json("bg_fct_short":{"count":77,"mean":1.5,"min":0.375,"max":6.75,)json"
+      R"json("p50":1.25,"p90":2.625,"p99":3.0625,"p999":5.5},)json"
+      R"json("queries_completed":128,"queries_launched":131,)json"
+      R"json("flows_completed":5200,"flows_started":5210,"drops":97,)json"
+      R"json("ttl_drops":12,"drops_by_reason":{"queue-overflow":201,)json"
+      R"json("no-detour-available":202,"ttl-expired":203,"no-route":204,)json"
+      R"json("fault-link-down":205,"fault-switch-down":206,"fault-lossy":207,)json"
+      R"json("fault-no-live-route":208,"guard-suppressed":209,)json"
+      R"json("guard-ttl-clamped":210,"no-eligible-detour":211},)json"
+      R"json("fault_drops":4,"fault_events_applied":6,"fault_flows_stalled":1,)json"
+      R"json("fault_flows_recovered":9,"fault_recovery_ms_max":12.75,)json"
+      R"json("detours":12345,"delivered_packets":197531,)json"
+      R"json("detoured_fraction":0.0625,"query_detour_share":0.875,)json"
+      R"json("detour_count_p99":40,"queueing_delay_us":{"count":987654,)json"
+      R"json("mean":35.5,"min":0.25,"max":16000.5,"p50":22,"p90":64,"p99":250,)json"
+      R"json("p999":1024},"loop_packets":8,"retransmits":17,"timeouts":5,)json"
+      R"json("guard_trips":10,"guard_transitions":31,"guard_suppressed_drops":14,)json"
+      R"json("guard_ttl_clamped_drops":13,"guard_time_suppressed_ms":6.5,)json"
+      R"json("collapse_detected":true,"collapse_onset_ms":42.25,)json"
+      R"json("hot_fractions":[0.5,0.25],"relative_hot_fractions":[0.75],)json"
+      R"json("one_hop_free":[0.125,0.0009765625],"two_hop_free":[0.9375],)json"
+      R"json("events_processed":1000000}})json");
 }
 
 TEST(RecordCodecTest, RoundTripsEveryStatusAndEscapedError) {
