@@ -1,6 +1,7 @@
 #include "src/exp/record_codec.h"
 
-#include <sstream>
+#include <charconv>
+#include <concepts>
 #include <utility>
 #include <vector>
 
@@ -11,124 +12,146 @@ namespace {
 
 using json::Value;
 
-void WriteSummary(std::ostream& os, const Summary& s) {
-  os << "{\"count\":" << s.count << ",\"mean\":" << json::Num(s.mean)
-     << ",\"min\":" << json::Num(s.min) << ",\"max\":" << json::Num(s.max)
-     << ",\"p50\":" << json::Num(s.p50) << ",\"p90\":" << json::Num(s.p90)
-     << ",\"p99\":" << json::Num(s.p99) << ",\"p999\":" << json::Num(s.p999)
-     << "}";
-}
+// RunRecord, ScenarioResult and Summary: structs that list their fields
+// through a static ForEachField, and travel as nested JSON objects.
+template <typename T>
+concept HasFieldList =
+    requires(const T& t) { T::ForEachField(t, [](const char*, const auto&) {}); };
 
-void WriteDoubleArray(std::ostream& os, const std::vector<double>& v) {
-  os << "[";
-  for (size_t i = 0; i < v.size(); ++i) {
-    os << (i == 0 ? "" : ",") << json::Num(v[i]);
-  }
-  os << "]";
-}
+// Appends the JSON of each field type to `out`.
+struct Writer {
+  std::string& out;
 
-// {"queue-overflow":12,...} keyed by DropReasonName, every reason present so
-// consumers never have to guess which keys exist.
-void WriteDropsByReason(std::ostream& os, const std::vector<uint64_t>& by_reason) {
-  os << "{";
-  for (size_t i = 0; i < kNumDropReasons; ++i) {
-    const uint64_t count = i < by_reason.size() ? by_reason[i] : 0;
-    os << (i == 0 ? "" : ",") << "\"" << DropReasonName(static_cast<DropReason>(i))
-       << "\":" << count;
+  void Put(double v) { out += json::Num(v); }
+  void Put(bool v) { out += v ? "true" : "false"; }
+  template <std::integral T>
+  void Put(T v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
-  os << "}";
-}
+  void Put(const std::string& s) { out.append(1, '"').append(json::Escape(s)).append(1, '"'); }
+  void Put(RunStatus s) { out.append(1, '"').append(RunStatusName(s)).append(1, '"'); }
+  // The axes, as an object in matrix axis order.
+  void Put(const std::vector<AxisPoint>& points) {
+    out += '{';
+    for (size_t i = 0; i < points.size(); ++i) {
+      out += i == 0 ? "" : ",";
+      Put(points[i].axis);
+      out += ':';
+      Put(points[i].value);
+    }
+    out += '}';
+  }
+  // A monitor series.
+  void Put(const std::vector<double>& series) {
+    out += '[';
+    for (size_t i = 0; i < series.size(); ++i) {
+      out += i == 0 ? "" : ",";
+      Put(series[i]);
+    }
+    out += ']';
+  }
+  // The per-reason drop table, {"queue-overflow":12,...} keyed by
+  // DropReasonName with every reason present, so consumers never have to
+  // guess which keys exist.
+  void Put(const std::vector<uint64_t>& by_reason) {
+    for (size_t i = 0; i < kNumDropReasons; ++i) {
+      Key(i == 0, DropReasonName(static_cast<DropReason>(i)));
+      Put(i < by_reason.size() ? by_reason[i] : uint64_t{0});
+    }
+    out += '}';
+  }
+  template <HasFieldList T>
+  void Put(const T& object) {
+    bool first = true;
+    T::ForEachField(object, [&](const char* key, const auto& field) {
+      Key(first, key);
+      first = false;
+      Put(field);
+    });
+    out += '}';
+  }
 
-void GetSummary(const Value& obj, const std::string& key, Summary* out) {
-  const Value* v = json::Find(obj, key);
-  if (v == nullptr) {
-    return;
+  // `{"key":` opens an object; `,"key":` continues one.
+  void Key(bool first, const char* key) {
+    out.append(first ? "{\"" : ",\"").append(key).append("\":");
   }
-  if (v->kind != Value::Kind::kObject) {
-    throw CodecError(key, "expected summary object");
-  }
-  json::ReadInt(*v, "count", &out->count);
-  json::ReadDouble(*v, "mean", &out->mean);
-  json::ReadDouble(*v, "min", &out->min);
-  json::ReadDouble(*v, "max", &out->max);
-  json::ReadDouble(*v, "p50", &out->p50);
-  json::ReadDouble(*v, "p90", &out->p90);
-  json::ReadDouble(*v, "p99", &out->p99);
-  json::ReadDouble(*v, "p999", &out->p999);
-}
+};
 
-bool StatusFromName(const std::string& name, RunStatus* out) {
-  for (const RunStatus s :
-       {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimeout,
-        RunStatus::kCrashed, RunStatus::kQuarantined}) {
-    if (name == RunStatusName(s)) {
-      *out = s;
-      return true;
+// Reads each field type from member `key` of `obj`. An absent key leaves
+// *out as it is; a key of the wrong type throws CodecError naming it.
+struct Reader {
+  const Value& obj;
+
+  void Get(const char* key, double* out) { json::ReadDouble(obj, key, out); }
+  void Get(const char* key, bool* out) { json::ReadBool(obj, key, out); }
+  template <std::integral T>
+  void Get(const char* key, T* out) {
+    json::ReadInt(obj, key, out);
+  }
+  void Get(const char* key, std::string* out) { json::ReadString(obj, key, out); }
+  void Get(const char* key, std::vector<double>* out) { json::ReadDoubleArray(obj, key, out); }
+  void Get(const char* key, RunStatus* out) {
+    std::string name = RunStatusName(*out);
+    json::ReadString(obj, key, &name);
+    for (const RunStatus s : {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimeout,
+                              RunStatus::kCrashed, RunStatus::kQuarantined}) {
+      if (name == RunStatusName(s)) {
+        *out = s;
+        return;
+      }
+    }
+    throw CodecError(key, "unknown status '" + name + "'");
+  }
+  // Parse keeps object members in document order, so the axes come back in
+  // matrix order (FindRecord and CSV folding depend on it).
+  void Get(const char* key, std::vector<AxisPoint>* out) {
+    if (const Value* axes = Object(key); axes != nullptr) {
+      out->clear();
+      for (const auto& [name, value] : axes->fields) {
+        if (value.kind != Value::Kind::kString) {
+          throw CodecError(std::string(key) + "." + name, "expected string label");
+        }
+        out->push_back({name, value.text});
+      }
     }
   }
-  return false;
-}
+  void Get(const char* key, std::vector<uint64_t>* out) {
+    if (const Value* by_reason = Object(key); by_reason != nullptr) {
+      out->assign(kNumDropReasons, 0);
+      for (size_t i = 0; i < kNumDropReasons; ++i) {
+        json::ReadInt(*by_reason, DropReasonName(static_cast<DropReason>(i)), &(*out)[i]);
+      }
+    }
+  }
+  template <HasFieldList T>
+  void Get(const char* key, T* out) {
+    if (const Value* v = Object(key); v != nullptr) {
+      Reader{*v}.Fields(out);
+    }
+  }
+
+  template <HasFieldList T>
+  void Fields(T* out) {
+    T::ForEachField(*out, [this](const char* key, auto& field) { Get(key, &field); });
+  }
+  // The object at `key`, or nullptr when the key is absent.
+  const Value* Object(const char* key) {
+    const Value* v = json::Find(obj, key);
+    if (v != nullptr && v->kind != Value::Kind::kObject) {
+      throw CodecError(key, "expected object");
+    }
+    return v;
+  }
+};
 
 }  // namespace
 
 std::string EncodeRunRecord(const RunRecord& r) {
-  std::ostringstream os;
-  os << "{\"sweep\":\"" << json::Escape(r.sweep) << "\",\"run\":" << r.index
-     << ",\"axes\":{";
-  for (size_t i = 0; i < r.points.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\"" << json::Escape(r.points[i].axis)
-       << "\":\"" << json::Escape(r.points[i].value) << "\"";
-  }
-  os << "},\"replication\":" << r.replication << ",\"seed\":" << r.seed
-     << ",\"status\":\"" << RunStatusName(r.status)
-     << "\",\"attempts\":" << r.attempts << ",\"error\":\""
-     << json::Escape(r.error) << "\",\"wall_ms\":" << json::Num(r.wall_ms)
-     << ",\"events_per_sec\":" << json::Num(r.events_per_sec) << ",\"result\":{";
-
-  const ScenarioResult& s = r.result;
-  os << "\"qct99_ms\":" << json::Num(s.qct99_ms)
-     << ",\"bg_fct99_ms\":" << json::Num(s.bg_fct99_ms)
-     << ",\"bg_fct99_all_ms\":" << json::Num(s.bg_fct99_all_ms) << ",\"qct\":";
-  WriteSummary(os, s.qct);
-  os << ",\"bg_fct_short\":";
-  WriteSummary(os, s.bg_fct_short);
-  os << ",\"queries_completed\":" << s.queries_completed
-     << ",\"queries_launched\":" << s.queries_launched
-     << ",\"flows_completed\":" << s.flows_completed
-     << ",\"flows_started\":" << s.flows_started << ",\"drops\":" << s.drops
-     << ",\"ttl_drops\":" << s.ttl_drops << ",\"drops_by_reason\":";
-  WriteDropsByReason(os, s.drops_by_reason);
-  os << ",\"fault_drops\":" << s.fault_drops
-     << ",\"fault_events_applied\":" << s.fault_events_applied
-     << ",\"fault_flows_stalled\":" << s.fault_flows_stalled
-     << ",\"fault_flows_recovered\":" << s.fault_flows_recovered
-     << ",\"fault_recovery_ms_max\":" << json::Num(s.fault_recovery_ms_max)
-     << ",\"detours\":" << s.detours
-     << ",\"delivered_packets\":" << s.delivered_packets
-     << ",\"detoured_fraction\":" << json::Num(s.detoured_fraction)
-     << ",\"query_detour_share\":" << json::Num(s.query_detour_share)
-     << ",\"detour_count_p99\":" << json::Num(s.detour_count_p99)
-     << ",\"queueing_delay_us\":";
-  WriteSummary(os, s.queueing_delay_us);
-  os << ",\"loop_packets\":" << s.loop_packets
-     << ",\"retransmits\":" << s.retransmits << ",\"timeouts\":" << s.timeouts
-     << ",\"guard_trips\":" << s.guard_trips
-     << ",\"guard_transitions\":" << s.guard_transitions
-     << ",\"guard_suppressed_drops\":" << s.guard_suppressed_drops
-     << ",\"guard_ttl_clamped_drops\":" << s.guard_ttl_clamped_drops
-     << ",\"guard_time_suppressed_ms\":" << json::Num(s.guard_time_suppressed_ms)
-     << ",\"collapse_detected\":" << (s.collapse_detected ? "true" : "false")
-     << ",\"collapse_onset_ms\":" << json::Num(s.collapse_onset_ms)
-     << ",\"hot_fractions\":";
-  WriteDoubleArray(os, s.hot_fractions);
-  os << ",\"relative_hot_fractions\":";
-  WriteDoubleArray(os, s.relative_hot_fractions);
-  os << ",\"one_hop_free\":";
-  WriteDoubleArray(os, s.one_hop_free);
-  os << ",\"two_hop_free\":";
-  WriteDoubleArray(os, s.two_hop_free);
-  os << ",\"events_processed\":" << s.events_processed << "}}";
-  return os.str();
+  std::string out;
+  out.reserve(2048);
+  Writer{out}.Put(r);
+  return out;
 }
 
 bool DecodeRunRecord(const std::string& line, RunRecord* record,
@@ -146,90 +169,7 @@ bool DecodeRunRecord(const std::string& line, RunRecord* record,
 
   RunRecord r;
   try {
-    json::ReadInt(root, "run", &r.index);
-    json::ReadString(root, "sweep", &r.sweep);
-    json::ReadInt(root, "replication", &r.replication);
-    json::ReadInt(root, "seed", &r.seed);
-    json::ReadInt(root, "attempts", &r.attempts);
-    json::ReadString(root, "error", &r.error);
-    json::ReadDouble(root, "wall_ms", &r.wall_ms);
-    json::ReadDouble(root, "events_per_sec", &r.events_per_sec);
-
-    std::string status_name = RunStatusName(RunStatus::kOk);
-    json::ReadString(root, "status", &status_name);
-    if (!StatusFromName(status_name, &r.status)) {
-      throw CodecError("status", "unknown status '" + status_name + "'");
-    }
-
-    // The encoder writes axes as an object in matrix axis order, and Parse
-    // keeps that order (FindRecord and CSV folding depend on it).
-    if (const Value* axes = json::Find(root, "axes"); axes != nullptr) {
-      if (axes->kind != Value::Kind::kObject) {
-        throw CodecError("axes", "expected object");
-      }
-      for (const auto& [key, value] : axes->fields) {
-        if (value.kind != Value::Kind::kString) {
-          throw CodecError("axes." + key, "expected string label");
-        }
-        r.points.push_back({key, value.text});
-      }
-    }
-
-    if (const Value* res = json::Find(root, "result"); res != nullptr) {
-      if (res->kind != Value::Kind::kObject) {
-        throw CodecError("result", "expected object");
-      }
-      ScenarioResult& s = r.result;
-      json::ReadDouble(*res, "qct99_ms", &s.qct99_ms);
-      json::ReadDouble(*res, "bg_fct99_ms", &s.bg_fct99_ms);
-      json::ReadDouble(*res, "bg_fct99_all_ms", &s.bg_fct99_all_ms);
-      GetSummary(*res, "qct", &s.qct);
-      GetSummary(*res, "bg_fct_short", &s.bg_fct_short);
-      json::ReadInt(*res, "queries_completed", &s.queries_completed);
-      json::ReadInt(*res, "queries_launched", &s.queries_launched);
-      json::ReadInt(*res, "flows_completed", &s.flows_completed);
-      json::ReadInt(*res, "flows_started", &s.flows_started);
-      json::ReadInt(*res, "drops", &s.drops);
-      json::ReadInt(*res, "ttl_drops", &s.ttl_drops);
-      if (const Value* by = json::Find(*res, "drops_by_reason"); by != nullptr) {
-        if (by->kind != Value::Kind::kObject) {
-          throw CodecError("drops_by_reason", "expected object");
-        }
-        s.drops_by_reason.assign(kNumDropReasons, 0);
-        for (size_t i = 0; i < kNumDropReasons; ++i) {
-          json::ReadInt(*by, DropReasonName(static_cast<DropReason>(i)),
-                        &s.drops_by_reason[i]);
-        }
-      }
-      json::ReadInt(*res, "fault_drops", &s.fault_drops);
-      json::ReadInt(*res, "fault_events_applied", &s.fault_events_applied);
-      json::ReadInt(*res, "fault_flows_stalled", &s.fault_flows_stalled);
-      json::ReadInt(*res, "fault_flows_recovered", &s.fault_flows_recovered);
-      json::ReadDouble(*res, "fault_recovery_ms_max", &s.fault_recovery_ms_max);
-      json::ReadInt(*res, "detours", &s.detours);
-      json::ReadInt(*res, "delivered_packets", &s.delivered_packets);
-      json::ReadDouble(*res, "detoured_fraction", &s.detoured_fraction);
-      json::ReadDouble(*res, "query_detour_share", &s.query_detour_share);
-      json::ReadDouble(*res, "detour_count_p99", &s.detour_count_p99);
-      GetSummary(*res, "queueing_delay_us", &s.queueing_delay_us);
-      json::ReadInt(*res, "loop_packets", &s.loop_packets);
-      json::ReadInt(*res, "retransmits", &s.retransmits);
-      json::ReadInt(*res, "timeouts", &s.timeouts);
-      json::ReadInt(*res, "guard_trips", &s.guard_trips);
-      json::ReadInt(*res, "guard_transitions", &s.guard_transitions);
-      json::ReadInt(*res, "guard_suppressed_drops", &s.guard_suppressed_drops);
-      json::ReadInt(*res, "guard_ttl_clamped_drops", &s.guard_ttl_clamped_drops);
-      json::ReadDouble(*res, "guard_time_suppressed_ms",
-                       &s.guard_time_suppressed_ms);
-      json::ReadBool(*res, "collapse_detected", &s.collapse_detected);
-      json::ReadDouble(*res, "collapse_onset_ms", &s.collapse_onset_ms);
-      json::ReadDoubleArray(*res, "hot_fractions", &s.hot_fractions);
-      json::ReadDoubleArray(*res, "relative_hot_fractions",
-                            &s.relative_hot_fractions);
-      json::ReadDoubleArray(*res, "one_hop_free", &s.one_hop_free);
-      json::ReadDoubleArray(*res, "two_hop_free", &s.two_hop_free);
-      json::ReadInt(*res, "events_processed", &s.events_processed);
-    }
+    Reader{root}.Fields(&r);
   } catch (const CodecError& e) {
     if (error != nullptr) {
       *error = e.what();

@@ -16,11 +16,10 @@
 
 namespace dibs {
 
-// The JSONL schema (see EXPERIMENTS.md "Result schema"):
-//   {"sweep":..., "run":..., "axes":{name:label,...}, "replication":...,
-//    "seed":..., "status":..., "attempts":..., "error":..., "wall_ms":...,
-//    "events_per_sec":..., "result":{<every ScenarioResult field>}}
-// No trailing newline; callers append their own.
+// One JSON object with a member per entry of RunRecord::ForEachField, in
+// that order; `result` and each Summary nest as objects through their own
+// lists (see also EXPERIMENTS.md "Result schema"). No trailing newline;
+// callers append their own.
 std::string EncodeRunRecord(const RunRecord& record);
 
 // Parses a line produced by EncodeRunRecord. Returns false (and fills

@@ -1,10 +1,10 @@
 #include "src/exp/result_sink.h"
 
 #include <cmath>
-#include <limits>
-#include <sstream>
+#include <concepts>
 
 #include "src/exp/record_codec.h"
+#include "src/util/json.h"
 
 namespace dibs {
 namespace {
@@ -24,40 +24,66 @@ std::string CsvEscape(const std::string& s) {
   return out;
 }
 
-std::string FoldAxes(const RunRecord& r) {
-  std::string out;
-  for (const AxisPoint& p : r.points) {
-    if (!out.empty()) {
-      out += ';';
-    }
-    out += p.axis + "=" + p.value;
+// The header and one row, built by walking the record's field lists
+// (run_record.h): one column per scalar, in record order.
+class CsvColumns {
+ public:
+  template <std::integral T>
+  void operator()(const char* key, T v) {
+    Add(key, std::to_string(v));
   }
-  return out;
-}
+  void operator()(const char* key, bool v) { Add(key, v ? "1" : "0"); }
+  void operator()(const char* key, double v) {
+    Add(key, std::isfinite(v) ? json::Num(v) : "");
+  }
+  void operator()(const char* key, const std::string& v) { Add(key, CsvEscape(v)); }
+  void operator()(const char* key, RunStatus v) { Add(key, RunStatusName(v)); }
 
-std::string CsvNum(double v) {
-  if (!std::isfinite(v)) {
-    return "";
-  }
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-// CSV folding mirrors FoldAxes: "queue-overflow=12;ttl-expired=3;...".
-std::string FoldDropsByReason(const std::vector<uint64_t>& by_reason) {
-  std::string out;
-  for (size_t i = 0; i < kNumDropReasons; ++i) {
-    const uint64_t count = i < by_reason.size() ? by_reason[i] : 0;
-    if (!out.empty()) {
-      out += ';';
+  // The axes fold into one "scheme=dibs;buffer_pkts=100" column, so the
+  // header is sweep-independent.
+  void operator()(const char* key, const std::vector<AxisPoint>& points) {
+    std::string folded;
+    for (const AxisPoint& p : points) {
+      folded += (folded.empty() ? "" : ";") + p.axis + "=" + p.value;
     }
-    out += std::string(DropReasonName(static_cast<DropReason>(i))) + "=" +
-           std::to_string(count);
+    Add(key, CsvEscape(folded));
   }
-  return out;
-}
+  // So does the drop table: "queue-overflow=12;no-detour-available=0;...".
+  void operator()(const char* key, const std::vector<uint64_t>& by_reason) {
+    std::string folded;
+    for (size_t i = 0; i < kNumDropReasons; ++i) {
+      folded += std::string(i == 0 ? "" : ";") +
+                DropReasonName(static_cast<DropReason>(i)) + "=" +
+                std::to_string(i < by_reason.size() ? by_reason[i] : 0);
+    }
+    Add(key, folded);
+  }
+  // The monitor series stay JSONL-only.
+  void operator()(const char*, const std::vector<double>&) {}
+
+  // The result's fields are columns of their own; a Summary's are
+  // <key>_<stat>.
+  void operator()(const char*, const ScenarioResult& result) {
+    ScenarioResult::ForEachField(result, *this);
+  }
+  void operator()(const char* key, const Summary& summary) {
+    prefix_ = std::string(key) + "_";
+    Summary::ForEachField(summary, *this);
+    prefix_.clear();
+  }
+
+  std::string header;
+  std::string row;
+
+ private:
+  void Add(const char* key, const std::string& value) {
+    const char* separator = header.empty() ? "" : ",";
+    header.append(separator).append(prefix_).append(key);
+    row.append(separator).append(value);
+  }
+
+  std::string prefix_;
+};
 
 }  // namespace
 
@@ -68,50 +94,13 @@ void JsonlSink::OnRecord(const RunRecord& r) {
 }
 
 void CsvSink::OnRecord(const RunRecord& r) {
+  CsvColumns columns;
+  RunRecord::ForEachField(r, columns);
   if (!wrote_header_) {
-    os_ << "sweep,run,axes,replication,seed,status,attempts,error,wall_ms,"
-           "events_per_sec,"
-           "qct99_ms,bg_fct99_ms,bg_fct99_all_ms,qct_count,qct_p50,qct_p90,qct_p999,"
-           "queries_completed,queries_launched,flows_completed,flows_started,"
-           "drops,ttl_drops,drops_by_reason,fault_drops,fault_events_applied,"
-           "fault_flows_stalled,fault_flows_recovered,fault_recovery_ms_max,"
-           "detours,delivered_packets,detoured_fraction,"
-           "query_detour_share,detour_count_p99,retransmits,timeouts,"
-           "events_processed,"
-           // Trace-era telemetry rides at the end: ci.sh's wall-clock
-           // normalization addresses wall_ms/events_per_sec by column index,
-           // so new columns must append, never insert.
-           "queueing_count,queueing_mean_us,queueing_p50_us,queueing_p99_us,"
-           "loop_packets,"
-           // Guard-era telemetry (src/guard), appended for the same reason.
-           "guard_trips,guard_suppressed_drops,guard_ttl_clamped_drops,"
-           "guard_time_suppressed_ms,collapse_detected,collapse_onset_ms\n";
+    os_ << columns.header << "\n";
     wrote_header_ = true;
   }
-  const ScenarioResult& s = r.result;
-  os_ << CsvEscape(r.sweep) << "," << r.index << "," << CsvEscape(FoldAxes(r)) << ","
-      << r.replication << "," << r.seed << "," << RunStatusName(r.status) << ","
-      << r.attempts << ","
-      << CsvEscape(r.error) << "," << CsvNum(r.wall_ms) << ","
-      << CsvNum(r.events_per_sec) << "," << CsvNum(s.qct99_ms) << ","
-      << CsvNum(s.bg_fct99_ms) << "," << CsvNum(s.bg_fct99_all_ms) << ","
-      << s.qct.count << "," << CsvNum(s.qct.p50) << "," << CsvNum(s.qct.p90) << ","
-      << CsvNum(s.qct.p999) << "," << s.queries_completed << ","
-      << s.queries_launched << "," << s.flows_completed << "," << s.flows_started
-      << "," << s.drops << "," << s.ttl_drops << ","
-      << CsvEscape(FoldDropsByReason(s.drops_by_reason)) << "," << s.fault_drops << ","
-      << s.fault_events_applied << "," << s.fault_flows_stalled << ","
-      << s.fault_flows_recovered << "," << CsvNum(s.fault_recovery_ms_max) << ","
-      << s.detours << ","
-      << s.delivered_packets << "," << CsvNum(s.detoured_fraction) << ","
-      << CsvNum(s.query_detour_share) << "," << CsvNum(s.detour_count_p99) << ","
-      << s.retransmits << "," << s.timeouts << "," << s.events_processed << ","
-      << s.queueing_delay_us.count << "," << CsvNum(s.queueing_delay_us.mean) << ","
-      << CsvNum(s.queueing_delay_us.p50) << "," << CsvNum(s.queueing_delay_us.p99)
-      << "," << s.loop_packets << "," << s.guard_trips << ","
-      << s.guard_suppressed_drops << "," << s.guard_ttl_clamped_drops << ","
-      << CsvNum(s.guard_time_suppressed_ms) << "," << (s.collapse_detected ? 1 : 0)
-      << "," << CsvNum(s.collapse_onset_ms) << "\n";
+  os_ << columns.row << "\n";
   os_.flush();
 }
 

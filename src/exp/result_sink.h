@@ -2,15 +2,9 @@
 // sink strictly in matrix order (index 0, 1, 2, ...) no matter which worker
 // finished first, so any sink's output is deterministic for a given spec.
 //
-// JSONL schema (one object per line; see EXPERIMENTS.md "Result schema"):
-//   {"sweep":..., "run":..., "axes":{name:label,...}, "replication":...,
-//    "seed":..., "status":"ok|failed|timeout|crashed|quarantined",
-//    "attempts":..., "error":..., "wall_ms":..., "events_per_sec":...,
-//    "result":{<every ScenarioResult field>}}
-// (The JSONL line format lives in record_codec.h; the journal and the
-// process-isolation pipe share it.) CSV carries the same scalar fields
-// flattened; the ScenarioResult vector fields (monitor time series) are
-// JSONL-only.
+// The JSONL line format lives in record_codec.h; the journal and the
+// process-isolation pipe share it. The CSV columns are the record's scalars,
+// read off the same field lists (RunRecord::ForEachField).
 //
 // Both file sinks flush after every record, so a sweep killed mid-flight
 // always leaves a complete, parseable prefix on disk.
@@ -62,14 +56,15 @@ class JsonlSink : public ResultSink {
   std::ostream& os_;
 };
 
-// Flat scalar columns, one header row, RFC-4180-style quoting. Flushes per
-// record.
+// One header row, then one column per scalar field, in record order, with
+// RFC-4180-style quoting. A Summary becomes one <key>_<stat> column per
+// statistic; the axes and the per-reason drop table each fold into one
+// "name=value;..." column; bools are 1/0 and non-finite doubles are empty;
+// the monitor series stay JSONL-only. Flushes per record.
 class CsvSink : public ResultSink {
  public:
   explicit CsvSink(std::ostream& os) : os_(os) {}
 
-  // Axis coordinates are folded into one "axes" column
-  // ("scheme=dibs;buffer_pkts=100") so the header is sweep-independent.
   void OnRecord(const RunRecord& record) override;
   void Finish() override { os_.flush(); }
 

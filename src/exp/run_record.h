@@ -70,6 +70,25 @@ struct RunRecord {
 
   // First matching axis value, or `fallback` when the axis is absent.
   std::string PointValue(const std::string& axis, const std::string& fallback = "") const;
+
+  // Calls visit(key, field) for every field, in record order: the record's
+  // schema. EncodeRunRecord, DecodeRunRecord and CsvSink walk this list and
+  // the ones of ScenarioResult and Summary it nests. `Self` is RunRecord or
+  // const RunRecord.
+  template <typename Self, typename Visit>
+  static void ForEachField(Self& self, Visit&& visit) {
+    visit("sweep", self.sweep);
+    visit("run", self.index);
+    visit("axes", self.points);
+    visit("replication", self.replication);
+    visit("seed", self.seed);
+    visit("status", self.status);
+    visit("attempts", self.attempts);
+    visit("error", self.error);
+    visit("wall_ms", self.wall_ms);
+    visit("events_per_sec", self.events_per_sec);
+    visit("result", self.result);
+  }
 };
 
 // Aggregate outcome of a sweep: what the progress meter prints, what

@@ -85,6 +85,51 @@ struct ScenarioResult {
   std::vector<double> two_hop_free;
 
   uint64_t events_processed = 0;
+
+  // Calls visit(key, field) for every field, in record order; the run-record
+  // codec and the CSV sink walk this list (src/exp/record_codec.h). `Self`
+  // is ScenarioResult or const ScenarioResult.
+  template <typename Self, typename Visit>
+  static void ForEachField(Self& self, Visit&& visit) {
+    visit("qct99_ms", self.qct99_ms);
+    visit("bg_fct99_ms", self.bg_fct99_ms);
+    visit("bg_fct99_all_ms", self.bg_fct99_all_ms);
+    visit("qct", self.qct);
+    visit("bg_fct_short", self.bg_fct_short);
+    visit("queries_completed", self.queries_completed);
+    visit("queries_launched", self.queries_launched);
+    visit("flows_completed", self.flows_completed);
+    visit("flows_started", self.flows_started);
+    visit("drops", self.drops);
+    visit("ttl_drops", self.ttl_drops);
+    visit("drops_by_reason", self.drops_by_reason);
+    visit("fault_drops", self.fault_drops);
+    visit("fault_events_applied", self.fault_events_applied);
+    visit("fault_flows_stalled", self.fault_flows_stalled);
+    visit("fault_flows_recovered", self.fault_flows_recovered);
+    visit("fault_recovery_ms_max", self.fault_recovery_ms_max);
+    visit("detours", self.detours);
+    visit("delivered_packets", self.delivered_packets);
+    visit("detoured_fraction", self.detoured_fraction);
+    visit("query_detour_share", self.query_detour_share);
+    visit("detour_count_p99", self.detour_count_p99);
+    visit("queueing_delay_us", self.queueing_delay_us);
+    visit("loop_packets", self.loop_packets);
+    visit("retransmits", self.retransmits);
+    visit("timeouts", self.timeouts);
+    visit("guard_trips", self.guard_trips);
+    visit("guard_transitions", self.guard_transitions);
+    visit("guard_suppressed_drops", self.guard_suppressed_drops);
+    visit("guard_ttl_clamped_drops", self.guard_ttl_clamped_drops);
+    visit("guard_time_suppressed_ms", self.guard_time_suppressed_ms);
+    visit("collapse_detected", self.collapse_detected);
+    visit("collapse_onset_ms", self.collapse_onset_ms);
+    visit("hot_fractions", self.hot_fractions);
+    visit("relative_hot_fractions", self.relative_hot_fractions);
+    visit("one_hop_free", self.one_hop_free);
+    visit("two_hop_free", self.two_hop_free);
+    visit("events_processed", self.events_processed);
+  }
 };
 
 // Owns the whole simulation; keeps everything alive so callers can inspect

@@ -34,6 +34,21 @@ struct Summary {
   double p90 = 0;
   double p99 = 0;
   double p999 = 0;
+
+  // Calls visit(key, field) for every field, in record order; the run-record
+  // codec and the CSV sink walk this list (src/exp/record_codec.h). `Self`
+  // is Summary or const Summary.
+  template <typename Self, typename Visit>
+  static void ForEachField(Self& self, Visit&& visit) {
+    visit("count", self.count);
+    visit("mean", self.mean);
+    visit("min", self.min);
+    visit("max", self.max);
+    visit("p50", self.p50);
+    visit("p90", self.p90);
+    visit("p99", self.p99);
+    visit("p999", self.p999);
+  }
 };
 
 Summary Summarize(std::vector<double> values);

@@ -9,8 +9,14 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+
+#include "src/exp/record_codec.h"
+#include "src/util/json.h"
+#include "tests/exp/full_record.h"
 
 namespace dibs {
 namespace {
@@ -220,6 +226,83 @@ TEST(CsvSinkTest, NonFiniteBecomesEmptyField) {
       EXPECT_EQ(vals[i], "");
     }
   }
+}
+
+// The CSV row is exactly the record's scalars: every number, bool or string
+// member of the JSONL line, at the top level or in "result", is a column
+// with the same value. A Summary member is one <key>_<stat> column per
+// statistic, axes and drops_by_reason fold into one name=value;... column,
+// and arrays stay JSONL-only.
+TEST(CsvSinkTest, CarriesEveryJsonlScalar) {
+  const RunRecord r = FullRecord();
+  std::ostringstream os;
+  CsvSink sink(os);
+  sink.OnRecord(r);
+  std::istringstream is(os.str());
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(is, header));
+  ASSERT_TRUE(std::getline(is, row));
+  const std::vector<std::string> cols = SplitCsvRow(header);
+  const std::vector<std::string> vals = SplitCsvRow(row);
+  ASSERT_EQ(cols.size(), vals.size());
+  std::map<std::string, std::string> csv;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    csv[cols[i]] = vals[i];
+  }
+
+  json::Value root;
+  std::string error;
+  ASSERT_TRUE(json::Parse(EncodeRunRecord(r), &root, &error)) << error;
+  const json::Value* result = json::Find(root, "result");
+  ASSERT_NE(result, nullptr);
+  using Kind = json::Value::Kind;
+  size_t checked = 0;
+  // The CSV value of `column`, or nullopt (and a failure) when it is absent.
+  auto column = [&](const std::string& name) -> std::optional<std::string> {
+    ++checked;
+    const auto it = csv.find(name);
+    if (it == csv.end()) {
+      ADD_FAILURE() << "no CSV column " << name;
+      return std::nullopt;
+    }
+    return it->second;
+  };
+  auto expect_scalar = [&](const std::string& name, const json::Value& v) {
+    const std::optional<std::string> got = column(name);
+    if (!got) {
+      return;
+    }
+    if (v.kind == Kind::kNumber) {
+      EXPECT_DOUBLE_EQ(std::stod(*got), v.number) << name;
+    } else if (v.kind == Kind::kBool) {
+      EXPECT_EQ(*got, v.boolean ? "1" : "0") << name;
+    } else {
+      EXPECT_EQ(v.kind, Kind::kString) << name;
+      EXPECT_EQ(*got, v.text) << name;
+    }
+  };
+  for (const json::Value* level : {static_cast<const json::Value*>(&root), result}) {
+    for (const auto& [key, value] : level->fields) {
+      if (key == "result" || value.kind == Kind::kArray) {
+        continue;
+      }
+      if (key == "axes" || key == "drops_by_reason") {
+        std::string folded;
+        for (const auto& [name, member] : value.fields) {
+          folded += (folded.empty() ? "" : ";") + name + "=" + member.text;
+        }
+        EXPECT_EQ(column(key), folded);
+      } else if (value.kind == Kind::kObject) {
+        for (const auto& [stat, member] : value.fields) {
+          expect_scalar(key + "_" + stat, member);
+        }
+      } else {
+        expect_scalar(key, value);
+      }
+    }
+  }
+  EXPECT_EQ(checked, cols.size()) << "the CSV has columns the JSONL lacks";
 }
 
 TEST(MultiSinkTest, FansOutToEveryChildInOrder) {
