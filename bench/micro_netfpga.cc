@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/hw/click.h"
 #include "src/hw/netfpga.h"
 
 namespace dibs {
@@ -49,28 +48,6 @@ void BM_NetfpgaDropDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetfpgaDropDecision);
-
-void BM_ClickPipelinePush(benchmark::State& state) {
-  click::ClickRouter::Options opts;
-  opts.num_ports = 8;
-  opts.queue_capacity = 64;
-  opts.switch_facing = {false, false, false, false, true, true, true, true};
-  opts.dibs_enabled = true;
-  opts.route = [](HostId dst) { return static_cast<int>(dst) % 8; };
-  click::ClickRouter router(std::move(opts));
-  HostId dst = 0;
-  for (auto _ : state) {
-    Packet p;
-    p.dst = dst++ % 8;
-    p.size_bytes = 64;
-    router.HandlePacket(std::move(p));
-    // Drain continuously so queues never saturate.
-    benchmark::DoNotOptimize(router.PullFrom(static_cast<int>(dst) % 8));
-  }
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ClickPipelinePush);
 
 }  // namespace
 }  // namespace dibs
