@@ -252,10 +252,9 @@ ScenarioResult Scenario::Run() {
   r.delivered_packets = detour_recorder_.delivered_packets();
   r.detoured_fraction = detour_recorder_.DetouredFraction();
   r.query_detour_share =
-      detour_recorder_.total_detours() == 0
-          ? 0.0
-          : static_cast<double>(detour_recorder_.query_detours()) /
-                static_cast<double>(detour_recorder_.total_detours());
+      r.detours == 0 ? 0.0
+                     : static_cast<double>(detour_recorder_.query_detours()) /
+                           static_cast<double>(r.detours);
   r.detour_count_p99 = detour_recorder_.DetourCountQuantile(0.99);
   r.queueing_delay_us = detour_recorder_.QueueingDelaySummary();
   r.loop_packets = trace_ != nullptr ? trace_->journeys().loop_packets() : 0;

@@ -37,7 +37,6 @@ class DetourRecorder : public TraceSink {
         // pFabric evictions are not a DropReason; the tables skip them.
         if (e.drop_reason != kTraceEvictionReason) {
           ++drops_by_reason_[e.drop_reason];
-          ++total_drops_;
         }
         break;
       case TraceEventType::kDequeue:
@@ -51,9 +50,8 @@ class DetourRecorder : public TraceSink {
     }
   }
 
-  uint64_t total_detours() const { return total_detours_; }
+  // The drop and detour totals are Network's; this keeps the breakdowns.
   uint64_t query_detours() const { return query_detours_; }
-  uint64_t total_drops() const { return total_drops_; }
   uint64_t drops(DropReason reason) const {
     return drops_by_reason_[static_cast<size_t>(reason)];
   }
@@ -133,7 +131,6 @@ class DetourRecorder : public TraceSink {
 
  private:
   void OnDetour(const TraceEvent& e) {
-    ++total_detours_;
     if (e.tclass == static_cast<uint8_t>(TrafficClass::kQuery)) {
       ++query_detours_;
     }
@@ -168,9 +165,7 @@ class DetourRecorder : public TraceSink {
   }
 
   Time timeline_bucket_;
-  uint64_t total_detours_ = 0;
   uint64_t query_detours_ = 0;
-  uint64_t total_drops_ = 0;
   std::array<uint64_t, kNumDropReasons> drops_by_reason_{};
   uint64_t delivered_packets_ = 0;
   uint64_t delivered_with_detours_ = 0;

@@ -99,7 +99,7 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
   net.host(0).Send(RawPacket(net, 0, 1));
   sim.Run();
   EXPECT_EQ(rec.delivered_packets(), 4u);
-  EXPECT_EQ(rec.total_drops(), 8u);
+  EXPECT_EQ(net.total_drops(), 8u);
 }
 
 TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
@@ -159,7 +159,7 @@ TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
   }
   sim.Run();
   EXPECT_EQ(rec.delivered_packets(), 40u);
-  EXPECT_EQ(rec.total_drops(), 0u);
+  EXPECT_EQ(net.total_drops(), 0u);
 
   // Restore: the pristine ECMP set comes back in port order.
   net.SetLinkAdminState(1, true);
