@@ -183,25 +183,9 @@ inline void PrintCdf(const std::string& series_name,
 
 // The standard two-scheme comparison row most figures print.
 struct ComparisonRow {
-  double dctcp_qct99 = 0;
-  double dibs_qct99 = 0;
-  double dctcp_bgfct99 = 0;
-  double dibs_bgfct99 = 0;
   ScenarioResult dctcp;
   ScenarioResult dibs;
 };
-
-inline ComparisonRow MakeComparisonRow(const ScenarioResult& dctcp,
-                                       const ScenarioResult& dibs) {
-  ComparisonRow row;
-  row.dctcp = dctcp;
-  row.dibs = dibs;
-  row.dctcp_qct99 = dctcp.qct99_ms;
-  row.dibs_qct99 = dibs.qct99_ms;
-  row.dctcp_bgfct99 = dctcp.bg_fct99_ms;
-  row.dibs_bgfct99 = dibs.bg_fct99_ms;
-  return row;
-}
 
 // Runs N (dctcp, dibs) config pairs through the engine — both schemes of all
 // rows execute concurrently — and returns one ComparisonRow per pair.
@@ -224,7 +208,7 @@ inline std::vector<ComparisonRow> CompareSchemesSweep(
   std::vector<ComparisonRow> rows;
   rows.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    rows.push_back(MakeComparisonRow(records[2 * i].result, records[2 * i + 1].result));
+    rows.push_back({records[2 * i].result, records[2 * i + 1].result});
   }
   return rows;
 }

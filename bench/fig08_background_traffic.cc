@@ -23,8 +23,9 @@ int main() {
     dibs.bg_interarrival = Time::Millis(ms);
     const ComparisonRow row = CompareSchemes(dctcp, dibs);
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(ms)),
-                    TablePrinter::Num(row.dctcp_qct99), TablePrinter::Num(row.dibs_qct99),
-                    TablePrinter::Num(row.dctcp_bgfct99), TablePrinter::Num(row.dibs_bgfct99),
+                    TablePrinter::Num(row.dctcp.qct99_ms), TablePrinter::Num(row.dibs.qct99_ms),
+                    TablePrinter::Num(row.dctcp.bg_fct99_ms),
+                    TablePrinter::Num(row.dibs.bg_fct99_ms),
                     TablePrinter::Int(row.dibs.drops), TablePrinter::Int(row.dctcp.drops)});
   }
   return 0;

@@ -23,8 +23,9 @@ int main() {
     const ComparisonRow row = CompareSchemes(dctcp, dibs);
     const int oversub = static_cast<int>(factor * factor);
     table.PrintRow({"1:" + std::to_string(oversub), TablePrinter::Num(factor, 0),
-                    TablePrinter::Num(row.dctcp_qct99), TablePrinter::Num(row.dibs_qct99),
-                    TablePrinter::Num(row.dctcp_bgfct99), TablePrinter::Num(row.dibs_bgfct99)});
+                    TablePrinter::Num(row.dctcp.qct99_ms), TablePrinter::Num(row.dibs.qct99_ms),
+                    TablePrinter::Num(row.dctcp.bg_fct99_ms),
+                    TablePrinter::Num(row.dibs.bg_fct99_ms)});
   }
   return 0;
 }
