@@ -11,13 +11,12 @@
 //   DIBS_RUN_TIMEOUT_SEC    per-run wall-clock cap (default: none)
 //   DIBS_SWEEP_JSONL        append every RunRecord as JSONL to this file
 //   DIBS_SWEEP_CSV          append every RunRecord as CSV to this file
-//   DIBS_REQUIRE_OK         abort if any run fails or times out; CI sets it
-//                           so DIBS_VALIDATE violations inside sweep runs
+//   DIBS_REQUIRE_OK         once the sweep finishes (retries, isolation and
+//                           all), exit 1 with a status tally before any
+//                           table prints if any row is not ok; the engine
+//                           has already logged each such row. CI sets it so
+//                           DIBS_VALIDATE violations inside sweep runs
 //                           (surfaced as failed records) fail the pipeline
-//   DIBS_STRICT             softer than DIBS_REQUIRE_OK: let the sweep run
-//                           to completion (retries, isolation, degraded
-//                           rows and all), then exit nonzero if any row is
-//                           not ok
 //   DIBS_JOURNAL            append-only run journal; with DIBS_RESUME=1 a
 //                           restarted bench skips rows journaled as ok
 //   DIBS_ISOLATE            "process" forks every run (crash containment +
@@ -96,23 +95,13 @@ inline std::vector<RunRecord> RunBenchRuns(const std::string& name,
   MultiSink multi(std::move(sinks));
   SweepEngine engine(BenchSweepOptions());
   std::vector<RunRecord> records = engine.RunAll(name, std::move(runs), &multi);
-  if (env::Flag("DIBS_REQUIRE_OK", false)) {
-    for (const RunRecord& r : records) {
-      if (r.status != RunStatus::kOk) {
-        DIBS_LOG(kFatal) << "DIBS_REQUIRE_OK: sweep '" << name << "' run " << r.index
-                         << " finished " << RunStatusName(r.status) << ": " << r.error;
-      }
-    }
-  }
-  if (env::Flag("DIBS_STRICT", false)) {
-    const SweepSummary& s = engine.summary();
-    if (!s.AllOk()) {
-      DIBS_LOG(kError) << "DIBS_STRICT: sweep '" << name << "' finished with "
-                       << s.ok << "/" << s.total << " ok (failed " << s.failed
-                       << ", timeout " << s.timeout << ", crashed " << s.crashed
-                       << ", quarantined " << s.quarantined << "); exiting nonzero";
-      std::exit(1);
-    }
+  const SweepSummary& s = engine.summary();
+  if (env::Flag("DIBS_REQUIRE_OK", false) && !s.AllOk()) {
+    DIBS_LOG(kError) << "DIBS_REQUIRE_OK: sweep '" << name << "' finished with " << s.ok
+                     << "/" << s.total << " ok (failed " << s.failed << ", timeout "
+                     << s.timeout << ", crashed " << s.crashed << ", quarantined "
+                     << s.quarantined << "); exiting nonzero";
+    std::exit(1);
   }
   return records;
 }

@@ -23,12 +23,7 @@ int main() {
 
   // Resolve fault targets against the same topology every run builds (the
   // scheme presets share Table 1/2 topology parameters).
-  const ExperimentConfig probe = Standard(DibsConfig(), duration);
-  FatTreeOptions topo_opts;
-  topo_opts.k = probe.fat_tree_k;
-  topo_opts.host_rate_bps = probe.link_rate_bps;
-  topo_opts.oversubscription = probe.oversubscription;
-  const Topology topo = BuildFatTree(topo_opts);
+  const Topology topo = BuildTopology(Standard(DibsConfig(), duration));
   const int tor = fault::TorOf(topo, /*h=*/0);
   const std::vector<int> uplinks = fault::SwitchFacingLinks(topo, tor);
   DIBS_CHECK(!uplinks.empty()) << "ToR has no uplinks";

@@ -247,7 +247,7 @@ echo "== crash-resume: kill -9 mid-sweep, resume from journal, byte-diff =="
 # uninterrupted as the baseline, then start a journaled run, SIGKILL it once
 # a few rows hit the journal, resume with DIBS_RESUME=1 into fresh sink
 # files, and require tables and (normalized) JSONL byte-identical to the
-# baseline. DIBS_STRICT=1 on the resumed leg also proves the strict gate
+# baseline. DIBS_REQUIRE_OK=1 on the resumed leg also proves the sweep gate
 # passes a fully-recovered sweep.
 cmake --build build -j"$JOBS" --target resilience
 CR_TMP="$RES_TMP/crash_resume"
@@ -292,7 +292,7 @@ for jobs in 1 8; do
   kill -9 "$victim" 2>/dev/null || true
   wait "$victim" 2>/dev/null || true
 
-  DIBS_RESUME=1 DIBS_STRICT=1 DIBS_BENCH_DURATION_MS=50 DIBS_JOBS="$jobs" \
+  DIBS_RESUME=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 DIBS_JOBS="$jobs" \
     DIBS_JOURNAL="$CR_TMP/sweep.journal" \
     DIBS_SWEEP_JSONL="$CR_TMP/resumed.jsonl" \
     DIBS_SWEEP_CSV="$CR_TMP/resumed.csv" \

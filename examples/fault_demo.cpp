@@ -13,7 +13,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
-#include "src/topo/builders.h"
 
 using namespace dibs;
 
@@ -28,11 +27,7 @@ int main() {
     // Resolve targets from the topology the scenario will build — no
     // hard-coded ids. Host 0's ToR loses an uplink twice, then the whole
     // switch crashes and comes back.
-    FatTreeOptions topo_opts;
-    topo_opts.k = cfg.fat_tree_k;
-    topo_opts.host_rate_bps = cfg.link_rate_bps;
-    topo_opts.oversubscription = cfg.oversubscription;
-    const Topology topo = BuildFatTree(topo_opts);
+    const Topology topo = BuildTopology(cfg);
     const int tor = fault::TorOf(topo, /*h=*/0);
     const int uplink = fault::SwitchFacingLinks(topo, tor).front();
 

@@ -68,15 +68,7 @@ ExperimentConfig ChaosSpec::ToConfig() const {
   return c;
 }
 
-int ChaosSpec::NumHosts() const {
-  if (topology == "leaf-spine") {
-    return 32;  // LeafSpineOptions defaults: 4 leaves x 8 hosts
-  }
-  if (topology == "linear") {
-    return 16;  // BuildLinear(8, 2, ...)
-  }
-  return fat_tree_k * fat_tree_k * fat_tree_k / 4;
-}
+int ChaosSpec::NumHosts() const { return BuildTopology(ToConfig()).num_hosts(); }
 
 double ChaosSpec::Size() const {
   // Each term is scaled so the dimensions the shrinker halves contribute

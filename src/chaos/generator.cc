@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/topo/builders.h"
+#include "src/harness/config.h"
 #include "src/util/rng.h"
 
 namespace dibs::chaos {
@@ -16,22 +16,6 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-// Builds the topology the spec describes, for drawing concrete fault
-// targets. Mirrors Scenario::BuildTopology for the shapes the generator
-// emits.
-Topology TopologyOf(const ChaosSpec& s) {
-  if (s.topology == "leaf-spine") {
-    return BuildLeafSpine(LeafSpineOptions{});
-  }
-  if (s.topology == "linear") {
-    return BuildLinear(/*num_switches=*/8, /*hosts_per_switch=*/2);
-  }
-  FatTreeOptions opts;
-  opts.k = s.fat_tree_k;
-  opts.oversubscription = s.oversubscription;
-  return BuildFatTree(opts);
 }
 
 // Appends a coherent fault episode (down/up, crash/restart, degrade/restore
@@ -150,7 +134,7 @@ ChaosSpec GenerateSpec(uint64_t master_seed, int index) {
   // Fault schedule: 0-3 episodes drawn against the concrete topology.
   const int episodes = static_cast<int>(rng.UniformInt(0, 3));
   if (episodes > 0) {
-    const Topology topo = TopologyOf(s);
+    const Topology topo = BuildTopology(s.ToConfig());
     fault::FaultPlan plan;
     for (int e = 0; e < episodes; ++e) {
       AddFaultEpisode(rng, topo, s, &plan);

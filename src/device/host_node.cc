@@ -7,20 +7,11 @@
 
 namespace dibs {
 
-bool HostNode::Send(Packet&& p) {
+void HostNode::Send(Packet&& p) {
   DIBS_DCHECK(p.src == host_id_);
-  // Same admission contract as the switch pipeline: consult IsFull first and
-  // never Enqueue into a full queue. Checking up front also means the
-  // injection notification below only fires for packets the network actually
-  // accepted — a refused packet never enters the conservation ledger.
-  if (port_->queue().IsFull(p)) {
-    ++nic_drops_;
-    return false;
-  }
   network_->NotifyHostSend(host_id_, p);
   const bool accepted = port_->EnqueueAndTransmit(std::move(p));
-  DIBS_CHECK(accepted) << "host NIC queue refused a packet that reported room";
-  return true;
+  DIBS_CHECK(accepted) << "host NIC queue refused a packet";
 }
 
 void HostNode::HandleReceive(Packet&& p, uint16_t in_port) {

@@ -31,8 +31,9 @@ class HostNode : public Node {
   const Port& nic() const { return *port_; }
 
   // Transmits `p` through the NIC. The caller (a transport socket) has
-  // already stamped uid/flow/seq. Returns false if the NIC queue refused.
-  bool Send(Packet&& p);
+  // already stamped uid/flow/seq. The NIC queue is unbounded: the
+  // transport's window is the real bound.
+  void Send(Packet&& p);
 
   void HandleReceive(Packet&& p, uint16_t in_port) override;
 
@@ -47,7 +48,6 @@ class HostNode : public Node {
   void UnregisterFlowReceiver(FlowId flow);
 
   uint64_t stray_packets() const { return stray_packets_; }
-  uint64_t nic_drops() const { return nic_drops_; }
 
  private:
   Network* network_;
@@ -55,7 +55,6 @@ class HostNode : public Node {
   std::unique_ptr<Port> port_;
   std::unordered_map<FlowId, Receiver> receivers_;  // lint:allow(unordered-iter): lookup only
   uint64_t stray_packets_ = 0;
-  uint64_t nic_drops_ = 0;
 };
 
 }  // namespace dibs

@@ -62,7 +62,7 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
       const TopoLink& link = topo_.link(port_refs[i].link);
       std::unique_ptr<Queue> queue;
       if (tn.kind == NodeKind::kHost) {
-        queue = std::make_unique<DropTailQueue>(config_.host_queue_packets, /*mark=*/0);
+        queue = std::make_unique<DropTailQueue>(/*capacity=*/0, /*mark=*/0);
       } else {
         queue = MakeSwitchQueue(pools_[static_cast<size_t>(n)].get());
         // pFabric destroys packets inside Enqueue (eviction); the ledger must
@@ -95,7 +95,7 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
   // Overload guard: one DetourGuard per switch, ticked by a single fabric
   // event; transitions fan back out through NotifyGuardTransition.
   if (config_.guard.enabled) {
-    guard_ = std::make_unique<GuardFabric>(sim_, config_.guard, switch_ids_);
+    guard_ = std::make_unique<GuardFabric>(sim_, config_.guard.adaptive_ttl, switch_ids_);
     guard_->set_transition_callback([this](int node, GuardState from, GuardState to) {
       NotifyGuardTransition(node, from, to);
     });

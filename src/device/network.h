@@ -44,9 +44,6 @@ struct NetworkConfig {
   size_t shared_buffer_packets = 1133;  // ~1.7MB of 1500B slots (Arista 7050QX)
   double shared_buffer_alpha = 1.0;
 
-  // Host NIC queue; 0 = unbounded (the transport's window is the real bound).
-  size_t host_queue_packets = 0;
-
   // DIBS configuration.
   std::string detour_policy = "none";  // none|random|load-aware|flow-based|probabilistic
   // TTL every host stamps on the data and ACKs it sends; it bounds a

@@ -76,7 +76,6 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
   h.Mix(static_cast<int64_t>(c.topology));
   h.Mix(c.fat_tree_k);
   h.Mix(c.oversubscription);
-  h.Mix(c.link_rate_bps);
 
   const NetworkConfig& n = c.net;
   h.Mix(static_cast<uint64_t>(n.switch_buffer_packets));
@@ -86,34 +85,18 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
   h.Mix(n.use_shared_buffer);
   h.Mix(static_cast<uint64_t>(n.shared_buffer_packets));
   h.Mix(n.shared_buffer_alpha);
-  h.Mix(static_cast<uint64_t>(n.host_queue_packets));
   h.Mix(n.detour_policy);
   h.Mix(static_cast<int64_t>(n.initial_ttl));
   h.Mix(n.pfc_enabled);
   h.Mix(static_cast<uint64_t>(n.pfc_xoff_packets));
   h.Mix(static_cast<uint64_t>(n.pfc_xon_packets));
   h.Mix(n.packet_level_ecmp);
-  // Overload guard: every knob shapes forwarding decisions (breaker, TTL
-  // clamp) or the recorded result (watchdog columns), so all of it digests.
+  // Overload guard: each switch shapes forwarding decisions (breaker, TTL
+  // clamp) or the recorded result (watchdog columns), so all three digest.
   const GuardConfig& g = n.guard;
   h.Mix(g.enabled);
-  h.Mix(g.window);
-  h.Mix(g.ewma_alpha);
-  h.Mix(g.trip_detour_rate);
-  h.Mix(static_cast<uint64_t>(g.min_window_packets));
-  h.Mix(g.rearm_detour_rate);
-  h.Mix(g.suppress_hold);
-  h.Mix(static_cast<uint64_t>(g.probe_budget));
   h.Mix(g.adaptive_ttl);
-  h.Mix(static_cast<int64_t>(g.ttl_budget_max));
-  h.Mix(static_cast<int64_t>(g.ttl_budget_min));
-  h.Mix(g.ttl_pressure_onset);
-  h.Mix(g.ttl_pressure_full);
   h.Mix(g.watchdog);
-  h.Mix(g.collapse_window);
-  h.Mix(g.collapse_fraction);
-  h.Mix(g.collapse_consecutive);
-  h.Mix(static_cast<uint64_t>(g.collapse_min_peak));
   // TraceConfig is deliberately NOT mixed: tracing is observability, and
   // toggling it must not invalidate journaled results (like sweep_run_index).
 
@@ -121,16 +104,8 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
   const TcpConfig& t = c.tcp;
   h.Mix(static_cast<uint64_t>(t.init_cwnd_segments));
   h.Mix(t.min_rto);
-  h.Mix(t.max_rto);
   h.Mix(static_cast<uint64_t>(t.dupack_threshold));
-  h.Mix(t.ecn_enabled);
-  h.Mix(static_cast<int64_t>(t.cc));
-  h.Mix(t.dctcp_g);
-  h.Mix(static_cast<uint64_t>(t.max_cwnd_segments));
-  const PfabricConfig& p = c.pfabric;
-  h.Mix(static_cast<uint64_t>(p.window_segments));
-  h.Mix(p.rto);
-  h.Mix(p.max_rto);
+  h.Mix(static_cast<uint64_t>(c.pfabric.window_segments));
 
   h.Mix(c.enable_background);
   h.Mix(c.bg_interarrival);

@@ -33,11 +33,11 @@
 
 namespace dibs {
 
-// Stable digest of the config fields that shape a run's results. Not a full
-// serialization — it covers the scalar knobs, transport/queue config, and
-// the fault schedule; its job is to catch the realistic footguns (resuming
-// with a different buffer size, seed, duration, fault plan, ...), with the
-// axis labels in the fingerprint as the first line of defense.
+// Stable digest of the config fields that shape a run's results: every
+// field of ExperimentConfig except `trace`, `label` and `sweep_run_index`
+// (DigestConfigTest flips each one). Its job is to catch resuming with a
+// different buffer size, seed, duration, fault plan, ...; the axis labels in
+// the fingerprint are the first line of defense.
 uint64_t DigestConfig(const ExperimentConfig& config);
 
 // Fingerprint of an expanded run matrix; see file comment.

@@ -92,7 +92,7 @@ struct RunRecord {
 };
 
 // Aggregate outcome of a sweep: what the progress meter prints, what
-// DIBS_STRICT gates bench exit codes on, and what graceful-degradation
+// DIBS_REQUIRE_OK gates bench exit codes on, and what graceful-degradation
 // table rendering consults.
 struct SweepSummary {
   size_t total = 0;

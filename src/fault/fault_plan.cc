@@ -97,17 +97,4 @@ std::vector<int> SwitchFacingLinks(const Topology& topo, int node) {
   return links;
 }
 
-std::vector<int> SwitchNeighbors(const Topology& topo, int node) {
-  std::vector<int> neighbors;
-  for (const PortRef& ref : topo.ports(node)) {
-    if (!IsSwitchKind(topo.node(ref.neighbor).kind)) {
-      continue;
-    }
-    if (std::find(neighbors.begin(), neighbors.end(), ref.neighbor) == neighbors.end()) {
-      neighbors.push_back(ref.neighbor);
-    }
-  }
-  return neighbors;
-}
-
 }  // namespace dibs::fault

@@ -82,9 +82,6 @@ int TorOf(const Topology& topo, HostId h);
 // uplinks to the aggregation layer).
 std::vector<int> SwitchFacingLinks(const Topology& topo, int node);
 
-// Switch-kind neighbor node ids of `node`, in port order, deduplicated.
-std::vector<int> SwitchNeighbors(const Topology& topo, int node);
-
 }  // namespace dibs::fault
 
 #endif  // SRC_FAULT_FAULT_PLAN_H_

@@ -7,9 +7,8 @@
 
 namespace dibs {
 
-CollapseWatchdog::CollapseWatchdog(Simulator* sim, const GuardConfig& config,
-                                   std::function<uint64_t()> delivered)
-    : sim_(sim), config_(config), delivered_(std::move(delivered)) {}
+CollapseWatchdog::CollapseWatchdog(Simulator* sim, std::function<uint64_t()> delivered)
+    : sim_(sim), delivered_(std::move(delivered)) {}
 
 bool CollapseWatchdog::ReadStrictCollapseEnv() {
   return env::Flag("DIBS_STRICT_COLLAPSE", false);
@@ -23,7 +22,7 @@ void CollapseWatchdog::Start(Time stop_time, bool strict) {
   stop_time_ = stop_time;
   strict_ = strict;
   last_delivered_ = delivered_();
-  sim_->Schedule(config_.collapse_window, [this] { Sample(); });
+  sim_->Schedule(kCollapseWindow, [this] { Sample(); });
 }
 
 void CollapseWatchdog::Sample() {
@@ -39,19 +38,19 @@ void CollapseWatchdog::Sample() {
 
   // Only judge once a healthy peak exists: a run that never got traffic
   // flowing is starvation or misconfiguration, not collapse.
-  if (peak_window_packets_ >= config_.collapse_min_peak) {
-    const double floor = config_.collapse_fraction *
+  if (peak_window_packets_ >= kCollapseMinPeak) {
+    const double floor = kCollapseFraction *
                          static_cast<double>(peak_window_packets_);
     if (static_cast<double>(window_packets) < floor) {
       ++below_streak_;
     } else {
       below_streak_ = 0;
     }
-    if (!collapsed_ && below_streak_ >= config_.collapse_consecutive) {
+    if (!collapsed_ && below_streak_ >= kCollapseConsecutive) {
       collapsed_ = true;
       collapse_onset_ms_ = now.ToMillis();
       DIBS_LOG(kWarning) << "collapse watchdog: goodput held below "
-                         << config_.collapse_fraction << "x peak ("
+                         << kCollapseFraction << "x peak ("
                          << peak_window_packets_ << " pkts/window) for "
                          << below_streak_ << " windows at t="
                          << collapse_onset_ms_ << "ms";
@@ -66,7 +65,7 @@ void CollapseWatchdog::Sample() {
   }
 
   if (now < stop_time_) {
-    sim_->Schedule(config_.collapse_window, [this] { Sample(); });
+    sim_->Schedule(kCollapseWindow, [this] { Sample(); });
   }
 }
 

@@ -1,17 +1,16 @@
 // CollapseWatchdog: harness-level congestion-collapse detector.
 //
 // Samples a cumulative goodput counter on a fixed cadence and watches the
-// per-window slope. The scenario feeds it query completions when a query
-// workload runs (raw delivered packets stay pinned at downlink capacity
-// even deep into overload; completions are what stall) and delivered
-// packets otherwise. Once some window has established a peak rate (at
-// least collapse_min_peak), collapse_consecutive windows in a row below
-// collapse_fraction * peak mark the run as collapsed — the fig14 signature
+// per-window slope. The scenario feeds it flow completions: raw delivered
+// packets stay pinned at downlink capacity even deep into overload, while
+// completions are what stall. Once some window has established a peak rate
+// (at least kCollapseMinPeak), kCollapseConsecutive windows in a row below
+// kCollapseFraction * peak mark the run as collapsed — the fig14 signature
 // where detours amplify load until queries stop completing even though the
-// offered load never stopped. Detection records
-// the onset time; under DIBS_STRICT_COLLAPSE=1 it instead aborts the run by
-// throwing CollapseError out of the event loop, giving sweeps a typed,
-// attributable failure rather than a mysteriously slow run.
+// offered load never stopped. Detection records the onset time; under
+// DIBS_STRICT_COLLAPSE=1 it instead aborts the run by throwing CollapseError
+// out of the event loop, giving sweeps a typed, attributable failure rather
+// than a mysteriously slow run.
 //
 // The watchdog never touches forwarding state and draws no randomness; like
 // the monitors it only reads counters and reschedules itself, so enabling
@@ -39,12 +38,11 @@ class CollapseError : public std::runtime_error {
 class CollapseWatchdog {
  public:
   // `delivered` reads the cumulative goodput counter (the scenario passes
-  // query completions, or Network::total_delivered without a query
-  // workload). A callback keeps src/guard below src/device in the layering.
-  CollapseWatchdog(Simulator* sim, const GuardConfig& config,
-                   std::function<uint64_t()> delivered);
+  // flow completions). A callback keeps src/guard below src/device in the
+  // layering.
+  CollapseWatchdog(Simulator* sim, std::function<uint64_t()> delivered);
 
-  // Begins sampling every config.collapse_window until `stop_time`.
+  // Begins sampling every kCollapseWindow until `stop_time`.
   // `strict` is usually ReadStrictCollapseEnv().
   void Start(Time stop_time, bool strict);
 
@@ -62,7 +60,6 @@ class CollapseWatchdog {
   void Sample();
 
   Simulator* sim_;
-  GuardConfig config_;
   std::function<uint64_t()> delivered_;
   Time stop_time_;
   bool strict_ = false;

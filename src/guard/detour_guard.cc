@@ -1,13 +1,6 @@
 #include "src/guard/detour_guard.h"
 
 namespace dibs {
-namespace {
-
-double Ewma(double prev, double sample, double alpha) {
-  return alpha * sample + (1.0 - alpha) * prev;
-}
-
-}  // namespace
 
 GuardState DetourGuard::OnWindowTick(Time now) {
   const GuardState previous = state_;
@@ -15,16 +8,16 @@ GuardState DetourGuard::OnWindowTick(Time now) {
   // Fold the window into the EWMA. Windows with too little traffic update
   // nothing: an idle switch must neither trip (division by tiny counts
   // produces wild rates) nor decay its memory of a storm it just left.
-  const bool judged = window_packets_ >= config_.min_window_packets;
+  const bool judged = window_packets_ >= kGuardMinWindowPackets;
   if (judged) {
-    ewma_detour_rate_ = Ewma(ewma_detour_rate_,
-                             static_cast<double>(window_detour_attempts_) /
-                                 static_cast<double>(window_packets_),
-                             config_.ewma_alpha);
+    const double sample = static_cast<double>(window_detour_attempts_) /
+                          static_cast<double>(window_packets_);
+    ewma_detour_rate_ =
+        kGuardEwmaAlpha * sample + (1.0 - kGuardEwmaAlpha) * ewma_detour_rate_;
   }
 
-  const bool over_trip = ewma_detour_rate_ >= config_.trip_detour_rate;
-  const bool under_rearm = ewma_detour_rate_ < config_.rearm_detour_rate;
+  const bool over_trip = ewma_detour_rate_ >= kGuardTripDetourRate;
+  const bool under_rearm = ewma_detour_rate_ < kGuardRearmDetourRate;
 
   switch (state_) {
     case GuardState::kArmed:
@@ -33,7 +26,7 @@ GuardState DetourGuard::OnWindowTick(Time now) {
       }
       break;
     case GuardState::kSuppressed:
-      if (now - state_since_ >= config_.suppress_hold) {
+      if (now - state_since_ >= kGuardSuppressHold) {
         TransitionTo(GuardState::kProbing, now);
       }
       break;

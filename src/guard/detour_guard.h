@@ -28,8 +28,7 @@ namespace dibs {
 
 class DetourGuard {
  public:
-  DetourGuard(const GuardConfig& config, Time armed_at)
-      : config_(config), state_since_(armed_at) {}
+  explicit DetourGuard(Time armed_at) : state_since_(armed_at) {}
 
   GuardState state() const { return state_; }
 
@@ -51,7 +50,7 @@ class DetourGuard {
       case GuardState::kSuppressed:
         return false;
       case GuardState::kProbing:
-        if (window_probes_used_ >= config_.probe_budget) {
+        if (window_probes_used_ >= kGuardProbeBudget) {
           return false;
         }
         ++window_probes_used_;
@@ -63,7 +62,7 @@ class DetourGuard {
   // Per-packet note from the switch's receive path.
   void NotePacket() { ++window_packets_; }
 
-  // Window rollup, called by GuardFabric once per config.window at time
+  // Window rollup, called by GuardFabric once per kGuardWindow at time
   // `now`. Folds the window counters into the EWMA, runs the state
   // machine, resets the window, and returns the previous state (callers
   // compare against state() to detect a transition).
@@ -75,7 +74,6 @@ class DetourGuard {
  private:
   void TransitionTo(GuardState next, Time now);
 
-  GuardConfig config_;
   GuardState state_ = GuardState::kArmed;
   Time state_since_;
 

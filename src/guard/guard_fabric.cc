@@ -6,14 +6,10 @@
 
 namespace dibs {
 
-GuardFabric::GuardFabric(Simulator* sim, const GuardConfig& config,
-                         std::vector<int> switch_ids)
-    : sim_(sim), config_(config) {
-  DIBS_CHECK(config_.rearm_detour_rate < config_.trip_detour_rate)
-      << "guard hysteresis requires rearm_detour_rate < trip_detour_rate";
-  DIBS_CHECK(config_.ttl_budget_min <= config_.ttl_budget_max)
-      << "adaptive TTL budget range is inverted";
-  detour_budget_ = config_.adaptive_ttl ? config_.ttl_budget_max : UINT16_MAX;
+GuardFabric::GuardFabric(Simulator* sim, bool adaptive_ttl, std::vector<int> switch_ids)
+    : sim_(sim),
+      adaptive_ttl_(adaptive_ttl),
+      detour_budget_(adaptive_ttl ? kTtlBudgetMax : UINT16_MAX) {
   std::sort(switch_ids.begin(), switch_ids.end());
   switch_ids.erase(std::unique(switch_ids.begin(), switch_ids.end()), switch_ids.end());
   if (!switch_ids.empty()) {
@@ -23,7 +19,7 @@ GuardFabric::GuardFabric(Simulator* sim, const GuardConfig& config,
   guards_.reserve(switch_ids.size());
   for (const int node : switch_ids) {
     guard_index_[static_cast<size_t>(node)] = static_cast<int>(guards_.size());
-    guards_.emplace_back(node, DetourGuard(config_, sim_->Now()));
+    guards_.emplace_back(node, DetourGuard(sim_->Now()));
   }
 }
 
@@ -33,7 +29,7 @@ void GuardFabric::Start(Time stop_time) {
   }
   started_ = true;
   stop_time_ = stop_time;
-  sim_->Schedule(config_.window, [this] { Tick(); });
+  sim_->Schedule(kGuardWindow, [this] { Tick(); });
 }
 
 std::optional<DropReason> GuardFabric::AdmitDetour(int node, uint16_t detour_count) {
@@ -67,23 +63,21 @@ void GuardFabric::Tick() {
 
   // Fabric pressure first, so this window's adaptive budget is in force for
   // the packets the next window handles.
-  if (window_fabric_packets_ >= config_.min_window_packets) {
+  if (window_fabric_packets_ >= kGuardMinWindowPackets) {
     const double sample = static_cast<double>(window_fabric_detours_) /
                           static_cast<double>(window_fabric_packets_);
-    ewma_fabric_pressure_ = config_.ewma_alpha * sample +
-                            (1.0 - config_.ewma_alpha) * ewma_fabric_pressure_;
+    ewma_fabric_pressure_ =
+        kGuardEwmaAlpha * sample + (1.0 - kGuardEwmaAlpha) * ewma_fabric_pressure_;
   }
   window_fabric_packets_ = 0;
   window_fabric_detours_ = 0;
 
-  if (config_.adaptive_ttl) {
-    const double onset = config_.ttl_pressure_onset;
-    const double full = std::max(config_.ttl_pressure_full, onset + 1e-9);
-    const double t =
-        std::clamp((ewma_fabric_pressure_ - onset) / (full - onset), 0.0, 1.0);
-    const double budget = static_cast<double>(config_.ttl_budget_max) -
-                          t * static_cast<double>(config_.ttl_budget_max -
-                                                  config_.ttl_budget_min);
+  if (adaptive_ttl_) {
+    const double t = std::clamp((ewma_fabric_pressure_ - kTtlPressureOnset) /
+                                    (kTtlPressureFull - kTtlPressureOnset),
+                                0.0, 1.0);
+    const double budget = static_cast<double>(kTtlBudgetMax) -
+                          t * static_cast<double>(kTtlBudgetMax - kTtlBudgetMin);
     detour_budget_ = static_cast<uint16_t>(budget);
   }
 
@@ -96,7 +90,7 @@ void GuardFabric::Tick() {
   }
 
   if (now < stop_time_) {
-    sim_->Schedule(config_.window, [this] { Tick(); });
+    sim_->Schedule(kGuardWindow, [this] { Tick(); });
   }
 }
 

@@ -1,7 +1,7 @@
 // GuardFabric: owns one DetourGuard per switch plus the fabric-wide
 // adaptive-TTL state, and drives them all from a single repeating sim event.
 //
-// One tick per GuardConfig::window walks the switches in node-id order
+// One tick per kGuardWindow walks the switches in node-id order
 // (deterministic), rolls each guard's window into its EWMA, runs its state
 // machine, and reports every transition through the callback the Network
 // installs (which emits a kGuardTransition event). The same tick
@@ -38,7 +38,7 @@ class GuardFabric {
   // node-id order, for every transition the tick produced.
   using TransitionCallback = std::function<void(int, GuardState, GuardState)>;
 
-  GuardFabric(Simulator* sim, const GuardConfig& config, std::vector<int> switch_ids);
+  GuardFabric(Simulator* sim, bool adaptive_ttl, std::vector<int> switch_ids);
 
   void set_transition_callback(TransitionCallback cb) { on_transition_ = std::move(cb); }
 
@@ -70,7 +70,7 @@ class GuardFabric {
 
   // ---- Adaptive TTL ----
 
-  // Current per-packet detour budget. Without adaptive_ttl the budget is
+  // Current per-packet detour budget. Without the adaptive TTL the budget is
   // unlimited (UINT16_MAX, far above any reachable detour_count: the hop
   // TTL bounds the packet's life first).
   uint16_t DetourBudget() const { return detour_budget_; }
@@ -86,7 +86,7 @@ class GuardFabric {
   void Tick();
 
   Simulator* sim_;
-  GuardConfig config_;
+  bool adaptive_ttl_;
   // (node id, guard) per switch, in node-id order: ticks and transitions
   // walk it in that deterministic order.
   std::vector<std::pair<int, DetourGuard>> guards_;

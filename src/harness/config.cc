@@ -1,5 +1,7 @@
 #include "src/harness/config.h"
 
+#include "src/util/logging.h"
+
 namespace dibs {
 
 ExperimentConfig DctcpConfig() {
@@ -47,6 +49,30 @@ ExperimentConfig PfabricExperimentConfig() {
   c.net.ecn_threshold_packets = 0;
   c.transport = TransportKind::kPfabric;
   return c;
+}
+
+Topology BuildTopology(const ExperimentConfig& config) {
+  switch (config.topology) {
+    case TopologyKind::kFatTree: {
+      FatTreeOptions opts;
+      opts.k = config.fat_tree_k;
+      opts.oversubscription = config.oversubscription;
+      return BuildFatTree(opts);
+    }
+    case TopologyKind::kEmulabTestbed:
+      return BuildEmulabTestbed();
+    case TopologyKind::kLeafSpine:
+      return BuildLeafSpine(LeafSpineOptions{});
+    case TopologyKind::kLinear:
+      return BuildLinear(/*num_switches=*/8, /*hosts_per_switch=*/2);
+    case TopologyKind::kJellyFish: {
+      JellyFishOptions opts;
+      opts.seed = config.seed;
+      return BuildJellyFish(opts);
+    }
+  }
+  DIBS_LOG(kFatal) << "unknown topology kind";
+  return Topology();
 }
 
 }  // namespace dibs

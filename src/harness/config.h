@@ -35,7 +35,6 @@ struct ExperimentConfig {
   TopologyKind topology = TopologyKind::kFatTree;
   int fat_tree_k = 8;               // 128 hosts (§5.3)
   double oversubscription = 1.0;    // §5.5.4: 1, 4, 9, 16
-  int64_t link_rate_bps = kGbps;
 
   // Switch / network (Table 1, §5.3).
   NetworkConfig net;
@@ -107,6 +106,10 @@ ExperimentConfig InfiniteBufferConfig();
 
 // pFabric (§5.8): 24-packet priority queues, 350us RTO.
 ExperimentConfig PfabricExperimentConfig();
+
+// The topology `config` describes, with the default 1 Gbps links (Table 1).
+// Scenario runs on it, and fault plans take their link and switch ids from it.
+Topology BuildTopology(const ExperimentConfig& config);
 
 }  // namespace dibs
 

@@ -56,7 +56,7 @@ void MaybeInjectTestFailure(int sweep_run_index, Simulator* sim, Time crash_at) 
 
 Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   sim_ = std::make_unique<Simulator>(config_.seed);
-  network_ = std::make_unique<Network>(sim_.get(), BuildTopology(), config_.net);
+  network_ = std::make_unique<Network>(sim_.get(), BuildTopology(config_), config_.net);
   network_->Subscribe(&detour_recorder_, DetourRecorder::kKinds);
   network_->Subscribe(&guard_recorder_, GuardRecorder::kKinds);
   if (config_.net.guard.watchdog) {
@@ -65,12 +65,9 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
     // window never dip — but the packets stop finishing flows (retransmit
     // thrash + detour storms), which is exactly the collapse the watchdog
     // exists to catch. flows_ is constructed later in this ctor; the
-    // callback only fires once the simulation runs.
+    // callback only fires once Run() starts the watchdog.
     collapse_watchdog_ = std::make_unique<CollapseWatchdog>(
-        sim_.get(), config_.net.guard, [this]() -> uint64_t {
-          return flows_ != nullptr ? flows_->flows_completed()
-                                   : network_->total_delivered();
-        });
+        sim_.get(), [this] { return flows_->flows_completed(); });
   }
   // Tracing attaches before any traffic exists so host-send events are never
   // missed. The env overlay lets sweeps/CI trace without touching configs.
@@ -133,36 +130,6 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
 }
 
 Scenario::~Scenario() = default;
-
-Topology Scenario::BuildTopology() const {
-  switch (config_.topology) {
-    case TopologyKind::kFatTree: {
-      FatTreeOptions opts;
-      opts.k = config_.fat_tree_k;
-      opts.host_rate_bps = config_.link_rate_bps;
-      opts.oversubscription = config_.oversubscription;
-      return BuildFatTree(opts);
-    }
-    case TopologyKind::kEmulabTestbed:
-      return BuildEmulabTestbed(config_.link_rate_bps);
-    case TopologyKind::kLeafSpine: {
-      LeafSpineOptions opts;
-      opts.host_rate_bps = config_.link_rate_bps;
-      opts.fabric_rate_bps = config_.link_rate_bps;
-      return BuildLeafSpine(opts);
-    }
-    case TopologyKind::kLinear:
-      return BuildLinear(/*num_switches=*/8, /*hosts_per_switch=*/2, config_.link_rate_bps);
-    case TopologyKind::kJellyFish: {
-      JellyFishOptions opts;
-      opts.rate_bps = config_.link_rate_bps;
-      opts.seed = config_.seed;
-      return BuildJellyFish(opts);
-    }
-  }
-  DIBS_LOG(kFatal) << "unknown topology kind";
-  return Topology();
-}
 
 ScenarioResult Scenario::Run() {
   MaybeInjectTestFailure(config_.sweep_run_index, sim_.get(), config_.duration / 2);
@@ -249,8 +216,12 @@ ScenarioResult Scenario::Run() {
     r.fault_recovery_ms_max = fault_recorder_.MaxRecoveryMs();
   }
   r.detours = network_->total_detours();
-  r.delivered_packets = detour_recorder_.delivered_packets();
-  r.detoured_fraction = detour_recorder_.DetouredFraction();
+  r.delivered_packets = network_->total_delivered();
+  r.detoured_fraction =
+      r.delivered_packets == 0
+          ? 0.0
+          : static_cast<double>(detour_recorder_.delivered_with_detours()) /
+                static_cast<double>(r.delivered_packets);
   r.query_detour_share =
       r.detours == 0 ? 0.0
                      : static_cast<double>(detour_recorder_.query_detours()) /

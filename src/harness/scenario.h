@@ -163,8 +163,6 @@ class Scenario {
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  Topology BuildTopology() const;
-
   ExperimentConfig config_;
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Network> network_;

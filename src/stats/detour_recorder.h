@@ -50,7 +50,8 @@ class DetourRecorder : public TraceSink {
     }
   }
 
-  // The drop and detour totals are Network's; this keeps the breakdowns.
+  // The drop, detour and delivery totals are Network's; this keeps the
+  // breakdowns.
   uint64_t query_detours() const { return query_detours_; }
   uint64_t drops(DropReason reason) const {
     return drops_by_reason_[static_cast<size_t>(reason)];
@@ -70,16 +71,10 @@ class DetourRecorder : public TraceSink {
     }
     return total;
   }
-  uint64_t delivered_packets() const { return delivered_packets_; }
+  // Delivered packets that were detoured at least once; the delivered total
+  // is Network's.
+  uint64_t delivered_with_detours() const { return delivered_with_detours_; }
   uint64_t delivered_marked() const { return delivered_marked_; }
-
-  // Fraction of delivered packets that were detoured at least once.
-  double DetouredFraction() const {
-    return delivered_packets_ == 0
-               ? 0.0
-               : static_cast<double>(delivered_with_detours_) /
-                     static_cast<double>(delivered_packets_);
-  }
 
   // Detour count exceeded by at most (1 - fraction) of delivered packets,
   // e.g. 0.99 -> "1% of packets are detoured N times or more" (§5.4.4).
@@ -154,7 +149,6 @@ class DetourRecorder : public TraceSink {
   }
 
   void OnHostDeliver(const TraceEvent& e) {
-    ++delivered_packets_;
     if (e.detour_count > 0) {
       ++delivered_with_detours_;
     }
@@ -167,7 +161,6 @@ class DetourRecorder : public TraceSink {
   Time timeline_bucket_;
   uint64_t query_detours_ = 0;
   std::array<uint64_t, kNumDropReasons> drops_by_reason_{};
-  uint64_t delivered_packets_ = 0;
   uint64_t delivered_with_detours_ = 0;
   uint64_t delivered_marked_ = 0;
   Histogram delivered_detours_;

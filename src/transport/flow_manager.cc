@@ -13,14 +13,7 @@ FlowManager::FlowManager(Network* network, TransportKind kind, TcpConfig tcp_con
     : network_(network),
       kind_(kind),
       tcp_config_(tcp_config),
-      pfabric_config_(pfabric_config) {
-  if (kind_ == TransportKind::kDctcp) {
-    tcp_config_.cc = CongestionControl::kDctcp;
-    tcp_config_.ecn_enabled = true;
-  } else if (kind_ == TransportKind::kTcp) {
-    tcp_config_.cc = CongestionControl::kNewReno;
-  }
-}
+      pfabric_config_(pfabric_config) {}
 
 FlowManager::~FlowManager() = default;
 

@@ -87,11 +87,11 @@ void PfabricSender::ArmRtoTimer() {
   if (rto_timer_ != kInvalidEventId) {
     network_->sim().Cancel(rto_timer_);
   }
-  Time rto = config_.rto;
-  for (uint32_t i = 0; i < consecutive_timeouts_ && rto < config_.max_rto; ++i) {
+  Time rto = kPfabricRto;
+  for (uint32_t i = 0; i < consecutive_timeouts_ && rto < kPfabricMaxRto; ++i) {
     rto = rto * 2;
   }
-  rto = std::min(rto, config_.max_rto);
+  rto = std::min(rto, kPfabricMaxRto);
   rto_timer_ = network_->sim().Schedule(rto, [this] {
     rto_timer_ = kInvalidEventId;
     OnRtoTimeout();

@@ -9,29 +9,30 @@
 
 namespace dibs {
 
-enum class CongestionControl : uint8_t {
-  kNewReno = 0,  // loss-based halving; ECN-reacting if ecn_enabled
-  kDctcp = 1,    // ECN-fraction proportional backoff (Alizadeh et al.)
+// The two host stacks the paper evaluates: DCTCP (alone and under DIBS) and
+// pFabric (§5.8). Plain loss-based TCP is DCTCP on a fabric that never
+// marks (ecn_threshold_packets = 0): with no ECE the DCTCP update never
+// cuts, and the sender runs the same slow start, congestion avoidance and
+// loss recovery.
+enum class TransportKind : uint8_t {
+  kDctcp,
+  kPfabric,
 };
 
-enum class TransportKind : uint8_t {
-  kTcp = 0,      // NewReno-style
-  kDctcp = 1,
-  kPfabric = 2,
-};
+// DCTCP's constants. The RTO ceiling bounds binary backoff; the alpha gain
+// is the g = 1/16 of Alizadeh et al.; the window cap is far above any BDP
+// this simulator builds, so it only keeps cwnd finite.
+inline constexpr Time kTcpMaxRto = Time::Seconds(2);
+inline constexpr double kDctcpG = 1.0 / 16.0;
+inline constexpr uint32_t kTcpMaxCwndSegments = 1u << 16;
 
 struct TcpConfig {
   uint32_t init_cwnd_segments = 10;  // Table 1
   Time min_rto = Time::Millis(10);   // Table 1
-  Time max_rto = Time::Seconds(2);
   // Dup-ACK fast-retransmit threshold; 0 disables fast retransmit entirely
   // (the DIBS host setting, §4 — reordering from detours would otherwise
   // trigger spurious retransmissions).
   uint32_t dupack_threshold = 3;
-  bool ecn_enabled = true;           // set ECT on data, react to ECE
-  CongestionControl cc = CongestionControl::kDctcp;
-  double dctcp_g = 1.0 / 16.0;       // alpha EWMA gain
-  uint32_t max_cwnd_segments = 1u << 16;
 
   // The paper's DCTCP+DIBS host configuration (§4): reordering from detours
   // must not trigger spurious retransmissions. The paper's primary choice —
@@ -41,7 +42,6 @@ struct TcpConfig {
   // sensitivity).
   static TcpConfig DibsDefault() {
     TcpConfig c;
-    c.cc = CongestionControl::kDctcp;
     c.dupack_threshold = 0;
     return c;
   }
@@ -50,10 +50,13 @@ struct TcpConfig {
   static TcpConfig DctcpDefault() { return TcpConfig{}; }
 };
 
+// pFabric's RTO: §5.8 adjusts minRTO to 350us for 1Gbps, and backoff is
+// capped at 40ms.
+inline constexpr Time kPfabricRto = Time::Micros(350);
+inline constexpr Time kPfabricMaxRto = Time::Millis(40);
+
 struct PfabricConfig {
   uint32_t window_segments = 12;   // ~BDP at 1Gbps with shallow queues
-  Time rto = Time::Micros(350);    // §5.8: minRTO adjusted to 350us for 1Gbps
-  Time max_rto = Time::Millis(40);
 };
 
 }  // namespace dibs

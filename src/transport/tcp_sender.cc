@@ -17,7 +17,7 @@ TcpSender::TcpSender(Network* network, const FlowSpec& spec, const TcpConfig& co
       on_done_(std::move(on_done)),
       total_segments_(SegmentsForBytes(spec.size_bytes)),
       cwnd_(config.init_cwnd_segments),
-      ssthresh_(config.max_cwnd_segments) {
+      ssthresh_(kTcpMaxCwndSegments) {
   const uint64_t full = static_cast<uint64_t>(total_segments_ - 1) * kMaxSegmentBytes;
   last_segment_payload_ =
       spec_.size_bytes > full ? static_cast<uint32_t>(spec_.size_bytes - full) : 0;
@@ -59,7 +59,7 @@ void TcpSender::SendSegment(uint32_t seq, bool is_retransmit) {
   p.dst = spec_.dst;
   p.size_bytes = SegmentBytes(seq);
   p.ttl = network_->config().initial_ttl;
-  p.ect = config_.ecn_enabled;
+  p.ect = true;
   p.flow = spec_.id;
   p.traffic_class = spec_.traffic_class;
   p.seq = seq;
@@ -83,11 +83,11 @@ Time TcpSender::current_rto() const {
   Time backed_off = base;
   for (int i = 0; i < rto_backoff_; ++i) {
     backed_off = backed_off * 2;
-    if (backed_off >= config_.max_rto) {
-      return config_.max_rto;
+    if (backed_off >= kTcpMaxRto) {
+      return kTcpMaxRto;
     }
   }
-  return std::min(backed_off, config_.max_rto);
+  return std::min(backed_off, kTcpMaxRto);
 }
 
 void TcpSender::ArmRtoTimer() {
@@ -199,27 +199,17 @@ void TcpSender::OnNewDataAcked(uint32_t newly_acked, bool ece) {
   if (ece) {
     ++marked_acks_;
   }
-
-  if (config_.cc == CongestionControl::kDctcp && config_.ecn_enabled) {
-    DctcpPerWindowUpdate(newly_acked, ece);
-  } else if (config_.ecn_enabled && ece && snd_una_ > ecn_backoff_window_end_ &&
-             !in_recovery_) {
-    // Classic ECN response: halve once per window of data.
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
-    cwnd_ = ssthresh_;
-    ecn_backoff_window_end_ = snd_nxt_;
-    return;  // no growth on the ACK that carried the congestion signal
-  }
+  DctcpPerWindowUpdate(newly_acked, ece);
 
   // Window growth (skipped while recovering from loss).
   if (in_recovery_) {
     return;
   }
   if (cwnd_ < ssthresh_) {
-    cwnd_ = std::min(cwnd_ + newly_acked, static_cast<double>(config_.max_cwnd_segments));
+    cwnd_ = std::min(cwnd_ + newly_acked, static_cast<double>(kTcpMaxCwndSegments));
   } else {
     cwnd_ += static_cast<double>(newly_acked) / std::max(cwnd_, 1.0);
-    cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_cwnd_segments));
+    cwnd_ = std::min(cwnd_, static_cast<double>(kTcpMaxCwndSegments));
   }
 }
 
@@ -236,7 +226,7 @@ void TcpSender::DctcpPerWindowUpdate(uint32_t newly_acked, bool ece) {
   const double frac =
       dctcp_acked_ == 0 ? 0.0
                         : static_cast<double>(dctcp_marked_) / static_cast<double>(dctcp_acked_);
-  alpha_ = (1.0 - config_.dctcp_g) * alpha_ + config_.dctcp_g * frac;
+  alpha_ = (1.0 - kDctcpG) * alpha_ + kDctcpG * frac;
   if (dctcp_marked_ > 0 && !in_recovery_) {
     cwnd_ = std::max(cwnd_ * (1.0 - alpha_ / 2.0), 1.0);
     ssthresh_ = std::max(cwnd_, 2.0);

@@ -1,5 +1,6 @@
 // Send side of a flow: windowed reliable delivery at segment granularity
-// with NewReno-style or DCTCP congestion control.
+// with DCTCP congestion control. Every data segment is ECN-capable; on a
+// fabric that never marks, the sender is plain loss-based TCP.
 //
 // Implemented behaviors (matching the paper's host configuration, §4/§5.3):
 //  * slow start + congestion avoidance, initial window 10 (Table 1);
@@ -104,7 +105,6 @@ class TcpSender {
   uint32_t dctcp_window_end_ = 0;  // alpha/backoff updates once per window
   uint64_t dctcp_acked_ = 0;
   uint64_t dctcp_marked_ = 0;
-  uint32_t ecn_backoff_window_end_ = 0;  // NewReno-on-ECE once-per-window cut
 
   // Counters.
   uint32_t retransmits_ = 0;

@@ -83,22 +83,6 @@ TEST(PortTest, TransmitCountersAdvance) {
   EXPECT_EQ(net.host(0).nic().bytes_sent(), 3000u);
 }
 
-TEST(PortTest, BoundedHostQueueDropsBurst) {
-  NetworkConfig cfg;
-  cfg.host_queue_packets = 5;
-  Simulator sim;
-  Network net(&sim, TwoHostTopology(), cfg);
-  // 1 in flight + 5 queued = 6 accepted; the rest are NIC drops.
-  int accepted = 0;
-  for (int i = 0; i < 20; ++i) {
-    accepted += net.host(0).Send(RawPacket(net, 0, 1)) ? 1 : 0;
-  }
-  sim.Run();
-  EXPECT_EQ(accepted, 6);
-  EXPECT_EQ(net.host(0).nic_drops(), 14u);
-  EXPECT_EQ(net.total_delivered(), 6u);
-}
-
 TEST(PortTest, StrayPacketsCounted) {
   Simulator sim;
   Network net(&sim, TwoHostTopology(), NetworkConfig{});

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -74,36 +75,136 @@ TEST(DigestConfigTest, StableForEqualConfigsSensitiveToKnobs) {
 }
 
 TEST(DigestConfigTest, SensitiveToEveryGuardKnob) {
-  // Toggling the guard (or tuning any of its thresholds) changes forwarding
-  // decisions or recorded columns, so it must invalidate journal resume.
-  const ExperimentConfig base = DibsConfig();
-  ExperimentConfig guarded = base;
-  guarded.net.guard.enabled = true;
-  EXPECT_NE(DigestConfig(guarded), DigestConfig(base));
-
-  ExperimentConfig trip = guarded;
-  trip.net.guard.trip_detour_rate = 0.3;
-  EXPECT_NE(DigestConfig(trip), DigestConfig(guarded));
-
-  ExperimentConfig hold = guarded;
-  hold.net.guard.suppress_hold = Time::Millis(8);
-  EXPECT_NE(DigestConfig(hold), DigestConfig(guarded));
+  // Each guard switch changes forwarding decisions or recorded columns, so
+  // flipping it must invalidate journal resume.
+  const ExperimentConfig guarded = DibsGuardConfig();
+  ExperimentConfig enabled = guarded;
+  enabled.net.guard.enabled = false;
+  EXPECT_NE(DigestConfig(enabled), DigestConfig(guarded));
 
   ExperimentConfig adaptive = guarded;
-  adaptive.net.guard.adaptive_ttl = true;
+  adaptive.net.guard.adaptive_ttl = false;
   EXPECT_NE(DigestConfig(adaptive), DigestConfig(guarded));
 
-  ExperimentConfig budget = adaptive;
-  budget.net.guard.ttl_budget_min = 4;
-  EXPECT_NE(DigestConfig(budget), DigestConfig(adaptive));
-
   ExperimentConfig watchdog = guarded;
-  watchdog.net.guard.watchdog = true;
+  watchdog.net.guard.watchdog = false;
   EXPECT_NE(DigestConfig(watchdog), DigestConfig(guarded));
+}
 
-  ExperimentConfig window = watchdog;
-  window.net.guard.collapse_window = Time::Millis(20);
-  EXPECT_NE(DigestConfig(window), DigestConfig(watchdog));
+// One config edit, named for the leaf it changes.
+struct LeafEdit {
+  const char* leaf;
+  std::function<void(ExperimentConfig&)> apply;
+};
+
+// The guarded preset plus one fault event, so the fault-event fields have
+// something to change.
+ExperimentConfig DigestBase() {
+  ExperimentConfig c = DibsGuardConfig();
+  c.faults.DegradeLink(/*link=*/3, Time::Millis(10), /*loss_probability=*/0.1,
+                       /*extra_jitter=*/Time::Micros(5));
+  return c;
+}
+
+TEST(DigestConfigTest, EveryRemainingLeafReachesTheDigest) {
+  // Every result-shaping leaf of ExperimentConfig, each moved off its
+  // DigestBase() value. A field added to the config belongs here, and in
+  // DigestConfig, unless it is observability like `trace`.
+  const std::vector<LeafEdit> shaping = {
+      {"topology", [](ExperimentConfig& c) { c.topology = TopologyKind::kLeafSpine; }},
+      {"fat_tree_k", [](ExperimentConfig& c) { c.fat_tree_k = 4; }},
+      {"oversubscription", [](ExperimentConfig& c) { c.oversubscription = 4.0; }},
+      {"net.switch_buffer_packets", [](ExperimentConfig& c) { c.net.switch_buffer_packets = 101; }},
+      {"net.ecn_threshold_packets", [](ExperimentConfig& c) { c.net.ecn_threshold_packets = 21; }},
+      {"net.pfabric_queues", [](ExperimentConfig& c) { c.net.pfabric_queues = true; }},
+      {"net.pfabric_buffer_packets",
+       [](ExperimentConfig& c) { c.net.pfabric_buffer_packets = 25; }},
+      {"net.use_shared_buffer", [](ExperimentConfig& c) { c.net.use_shared_buffer = true; }},
+      {"net.shared_buffer_packets",
+       [](ExperimentConfig& c) { c.net.shared_buffer_packets = 1134; }},
+      {"net.shared_buffer_alpha", [](ExperimentConfig& c) { c.net.shared_buffer_alpha = 2.0; }},
+      {"net.detour_policy", [](ExperimentConfig& c) { c.net.detour_policy = "none"; }},
+      {"net.initial_ttl", [](ExperimentConfig& c) { c.net.initial_ttl = 12; }},
+      {"net.pfc_enabled", [](ExperimentConfig& c) { c.net.pfc_enabled = true; }},
+      {"net.pfc_xoff_packets", [](ExperimentConfig& c) { c.net.pfc_xoff_packets = 81; }},
+      {"net.pfc_xon_packets", [](ExperimentConfig& c) { c.net.pfc_xon_packets = 41; }},
+      {"net.guard.enabled", [](ExperimentConfig& c) { c.net.guard.enabled = false; }},
+      {"net.guard.adaptive_ttl", [](ExperimentConfig& c) { c.net.guard.adaptive_ttl = false; }},
+      {"net.guard.watchdog", [](ExperimentConfig& c) { c.net.guard.watchdog = false; }},
+      {"net.packet_level_ecmp", [](ExperimentConfig& c) { c.net.packet_level_ecmp = true; }},
+      {"transport", [](ExperimentConfig& c) { c.transport = TransportKind::kPfabric; }},
+      {"tcp.init_cwnd_segments", [](ExperimentConfig& c) { c.tcp.init_cwnd_segments = 11; }},
+      {"tcp.min_rto", [](ExperimentConfig& c) { c.tcp.min_rto = Time::Millis(1); }},
+      {"tcp.dupack_threshold", [](ExperimentConfig& c) { c.tcp.dupack_threshold = 3; }},
+      {"pfabric.window_segments", [](ExperimentConfig& c) { c.pfabric.window_segments = 13; }},
+      {"enable_background", [](ExperimentConfig& c) { c.enable_background = false; }},
+      {"bg_interarrival", [](ExperimentConfig& c) { c.bg_interarrival = Time::Millis(60); }},
+      {"enable_query", [](ExperimentConfig& c) { c.enable_query = false; }},
+      {"qps", [](ExperimentConfig& c) { c.qps = 600; }},
+      {"incast_degree", [](ExperimentConfig& c) { c.incast_degree = 41; }},
+      {"response_bytes", [](ExperimentConfig& c) { c.response_bytes = 40000; }},
+      {"duration", [](ExperimentConfig& c) { c.duration = Time::Seconds(2); }},
+      {"drain", [](ExperimentConfig& c) { c.drain = Time::Millis(100); }},
+      {"seed", [](ExperimentConfig& c) { c.seed = 2; }},
+      {"faults (a second event)",
+       [](ExperimentConfig& c) { c.faults.RestoreLink(3, Time::Millis(20)); }},
+      {"faults[0].at",
+       [](ExperimentConfig& c) {
+         c.faults = fault::FaultPlan().DegradeLink(3, Time::Millis(11), 0.1, Time::Micros(5));
+       }},
+      {"faults[0].target",
+       [](ExperimentConfig& c) {
+         c.faults = fault::FaultPlan().DegradeLink(4, Time::Millis(10), 0.1, Time::Micros(5));
+       }},
+      {"faults[0].loss_probability",
+       [](ExperimentConfig& c) {
+         c.faults = fault::FaultPlan().DegradeLink(3, Time::Millis(10), 0.2, Time::Micros(5));
+       }},
+      {"faults[0].extra_jitter",
+       [](ExperimentConfig& c) {
+         c.faults = fault::FaultPlan().DegradeLink(3, Time::Millis(10), 0.1, Time::Micros(6));
+       }},
+      {"monitor_links", [](ExperimentConfig& c) { c.monitor_links = true; }},
+      {"link_interval", [](ExperimentConfig& c) { c.link_interval = Time::Millis(2); }},
+      {"hot_threshold", [](ExperimentConfig& c) { c.hot_threshold = 0.8; }},
+      {"monitor_buffers", [](ExperimentConfig& c) { c.monitor_buffers = true; }},
+      {"buffer_interval", [](ExperimentConfig& c) { c.buffer_interval = Time::Millis(2); }},
+  };
+  const uint64_t base = DigestConfig(DigestBase());
+  for (const LeafEdit& edit : shaping) {
+    ExperimentConfig c = DigestBase();
+    edit.apply(c);
+    EXPECT_NE(DigestConfig(c), base) << edit.leaf << " does not reach the digest";
+  }
+  // faults[0].kind: two plans that differ in the event kind alone (a link
+  // fault other than DegradeLink carries no loss or jitter).
+  ExperimentConfig down = DigestBase();
+  down.faults = fault::FaultPlan().LinkDown(3, Time::Millis(10));
+  ExperimentConfig up = DigestBase();
+  up.faults = fault::FaultPlan().LinkUp(3, Time::Millis(10));
+  EXPECT_NE(DigestConfig(down), DigestConfig(up)) << "faults[0].kind does not reach the digest";
+
+  // Observability and bookkeeping: resuming with tracing toggled, a new
+  // label or another matrix position must still match.
+  const std::vector<LeafEdit> inert = {
+      {"trace.enabled", [](ExperimentConfig& c) { c.trace.enabled = true; }},
+      {"trace.jsonl_path", [](ExperimentConfig& c) { c.trace.jsonl_path = "t.jsonl"; }},
+      {"trace.perfetto_path", [](ExperimentConfig& c) { c.trace.perfetto_path = "t.json"; }},
+      {"trace.ring_capacity", [](ExperimentConfig& c) { c.trace.ring_capacity = 16; }},
+      {"trace.dump_at_end", [](ExperimentConfig& c) { c.trace.dump_at_end = true; }},
+      {"trace.dump_path", [](ExperimentConfig& c) { c.trace.dump_path = "d.jsonl"; }},
+      {"trace.filter.nodes", [](ExperimentConfig& c) { c.trace.filter.nodes = {1}; }},
+      {"trace.filter.flows", [](ExperimentConfig& c) { c.trace.filter.flows = {2}; }},
+      {"trace.filter.tclass", [](ExperimentConfig& c) { c.trace.filter.tclass = 1; }},
+      {"trace.filter.sample", [](ExperimentConfig& c) { c.trace.filter.sample = 0.5; }},
+      {"label", [](ExperimentConfig& c) { c.label = "renamed"; }},
+      {"sweep_run_index", [](ExperimentConfig& c) { c.sweep_run_index = 5; }},
+  };
+  for (const LeafEdit& edit : inert) {
+    ExperimentConfig c = DigestBase();
+    edit.apply(c);
+    EXPECT_EQ(DigestConfig(c), base) << edit.leaf << " must stay out of the digest";
+  }
 }
 
 TEST(SweepFingerprintTest, SensitiveToNameOrderSeedAndConfig) {

@@ -380,13 +380,14 @@ TEST(SweepEngineTest, GuardedSweepResumeIsByteIdentical) {
   SweepSpec spec;
   spec.name = "guard-resume";
   spec.base = Tiny(DibsGuardConfig());
-  // Hair-trigger thresholds so the breaker actually trips in a tiny run.
-  spec.base.net.guard.window = Time::Millis(1);
-  spec.base.net.guard.min_window_packets = 16;
-  spec.base.net.guard.trip_detour_rate = 0.05;
-  spec.base.net.guard.rearm_detour_rate = 0.02;
-  spec.base.net.guard.suppress_hold = Time::Millis(2);
+  // Shallow buffers and 1000 qps of 20 KB responses: at degree 15 (every
+  // other host) the detour storm trips the breaker's fixed thresholds
+  // within the 40 ms run.
+  spec.base.qps = 1000;
+  spec.base.response_bytes = 20000;
   spec.base.net.switch_buffer_packets = 10;
+  spec.base.duration = Time::Millis(40);
+  spec.base.drain = Time::Millis(10);
   spec.axes.push_back(SweepAxis::Of<int>(
       "degree", {4, 8, 12, 15}, [](ExperimentConfig& c, int d) { c.incast_degree = d; }));
   spec.seed = 11;

@@ -86,10 +86,10 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
 
   EXPECT_FALSE(net.LinkUp(0));
   EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 7u);
-  EXPECT_EQ(rec.delivered_packets(), 3u);
+  EXPECT_EQ(net.total_delivered(), 3u);
 
   // While down, new sends are accepted by the host but blackholed at the NIC.
-  EXPECT_TRUE(net.host(0).Send(RawPacket(net, 0, 1)));
+  net.host(0).Send(RawPacket(net, 0, 1));
   sim.Run();
   EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 8u);
 
@@ -98,7 +98,7 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
   EXPECT_TRUE(net.LinkUp(0));
   net.host(0).Send(RawPacket(net, 0, 1));
   sim.Run();
-  EXPECT_EQ(rec.delivered_packets(), 4u);
+  EXPECT_EQ(net.total_delivered(), 4u);
   EXPECT_EQ(net.total_drops(), 8u);
 }
 
@@ -158,7 +158,7 @@ TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
     }
   }
   sim.Run();
-  EXPECT_EQ(rec.delivered_packets(), 40u);
+  EXPECT_EQ(net.total_delivered(), 40u);
   EXPECT_EQ(net.total_drops(), 0u);
 
   // Restore: the pristine ECMP set comes back in port order.
@@ -179,7 +179,7 @@ TEST(FaultModelTest, AllPathsDeadDropsAsFaultNoLiveRoute) {
   // Routes exist in the pristine topology, so this is a fault drop, not a
   // routing bug.
   EXPECT_EQ(rec.drops(DropReason::kFaultNoLiveRoute), 1u);
-  EXPECT_EQ(rec.delivered_packets(), 0u);
+  EXPECT_EQ(net.total_delivered(), 0u);
 }
 
 TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
@@ -207,7 +207,7 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
   EXPECT_FALSE(net.SwitchOperational(s1));
   EXPECT_TRUE(net.SwitchOperational(s0));
   EXPECT_EQ(rec.drops(DropReason::kFaultSwitchDown), 1u);
-  EXPECT_EQ(rec.delivered_packets(), 0u);
+  EXPECT_EQ(net.total_delivered(), 0u);
   // Every link adjacent to the crashed switch is effectively down.
   EXPECT_FALSE(net.LinkUp(1));
   EXPECT_FALSE(net.LinkUp(2));
@@ -218,7 +218,7 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
   EXPECT_TRUE(net.LinkUp(1));
   net.host(0).Send(RawPacket(net, 0, 1));
   sim.Run();
-  EXPECT_EQ(rec.delivered_packets(), 1u);
+  EXPECT_EQ(net.total_delivered(), 1u);
 }
 
 // Runs `count` packets across a TwoHost network whose h0 NIC link is degraded,
@@ -233,7 +233,7 @@ std::pair<uint64_t, uint64_t> RunLossyLink(uint64_t seed, int count, double loss
     net.host(0).Send(RawPacket(net, 0, 1));
   }
   sim.Run();
-  return {rec.delivered_packets(), rec.drops(DropReason::kFaultLossy)};
+  return {net.total_delivered(), rec.drops(DropReason::kFaultLossy)};
 }
 
 TEST(FaultModelTest, DegradedLinkLossIsBernoulliAndSeedDeterministic) {
@@ -335,7 +335,7 @@ TEST(FaultDibsInteractionTest, AllNeighborsCrashedMeansDropNotDetour) {
   DetourRecorder rec;
   net.Subscribe(&rec, DetourRecorder::kKinds);
 
-  const std::vector<int> neighbors = fault::SwitchNeighbors(f.topo, f.tor);
+  const std::vector<int> neighbors = f.topo.SwitchNeighborhood(f.tor, 1);
   ASSERT_EQ(neighbors.size(), 2u);
   for (const int agg : neighbors) {
     net.SetSwitchOperational(agg, false);

@@ -1,7 +1,8 @@
 // FaultPlan tests: fluent builders append the right events, LinkFlap expands
 // into down/up cycles, Sorted() orders by (time, insertion) stably, and the
-// topology targeting helpers (TorOf / SwitchFacingLinks / SwitchNeighbors)
-// resolve fault targets from a Topology.
+// topology targeting helpers (TorOf / SwitchFacingLinks, and
+// Topology::SwitchNeighborhood at radius 1) resolve fault targets from a
+// Topology.
 
 #include "src/fault/fault_plan.h"
 
@@ -127,8 +128,8 @@ TEST(FaultTargetingTest, SwitchFacingLinksSkipHostLinks) {
 
 TEST(FaultTargetingTest, SwitchNeighborsDeduplicateParallelLinks) {
   TorFixture f;
-  EXPECT_EQ(SwitchNeighbors(f.topo, f.tor), (std::vector<int>{f.agg0, f.agg1}));
-  EXPECT_EQ(SwitchNeighbors(f.topo, f.agg1), (std::vector<int>{f.tor}));
+  EXPECT_EQ(f.topo.SwitchNeighborhood(f.tor, 1), (std::vector<int>{f.agg0, f.agg1}));
+  EXPECT_EQ(f.topo.SwitchNeighborhood(f.agg1, 1), (std::vector<int>{f.tor}));
 }
 
 }  // namespace

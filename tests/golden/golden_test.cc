@@ -40,7 +40,6 @@
 #include "src/fault/fault_plan.h"
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
-#include "src/topo/builders.h"
 #include "src/trace/trace_codec.h"
 
 namespace dibs {
@@ -65,14 +64,6 @@ ExperimentConfig Reduced(ExperimentConfig c, int duration_ms, int drain_ms) {
   return c;
 }
 
-Topology FatTreeOf(const ExperimentConfig& c) {
-  FatTreeOptions o;
-  o.k = c.fat_tree_k;
-  o.host_rate_bps = c.link_rate_bps;
-  o.oversubscription = c.oversubscription;
-  return BuildFatTree(o);
-}
-
 ExperimentConfig CellConfig(const std::string& name) {
   if (name == "dibs_incast_background") {
     ExperimentConfig c = Reduced(DibsConfig(), 30, 15);
@@ -93,7 +84,7 @@ ExperimentConfig CellConfig(const std::string& name) {
   if (name == "dibs_faults") {
     ExperimentConfig c = Reduced(DibsConfig(), 35, 15);
     c.qps = 2000;
-    const Topology topo = FatTreeOf(c);
+    const Topology topo = BuildTopology(c);
     const int tor = fault::TorOf(topo, /*h=*/0);
     const std::vector<int> uplinks = fault::SwitchFacingLinks(topo, tor);
     // Jitter far above the serialization time, so deliveries on the lossy

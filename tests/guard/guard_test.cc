@@ -17,18 +17,17 @@
 namespace dibs {
 namespace {
 
-GuardConfig TestConfig() {
-  GuardConfig g;
-  g.enabled = true;
-  g.window = Time::Millis(1);
-  g.ewma_alpha = 1.0;  // no smoothing: window rate == EWMA, thresholds exact
-  g.trip_detour_rate = 0.25;
-  g.min_window_packets = 10;
-  g.rearm_detour_rate = 0.10;
-  g.suppress_hold = Time::Millis(2);
-  g.probe_budget = 4;
-  return g;
-}
+// Every window below handles kPackets packets, enough to be judged.
+constexpr uint64_t kPackets = 100;
+static_assert(kPackets >= kGuardMinWindowPackets);
+
+// One storm window (a detour attempt per packet) moves the EWMA from 0 to
+// kGuardEwmaAlpha = 0.5, at or above the trip line.
+constexpr uint64_t kStorm = kPackets;
+static_assert(kGuardEwmaAlpha * 1.0 >= kGuardTripDetourRate);
+
+// Tick time of window `n`, on the fabric's cadence.
+Time WindowEnd(int n) { return kGuardWindow * n; }
 
 // Feeds one window of traffic: `packets` handled, of which `detours` reach a
 // detour decision (AdmitDetour), then ticks the guard at `now`.
@@ -43,135 +42,149 @@ GuardState FeedWindow(DetourGuard& guard, uint64_t packets, uint64_t detours,
   return guard.OnWindowTick(now);
 }
 
+// Trips the breaker at window 1 (EWMA 0.5), then lets one calm window pass
+// after the dwell: the breaker half-closes with the EWMA at 0.25, inside the
+// hysteresis band.
+void TripThenProbe(DetourGuard& guard) {
+  FeedWindow(guard, kPackets, kStorm, WindowEnd(1));
+  ASSERT_EQ(guard.state(), GuardState::kSuppressed);
+  FeedWindow(guard, kPackets, 0, WindowEnd(1) + kGuardSuppressHold);
+  ASSERT_EQ(guard.state(), GuardState::kProbing);
+  ASSERT_DOUBLE_EQ(guard.ewma_detour_rate(), 0.25);
+}
+
 TEST(DetourGuardTest, StaysArmedUnderTripRate) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  for (int w = 1; w <= 5; ++w) {
-    FeedWindow(guard, 100, 10, Time::Millis(w));  // rate 0.10 < trip 0.25
+  DetourGuard guard(Time::Zero());
+  // A steady rate of 0.30 converges the EWMA to 0.30, below the trip line.
+  static_assert(0.30 < kGuardTripDetourRate);
+  for (int w = 1; w <= 8; ++w) {
+    FeedWindow(guard, kPackets, 30, WindowEnd(w));
     EXPECT_EQ(guard.state(), GuardState::kArmed);
   }
+  EXPECT_LT(guard.ewma_detour_rate(), kGuardTripDetourRate);
 }
 
 TEST(DetourGuardTest, TripsOnDetourRateAndCountsTrip) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  // rate 0.40 >= 0.25: the tick reports the ARMED -> SUPPRESSED edge that
-  // GuardRecorder counts as a trip.
-  EXPECT_EQ(FeedWindow(guard, 100, 40, Time::Millis(1)), GuardState::kArmed);
+  DetourGuard guard(Time::Zero());
+  // EWMA 0 -> 0.5 >= 0.45: the tick reports the ARMED -> SUPPRESSED edge
+  // that GuardRecorder counts as a trip.
+  EXPECT_EQ(FeedWindow(guard, kPackets, kStorm, WindowEnd(1)), GuardState::kArmed);
+  EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), kGuardEwmaAlpha);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
   EXPECT_FALSE(guard.DetourEnabled());
   EXPECT_FALSE(guard.AdmitDetour());
 }
 
 TEST(DetourGuardTest, IdleWindowNeitherTripsNorDecays) {
-  GuardConfig cfg = TestConfig();
-  cfg.ewma_alpha = 0.5;
-  DetourGuard guard(cfg, Time::Zero());
-  FeedWindow(guard, 100, 80, Time::Millis(1));
+  DetourGuard guard(Time::Zero());
+  FeedWindow(guard, kPackets, kStorm, WindowEnd(1));
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
   const double stormy = guard.ewma_detour_rate();
-  // Windows below min_window_packets must not dilute the stored signal:
+  // Windows below kGuardMinWindowPackets must not dilute the stored signal:
   // 3 packets with 0 detours is noise, not evidence the storm ended.
-  FeedWindow(guard, 3, 0, Time::Millis(2));
+  static_assert(3 < kGuardMinWindowPackets);
+  FeedWindow(guard, 3, 0, WindowEnd(2));
   EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), stormy);
 }
 
 TEST(DetourGuardTest, SuppressedHoldsUntilDwellThenProbes) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));
+  DetourGuard guard(Time::Zero());
+  FeedWindow(guard, kPackets, kStorm, WindowEnd(1));
   ASSERT_EQ(guard.state(), GuardState::kSuppressed);
-  // suppress_hold = 2ms from the transition at t=1ms: the t=2ms tick is
-  // only 1ms in, so the breaker stays open.
-  FeedWindow(guard, 100, 0, Time::Millis(2));
+  // Half the dwell after the transition the breaker stays open, however
+  // calm the window.
+  FeedWindow(guard, kPackets, 0, WindowEnd(1) + kGuardSuppressHold / 2);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
-  FeedWindow(guard, 100, 0, Time::Millis(3));
+  FeedWindow(guard, kPackets, 0, WindowEnd(1) + kGuardSuppressHold);
   EXPECT_EQ(guard.state(), GuardState::kProbing);
 }
 
 TEST(DetourGuardTest, ProbingAdmitsOnlyProbeBudgetPerWindow) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));
-  FeedWindow(guard, 100, 0, Time::Millis(2));
-  FeedWindow(guard, 100, 0, Time::Millis(3));
-  ASSERT_EQ(guard.state(), GuardState::kProbing);
+  DetourGuard guard(Time::Zero());
+  TripThenProbe(guard);
   EXPECT_TRUE(guard.DetourEnabled());  // cheap read: not suppressed
-  int admitted = 0;
-  for (int i = 0; i < 10; ++i) {
+  uint64_t admitted = 0;
+  for (uint64_t i = 0; i < 2 * kGuardProbeBudget; ++i) {
     if (guard.AdmitDetour()) {
       ++admitted;
     }
   }
-  EXPECT_EQ(admitted, 4);  // probe_budget
-  // Budget refreshes at the next tick.
-  guard.OnWindowTick(Time::Millis(4));
-  if (guard.state() == GuardState::kProbing) {
-    EXPECT_TRUE(guard.AdmitDetour());
-  }
+  EXPECT_EQ(admitted, kGuardProbeBudget);
+  // Budget refreshes at the next tick (a window too small to judge, so the
+  // breaker stays PROBING).
+  guard.OnWindowTick(WindowEnd(1) + kGuardSuppressHold + kGuardWindow);
+  ASSERT_EQ(guard.state(), GuardState::kProbing);
+  EXPECT_TRUE(guard.AdmitDetour());
 }
 
 TEST(DetourGuardTest, ProbingRearmsOnlyBelowRearmLine) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));
-  FeedWindow(guard, 100, 0, Time::Millis(2));
-  FeedWindow(guard, 100, 0, Time::Millis(3));
-  ASSERT_EQ(guard.state(), GuardState::kProbing);
-  // Rate 0.15 sits in the hysteresis band [0.10, 0.25): neither re-arm nor
-  // re-trip — PROBING holds.
-  FeedWindow(guard, 100, 15, Time::Millis(4));
+  DetourGuard guard(Time::Zero());
+  TripThenProbe(guard);
+  const Time probing_since = WindowEnd(1) + kGuardSuppressHold;
+  // Rate 0.30 moves the EWMA from 0.25 to 0.275, inside the hysteresis band
+  // [0.20, 0.45): neither re-arm nor re-trip — PROBING holds.
+  FeedWindow(guard, kPackets, 30, probing_since + kGuardWindow);
+  EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), 0.275);
+  EXPECT_GE(guard.ewma_detour_rate(), kGuardRearmDetourRate);
   EXPECT_EQ(guard.state(), GuardState::kProbing);
-  // Rate 0.05 < rearm 0.10: close the loop back to ARMED.
-  FeedWindow(guard, 100, 5, Time::Millis(5));
+  // A calm window halves it to 0.1375 < 0.20: close the loop back to ARMED.
+  FeedWindow(guard, kPackets, 0, probing_since + kGuardWindow * 2);
+  EXPECT_LT(guard.ewma_detour_rate(), kGuardRearmDetourRate);
   EXPECT_EQ(guard.state(), GuardState::kArmed);
 }
 
 TEST(DetourGuardTest, ProbingReopensWhenPressureReturns) {
-  DetourGuard guard(TestConfig(), Time::Zero());
-  FeedWindow(guard, 100, 40, Time::Millis(1));
-  FeedWindow(guard, 100, 0, Time::Millis(2));
-  FeedWindow(guard, 100, 0, Time::Millis(3));
-  ASSERT_EQ(guard.state(), GuardState::kProbing);
-  // Storm still raging. Re-entering SUPPRESSED from PROBING is not a fresh
-  // trip: the edge GuardRecorder sees starts at PROBING, not ARMED.
-  EXPECT_EQ(FeedWindow(guard, 100, 50, Time::Millis(4)), GuardState::kProbing);
+  DetourGuard guard(Time::Zero());
+  TripThenProbe(guard);
+  // Storm still raging: EWMA 0.25 -> 0.625. Re-entering SUPPRESSED from
+  // PROBING is not a fresh trip: the edge GuardRecorder sees starts at
+  // PROBING, not ARMED.
+  EXPECT_EQ(FeedWindow(guard, kPackets, kStorm,
+                       WindowEnd(1) + kGuardSuppressHold + kGuardWindow),
+            GuardState::kProbing);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
 }
 
 TEST(DetourGuardTest, SuppressedAttemptsStillFeedTheDemandSignal) {
-  GuardConfig cfg = TestConfig();
-  cfg.ewma_alpha = 0.5;
-  DetourGuard guard(cfg, Time::Zero());
-  FeedWindow(guard, 100, 80, Time::Millis(1));
+  DetourGuard guard(Time::Zero());
+  FeedWindow(guard, kPackets, kStorm, WindowEnd(1));
   ASSERT_EQ(guard.state(), GuardState::kSuppressed);
   // Demand persists while the breaker is open: denied attempts count, so
-  // the EWMA stays high and PROBING will see the truth.
-  const double before = guard.ewma_detour_rate();
-  FeedWindow(guard, 100, 80, Time::Millis(2));
-  EXPECT_GE(guard.ewma_detour_rate(), before * 0.99);
+  // the EWMA keeps climbing (0.5 -> 0.75) and PROBING will see the truth.
+  FeedWindow(guard, kPackets, kStorm, WindowEnd(2));
+  EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), 0.75);
 }
 
 // ---- GuardFabric ----
 
+// Feeds `node` one window's traffic through the fabric: `packets` handled
+// and `attempts` detour decisions.
+void Storm(GuardFabric& fabric, int node, uint64_t packets, uint64_t attempts) {
+  for (uint64_t i = 0; i < packets; ++i) {
+    fabric.NotePacket(node);
+  }
+  for (uint64_t i = 0; i < attempts; ++i) {
+    fabric.AdmitDetour(node, 0);
+  }
+}
+
 TEST(GuardFabricTest, TickWalksGuardsAndReportsTransitions) {
   Simulator sim;
-  GuardConfig cfg = TestConfig();
-  GuardFabric fabric(&sim, cfg, {7, 3});
+  GuardFabric fabric(&sim, /*adaptive_ttl=*/false, {7, 3});
   std::vector<std::tuple<int, GuardState, GuardState>> seen;
   fabric.set_transition_callback([&](int node, GuardState from, GuardState to) {
     seen.emplace_back(node, from, to);
   });
-  fabric.Start(Time::Millis(10));
+  fabric.Start(WindowEnd(10));
   // Storm both switches for the first window.
   sim.Schedule(Time::Micros(100), [&] {
     for (int node : {3, 7}) {
-      for (int i = 0; i < 100; ++i) {
-        fabric.NotePacket(node);
-      }
-      for (int i = 0; i < 40; ++i) {
-        fabric.AdmitDetour(node, 0);
-      }
+      Storm(fabric, node, kPackets, kStorm);
     }
   });
-  sim.RunUntil(Time::Millis(1));
+  sim.RunUntil(WindowEnd(1));
   ASSERT_EQ(seen.size(), 2u);
-  // std::map iteration: node 3 before node 7, regardless of ctor order.
+  // Node-id order: node 3 before node 7, regardless of ctor order.
   EXPECT_EQ(std::get<0>(seen[0]), 3);
   EXPECT_EQ(std::get<0>(seen[1]), 7);
   EXPECT_EQ(std::get<1>(seen[0]), GuardState::kArmed);
@@ -182,18 +195,13 @@ TEST(GuardFabricTest, TickWalksGuardsAndReportsTransitions) {
 
 TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
   Simulator sim;
-  GuardFabric fabric(&sim, TestConfig(), {1, 2});
-  fabric.Start(Time::Millis(10));
+  GuardFabric fabric(&sim, /*adaptive_ttl=*/false, {1, 2});
+  fabric.Start(WindowEnd(10));
   sim.Schedule(Time::Micros(100), [&] {
-    for (int i = 0; i < 100; ++i) {
-      fabric.NotePacket(1);
-      fabric.NotePacket(2);
-    }
-    for (int i = 0; i < 40; ++i) {
-      fabric.AdmitDetour(1, 0);  // only switch 1 storms
-    }
+    Storm(fabric, 1, kPackets, kStorm);  // only switch 1 storms
+    Storm(fabric, 2, kPackets, 0);
   });
-  sim.RunUntil(Time::Millis(1));
+  sim.RunUntil(WindowEnd(1));
   EXPECT_FALSE(fabric.DetourEnabled(1));
   EXPECT_TRUE(fabric.DetourEnabled(2));
   EXPECT_EQ(fabric.AdmitDetour(1, 0), DropReason::kGuardSuppressed);
@@ -202,116 +210,105 @@ TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
 
 TEST(GuardFabricTest, BudgetUnlimitedWithoutAdaptiveTtl) {
   Simulator sim;
-  GuardFabric fabric(&sim, TestConfig(), {1});
+  GuardFabric fabric(&sim, /*adaptive_ttl=*/false, {1});
   EXPECT_EQ(fabric.DetourBudget(), UINT16_MAX);
   EXPECT_EQ(fabric.AdmitDetour(1, 60000), std::nullopt);
 }
 
+// The adaptive-TTL tests raise fabric pressure through NoteDetour, which
+// the per-switch breaker never sees, so only the clamp acts.
+void Pressure(GuardFabric& fabric, uint64_t packets, uint64_t detours) {
+  for (uint64_t i = 0; i < packets; ++i) {
+    fabric.NotePacket(1);
+  }
+  for (uint64_t i = 0; i < detours; ++i) {
+    fabric.NoteDetour();
+  }
+}
+
 TEST(GuardFabricTest, AdaptiveTtlTightensBudgetWithPressure) {
   Simulator sim;
-  GuardConfig cfg = TestConfig();
-  cfg.adaptive_ttl = true;
-  cfg.ttl_budget_max = 64;
-  cfg.ttl_budget_min = 8;
-  cfg.ttl_pressure_onset = 0.05;
-  cfg.ttl_pressure_full = 0.40;
-  // Keep the breaker quiet so only the clamp acts.
-  cfg.trip_detour_rate = 10.0;
-  cfg.rearm_detour_rate = 9.0;
-  GuardFabric fabric(&sim, cfg, {1});
-  EXPECT_EQ(fabric.DetourBudget(), 64);  // starts wide open
+  GuardFabric fabric(&sim, /*adaptive_ttl=*/true, {1});
+  EXPECT_EQ(fabric.DetourBudget(), kTtlBudgetMax);  // starts wide open
 
-  fabric.Start(Time::Millis(10));
-  // Pressure 0.40 >= full: after the tick the budget is clamped to min.
-  sim.Schedule(Time::Micros(100), [&] {
-    for (int i = 0; i < 100; ++i) {
-      fabric.NotePacket(1);
-    }
-    for (int i = 0; i < 40; ++i) {
-      fabric.AdmitDetour(1, 0);
-    }
-  });
-  sim.RunUntil(Time::Millis(1));
-  EXPECT_EQ(fabric.DetourBudget(), 8);
-  EXPECT_DOUBLE_EQ(fabric.FabricPressure(), 0.40);
+  fabric.Start(WindowEnd(20));
+  // Two detours per packet: pressure 0 -> 1.0 >= full, so after the tick
+  // the budget is clamped to its minimum.
+  static_assert(kGuardEwmaAlpha * 2.0 >= kTtlPressureFull);
+  sim.Schedule(Time::Micros(100), [&] { Pressure(fabric, kPackets, 2 * kPackets); });
+  sim.RunUntil(WindowEnd(1));
+  EXPECT_DOUBLE_EQ(fabric.FabricPressure(), 1.0);
+  EXPECT_EQ(fabric.DetourBudget(), kTtlBudgetMin);
 
   // Over-budget packet dies as guard-ttl-clamped; the clamp outranks the
   // breaker and the probe budget.
-  EXPECT_EQ(fabric.AdmitDetour(1, 8), DropReason::kGuardTtlClamped);
-  EXPECT_EQ(fabric.AdmitDetour(1, 7), std::nullopt);
+  EXPECT_EQ(fabric.AdmitDetour(1, kTtlBudgetMin), DropReason::kGuardTtlClamped);
+  EXPECT_EQ(fabric.AdmitDetour(1, kTtlBudgetMin - 1), std::nullopt);
 
   // Pressure decays once the storm ends (idle fabric windows don't update;
-  // feed calm traffic instead), and the budget walks back up the lerp.
-  for (int w = 2; w <= 12; ++w) {
-    sim.Schedule(Time::Micros(100), [&] {
-      for (int i = 0; i < 100; ++i) {
-        fabric.NotePacket(1);
-      }
-    });
-    sim.RunUntil(Time::Millis(w));
+  // feed calm traffic instead), and the budget walks back up the lerp:
+  // three calm windows take the pressure to 0.125, below the onset.
+  for (int w = 2; w <= 4; ++w) {
+    sim.Schedule(Time::Micros(100), [&] { Pressure(fabric, kPackets, 0); });
+    sim.RunUntil(WindowEnd(w));
   }
-  EXPECT_GT(fabric.DetourBudget(), 32);
+  EXPECT_LT(fabric.FabricPressure(), kTtlPressureOnset);
+  EXPECT_EQ(fabric.DetourBudget(), kTtlBudgetMax);
 }
 
 TEST(GuardFabricTest, MidBandPressureLerpsBetweenBudgetEndpoints) {
   Simulator sim;
-  GuardConfig cfg = TestConfig();
-  cfg.ewma_alpha = 1.0;
-  cfg.adaptive_ttl = true;
-  cfg.ttl_budget_max = 64;
-  cfg.ttl_budget_min = 8;
-  cfg.ttl_pressure_onset = 0.0;
-  cfg.ttl_pressure_full = 0.40;
-  cfg.trip_detour_rate = 10.0;
-  cfg.rearm_detour_rate = 9.0;
-  GuardFabric fabric(&sim, cfg, {1});
-  fabric.Start(Time::Millis(5));
-  sim.Schedule(Time::Micros(100), [&] {
-    for (int i = 0; i < 100; ++i) {
-      fabric.NotePacket(1);
-    }
-    for (int i = 0; i < 20; ++i) {
-      fabric.AdmitDetour(1, 0);  // pressure 0.20 = halfway to full
-    }
-  });
-  sim.RunUntil(Time::Millis(1));
-  EXPECT_EQ(fabric.DetourBudget(), 36);  // 64 - 0.5 * (64 - 8)
+  GuardFabric fabric(&sim, /*adaptive_ttl=*/true, {1});
+  fabric.Start(WindowEnd(5));
+  // Rate 0.80 gives pressure 0.40, 40% of the way through the band
+  // [0.20, 0.70].
+  sim.Schedule(Time::Micros(100), [&] { Pressure(fabric, kPackets, 80); });
+  sim.RunUntil(WindowEnd(1));
+  EXPECT_DOUBLE_EQ(fabric.FabricPressure(), 0.40);
+  EXPECT_EQ(fabric.DetourBudget(), 44);  // 64 - 0.4 * (64 - 16) = 44.8
 }
 
 // ---- CollapseWatchdog ----
 
+// Schedules `per_window[w]` completions in the middle of watchdog window w.
+void Deliver(Simulator& sim, uint64_t& delivered, const std::vector<uint64_t>& per_window) {
+  for (size_t w = 0; w < per_window.size(); ++w) {
+    sim.Schedule(kCollapseWindow * static_cast<int64_t>(w) + kCollapseWindow / 2,
+                 [&delivered, n = per_window[w]] { delivered += n; });
+  }
+}
+
+// `healthy` windows at 1000 completions, then `sick` windows at `low`.
+std::vector<uint64_t> Plan(int healthy, int sick, uint64_t low) {
+  std::vector<uint64_t> plan(static_cast<size_t>(healthy), 1000);
+  plan.insert(plan.end(), static_cast<size_t>(sick), low);
+  return plan;
+}
+
 TEST(CollapseWatchdogTest, DetectsSustainedCollapseAndRecordsOnset) {
   Simulator sim;
-  GuardConfig cfg;
-  cfg.collapse_window = Time::Millis(1);
-  cfg.collapse_fraction = 0.5;
-  cfg.collapse_consecutive = 3;
-  cfg.collapse_min_peak = 100;
   uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, cfg, [&] { return delivered; });
-  dog.Start(Time::Millis(20), /*strict=*/false);
-  // Healthy for 5 windows (1000/window), then collapse to 100/window.
-  for (int w = 0; w < 20; ++w) {
-    sim.Schedule(Time::Micros(w * 1000 + 500),
-                 [&, w] { delivered += w < 5 ? 1000 : 100; });
-  }
+  CollapseWatchdog dog(&sim, [&] { return delivered; });
+  dog.Start(kCollapseWindow * 20, /*strict=*/false);
+  // Healthy for 5 windows (1000/window), then collapse to 100/window, below
+  // kCollapseFraction of the peak.
+  static_assert(100 < kCollapseFraction * 1000);
+  Deliver(sim, delivered, Plan(5, 15, 100));
   sim.Run();
   EXPECT_TRUE(dog.collapse_detected());
   EXPECT_EQ(dog.peak_window_packets(), 1000u);
-  // Streak starts at window 6 (t=6ms) and completes at window 8 (t=8ms).
-  EXPECT_DOUBLE_EQ(dog.collapse_onset_ms(), 8.0);
+  // The streak starts at the sample ending window 6 and completes
+  // kCollapseConsecutive samples in.
+  EXPECT_DOUBLE_EQ(dog.collapse_onset_ms(),
+                   (kCollapseWindow * (5 + kCollapseConsecutive)).ToMillis());
 }
 
 TEST(CollapseWatchdogTest, HealthyRunNeverFlags) {
   Simulator sim;
-  GuardConfig cfg;
-  cfg.collapse_window = Time::Millis(1);
   uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, cfg, [&] { return delivered; });
-  dog.Start(Time::Millis(10), /*strict=*/false);
-  for (int w = 0; w < 10; ++w) {
-    sim.Schedule(Time::Micros(w * 1000 + 500), [&] { delivered += 1000; });
-  }
+  CollapseWatchdog dog(&sim, [&] { return delivered; });
+  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  Deliver(sim, delivered, Plan(10, 0, 0));
   sim.Run();
   EXPECT_FALSE(dog.collapse_detected());
   EXPECT_EQ(dog.windows_sampled(), 10u);
@@ -319,51 +316,39 @@ TEST(CollapseWatchdogTest, HealthyRunNeverFlags) {
 
 TEST(CollapseWatchdogTest, NoPeakMeansNoJudgment) {
   Simulator sim;
-  GuardConfig cfg;
-  cfg.collapse_window = Time::Millis(1);
-  cfg.collapse_min_peak = 1000;
   uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, cfg, [&] { return delivered; });
-  dog.Start(Time::Millis(10), /*strict=*/false);
-  // Trickle traffic never establishes a peak: starvation, not collapse.
-  for (int w = 0; w < 10; ++w) {
-    sim.Schedule(Time::Micros(w * 1000 + 500), [&] { delivered += 5; });
-  }
+  CollapseWatchdog dog(&sim, [&] { return delivered; });
+  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  // Trickle traffic that never reaches kCollapseMinPeak establishes no
+  // peak, so its fall to a tenth is starvation, not collapse.
+  std::vector<uint64_t> plan(10, (kCollapseMinPeak - 1) / 10);
+  plan[0] = plan[1] = kCollapseMinPeak - 1;
+  Deliver(sim, delivered, plan);
   sim.Run();
+  EXPECT_EQ(dog.peak_window_packets(), kCollapseMinPeak - 1);
   EXPECT_FALSE(dog.collapse_detected());
 }
 
 TEST(CollapseWatchdogTest, BriefDipBelowStreakDoesNotFlag) {
   Simulator sim;
-  GuardConfig cfg;
-  cfg.collapse_window = Time::Millis(1);
-  cfg.collapse_consecutive = 3;
-  cfg.collapse_min_peak = 100;
   uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, cfg, [&] { return delivered; });
-  dog.Start(Time::Millis(10), /*strict=*/false);
-  // Two-window dip, then recovery: the streak resets before reaching 3.
-  const uint64_t plan[] = {1000, 1000, 100, 100, 1000, 1000, 1000, 1000, 1000, 1000};
-  for (int w = 0; w < 10; ++w) {
-    sim.Schedule(Time::Micros(w * 1000 + 500), [&, w] { delivered += plan[w]; });
-  }
+  CollapseWatchdog dog(&sim, [&] { return delivered; });
+  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  // A dip one window short of the streak, then recovery: the streak resets.
+  std::vector<uint64_t> plan = Plan(2, kCollapseConsecutive - 1, 100);
+  const std::vector<uint64_t> recovery = Plan(10 - static_cast<int>(plan.size()), 0, 0);
+  plan.insert(plan.end(), recovery.begin(), recovery.end());
+  Deliver(sim, delivered, plan);
   sim.Run();
   EXPECT_FALSE(dog.collapse_detected());
 }
 
 TEST(CollapseWatchdogTest, StrictModeThrowsTypedError) {
   Simulator sim;
-  GuardConfig cfg;
-  cfg.collapse_window = Time::Millis(1);
-  cfg.collapse_consecutive = 2;
-  cfg.collapse_min_peak = 100;
   uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, cfg, [&] { return delivered; });
-  dog.Start(Time::Millis(20), /*strict=*/true);
-  for (int w = 0; w < 20; ++w) {
-    sim.Schedule(Time::Micros(w * 1000 + 500),
-                 [&, w] { delivered += w < 3 ? 1000 : 10; });
-  }
+  CollapseWatchdog dog(&sim, [&] { return delivered; });
+  dog.Start(kCollapseWindow * 20, /*strict=*/true);
+  Deliver(sim, delivered, Plan(3, 17, 10));
   EXPECT_THROW(sim.Run(), CollapseError);
   EXPECT_TRUE(dog.collapse_detected());
 }
@@ -381,11 +366,11 @@ TEST(CollapseWatchdogTest, StrictCollapseEnvParsesOnlyLiteralOne) {
 // identical trajectories (the unit-level face of the bit-identical contract).
 TEST(GuardDeterminismTest, IdenticalFeedsGiveIdenticalTrajectories) {
   auto run = [] {
-    DetourGuard guard(TestConfig(), Time::Zero());
+    DetourGuard guard(Time::Zero());
     std::vector<GuardState> states;
-    const uint64_t detours[] = {40, 0, 0, 15, 5, 30, 0, 0, 0, 2};
+    const uint64_t detours[] = {100, 0, 0, 30, 5, 60, 0, 0, 0, 2};
     for (int w = 0; w < 10; ++w) {
-      FeedWindow(guard, 100, detours[w], Time::Millis(w + 1));
+      FeedWindow(guard, kPackets, detours[w], WindowEnd(w + 1));
       states.push_back(guard.state());
     }
     return states;

@@ -42,8 +42,6 @@ TEST(ConfigPresetTest, DibsGuardPreset) {
   EXPECT_TRUE(c.net.guard.enabled);
   EXPECT_TRUE(c.net.guard.adaptive_ttl);
   EXPECT_TRUE(c.net.guard.watchdog);
-  // The hysteresis invariant GuardFabric checks at construction.
-  EXPECT_LT(c.net.guard.rearm_detour_rate, c.net.guard.trip_detour_rate);
 }
 
 TEST(ConfigPresetTest, InfiniteBufferPreset) {
@@ -57,7 +55,7 @@ TEST(ConfigPresetTest, PfabricPreset) {
   EXPECT_TRUE(c.net.pfabric_queues);
   EXPECT_EQ(c.net.pfabric_buffer_packets, 24u);  // §5.8
   EXPECT_EQ(c.transport, TransportKind::kPfabric);
-  EXPECT_EQ(c.pfabric.rto, Time::Micros(350));   // §5.8 for 1Gbps
+  static_assert(kPfabricRto == Time::Micros(350));  // §5.8 for 1Gbps
 }
 
 TEST(TablePrinterTest, NumFormatting) {

@@ -60,12 +60,11 @@ TEST_P(ConservationSweep, FlowsCompleteAndCountsBalance) {
   EXPECT_EQ(h.results().size(), 15u);
 
   // Conservation: everything the hosts sent is accounted for. At quiescence
-  // nothing is buffered, so sent == delivered + dropped (+ NIC drops, which
-  // never happen with unbounded host queues).
+  // nothing is buffered, so sent == delivered + dropped (host NIC queues are
+  // unbounded and never refuse a packet).
   uint64_t sent = 0;
   for (HostId hid = 0; hid < 6; ++hid) {
     sent += h.net().host(hid).nic().packets_sent();
-    EXPECT_EQ(h.net().host(hid).nic_drops(), 0u);
   }
   EXPECT_EQ(sent, obs.delivered + obs.drops);
   EXPECT_EQ(obs.delivered, h.net().total_delivered());

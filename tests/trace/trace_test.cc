@@ -427,19 +427,22 @@ TEST(TraceSweep, JsonlIsByteIdenticalAcrossJobsAndIsolation) {
   }
 }
 
-// MiniDibs under a hair-trigger guard: thresholds low enough that the
-// incast's detour storm trips breakers within the run.
+// MiniDibs under the guard, driven hard enough that its fixed thresholds
+// trip: every other host answers each query (degree 15 of 16) at 1000 qps
+// into 4-packet buffers, so the detour storm at the aggregator's ToR trips
+// breakers within the 32 ms run. The storm is kept short because every
+// detour is traced.
 ExperimentConfig MiniGuarded(uint64_t seed) {
   ExperimentConfig c = MiniDibs(seed);
   c.label = "DCTCP+DIBS+guard";
-  c.net.guard.enabled = true;
-  c.net.guard.window = Time::Millis(1);
-  c.net.guard.min_window_packets = 16;
-  c.net.guard.trip_detour_rate = 0.05;
-  c.net.guard.rearm_detour_rate = 0.02;
-  c.net.guard.suppress_hold = Time::Millis(2);
-  c.net.guard.adaptive_ttl = true;
-  c.net.guard.watchdog = true;
+  c.net.guard = DibsGuardConfig().net.guard;
+  c.net.switch_buffer_packets = 4;
+  c.net.ecn_threshold_packets = 3;
+  c.incast_degree = 15;
+  c.qps = 1000;
+  c.response_bytes = 12000;
+  c.duration = Time::Millis(32);
+  c.drain = Time::Millis(20);
   return c;
 }
 
@@ -489,8 +492,6 @@ TEST(TraceSweep, GuardedJsonlIsByteIdenticalAcrossJobsAndIsolation) {
   SweepSpec spec;
   spec.name = "guard-identity";
   spec.base = MiniGuarded(5);
-  spec.base.duration = Time::Millis(40);
-  spec.base.drain = Time::Millis(20);
   spec.base.trace.enabled = true;
   spec.base.trace.jsonl_path = base;
   spec.replications = 2;

@@ -74,10 +74,10 @@ class SenderHarness {
   bool done_ = false;
 };
 
+// The sender with no ECE ever reaching it: the DCTCP update never cuts, so
+// these cases exercise the NewReno-style loss arithmetic alone.
 TcpConfig NewRenoConfig(uint32_t dupack = 3) {
   TcpConfig c;
-  c.cc = CongestionControl::kNewReno;
-  c.ecn_enabled = false;
   c.dupack_threshold = dupack;
   c.init_cwnd_segments = 4;
   c.min_rto = Time::Millis(10);
@@ -204,33 +204,32 @@ TEST(TcpStateMachine, NewAckResetsBackoff) {
 TEST(TcpStateMachine, SustainedBlackholeClimbsRtoLadderToCapThenResets) {
   // A real outage, not hand-dropped ACKs: the sender's NIC link goes
   // administratively down (fault model), so every retransmission blackholes
-  // and the RTO must walk the full exponential ladder up to max_rto.
-  TcpConfig cfg = NewRenoConfig();
-  cfg.max_rto = Time::Millis(80);
-  SenderHarness h(cfg);
+  // and the RTO must walk the full exponential ladder up to kTcpMaxRto.
+  SenderHarness h(NewRenoConfig());
   h.sender_->Start();
   h.Settle();
   ASSERT_EQ(h.received_.size(), 4u);  // initial burst arrived before the fault
   h.net_.SetLinkAdminState(0, false);
 
-  // Record current_rto() after each of the first six timeouts.
+  // Record current_rto() after each of the first ten timeouts.
   std::vector<Time> ladder;
   uint32_t seen = h.sender_->timeouts();
-  while (ladder.size() < 6) {
-    ASSERT_LT(h.sim_.Now(), Time::Seconds(1)) << "RTO ladder never climbed";
+  while (ladder.size() < 10) {
+    ASSERT_LT(h.sim_.Now(), Time::Seconds(10)) << "RTO ladder never climbed";
     h.sim_.RunFor(Time::Millis(2));
     if (h.sender_->timeouts() > seen) {
       seen = h.sender_->timeouts();
       ladder.push_back(h.sender_->current_rto());
     }
   }
-  // 10ms doubles per timeout until the 80ms cap, then stays pinned there.
-  EXPECT_EQ(ladder[0], Time::Millis(20));
-  EXPECT_EQ(ladder[1], Time::Millis(40));
-  EXPECT_EQ(ladder[2], Time::Millis(80));
-  EXPECT_EQ(ladder[3], Time::Millis(80));
-  EXPECT_EQ(ladder[4], Time::Millis(80));
-  EXPECT_EQ(ladder[5], Time::Millis(80));
+  // 10ms doubles per timeout until the 2s cap, then stays pinned there.
+  static_assert(kTcpMaxRto == Time::Seconds(2));
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(ladder[i], Time::Millis(20) * (int64_t{1} << i)) << "timeout " << i + 1;
+  }
+  EXPECT_EQ(ladder[7], kTcpMaxRto);
+  EXPECT_EQ(ladder[8], kTcpMaxRto);
+  EXPECT_EQ(ladder[9], kTcpMaxRto);
   // Nothing got through during the outage.
   EXPECT_EQ(h.received_.size(), 4u);
 
@@ -265,11 +264,8 @@ TEST(TcpStateMachine, CumulativeAckJumpsMultipleSegments) {
 
 TcpConfig DctcpCfg() {
   TcpConfig c;
-  c.cc = CongestionControl::kDctcp;
-  c.ecn_enabled = true;
   c.dupack_threshold = 0;
   c.init_cwnd_segments = 4;
-  c.dctcp_g = 1.0 / 16.0;
   return c;
 }
 
@@ -280,8 +276,7 @@ TEST(TcpStateMachine, DctcpAlphaFollowsEwma) {
   EXPECT_DOUBLE_EQ(h.sender_->dctcp_alpha(), 0.0);
   // Window 1 fully marked: after the window boundary, alpha = g * 1.
   h.SendAck(1, /*ece=*/true);  // crosses dctcp_window_end_ = 0
-  const double g = 1.0 / 16.0;
-  EXPECT_NEAR(h.sender_->dctcp_alpha(), g, 1e-9);
+  EXPECT_NEAR(h.sender_->dctcp_alpha(), kDctcpG, 1e-9);
 }
 
 TEST(TcpStateMachine, DctcpUnmarkedWindowDecaysAlpha) {

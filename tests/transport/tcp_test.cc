@@ -8,7 +8,7 @@ namespace dibs {
 namespace {
 
 TEST(TcpTest, SingleFlowCompletes) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, 100000);
   h.Run();
   const FlowResult* r = h.ResultFor(id);
@@ -21,7 +21,7 @@ TEST(TcpTest, SingleFlowCompletes) {
 }
 
 TEST(TcpTest, FctIsAtLeastTheIdealTransferTime) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const uint64_t bytes = 1000000;
   const FlowId id = h.StartFlow(0, 5, bytes);
   h.Run();
@@ -33,7 +33,7 @@ TEST(TcpTest, FctIsAtLeastTheIdealTransferTime) {
 }
 
 TEST(TcpTest, SingleSegmentFlow) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, 500);
   h.Run();
   const FlowResult* r = h.ResultFor(id);
@@ -42,14 +42,14 @@ TEST(TcpTest, SingleSegmentFlow) {
 }
 
 TEST(TcpTest, ZeroByteFlowStillCompletes) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, 0);
   h.Run();
   EXPECT_NE(h.ResultFor(id), nullptr);
 }
 
 TEST(TcpTest, ExactMultipleOfMssFlow) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, static_cast<uint64_t>(kMaxSegmentBytes) * 7);
   h.Run();
   const FlowResult* r = h.ResultFor(id);
@@ -58,7 +58,7 @@ TEST(TcpTest, ExactMultipleOfMssFlow) {
 }
 
 TEST(TcpTest, ManyParallelFlowsAllComplete) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   for (HostId src = 0; src < 5; ++src) {
     for (int i = 0; i < 4; ++i) {
       h.StartFlow(src, 5, 50000);
@@ -72,7 +72,7 @@ TEST(TcpTest, ManyParallelFlowsAllComplete) {
 TEST(TcpTest, InitialWindowBoundsFirstBurst) {
   TcpConfig cfg;
   cfg.init_cwnd_segments = 10;
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp, cfg);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp, cfg);
   h.StartFlow(0, 5, 1000000);
   // Before the first ACK can arrive (RTT ~ 50us+), at most 10 data packets
   // may have left the NIC.
@@ -83,7 +83,7 @@ TEST(TcpTest, InitialWindowBoundsFirstBurst) {
 }
 
 TEST(TcpTest, SlowStartGrowsWindow) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, 3000000);
   h.RunUntil(Time::Millis(3));
   TcpSender* sender = h.flows().tcp_sender(id);
@@ -95,12 +95,10 @@ TEST(TcpTest, SlowStartGrowsWindow) {
 TEST(TcpTest, LossRecoveryViaFastRetransmit) {
   NetworkConfig net_cfg;
   net_cfg.switch_buffer_packets = 8;
-  net_cfg.ecn_threshold_packets = 0;  // no ECN: force actual drops
+  net_cfg.ecn_threshold_packets = 0;  // no marks: force actual drops
   TcpConfig tcp_cfg;
   tcp_cfg.dupack_threshold = 3;
-  tcp_cfg.ecn_enabled = false;
-  tcp_cfg.cc = CongestionControl::kNewReno;
-  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kTcp, tcp_cfg);
+  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kDctcp, tcp_cfg);
   // Four senders converge on host 5: the 8-packet buffer must overflow.
   std::vector<FlowId> ids;
   for (HostId src = 0; src < 4; ++src) {
@@ -122,10 +120,8 @@ TEST(TcpTest, FastRetransmitDisabledRecoversViaTimeout) {
   net_cfg.ecn_threshold_packets = 0;
   TcpConfig tcp_cfg;
   tcp_cfg.dupack_threshold = 0;  // DIBS host setting
-  tcp_cfg.ecn_enabled = false;
-  tcp_cfg.cc = CongestionControl::kNewReno;
   tcp_cfg.min_rto = Time::Millis(1);
-  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kTcp, tcp_cfg);
+  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kDctcp, tcp_cfg);
   for (HostId src = 0; src < 4; ++src) {
     h.StartFlow(src, 5, 200000);
   }
@@ -143,9 +139,7 @@ TEST(TcpTest, RetransmittedDataIsNotDoubleCounted) {
   net_cfg.switch_buffer_packets = 6;
   net_cfg.ecn_threshold_packets = 0;
   TcpConfig tcp_cfg;
-  tcp_cfg.ecn_enabled = false;
-  tcp_cfg.cc = CongestionControl::kNewReno;
-  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kTcp, tcp_cfg);
+  TransportHarness h(BuildEmulabTestbed(), net_cfg, TransportKind::kDctcp, tcp_cfg);
   std::vector<FlowId> ids;
   for (HostId src = 0; src < 4; ++src) {
     ids.push_back(h.StartFlow(src, 5, 150000));
@@ -164,7 +158,7 @@ TEST(TcpTest, RetransmittedDataIsNotDoubleCounted) {
 TEST(TcpTest, MinRtoRespected) {
   TcpConfig cfg;
   cfg.min_rto = Time::Millis(10);
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp, cfg);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp, cfg);
   const FlowId id = h.StartFlow(0, 5, 4000000);
   h.RunUntil(Time::Millis(2));
   TcpSender* sender = h.flows().tcp_sender(id);
@@ -175,7 +169,7 @@ TEST(TcpTest, MinRtoRespected) {
 
 TEST(TcpTest, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
-    TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp,
+    TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp,
                        TcpConfig(), /*seed=*/5);
     for (HostId src = 0; src < 4; ++src) {
       h.StartFlow(src, 5, 80000);
@@ -194,7 +188,7 @@ TEST(TcpTest, DeterministicAcrossIdenticalRuns) {
 class FlowSizeSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FlowSizeSweep, CompletesWithExactSegments) {
-  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kTcp);
+  TransportHarness h(BuildEmulabTestbed(), NetworkConfig{}, TransportKind::kDctcp);
   const FlowId id = h.StartFlow(0, 5, GetParam());
   h.Run();
   const FlowResult* r = h.ResultFor(id);
