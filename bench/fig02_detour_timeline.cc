@@ -7,7 +7,7 @@
 #include "bench/bench_util.h"
 #include "src/device/switch_node.h"
 #include "src/stats/buffer_monitor.h"
-#include "src/stats/detour_recorder.h"
+#include "src/stats/detour_timeline.h"
 #include "src/topo/builders.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/query.h"
@@ -23,8 +23,8 @@ int main() {
   net_cfg.detour_policy = "random";
   Simulator sim(4);
   Network net(&sim, BuildPaperFatTree(), net_cfg);
-  DetourRecorder detours(Time::Micros(100));
-  net.Subscribe(&detours, DetourRecorder::kKinds);
+  DetourTimeline detours(Time::Micros(100));
+  net.Subscribe(&detours, DetourTimeline::kKinds);
   FlowManager flows(&net, TransportKind::kDctcp, TcpConfig::DibsDefault());
 
   // One burst, launched immediately.

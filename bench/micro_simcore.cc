@@ -10,6 +10,8 @@
 #include "src/net/droptail_queue.h"
 #include "src/net/pfabric_queue.h"
 #include "src/sim/simulator.h"
+#include "src/stats/detour_recorder.h"
+#include "src/stats/guard_recorder.h"
 #include "src/topo/builders.h"
 #include "src/topo/routing.h"
 #include "src/trace/flight_recorder.h"
@@ -22,11 +24,11 @@ namespace {
 // Hold model at a fixed queue depth: every fire schedules its successor at a
 // uniform delay, so the queue keeps the same number of live events. On 2% of
 // fires, the measured share of RTO re-arms, it also cancels a long timer and
-// re-arms it. The timer's delay (50x the mean) keeps it from ever firing and
-// leaves about as many cancelled keys in the queue as live events, inside the
-// 40-84% cancelled share measured in real runs. Closures capture one pointer
-// at most, so they sit in std::function's inline buffer and allocation is not
-// what gets timed. Every fire calls Stop(), so one Run() is one event.
+// re-arms it. The timer's delay (50x the mean) keeps it from ever firing, so
+// each re-arm is a cancel that takes a key out of the middle of the queue,
+// as an RTO re-arm does in real runs. Closures capture one pointer at most,
+// so they sit in std::function's inline buffer and allocation is not what
+// gets timed. Every fire calls Stop(), so one Run() is one event.
 class HoldLoop {
  public:
   explicit HoldLoop(Simulator* sim) : sim_(sim) {}
@@ -156,6 +158,37 @@ void BM_SwitchPacketHop(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SwitchPacketHop);
+
+void BM_SwitchPacketHopDefaultSinks(benchmark::State& state) {
+  // Same hop loop with Scenario's two always-on sinks subscribed: the path
+  // every real run takes, where each dequeue builds and dispatches an event
+  // to DetourRecorder.
+  Simulator sim;
+  Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
+  DetourRecorder detours;
+  GuardRecorder guard;
+  net.Subscribe(&detours, DetourRecorder::kKinds);
+  net.Subscribe(&guard, GuardRecorder::kKinds);
+  uint64_t batch = 0;
+  for (auto _ : state) {
+    Packet p;
+    p.uid = net.NextPacketUid();
+    p.src = static_cast<HostId>(batch % 64);
+    p.dst = static_cast<HostId>(127 - batch % 64);
+    p.size_bytes = 1500;
+    p.ttl = 64;
+    p.flow = batch;
+    net.host(p.src).Send(std::move(p));
+    if (++batch % 32 == 0) {
+      sim.Run();
+    }
+  }
+  sim.Run();
+  benchmark::DoNotOptimize(detours.QueueingDelaySummary().count);
+  state.counters["pkts/s"] =
+      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SwitchPacketHopDefaultSinks);
 
 void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
   // Same hop loop with a trace bus subscribed but filtering everything out

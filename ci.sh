@@ -211,8 +211,9 @@ DIBS_BENCH_DURATION_MS=50 DIBS_ISOLATE=process DIBS_TEST_CRASH_RUN=2 \
 echo "trace: crash dump parseable"
 
 echo "== trace: tracing-off overhead guard on micro_simcore =="
-# BM_SwitchPacketHop runs with no subscribers; the trace variants ride
-# along as smoke. The guard ratchets against a per-machine baseline cached in
+# BM_SwitchPacketHop runs with no subscribers; BM_SwitchPacketHopDefaultSinks
+# (Scenario's DetourRecorder and GuardRecorder subscribed) and the trace
+# variants ride along unguarded. The guard ratchets against a per-machine baseline cached in
 # the (incremental, per-machine) build tree — wall-clock baselines do not
 # transfer between machines.
 ./build/bench/micro_simcore --benchmark_filter='^BM_SwitchPacketHop' \

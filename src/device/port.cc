@@ -138,8 +138,18 @@ void Port::MaybeTransmit() {
   if (extra_jitter_ > Time::Zero()) {
     prop = prop + Time::Nanos(sim_->rng().UniformInt(0, extra_jitter_.nanos()));
   }
-  sim_->Schedule(serialization + prop,
-                 [this, pkt = std::move(*next)]() mutable { DeliverWire(std::move(pkt)); });
+  // The packet waits in the wire slab; the closure carries only its slot, so
+  // it fits std::function's inline buffer and the hop allocates nothing.
+  uint32_t slot;
+  if (wire_free_.empty()) {
+    slot = static_cast<uint32_t>(wire_.size());
+    wire_.push_back(std::move(*next));
+  } else {
+    slot = wire_free_.back();
+    wire_free_.pop_back();
+    wire_[slot] = std::move(*next);
+  }
+  sim_->Schedule(serialization + prop, [this, slot] { DeliverWire(slot); });
 }
 
 void Port::OnTxDone() {
@@ -147,7 +157,11 @@ void Port::OnTxDone() {
   MaybeTransmit();
 }
 
-void Port::DeliverWire(Packet&& pkt) {
+void Port::DeliverWire(uint32_t slot) {
+  // Out of the slab before the peer runs: its handling may transmit on this
+  // port again, which can reuse the slot or grow the slab.
+  Packet pkt = std::move(wire_[slot]);
+  wire_free_.push_back(slot);
   if (network_ != nullptr && network_->Wants(TraceEventType::kWireExit)) {
     network_->Dispatch(MakeTracePacketEvent(TraceEventType::kWireExit, sim_->Now(),
                                             peer_->id(), peer_port_, pkt));

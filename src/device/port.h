@@ -3,7 +3,9 @@
 // Each topology link becomes two Ports (one per endpoint). A port serializes
 // the packet at the link rate, then delivers it to the peer node after the
 // propagation delay. The transmitter is work-conserving: it immediately pulls
-// the next packet when serialization of the previous one completes.
+// the next packet when serialization of the previous one completes. Packets
+// in flight wait in a per-port slab, so scheduling a delivery allocates
+// nothing once the slab has grown to the link's bandwidth-delay product.
 
 #ifndef SRC_DEVICE_PORT_H_
 #define SRC_DEVICE_PORT_H_
@@ -12,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/device/node.h"
 #include "src/net/drop_reason.h"
@@ -103,8 +106,9 @@ class Port {
   // Serialization of the head packet finished: the transmitter frees up.
   void OnTxDone();
 
-  // Wire-delivery event body: hands `pkt` to the peer node.
-  void DeliverWire(Packet&& pkt);
+  // Wire-delivery event body: hands the packet in wire slab slot `slot` to
+  // the peer node and frees the slot.
+  void DeliverWire(uint32_t slot);
 
   Simulator* sim_;
   Node* owner_;
@@ -123,6 +127,11 @@ class Port {
   double loss_probability_ = 0;
   Time extra_jitter_;
   FaultDropHandler fault_drop_;
+  // Packets on the wire, each waiting for its delivery event. Slots are
+  // recycled through wire_free_; this is not a FIFO, because extra_jitter_
+  // can reorder deliveries.
+  std::vector<Packet> wire_;
+  std::vector<uint32_t> wire_free_;
   uint64_t bytes_sent_ = 0;
   uint64_t packets_sent_ = 0;
   Network* network_ = nullptr;  // instrumentation; may be null

@@ -152,7 +152,6 @@ class Scenario {
   Network& network() { return *network_; }
   FlowManager& flows() { return *flows_; }
   FlowRecorder& recorder() { return recorder_; }
-  DetourRecorder& detours() { return detour_recorder_; }
   FaultRecorder& faults() { return fault_recorder_; }
   // Null unless config.net.guard.watchdog was set.
   CollapseWatchdog* collapse_watchdog() { return collapse_watchdog_.get(); }

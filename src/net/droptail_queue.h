@@ -7,13 +7,21 @@
 // are CE-marked — exactly the DCTCP AQM. capacity_packets == 0 makes the
 // queue unbounded (the "InfiniteBuf" baseline of Figure 6); attaching a
 // SharedBufferPool replaces the static limit with a dynamic threshold.
+//
+// Packets sit by value in a ring buffer that starts at 8 slots and doubles
+// when full, so a steady-state enqueue or dequeue allocates nothing. A
+// statically bounded queue never grows its ring past its capacity; an
+// unbounded or pool-managed queue grows as far as it must. Rings are not
+// preallocated to capacity: most switch ports never come close to it.
 
 #ifndef SRC_NET_DROPTAIL_QUEUE_H_
 #define SRC_NET_DROPTAIL_QUEUE_H_
 
-#include <deque>
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/net/packet_debug.h"
@@ -33,46 +41,55 @@ class DropTailQueue : public Queue {
 
   bool IsFull(const Packet& p) const override {
     if (pool_ != nullptr) {
-      return !pool_->MayAdmit(packets_.size());
+      return !pool_->MayAdmit(count_);
     }
-    return capacity_ != 0 && packets_.size() >= capacity_;
+    return capacity_ != 0 && count_ >= capacity_;
   }
 
   bool Enqueue(Packet&& p) override {
     if (IsFull(p)) {
       return false;
     }
-    if (mark_threshold_ != 0 && packets_.size() >= mark_threshold_ && p.ect) {
+    if (mark_threshold_ != 0 && count_ >= mark_threshold_ && p.ect) {
       p.ce = true;
     }
     bytes_ += p.size_bytes;
-    packets_.push_back(std::move(p));
+    if (count_ == ring_.size()) {
+      Grow();
+    }
+    // Constructed in place, not assigned: GCC then writes the packet's fields
+    // straight into the slot. For an assignment it built a stack temporary
+    // and copied it with 16-byte loads, which stall on the narrower stores
+    // that had just filled it in.
+    Packet& tail = *std::construct_at(&ring_[Wrap(head_ + count_)], std::move(p));
+    ++count_;
     if (pool_ != nullptr) {
       pool_->OnEnqueue();
     }
     if (validate::Enabled()) {
-      CheckConsistent(&packets_.back());
+      CheckConsistent(&tail);
     }
     return true;
   }
 
   std::optional<Packet> Dequeue() override {
-    if (packets_.empty()) {
+    if (count_ == 0) {
       return std::nullopt;
     }
-    Packet p = std::move(packets_.front());
-    packets_.pop_front();
-    bytes_ -= p.size_bytes;
+    std::optional<Packet> p(std::move(ring_[head_]));
+    head_ = Wrap(head_ + 1);
+    --count_;
+    bytes_ -= p->size_bytes;
     if (pool_ != nullptr) {
       pool_->OnDequeue();
     }
     if (validate::Enabled()) {
-      CheckConsistent(&p);
+      CheckConsistent(&*p);
     }
     return p;
   }
 
-  size_t size_packets() const override { return packets_.size(); }
+  size_t size_packets() const override { return count_; }
   int64_t size_bytes() const override { return bytes_; }
   size_t capacity_packets() const override { return capacity_; }
 
@@ -89,29 +106,51 @@ class DropTailQueue : public Queue {
   // the diagnostic.
   void CheckConsistent(const Packet* touched) const {
     int64_t actual = 0;
-    for (const Packet& q : packets_) {
-      actual += q.size_bytes;
+    for (size_t i = 0; i < count_; ++i) {
+      actual += ring_[Wrap(head_ + i)].size_bytes;
     }
     if (actual != bytes_) {
       std::ostringstream os;
       os << "drop-tail queue byte counter " << bytes_ << "B != buffered sum " << actual
-         << "B over " << packets_.size() << " packets; last touched "
+         << "B over " << count_ << " packets; last touched "
          << (touched != nullptr ? DescribePacket(*touched) : std::string("<none>"));
       validate::Fail("queue.bytes", os.str());
     }
-    if (pool_ == nullptr && capacity_ != 0 && packets_.size() > capacity_) {
+    if (pool_ == nullptr && capacity_ != 0 && count_ > capacity_) {
       std::ostringstream os;
-      os << "drop-tail queue holds " << packets_.size() << " packets > capacity "
+      os << "drop-tail queue holds " << count_ << " packets > capacity "
          << capacity_ << "; last touched "
          << (touched != nullptr ? DescribePacket(*touched) : std::string("<none>"));
       validate::Fail("queue.occupancy", os.str());
     }
   }
 
+  static constexpr size_t kInitialSlots = 8;
+
+  // Ring index of logical position `i` (< 2 * ring size) from slot 0.
+  size_t Wrap(size_t i) const { return i < ring_.size() ? i : i - ring_.size(); }
+
+  // Doubles the ring (clamped to a static capacity), unrolling the packets
+  // to start at slot 0.
+  void Grow() {
+    size_t slots = ring_.empty() ? kInitialSlots : 2 * ring_.size();
+    if (pool_ == nullptr && capacity_ != 0) {
+      slots = std::min(slots, capacity_);
+    }
+    std::vector<Packet> grown(slots);
+    for (size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(ring_[Wrap(head_ + i)]);
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+
   size_t capacity_;
   size_t mark_threshold_;
   SharedBufferPool* pool_;
-  std::deque<Packet> packets_;
+  std::vector<Packet> ring_;  // slots; packets occupy count_ of them from head_
+  size_t head_ = 0;
+  size_t count_ = 0;
   int64_t bytes_ = 0;
 };
 

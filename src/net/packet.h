@@ -33,41 +33,45 @@ enum class TrafficClass : uint8_t {
   kLongLived = 2,   // fairness-experiment bulk flows
 };
 
+// Fields are ordered by size (8-, 4-, 2-, then 1-byte) so the struct packs
+// into 72 bytes; queues and the ports' wire slabs hold packets by value.
 struct Packet {
   uint64_t uid = 0;  // globally unique per packet instance (retransmits get new uids)
-
-  HostId src = kInvalidHost;
-  HostId dst = kInvalidHost;
-  uint32_t size_bytes = 0;
-  uint8_t ttl = 255;
-
-  // ECN codepoints: ect = ECN-capable transport, ce = congestion experienced.
-  bool ect = false;
-  bool ce = false;
-
   FlowId flow = 0;
-  TrafficClass traffic_class = TrafficClass::kBackground;
-
-  // Transport header (segment granularity).
-  bool is_ack = false;
-  uint32_t seq = 0;      // data: segment index within the flow
-  uint32_t ack_seq = 0;  // ack: cumulative ack (next expected segment)
-  bool ece = false;      // ack: ECN-echo of a received CE mark
-  bool fin = false;      // data: last segment of the flow
 
   // pFabric scheduling priority: remaining flow bytes at send time.
   // Lower value = higher priority. Ignored by FIFO queues.
   int64_t priority = 0;
-
-  // Number of times any switch detoured this packet (for detour histograms).
-  uint16_t detour_count = 0;
 
   Time sent_time;  // stamped by the sending host
 
   // Stamped by Port on queue admission; kDequeue events carry it, giving
   // exact per-hop queueing delay without shadow-tracking queue state.
   Time enqueued_at;
+
+  HostId src = kInvalidHost;
+  HostId dst = kInvalidHost;
+  uint32_t size_bytes = 0;
+
+  // Transport header (segment granularity).
+  uint32_t seq = 0;      // data: segment index within the flow
+  uint32_t ack_seq = 0;  // ack: cumulative ack (next expected segment)
+
+  // Number of times any switch detoured this packet (for detour histograms).
+  uint16_t detour_count = 0;
+
+  uint8_t ttl = 255;
+  TrafficClass traffic_class = TrafficClass::kBackground;
+
+  // ECN codepoints: ect = ECN-capable transport, ce = congestion experienced.
+  bool ect = false;
+  bool ce = false;
+
+  bool is_ack = false;
+  bool ece = false;  // ack: ECN-echo of a received CE mark
+  bool fin = false;  // data: last segment of the flow
 };
+static_assert(sizeof(Packet) == 72, "Packet fields must stay size-ordered");
 
 // Default Ethernet-ish sizes used by the transports.
 inline constexpr uint32_t kMtuBytes = 1500;

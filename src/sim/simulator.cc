@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -30,6 +31,7 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
     DIBS_CHECK(slots_.size() <= kSlotMask) << "more than 2^24 live events";
     slot = slots_.size();
     slots_.emplace_back();
+    pos_.push_back(0);
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -37,7 +39,8 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
   const EventId id = (next_seq_++ << kSlotBits) | slot;
   slots_[slot].id = id;
   slots_[slot].fn = std::move(fn);
-  PushKey(Key{when, id});
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Key{when, id});
   return id;
 }
 
@@ -46,12 +49,61 @@ void Simulator::Cancel(EventId id) {
   if (id == kInvalidEventId || slot >= slots_.size() || slots_[slot].id != id) {
     return;  // fired, already cancelled, or never issued
   }
+  RemoveAt(pos_[slot]);
   FreeSlot(slot);
+}
+
+void Simulator::SiftUp(size_t i, Key key) {
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (!Earlier(key, heap_[parent])) {
+      break;
+    }
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, key);
+}
+
+void Simulator::SiftDown(size_t i, Key key) {
+  const size_t n = heap_.size();
+  while (true) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t end = std::min(first + 4, n);
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Earlier(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Earlier(heap_[best], key)) {
+      break;
+    }
+    Place(i, heap_[best]);
+    i = best;
+  }
+  Place(i, key);
+}
+
+void Simulator::RemoveAt(size_t i) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) {
+    return;  // the last key itself
+  }
+  if (i > 0 && Earlier(last, heap_[(i - 1) / 4])) {
+    SiftUp(i, last);
+  } else {
+    SiftDown(i, last);
+  }
 }
 
 void Simulator::RunTop() {
   const Key key = heap_.front();
-  PopKey();
+  RemoveAt(0);
   // The closure leaves the slab before it runs: it may schedule more events,
   // which can grow (and reallocate) the slab or reuse this very slot.
   const size_t slot = SlotOf(key.id);
@@ -90,7 +142,7 @@ bool Simulator::CheckInterrupt() {
 
 void Simulator::Run() {
   stopped_ = false;
-  while (!stopped_ && !CheckInterrupt() && SkipCancelled()) {
+  while (!stopped_ && !CheckInterrupt() && !heap_.empty()) {
     RunTop();
   }
 }
@@ -98,12 +150,9 @@ void Simulator::Run() {
 void Simulator::RunUntil(Time until) {
   DIBS_CHECK(until >= now_);
   stopped_ = false;
-  // The interrupt check is polled only while keys remain, so draining the
+  // The interrupt check is polled only while events remain, so draining the
   // queue exactly at the budget still advances the clock to `until`.
-  // Cancelled keys are skipped before the boundary test, so no live event
-  // runs early and none past `until`.
-  while (!stopped_ && !heap_.empty() && !CheckInterrupt() && SkipCancelled() &&
-         heap_.front().when <= until) {
+  while (!stopped_ && !heap_.empty() && !CheckInterrupt() && heap_.front().when <= until) {
     RunTop();
   }
   // An interrupted run leaves Now() at the last executed event rather than
@@ -115,11 +164,9 @@ void Simulator::RunUntil(Time until) {
 
 std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
   std::vector<std::pair<Time, EventId>> keys;
-  keys.reserve(pending_events());
+  keys.reserve(heap_.size());
   for (const Key& key : heap_) {
-    if (IsLive(key)) {
-      keys.emplace_back(key.when, key.id);
-    }
+    keys.emplace_back(key.when, key.id);
   }
   return keys;
 }

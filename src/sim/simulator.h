@@ -6,20 +6,20 @@
 // is drawn from the simulator-owned Rng, making runs reproducible from the
 // seed alone.
 //
-// Layout: the queue is a binary heap of trivially copyable 16-byte
-// (when, id) keys over a slab of closures. An EventId packs
-// (schedule sequence << 24) | slab slot, and each slot records the id of the
-// live event it holds. Cancel frees the slot (destroying the closure) at
-// once and leaves the key in the heap; a popped key whose slot no longer
-// holds its id is skipped. Sifting therefore moves keys, never closures, and
-// cancellation needs no lookup structure. At most 2^24 events may be live
-// at once and at most 2^40 may be scheduled over a simulator's life; both
-// limits are enforced with DIBS_CHECK.
+// Layout: the queue is an indexed 4-ary min-heap of trivially copyable
+// 16-byte (when, id) keys over a slab of closures. An EventId packs
+// (schedule sequence << 24) | slab slot; each slot records the id of the
+// live event it holds, and pos_ records where that event's key sits in the
+// heap. Cancel frees the slot (destroying the closure) and takes the key
+// out of the heap in O(log n), so the heap holds live events only. Sifting
+// moves keys, never closures. Keys are unique and totally ordered, so the
+// firing order does not depend on the heap's shape. At most 2^24 events may
+// be live at once and at most 2^40 may be scheduled over a simulator's life;
+// both limits are enforced with DIBS_CHECK.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -96,9 +96,9 @@ class Simulator {
 
   uint64_t events_processed() const { return events_processed_; }
   // Live (scheduled, not yet fired or cancelled) events.
-  size_t pending_events() const { return slots_.size() - free_slots_.size(); }
+  size_t pending_events() const { return heap_.size(); }
 
-  // (when, id) of every live (non-cancelled) pending event, unordered.
+  // (when, id) of every live pending event, unordered.
   std::vector<std::pair<Time, EventId>> PendingEventKeys() const;
 
  private:
@@ -111,14 +111,10 @@ class Simulator {
     EventId id;
   };
 
-  struct KeyLater {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.id > b.id;  // earlier-scheduled events fire first on ties
-    }
-  };
+  // Earlier-scheduled events fire first on ties.
+  static bool Earlier(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.id < b.id;
+  }
 
   // A slab entry: the closure of live event `id`, or kInvalidEventId (and
   // no closure) while the slot is free.
@@ -129,21 +125,7 @@ class Simulator {
 
   static size_t SlotOf(EventId id) { return static_cast<size_t>(id & kSlotMask); }
 
-  bool IsLive(const Key& key) const { return slots_[SlotOf(key.id)].id == key.id; }
-
-  // Pops cancelled keys off the top of the heap; true when the top is then
-  // a live event.
-  bool SkipCancelled() {
-    while (!heap_.empty()) {
-      if (IsLive(heap_.front())) {
-        return true;
-      }
-      PopKey();
-    }
-    return false;
-  }
-
-  // Pops and runs the live event on top of the heap.
+  // Removes and runs the event on top of the heap.
   void RunTop();
 
   // Empties a slot and returns it to the free list.
@@ -156,17 +138,17 @@ class Simulator {
   // Applies the event budget / interrupt check; true when the run must stop.
   bool CheckInterrupt();
 
-  // Explicit binary-heap management (std::push_heap/pop_heap over a plain
-  // vector instead of std::priority_queue) so PendingEventKeys can iterate
-  // the live queue.
-  void PushKey(Key key) {
-    heap_.push_back(key);
-    std::push_heap(heap_.begin(), heap_.end(), KeyLater());
+  // Heap maintenance. Every write of a key goes through Place, which keeps
+  // pos_ in step.
+  void Place(size_t i, Key key) {
+    heap_[i] = key;
+    pos_[SlotOf(key.id)] = static_cast<uint32_t>(i);
   }
-  void PopKey() {
-    std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
-    heap_.pop_back();
-  }
+  void SiftUp(size_t i, Key key);
+  void SiftDown(size_t i, Key key);
+  // Takes the key at heap index `i` out: the last key fills the hole and
+  // sifts up or down from there.
+  void RemoveAt(size_t i);
 
   Time now_;
   uint64_t next_seq_ = 1;  // sequence 0 is never issued, so neither is id 0
@@ -176,8 +158,9 @@ class Simulator {
   uint64_t event_budget_ = 0;
   uint64_t check_every_ = 4096;
   std::function<bool()> interrupt_check_;
-  std::vector<Key> heap_;               // binary max-heap under KeyLater
+  std::vector<Key> heap_;               // 4-ary min-heap under Earlier, live keys only
   std::vector<Slot> slots_;             // closure slab, indexed by SlotOf(id)
+  std::vector<uint32_t> pos_;           // slot -> heap index of its live key
   std::vector<uint32_t> free_slots_;    // every slot not holding a live event
   Rng rng_;
 };

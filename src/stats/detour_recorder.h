@@ -1,16 +1,16 @@
-// DIBS-specific instrumentation: per-switch detour time series (Figure 2a),
-// per-packet detour-count distribution (§5.4.4), drop accounting by reason,
-// and per-hop queueing-delay telemetry (exact moments + histogram
-// percentiles, fed by kDequeue events). A TraceSink subscribed to the kinds
-// in kKinds; it is the one per-reason drop table every report reads.
+// DIBS-specific instrumentation: query detours, the per-packet detour-count
+// distribution (§5.4.4), drop accounting by reason, and per-hop
+// queueing-delay telemetry (exact moments + histogram percentiles, fed by
+// kDequeue events). A TraceSink subscribed to the kinds in kKinds; it is the
+// one per-reason drop table every report reads. Scenario subscribes it to
+// every run, so no event it handles allocates. Figure 2a's per-switch detour
+// series is a separate sink that only that bench subscribes.
 
 #ifndef SRC_STATS_DETOUR_RECORDER_H_
 #define SRC_STATS_DETOUR_RECORDER_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <vector>
 
 #include "src/trace/trace_sink.h"
 #include "src/util/histogram.h"
@@ -24,9 +24,7 @@ class DetourRecorder : public TraceSink {
       TraceKinds({TraceEventType::kDetour, TraceEventType::kDrop, TraceEventType::kDequeue,
                   TraceEventType::kHostDeliver});
 
-  // `timeline_bucket`: resolution of the per-switch detour time series.
-  explicit DetourRecorder(Time timeline_bucket = Time::Micros(100))
-      : timeline_bucket_(timeline_bucket), delivered_detours_(1.0, 128) {}
+  DetourRecorder() : delivered_detours_(1.0, 128) {}
 
   void OnEvent(const TraceEvent& e) override {
     switch (e.type) {
@@ -101,36 +99,11 @@ class DetourRecorder : public TraceSink {
     return s;
   }
 
-  // Figure 2a: (bucket start time, detour count) series for one switch.
-  std::vector<std::pair<Time, uint64_t>> TimelineFor(int node) const {
-    std::vector<std::pair<Time, uint64_t>> out;
-    auto it = timeline_.find(node);
-    if (it == timeline_.end()) {
-      return out;
-    }
-    for (const auto& [bucket, count] : it->second) {
-      out.emplace_back(Time::Nanos(bucket * timeline_bucket_.nanos()), count);
-    }
-    return out;
-  }
-
-  // Switches that detoured at least once, ordered by node id.
-  std::vector<int> DetouringSwitches() const {
-    std::vector<int> out;
-    out.reserve(timeline_.size());
-    for (const auto& [node, series] : timeline_) {
-      out.push_back(node);
-    }
-    return out;
-  }
-
  private:
   void OnDetour(const TraceEvent& e) {
     if (e.tclass == static_cast<uint8_t>(TrafficClass::kQuery)) {
       ++query_detours_;
     }
-    const auto bucket = static_cast<int64_t>(e.at.nanos() / timeline_bucket_.nanos());
-    ++timeline_[e.node][bucket];
   }
 
   // Per-hop queueing delay, measured exactly from the admission stamp the
@@ -158,7 +131,6 @@ class DetourRecorder : public TraceSink {
     }
   }
 
-  Time timeline_bucket_;
   uint64_t query_detours_ = 0;
   std::array<uint64_t, kNumDropReasons> drops_by_reason_{};
   uint64_t delivered_with_detours_ = 0;
@@ -169,7 +141,6 @@ class DetourRecorder : public TraceSink {
   double queueing_sum_us_ = 0;
   double queueing_min_us_ = 0;
   double queueing_max_us_ = 0;
-  std::map<int, std::map<int64_t, uint64_t>> timeline_;  // node -> bucket -> count
 };
 
 }  // namespace dibs

@@ -92,5 +92,55 @@ TEST(PortTest, StrayPacketsCounted) {
   EXPECT_EQ(net.total_delivered(), 1u);
 }
 
+// Jitter far above the 12 us serialization time reorders the wire: packets
+// leave the wire slab out of order, and each must still arrive exactly once
+// with every field the fabric does not rewrite intact.
+TEST(PortTest, JitteredWireDeliversEveryPacketOnceAndIntact) {
+  Simulator sim(3);
+  Network net(&sim, TwoHostTopology(), NetworkConfig{});
+  net.host(0).nic().SetDegraded(/*loss_probability=*/0, /*extra_jitter=*/Time::Micros(600));
+  constexpr uint32_t kPackets = 60;
+  std::vector<Packet> sent;
+  for (uint32_t i = 0; i < kPackets; ++i) {
+    Packet p = RawPacket(net, 0, 1, /*size=*/100 + 20 * i);
+    p.seq = i;
+    p.ack_seq = 1000 + i;
+    p.priority = 7 * i;
+    p.traffic_class = i % 2 == 0 ? TrafficClass::kQuery : TrafficClass::kBackground;
+    p.fin = i % 5 == 0;
+    sent.push_back(p);
+    net.host(0).Send(std::move(p));
+  }
+  std::vector<Packet> received;
+  net.host(1).RegisterFlowReceiver(1, [&](Packet&& p) { received.push_back(p); });
+  sim.Run();
+
+  ASSERT_EQ(received.size(), kPackets);
+  std::vector<int> seen(kPackets, 0);
+  bool in_send_order = true;
+  for (size_t k = 0; k < received.size(); ++k) {
+    const Packet& p = received[k];
+    ASSERT_LT(p.seq, kPackets);
+    ++seen[p.seq];
+    in_send_order = in_send_order && p.seq == k;
+    const Packet& s = sent[p.seq];
+    EXPECT_EQ(p.uid, s.uid);
+    EXPECT_EQ(p.src, s.src);
+    EXPECT_EQ(p.dst, s.dst);
+    EXPECT_EQ(p.size_bytes, s.size_bytes);
+    EXPECT_EQ(p.flow, s.flow);
+    EXPECT_EQ(p.ack_seq, s.ack_seq);
+    EXPECT_EQ(p.priority, s.priority);
+    EXPECT_EQ(p.traffic_class, s.traffic_class);
+    EXPECT_EQ(p.fin, s.fin);
+    EXPECT_EQ(p.sent_time, s.sent_time);
+    EXPECT_EQ(p.detour_count, 0u);
+  }
+  for (uint32_t i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(seen[i], 1) << "packet " << i;
+  }
+  EXPECT_FALSE(in_send_order) << "the jitter should have reordered the wire";
+}
+
 }  // namespace
 }  // namespace dibs

@@ -1,7 +1,10 @@
 // Model test for the simulator's event queue: fixed-seed random sequences of
 // schedule, cancel and run operations, checked after every step against a
 // reference std::set of (when, schedule sequence) pairs — the order the
-// queue must fire in.
+// queue must fire in. A second phase holds the queue a thousand events deep
+// and cancels between schedules and runs, so a cancelled key's hole is
+// filled from both sides: by a last key that must sift up past the hole's
+// parent, and by one that must sift down.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,8 @@ namespace {
 constexpr uint64_t kPollEvery = 5;
 constexpr int kSeeds = 24;
 constexpr int kSteps = 300;
+constexpr size_t kDeepLive = 1000;
+constexpr int kDeepSteps = 2000;
 
 // One Simulator plus a reference model of its queue, driven by the same
 // seeded operation stream. Closures capture `this`, so a model never moves.
@@ -84,6 +89,29 @@ class QueueModel {
       ASSERT_EQ(polled_at % kPollEvery, 0u);
     }
     polls_.clear();
+  }
+
+  // Grows the queue to kDeepLive live events spread over a wide time range,
+  // then mixes cancels of random live events (half the operations) with
+  // schedules and short runs that fire a few events each.
+  void RunCancelHeavy() {
+    allow_stop_ = false;
+    spread_ = 20000;
+    while (ref_.size() < kDeepLive) {
+      ScheduleOne();
+    }
+    Check();
+    for (int step = 0; step < kDeepSteps && !testing::Test::HasFatalFailure(); ++step) {
+      const int64_t op = rng_.UniformInt(0, 9);
+      if (op < 5) {
+        CancelLive();
+      } else if (op < 9 || ref_.size() < kDeepLive / 2) {
+        ScheduleOne();
+      } else {
+        RunTo(sim_.Now().nanos() + rng_.UniformInt(0, 60));
+      }
+      Check();
+    }
   }
 
   // Ends the sequence with an interrupt check that trips a few events
@@ -174,7 +202,7 @@ class QueueModel {
     if (kind == 1 && !ref_.empty()) {
       when = PendingTime();  // same-time tie with a live event
     } else if (kind >= 2) {
-      when = now + rng_.UniformInt(1, 40);
+      when = now + rng_.UniformInt(1, spread_);
     }
     const uint64_t seq = ids_.size();
     const EventId id = rng_.Bernoulli(0.5) ? sim_.Schedule(Time::Nanos(when - now), Closure(seq))
@@ -188,17 +216,24 @@ class QueueModel {
     ref_.emplace(when, seq);
   }
 
+  // A live event, sometimes cancelled twice.
+  void CancelLive() {
+    if (ref_.empty()) {
+      return;
+    }
+    const auto it = std::next(ref_.begin(), static_cast<std::ptrdiff_t>(Pick(ref_.size())));
+    const EventId id = ids_[it->second];
+    ref_.erase(it);
+    sim_.Cancel(id);
+    if (rng_.Bernoulli(0.3)) {
+      sim_.Cancel(id);
+    }
+  }
+
   void CancelOne() {
     const int64_t kind = rng_.UniformInt(0, 4);
     if (kind <= 1 && !ref_.empty()) {
-      // A live event, sometimes cancelled twice.
-      const auto it = std::next(ref_.begin(), static_cast<std::ptrdiff_t>(Pick(ref_.size())));
-      const EventId id = ids_[it->second];
-      ref_.erase(it);
-      sim_.Cancel(id);
-      if (rng_.Bernoulli(0.3)) {
-        sim_.Cancel(id);
-      }
+      CancelLive();
     } else if (kind == 2 && !ids_.empty()) {
       // Any issued id: live, fired or already cancelled.
       const uint64_t seq = Pick(ids_.size());
@@ -260,6 +295,7 @@ class QueueModel {
   bool stop_requested_ = false;
   uint64_t stop_seq_ = 0;
   bool allow_stop_ = true;
+  int64_t spread_ = 40;  // latest delay ScheduleOne draws, in ns
 };
 
 TEST(EventQueueModelTest, RandomSequencesMatchTheReference) {
@@ -269,6 +305,18 @@ TEST(EventQueueModelTest, RandomSequencesMatchTheReference) {
     for (int step = 0; step < kSteps && !testing::Test::HasFatalFailure(); ++step) {
       model.Step();
     }
+    model.RunInterrupted();
+    if (testing::Test::HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(EventQueueModelTest, CancelHeavyDeepQueueMatchesTheReference) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    QueueModel model(static_cast<uint64_t>(1000 + seed));
+    model.RunCancelHeavy();
     model.RunInterrupted();
     if (testing::Test::HasFailure()) {
       return;

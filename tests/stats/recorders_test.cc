@@ -1,4 +1,5 @@
 #include "src/stats/detour_recorder.h"
+#include "src/stats/detour_timeline.h"
 #include "src/stats/flow_recorder.h"
 #include "src/stats/guard_recorder.h"
 
@@ -107,8 +108,8 @@ TEST(DetourRecorderTest, CountsDetoursByClass) {
   EXPECT_EQ(rec.query_detours(), 2u);
 }
 
-TEST(DetourRecorderTest, TimelineBucketsPerSwitch) {
-  DetourRecorder rec(Time::Micros(100));
+TEST(DetourTimelineTest, TimelineBucketsPerSwitch) {
+  DetourTimeline rec(Time::Micros(100));
   Packet p = DeliveredPacket(0);
   rec.OnEvent(DetourEvent(7, 0, p, Time::Micros(50)));    // bucket 0
   rec.OnEvent(DetourEvent(7, 0, p, Time::Micros(70)));    // bucket 0
