@@ -21,25 +21,46 @@
 namespace dibs {
 namespace {
 
+// The delays a hold loop draws for each successor.
+enum class DelayMix {
+  // Uniform over 1..20,000 ns: delays hardly repeat, so the simulator's
+  // delay lanes take few keys and nearly every key sifts through the heap.
+  kUniform,
+  // The mix measured in real runs: 96% are one of the four per-hop delays
+  // (a 1,500-byte frame's 12,000 ns serialization and 13,000 ns with
+  // propagation, a 40-byte ACK's 320 and 1,320 ns), the rest uniform as
+  // above.
+  kHop,
+};
+
 // Hold model at a fixed queue depth: every fire schedules its successor at a
-// uniform delay, so the queue keeps the same number of live events. On 2% of
-// fires, the measured share of RTO re-arms, it also cancels a long timer and
-// re-arms it. The timer's delay (50x the mean) keeps it from ever firing, so
-// each re-arm is a cancel that takes a key out of the middle of the queue,
-// as an RTO re-arm does in real runs. Closures capture one pointer at most,
-// so they sit in std::function's inline buffer and allocation is not what
-// gets timed. Every fire calls Stop(), so one Run() is one event.
+// delay drawn from the mix, so the queue keeps the same number of live
+// events. On 2% of fires, the measured share of RTO re-arms, it also cancels
+// a long timer and re-arms it. The timer's delay (500 us, longer than
+// pFabric's 350 us RTO and 50x the uniform mean) keeps it from ever firing,
+// so each re-arm is a cancel that takes a key out of the middle of the
+// heap, as an RTO re-arm does in real runs. Closures capture one pointer at
+// most, so they sit in std::function's inline buffer and allocation is not
+// what gets timed. Every fire calls Stop(), so one Run() is one event.
 class HoldLoop {
  public:
-  explicit HoldLoop(Simulator* sim) : sim_(sim) {}
+  HoldLoop(Simulator* sim, DelayMix mix) : sim_(sim), mix_(mix) {}
 
   void Arm() {
-    sim_->Schedule(Time::Nanos(static_cast<int64_t>(Next() % (2 * kMeanDelayNs)) + 1),
-                   [this] { Fire(); });
+    sim_->Schedule(Time::Nanos(Delay()), [this] { Fire(); });
   }
 
  private:
   static constexpr uint64_t kMeanDelayNs = 10000;
+  static constexpr int64_t kHopDelaysNs[] = {12000, 13000, 320, 1320};
+
+  int64_t Delay() {
+    const uint64_t r = Next();
+    if (mix_ == DelayMix::kHop && r % 100 < 96) {
+      return kHopDelaysNs[(r / 100) % 4];
+    }
+    return static_cast<int64_t>(r % (2 * kMeanDelayNs)) + 1;
+  }
 
   void Fire() {
     Arm();
@@ -58,13 +79,14 @@ class HoldLoop {
   }
 
   Simulator* sim_;
+  DelayMix mix_;
   uint64_t x_ = 88172645463325252ull;
   EventId timer_ = kInvalidEventId;
 };
 
-void BM_EventQueueHold(benchmark::State& state) {
+void RunHoldLoop(benchmark::State& state, DelayMix mix) {
   Simulator sim;
-  HoldLoop hold(&sim);
+  HoldLoop hold(&sim, mix);
   const int64_t depth = state.range(0);
   for (int64_t i = 0; i < depth; ++i) {
     hold.Arm();
@@ -81,7 +103,12 @@ void BM_EventQueueHold(benchmark::State& state) {
   state.counters["events/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
+
+void BM_EventQueueHold(benchmark::State& state) { RunHoldLoop(state, DelayMix::kUniform); }
 BENCHMARK(BM_EventQueueHold)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_EventQueueHopMix(benchmark::State& state) { RunHoldLoop(state, DelayMix::kHop); }
+BENCHMARK(BM_EventQueueHopMix)->Arg(1000)->Arg(10000);
 
 void BM_FibCompute(benchmark::State& state) {
   const Topology topo = BuildPaperFatTree();

@@ -38,6 +38,11 @@ void TablePrinter::PrintSeparator(std::ostream& os) const {
 void TablePrinter::PrintRow(const std::vector<std::string>& cells, std::ostream& os) const {
   DIBS_CHECK_EQ(cells.size(), headers_.size());
   for (size_t i = 0; i < cells.size(); ++i) {
+    // setw pads but never separates: a cell that fills its column would run
+    // into the one before it.
+    if (i > 0 && static_cast<int>(cells[i].size()) >= widths_[i]) {
+      os << ' ';
+    }
     os << std::setw(widths_[i]) << cells[i];
   }
   os << "\n";

@@ -39,6 +39,14 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
   const EventId id = (next_seq_++ << kSlotBits) | slot;
   slots_[slot].id = id;
   slots_[slot].fn = std::move(fn);
+  ++live_;
+  if (const Time delay = when - now_; delay < kLaneMaxDelay) {
+    if (const size_t lane = LaneFor(delay); lane < kLanes) {
+      pos_[slot] = kInLane;
+      PushLane(lane, Key{when, id});
+      return id;
+    }
+  }
   heap_.emplace_back();
   SiftUp(heap_.size() - 1, Key{when, id});
   return id;
@@ -46,11 +54,14 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
 
 void Simulator::Cancel(EventId id) {
   const size_t slot = SlotOf(id);
-  if (id == kInvalidEventId || slot >= slots_.size() || slots_[slot].id != id) {
+  if (id == kInvalidEventId || slot >= slots_.size() || !IsLive(id)) {
     return;  // fired, already cancelled, or never issued
   }
-  RemoveAt(pos_[slot]);
+  if (pos_[slot] != kInLane) {
+    RemoveAt(pos_[slot]);
+  }  // else the lane keeps the key as a tombstone
   FreeSlot(slot);
+  --live_;
 }
 
 void Simulator::SiftUp(size_t i, Key key) {
@@ -101,9 +112,81 @@ void Simulator::RemoveAt(size_t i) {
   }
 }
 
-void Simulator::RunTop() {
-  const Key key = heap_.front();
-  RemoveAt(0);
+size_t Simulator::LaneFor(Time delay) {
+  size_t empty = kLanes;
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    if (lane_delay_[lane] == delay) {
+      return lane;
+    }
+    if (empty == kLanes && lane_delay_[lane] == kNoDelay) {
+      empty = lane;
+    }
+  }
+  if (empty != kLanes) {
+    lane_delay_[empty] = delay;
+  }
+  return empty;
+}
+
+void Simulator::PushLane(size_t l, Key key) {
+  Lane& lane = lanes_[l];
+  if (lane.size == lane.ring.size()) {
+    // Unwrap into a ring twice the size (16 keys the first time), front
+    // first.
+    std::vector<Key> grown(std::max<size_t>(16, 2 * lane.ring.size()));
+    for (size_t i = 0; i < lane.size; ++i) {
+      grown[i] = lane.ring[lane.Index(i)];
+    }
+    lane.ring.swap(grown);
+    lane.head = 0;
+  }
+  lane.ring[lane.Index(lane.size)] = key;
+  if (lane.size++ == 0) {
+    lane_front_[l] = key;
+  }
+}
+
+void Simulator::PopLane(size_t l) {
+  Lane& lane = lanes_[l];
+  lane.head = lane.Index(1);
+  if (--lane.size == 0) {
+    lane_front_[l] = kNoKey;
+    lane_delay_[l] = kNoDelay;  // free for any delay again
+  } else {
+    lane_front_[l] = lane.ring[lane.head];
+  }
+}
+
+size_t Simulator::NextSource() {
+  while (true) {
+    // Branch-free select of the earliest lane front; an empty lane's kNoKey
+    // loses to every key.
+    size_t lane = 0;
+    Rank best = RankOf(lane_front_[0]);
+    for (size_t i = 1; i < kLanes; ++i) {
+      const Rank rank = RankOf(lane_front_[i]);
+      const bool earlier = rank < best;
+      best = earlier ? rank : best;
+      lane = earlier ? i : lane;
+    }
+    if (!heap_.empty() && RankOf(heap_.front()) < best) {
+      return kHeap;  // heap keys are always live
+    }
+    if (IsLive(lane_front_[lane].id)) {
+      return lane;
+    }
+    PopLane(lane);  // a cancelled key
+  }
+}
+
+void Simulator::RunFrom(size_t source) {
+  const Key key = FrontOf(source);
+  if (source == kHeap) {
+    RemoveAt(0);
+  } else {
+    PopLane(source);
+  }
+  --live_;
   // The closure leaves the slab before it runs: it may schedule more events,
   // which can grow (and reallocate) the slab or reuse this very slot.
   const size_t slot = SlotOf(key.id);
@@ -142,8 +225,8 @@ bool Simulator::CheckInterrupt() {
 
 void Simulator::Run() {
   stopped_ = false;
-  while (!stopped_ && !CheckInterrupt() && !heap_.empty()) {
-    RunTop();
+  while (!stopped_ && !CheckInterrupt() && live_ != 0) {
+    RunFrom(NextSource());
   }
 }
 
@@ -152,8 +235,12 @@ void Simulator::RunUntil(Time until) {
   stopped_ = false;
   // The interrupt check is polled only while events remain, so draining the
   // queue exactly at the budget still advances the clock to `until`.
-  while (!stopped_ && !heap_.empty() && !CheckInterrupt() && heap_.front().when <= until) {
-    RunTop();
+  while (!stopped_ && live_ != 0 && !CheckInterrupt()) {
+    const size_t source = NextSource();
+    if (FrontOf(source).when > until) {
+      break;
+    }
+    RunFrom(source);
   }
   // An interrupted run leaves Now() at the last executed event rather than
   // jumping to `until`; the partial clock is part of the failure report.
@@ -164,9 +251,17 @@ void Simulator::RunUntil(Time until) {
 
 std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
   std::vector<std::pair<Time, EventId>> keys;
-  keys.reserve(heap_.size());
+  keys.reserve(live_);
   for (const Key& key : heap_) {
     keys.emplace_back(key.when, key.id);
+  }
+  for (const Lane& lane : lanes_) {
+    for (size_t i = 0; i < lane.size; ++i) {
+      const Key& key = lane.ring[lane.Index(i)];
+      if (IsLive(key.id)) {
+        keys.emplace_back(key.when, key.id);
+      }
+    }
   }
   return keys;
 }

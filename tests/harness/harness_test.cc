@@ -88,6 +88,20 @@ TEST(TablePrinterTest, ExplicitWidthsRespected) {
   EXPECT_EQ(os.str().size(), 21u);  // 20 + newline
 }
 
+TEST(TablePrinterTest, CellsAsWideAsTheirColumnStaySeparated) {
+  TablePrinter t({"topo", "policy"}, {12, 8});
+  std::ostringstream os;
+  t.PrintRow({"fat-tree-k8", "load-aware"}, os);  // the second fills past its 8
+  t.PrintRow({"fat-tree-k8", "12345678"}, os);    // exactly as wide as its column
+  t.PrintRow({"0.00", "none"}, os);                // narrower: padding alone
+  t.PrintRow({"first-cell-wider-than-12", "x"}, os);  // a first cell needs no space
+  EXPECT_EQ(os.str(),
+            " fat-tree-k8 load-aware\n"
+            " fat-tree-k8 12345678\n"
+            "        0.00    none\n"
+            "first-cell-wider-than-12       x\n");
+}
+
 TEST(FigureBannerTest, ContainsIdAndCaption) {
   std::ostringstream os;
   PrintFigureBanner("Figure 9", "Query rate", "params here", os);

@@ -4,7 +4,11 @@
 // queue must fire in. A second phase holds the queue a thousand events deep
 // and cancels between schedules and runs, so a cancelled key's hole is
 // filled from both sides: by a last key that must sift up past the hole's
-// parent, and by one that must sift down.
+// parent, and by one that must sift down. A third phase draws the delays
+// real runs schedule, so keys take the simulator's FIFO delay lanes as well
+// as its heap: lane and heap keys tie, lane keys are cancelled at a lane's
+// front, middle and tail, lanes empty and are claimed by other delays, and
+// a lane grows while its front sits past the end of its ring.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,14 @@ constexpr int kSeeds = 24;
 constexpr int kSteps = 300;
 constexpr size_t kDeepLive = 1000;
 constexpr int kDeepSteps = 2000;
+constexpr size_t kLaneLive = 3000;
+constexpr int kLaneSteps = 3000;
+// The per-hop delays that dominate real runs, in ns: a 1,500-byte frame's
+// serialization, and with propagation; a 40-byte ACK's, and with propagation.
+constexpr int64_t kHopDelays[] = {12000, 13000, 320, 1320};
+// The simulator's lane count and the delay from which keys go to the heap.
+constexpr int kLanes = 8;
+constexpr int64_t kLaneMaxDelayNs = 100000;
 
 // One Simulator plus a reference model of its queue, driven by the same
 // seeded operation stream. Closures capture `this`, so a model never moves.
@@ -114,6 +126,68 @@ class QueueModel {
     }
   }
 
+  // The delays real runs draw, from a fresh model. First fixed cases, each
+  // set up so the lane rule puts its keys where the comment says; then a
+  // random mix that grows the queue to kLaneLive while it fires, cancels
+  // and ties, so lanes fill, spill to the heap, empty and grow.
+  void RunLaneMix() {
+    allow_stop_ = false;
+    lane_mix_ = true;
+    children_ = false;
+    ASSERT_EQ(sim_.Now().nanos(), 0);
+    // A lane key, then a heap key at the same time: kLanes distinct short
+    // delays take every lane, so 10 us later a ninth short delay that lands
+    // on the last lane key's time goes to the heap.
+    for (int lane = 0; lane < kLanes; ++lane) {
+      ScheduleAtTime(20000 + 1000 * lane);
+    }
+    RunTo(10000);
+    const uint64_t lane_first = ids_.size() - 1;
+    ScheduleAtTime(20000 + 1000 * (kLanes - 1));
+    // A 150 us timer takes the heap. Once every lane has emptied, a 5 us
+    // delay claims a lane again and lands on the timer's time: a heap key,
+    // then a lane key.
+    ScheduleAtTime(160000);
+    RunTo(155000);
+    ScheduleAtTime(160000);
+    // Five keys of one delay in one lane; cancel its front, middle and tail.
+    std::vector<uint64_t> lane;
+    for (int i = 0; i < 5; ++i) {
+      lane.push_back(ids_.size());
+      ScheduleAtTime(sim_.Now().nanos() + 30000);
+      RunTo(sim_.Now().nanos() + 100);
+    }
+    CancelSeq(lane[0]);
+    CancelSeq(lane[2]);
+    CancelSeq(lane[4]);
+    // The same delay again: its lane still holds keys and tombstones.
+    ScheduleAtTime(sim_.Now().nanos() + 30000);
+    Check();
+    RunAll();
+    Check();
+    EXPECT_LT(Fired(lane_first), Fired(lane_first + 1)) << "lane key first, then heap key";
+    EXPECT_LT(Fired(lane_first + 2), Fired(lane_first + 3)) << "heap key first, then lane key";
+
+    // The random mix. Each step schedules a few keys, a count that ramps up
+    // so lanes keep growing after their fronts have moved, and runs a short
+    // window, so a lane's front wraps round its ring before the ring grows.
+    children_ = true;
+    for (int step = 0; step < kLaneSteps && !testing::Test::HasFatalFailure(); ++step) {
+      const int64_t burst = ref_.size() < kLaneLive ? 1 + step / 400 : 0;
+      for (int64_t n = rng_.UniformInt(0, burst); n > 0; --n) {
+        ScheduleOne();
+      }
+      const int64_t op = rng_.UniformInt(0, 9);
+      if (op == 0) {
+        CancelLive();
+      } else if (op == 1) {
+        CancelInLane();
+      }
+      RunTo(sim_.Now().nanos() + rng_.UniformInt(0, 40));
+      Check();
+    }
+  }
+
   // Ends the sequence with an interrupt check that trips a few events
   // ahead: the run stops at the first poll at or past the limit, and the
   // interrupt is sticky.
@@ -167,6 +241,9 @@ class QueueModel {
     ref_.erase(ref_.begin());
     fired_.push_back(seq);
     ASSERT_EQ(sim_.pending_events(), ref_.size()) << "a running event still counts as pending";
+    if (!children_) {
+      return;
+    }
     // Closures schedule and cancel too (about 0.45 children per event, so
     // every Run() drains).
     if (rng_.Bernoulli(0.3)) {
@@ -202,8 +279,31 @@ class QueueModel {
     if (kind == 1 && !ref_.empty()) {
       when = PendingTime();  // same-time tie with a live event
     } else if (kind >= 2) {
-      when = now + rng_.UniformInt(1, spread_);
+      when = now + (lane_mix_ ? LaneDelay() : rng_.UniformInt(1, spread_));
     }
+    ScheduleAtTime(when);
+  }
+
+  // The lane phase's delays: mostly the per-hop four; then one-off short
+  // delays, more distinct values than there are lanes; both sides of the
+  // lane cap; and timers, which go to the heap.
+  int64_t LaneDelay() {
+    const int64_t pick = rng_.UniformInt(0, 19);
+    if (pick < 12) {
+      return kHopDelays[pick % 4];
+    }
+    if (pick < 15) {
+      return rng_.UniformInt(1, kLaneMaxDelayNs - 1);
+    }
+    if (pick < 17) {
+      return pick == 15 ? kLaneMaxDelayNs - 1 : kLaneMaxDelayNs;
+    }
+    return rng_.UniformInt(kLaneMaxDelayNs, 4 * kLaneMaxDelayNs);
+  }
+
+  // Schedules one event at `when`, through Schedule or ScheduleAt.
+  void ScheduleAtTime(int64_t when) {
+    const int64_t now = sim_.Now().nanos();
     const uint64_t seq = ids_.size();
     const EventId id = rng_.Bernoulli(0.5) ? sim_.Schedule(Time::Nanos(when - now), Closure(seq))
                                             : sim_.ScheduleAt(Time::Nanos(when), Closure(seq));
@@ -212,6 +312,7 @@ class QueueModel {
     ASSERT_EQ(seq_of_.count(id), 0u) << "id " << id << " issued twice";
     ids_.push_back(id);
     whens_.push_back(when);
+    scheduled_at_.push_back(now);
     seq_of_[id] = seq;
     ref_.emplace(when, seq);
   }
@@ -228,6 +329,37 @@ class QueueModel {
     if (rng_.Bernoulli(0.3)) {
       sim_.Cancel(id);
     }
+  }
+
+  // Cancels event `seq` and drops it from the reference.
+  void CancelSeq(uint64_t seq) {
+    ref_.erase({whens_[seq], seq});
+    sim_.Cancel(ids_[seq]);
+  }
+
+  // Cancels the first, a middle or the last live key of one per-hop delay:
+  // keys of one delay sit in one lane in schedule order, so this cancels at
+  // a lane's front, middle or tail.
+  void CancelInLane() {
+    const int64_t delay = kHopDelays[rng_.UniformInt(0, 3)];
+    std::vector<uint64_t> keys;
+    for (const auto& [when, seq] : ref_) {
+      if (when - scheduled_at_[seq] == delay) {
+        keys.push_back(seq);
+      }
+    }
+    if (keys.empty()) {
+      return;
+    }
+    std::sort(keys.begin(), keys.end());
+    const int64_t where = rng_.UniformInt(0, 2);
+    CancelSeq(where == 0 ? keys.front() : where == 1 ? keys[keys.size() / 2] : keys.back());
+  }
+
+  // Where event `seq` came in the firing order (SIZE_MAX: never fired).
+  size_t Fired(uint64_t seq) const {
+    const auto it = std::find(fired_.begin(), fired_.end(), seq);
+    return it == fired_.end() ? SIZE_MAX : static_cast<size_t>(it - fired_.begin());
   }
 
   void CancelOne() {
@@ -287,6 +419,7 @@ class QueueModel {
   Rng rng_;                                     // the operation stream
   std::set<std::pair<int64_t, uint64_t>> ref_;  // live (when ns, sequence)
   std::vector<int64_t> whens_;                  // sequence -> when
+  std::vector<int64_t> scheduled_at_;           // sequence -> Now() when scheduled
   std::vector<EventId> ids_;                    // sequence -> issued id
   std::map<EventId, uint64_t> seq_of_;          // issued id -> sequence
   std::vector<uint64_t> fired_;                 // sequences in firing order
@@ -295,7 +428,9 @@ class QueueModel {
   bool stop_requested_ = false;
   uint64_t stop_seq_ = 0;
   bool allow_stop_ = true;
-  int64_t spread_ = 40;  // latest delay ScheduleOne draws, in ns
+  int64_t spread_ = 40;    // latest delay ScheduleOne draws, in ns
+  bool lane_mix_ = false;  // ScheduleOne draws LaneDelay() instead
+  bool children_ = true;   // firing events schedule and cancel more
 };
 
 TEST(EventQueueModelTest, RandomSequencesMatchTheReference) {
@@ -317,6 +452,18 @@ TEST(EventQueueModelTest, CancelHeavyDeepQueueMatchesTheReference) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     QueueModel model(static_cast<uint64_t>(1000 + seed));
     model.RunCancelHeavy();
+    model.RunInterrupted();
+    if (testing::Test::HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(EventQueueModelTest, DelayLaneMixMatchesTheReference) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    QueueModel model(static_cast<uint64_t>(2000 + seed));
+    model.RunLaneMix();
     model.RunInterrupted();
     if (testing::Test::HasFailure()) {
       return;
