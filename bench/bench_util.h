@@ -4,7 +4,10 @@
 //
 // Durations are scaled down from the paper's runs so that the whole bench
 // suite finishes in minutes on one machine; EXPERIMENTS.md records how the
-// measured shapes compare to the paper's. Environment knobs:
+// measured shapes compare to the paper's. Every other bench runs its
+// Scenarios through RunBenchRuns, so all the knobs below reach it; fig02,
+// fig03, fig06 and sec56 drive the simulator by hand, and of these knobs
+// fig03 and sec56 read DIBS_BENCH_DURATION_MS alone. Environment knobs:
 //   DIBS_BENCH_DURATION_MS  simulated window per figure point
 //   DIBS_BENCH_SEED         base seed for every run (default 1)
 //   DIBS_JOBS               sweep worker threads (default: hardware cores)
@@ -23,7 +26,6 @@
 //                           hard watchdog); default in-process threads
 //   DIBS_MAX_ATTEMPTS       retries per failed/timeout/crashed row
 //   DIBS_RETRY_BACKOFF_MS   initial retry backoff (exponential, bounded)
-//   DIBS_WATCHDOG_GRACE_SEC SIGKILL slack past DIBS_RUN_TIMEOUT_SEC
 // (see EXPERIMENTS.md "Resumable sweeps")
 
 #ifndef BENCH_BENCH_UTIL_H_
@@ -72,6 +74,14 @@ inline SweepOptions BenchSweepOptions() {
   SweepOptions opts;
   opts.run_timeout_sec = env::Double("DIBS_RUN_TIMEOUT_SEC", opts.run_timeout_sec, 0, 86400);
   return opts;
+}
+
+// One entry of an explicit run list, labelled by its coordinates.
+inline RunSpec BenchRun(ExperimentConfig config, std::vector<AxisPoint> points) {
+  RunSpec run;
+  run.config = std::move(config);
+  run.points = std::move(points);
+  return run;
 }
 
 // Runs an explicit run list through the sweep engine with the bench-wide
@@ -187,10 +197,7 @@ inline std::vector<ComparisonRow> CompareSchemesSweep(
     for (const auto& [scheme, config] :
          {std::pair<std::string, const ExperimentConfig&>{"dctcp", pairs[i].first},
           std::pair<std::string, const ExperimentConfig&>{"dibs", pairs[i].second}}) {
-      RunSpec run;
-      run.config = config;
-      run.points = {{"scheme", scheme}, {"pair", std::to_string(i)}};
-      runs.push_back(std::move(run));
+      runs.push_back(BenchRun(config, {{"scheme", scheme}, {"pair", std::to_string(i)}}));
     }
   }
   const std::vector<RunRecord> records = RunBenchRuns(name, std::move(runs));

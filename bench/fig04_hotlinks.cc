@@ -24,26 +24,30 @@ int main() {
       {"extreme (10000 qps)", 10000, BenchDuration(Time::Millis(60))},
   };
 
-  TablePrinter table({"workload", "p50_hot", "p90_hot", "p99_hot", "max_hot"});
-  table.PrintHeader();
-  std::vector<std::pair<std::string, std::vector<double>>> cdfs;
+  std::vector<RunSpec> runs;
   for (const Point& p : points) {
     ExperimentConfig cfg = Standard(DibsConfig(), p.duration);
     cfg.qps = p.qps;
     cfg.monitor_links = true;
     cfg.link_interval = Time::Millis(1);
-    const ScenarioResult r = RunScenario(cfg);
-    std::vector<double> hot = r.hot_fractions;
-    table.PrintRow({p.name, TablePrinter::Num(Percentile(hot, 50), 3),
-                    TablePrinter::Num(Percentile(hot, 90), 3),
-                    TablePrinter::Num(Percentile(hot, 99), 3),
-                    TablePrinter::Num(Percentile(hot, 100), 3)});
-    cdfs.emplace_back(p.name, std::move(hot));
+    runs.push_back(BenchRun(std::move(cfg), {{"workload", p.name}}));
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("fig04", std::move(runs));
+
+  TablePrinter table({"workload", "p50_hot", "p90_hot", "p99_hot", "max_hot"});
+  table.PrintHeader();
+  for (const RunRecord& rec : records) {
+    const std::vector<double>& hot = rec.result.hot_fractions;
+    table.PrintRow({rec.points[0].value, ResultCell(rec, TablePrinter::Num(Percentile(hot, 50), 3)),
+                    ResultCell(rec, TablePrinter::Num(Percentile(hot, 90), 3)),
+                    ResultCell(rec, TablePrinter::Num(Percentile(hot, 99), 3)),
+                    ResultCell(rec, TablePrinter::Num(Percentile(hot, 100), 3))});
   }
 
   std::cout << "\n-- CDF series (fraction of links hot vs fraction of time) --\n";
-  for (auto& [name, values] : cdfs) {
-    PrintCdf(name, EmpiricalCdfPoints(std::move(values), 20), "hot_link_frac");
+  for (const RunRecord& rec : records) {
+    PrintCdf(rec.points[0].value, EmpiricalCdfPoints(rec.result.hot_fractions, 20),
+             "hot_link_frac");
   }
   std::cout << "\n(paper: baseline/heavy stay below ~10% hot links nearly all the time)\n";
   return 0;

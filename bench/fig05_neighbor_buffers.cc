@@ -24,21 +24,27 @@ int main() {
       {"extreme (10000 qps)", 10000, BenchDuration(Time::Millis(60))},
   };
 
-  TablePrinter table({"workload", "hops", "p10_free", "p50_free", "mean_free", "samples"});
-  table.PrintHeader();
+  std::vector<RunSpec> runs;
   for (const Point& p : points) {
     ExperimentConfig cfg = Standard(DibsConfig(), p.duration);
     cfg.qps = p.qps;
     cfg.monitor_buffers = true;
     cfg.buffer_interval = Time::Micros(500);
-    const ScenarioResult r = RunScenario(cfg);
+    runs.push_back(BenchRun(std::move(cfg), {{"workload", p.name}}));
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("fig05", std::move(runs));
+
+  TablePrinter table({"workload", "hops", "p10_free", "p50_free", "mean_free", "samples"});
+  table.PrintHeader();
+  for (const RunRecord& rec : records) {
     for (int hops = 1; hops <= 2; ++hops) {
-      const std::vector<double>& free = hops == 1 ? r.one_hop_free : r.two_hop_free;
-      table.PrintRow({p.name, TablePrinter::Int(static_cast<uint64_t>(hops)),
-                      TablePrinter::Num(Percentile(free, 10), 3),
-                      TablePrinter::Num(Percentile(free, 50), 3),
-                      TablePrinter::Num(Mean(free), 3),
-                      TablePrinter::Int(free.size())});
+      const std::vector<double>& free =
+          hops == 1 ? rec.result.one_hop_free : rec.result.two_hop_free;
+      table.PrintRow({rec.points[0].value, TablePrinter::Int(static_cast<uint64_t>(hops)),
+                      ResultCell(rec, TablePrinter::Num(Percentile(free, 10), 3)),
+                      ResultCell(rec, TablePrinter::Num(Percentile(free, 50), 3)),
+                      ResultCell(rec, TablePrinter::Num(Mean(free), 3)),
+                      ResultCell(rec, TablePrinter::Int(free.size()))});
     }
   }
   std::cout << "\n(paper: ~80% of neighboring buffers are free except under the extreme load)\n";

@@ -26,10 +26,7 @@ int main() {
   // The infinite-buffer reference is buffer-size independent: one extra run
   // alongside the matrix so it shares the worker pool.
   std::vector<RunSpec> runs = spec.Expand();
-  RunSpec inf;
-  inf.config = Standard(InfiniteBufferConfig(), duration);
-  inf.points = {{"scheme", "inf"}};
-  runs.push_back(std::move(inf));
+  runs.push_back(BenchRun(Standard(InfiniteBufferConfig(), duration), {{"scheme", "inf"}}));
 
   const std::vector<RunRecord> records = RunBenchRuns(spec.name, std::move(runs));
   const RunRecord& infinite = FindRecord(records, {{"scheme", "inf"}});

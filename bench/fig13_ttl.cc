@@ -28,11 +28,9 @@ int main() {
   // DCTCP reference (TTL-independent; shown flat in the paper): one extra
   // run sharing the worker pool with the TTL sweep.
   std::vector<RunSpec> runs = spec.Expand();
-  RunSpec dctcp_run;
-  dctcp_run.config = Standard(DctcpConfig(), duration);
-  dctcp_run.config.bg_interarrival = Time::Millis(10);
-  dctcp_run.points = {{"scheme", "dctcp"}};
-  runs.push_back(std::move(dctcp_run));
+  ExperimentConfig dctcp_config = Standard(DctcpConfig(), duration);
+  dctcp_config.bg_interarrival = Time::Millis(10);
+  runs.push_back(BenchRun(std::move(dctcp_config), {{"scheme", "dctcp"}}));
 
   const std::vector<RunRecord> records = RunBenchRuns(spec.name, std::move(runs));
   const RunRecord& dctcp = FindRecord(records, {{"scheme", "dctcp"}});

@@ -15,22 +15,33 @@ int main() {
   // Figure 16a's damage shows up on LARGE background flows (pFabric's SRPT
   // scheduling starves them), so report both the short-flow FCT and the
   // all-background-flow FCT tails.
-  TablePrinter table({"qps", "qct99_pfabric_ms", "qct99_dibs_ms", "bgfct99short_pf_ms",
-                      "bgfct99short_dibs_ms", "bgfct99all_pf_ms", "bgfct99all_dibs_ms"});
-  table.PrintHeader();
-  for (int qps : {300, 500, 1000, 1500, 2000}) {
+  const std::vector<int> rates = {300, 500, 1000, 1500, 2000};
+  std::vector<RunSpec> runs;
+  for (int qps : rates) {
     const Time duration = BenchDuration(qps <= 500 ? Time::Millis(400) : Time::Millis(200));
     ExperimentConfig pfabric = Standard(PfabricExperimentConfig(), duration);
     ExperimentConfig dibs = Standard(DibsConfig(), duration);
     pfabric.qps = qps;
     dibs.qps = qps;
-    const ScenarioResult pf = RunScenario(pfabric);
-    const ScenarioResult db = RunScenario(dibs);
-    table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(qps)),
-                    TablePrinter::Num(pf.qct99_ms), TablePrinter::Num(db.qct99_ms),
-                    TablePrinter::Num(pf.bg_fct99_ms), TablePrinter::Num(db.bg_fct99_ms),
-                    TablePrinter::Num(pf.bg_fct99_all_ms),
-                    TablePrinter::Num(db.bg_fct99_all_ms)});
+    const std::string q = std::to_string(qps);
+    runs.push_back(BenchRun(std::move(pfabric), {{"qps", q}, {"scheme", "pfabric"}}));
+    runs.push_back(BenchRun(std::move(dibs), {{"qps", q}, {"scheme", "dibs"}}));
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("fig16", std::move(runs));
+
+  TablePrinter table({"qps", "qct99_pfabric_ms", "qct99_dibs_ms", "bgfct99short_pf_ms",
+                      "bgfct99short_dibs_ms", "bgfct99all_pf_ms", "bgfct99all_dibs_ms"});
+  table.PrintHeader();
+  for (size_t i = 0; i < rates.size(); ++i) {
+    const RunRecord& pf = records[2 * i];
+    const RunRecord& db = records[2 * i + 1];
+    table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(rates[i])),
+                    ResultCell(pf, TablePrinter::Num(pf.result.qct99_ms)),
+                    ResultCell(db, TablePrinter::Num(db.result.qct99_ms)),
+                    ResultCell(pf, TablePrinter::Num(pf.result.bg_fct99_ms)),
+                    ResultCell(db, TablePrinter::Num(db.result.bg_fct99_ms)),
+                    ResultCell(pf, TablePrinter::Num(pf.result.bg_fct99_all_ms)),
+                    ResultCell(db, TablePrinter::Num(db.result.bg_fct99_all_ms))});
   }
   return 0;
 }

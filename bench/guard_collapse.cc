@@ -1,19 +1,18 @@
 // Guard negative test: the collapse watchdog must FIRE on unguarded DIBS in
 // its pathological regime and must NOT fire when the overload guard is on.
 //
-// One extreme-qps cell (fig14's breaking regime, env-tunable) runs twice —
-// DCTCP+DIBS with only the watchdog observing, and DCTCP+DIBS+guard — and
-// the table reports the watchdog verdict, onset time, breaker activity, and
-// goodput side by side. With DIBS_GUARD_EXPECT=1 (CI) the bench exits
-// nonzero unless the unguarded run collapsed and the guarded run did not:
-// a watchdog that never fires, or a guard that no longer prevents the
+// One extreme-qps cell (fig14's breaking regime) runs twice — DCTCP+DIBS
+// with only the watchdog observing, and DCTCP+DIBS+guard — and the table
+// reports the watchdog verdict, onset time, breaker activity, and goodput
+// side by side. With DIBS_GUARD_EXPECT=1 (CI) the bench exits nonzero
+// unless the unguarded run collapsed and the guarded run did not: a
+// watchdog that never fires, or a guard that no longer prevents the
 // collapse it exists for, both fail the pipeline.
 //
-// Knobs: DIBS_GUARD_QPS (default 18000, range [1, 1000000] — 18000 is the
-// first rate where unguarded DIBS collapses in-run while the guarded run
-// holds; see EXPERIMENTS.md), DIBS_GUARD_EXPECT (a boolean knob),
-// DIBS_BENCH_DURATION_MS (default 120 here — the watchdog needs enough
-// collapse windows to judge).
+// The cell runs at kQps = 18000, the first rate where unguarded DIBS
+// collapses in-run while the guarded run holds (see EXPERIMENTS.md).
+// Knobs: DIBS_GUARD_EXPECT (a boolean knob), DIBS_BENCH_DURATION_MS
+// (default 120 here — the watchdog needs enough collapse windows to judge).
 
 #include "bench/bench_util.h"
 
@@ -21,7 +20,7 @@ using namespace dibs;
 using namespace dibs::bench;
 
 int main() {
-  const int qps = static_cast<int>(env::Int("DIBS_GUARD_QPS", 18000, 1, 1000000));
+  constexpr int kQps = 18000;
   PrintFigureBanner("Guard negative test",
                     "Collapse watchdog fires unguarded, stays quiet guarded",
                     "bg inter-arrival 120ms, incast degree 40, response 20KB");
@@ -30,7 +29,7 @@ int main() {
   auto watched = [&](ExperimentConfig c) {
     c = Standard(std::move(c), duration);
     c.net.guard.watchdog = true;
-    c.qps = qps;
+    c.qps = kQps;
     c.drain = Time::Millis(400);
     return c;
   };
@@ -65,16 +64,16 @@ int main() {
       FindRecord(records, {{"scheme", "dibs-guard"}}).result;
   bool ok = true;
   if (!unguarded.collapse_detected) {
-    std::printf("FAIL: watchdog did not flag the unguarded run at %d qps\n", qps);
+    std::printf("FAIL: watchdog did not flag the unguarded run at %d qps\n", kQps);
     ok = false;
   }
   if (guarded.collapse_detected) {
     std::printf("FAIL: guarded run still collapsed at %d qps (onset %.2f ms)\n",
-                qps, guarded.collapse_onset_ms);
+                kQps, guarded.collapse_onset_ms);
     ok = false;
   }
   if (guarded.guard_trips == 0) {
-    std::printf("FAIL: guarded run never tripped a breaker at %d qps\n", qps);
+    std::printf("FAIL: guarded run never tripped a breaker at %d qps\n", kQps);
     ok = false;
   }
   if (ok) {

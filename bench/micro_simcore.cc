@@ -218,15 +218,13 @@ void BM_SwitchPacketHopDefaultSinks(benchmark::State& state) {
 BENCHMARK(BM_SwitchPacketHopDefaultSinks);
 
 void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
-  // Same hop loop with a trace bus subscribed but filtering everything out
+  // Same hop loop with a trace bus subscribed but sampling everything out
   // (sample=0): the cost of *armed* tracing that emits nothing. This is the
-  // price paid per hook call when a user traces one flow out of millions.
+  // price paid per hook call when a run samples few packets out of millions.
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
   TraceBus bus;
-  TraceFilter filter;
-  filter.sample = 0.0;
-  bus.SetFilter(filter);
+  bus.SetSample(0.0);
   net.Subscribe(&bus);
   uint64_t batch = 0;
   for (auto _ : state) {
@@ -249,8 +247,8 @@ void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
 BENCHMARK(BM_SwitchPacketHopTraceFiltered);
 
 void BM_SwitchPacketHopTraceRing(benchmark::State& state) {
-  // Same hop loop with full tracing into a flight-recorder ring (pass-all
-  // filter): the in-memory cost ceiling, with no file I/O on the hot path.
+  // Same hop loop with full tracing into a flight-recorder ring (sample 1):
+  // the in-memory cost ceiling, with no file I/O on the hot path.
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
   TraceBus bus;

@@ -16,8 +16,6 @@ int main() {
   PrintFigureBanner("Sec 5.5.2", "Shared buffers with Dynamic Buffer Allocation",
                     "per-switch shared pool 1133 pkts (1.7MB), alpha=1; response 20KB");
   const Time duration = BenchDuration(Time::Millis(200));
-  TablePrinter table({"degree", "resp_kb", "scheme", "qct99_ms", "drops", "detours"});
-  table.PrintHeader();
 
   struct Load {
     int degree;
@@ -26,6 +24,7 @@ int main() {
   // Degree 120 x 80KB emulates the paper's ">150 connections" overload (the
   // topology has 127 possible responders; extra bytes stand in for extra
   // connections per server).
+  std::vector<RunSpec> runs;
   for (const Load& load : {Load{40, 20}, Load{100, 20}, Load{120, 80}}) {
     for (const char* scheme : {"dctcp", "dibs"}) {
       ExperimentConfig cfg =
@@ -36,12 +35,21 @@ int main() {
       cfg.net.shared_buffer_packets = 1133;
       cfg.net.shared_buffer_alpha = 1.0;
       cfg.drain = Time::Millis(300);
-      const ScenarioResult r = RunScenario(cfg);
-      table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(load.degree)),
-                      TablePrinter::Int(static_cast<uint64_t>(load.resp_kb)), scheme,
-                      TablePrinter::Num(r.qct99_ms), TablePrinter::Int(r.drops),
-                      TablePrinter::Int(r.detours)});
+      runs.push_back(BenchRun(std::move(cfg), {{"degree", std::to_string(load.degree)},
+                                               {"resp_kb", std::to_string(load.resp_kb)},
+                                               {"scheme", scheme}}));
     }
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("sec552", std::move(runs));
+
+  TablePrinter table({"degree", "resp_kb", "scheme", "qct99_ms", "drops", "detours"});
+  table.PrintHeader();
+  for (const RunRecord& rec : records) {
+    const ScenarioResult& r = rec.result;
+    table.PrintRow({rec.points[0].value, rec.points[1].value, rec.points[2].value,
+                    ResultCell(rec, TablePrinter::Num(r.qct99_ms)),
+                    ResultCell(rec, TablePrinter::Int(r.drops)),
+                    ResultCell(rec, TablePrinter::Int(r.detours))});
   }
   std::cout << "\n(paper: moderate incast -> zero loss and zero detours for both; overload -> "
                "DCTCP+DBA drops, DIBS+DBA lossless with ~75% lower 99th QCT)\n";

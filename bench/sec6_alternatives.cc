@@ -45,13 +45,21 @@ int main() {
   both.net.packet_level_ecmp = true;
   schemes.push_back({"dibs+spray", both});
 
+  std::vector<RunSpec> runs;
+  for (const Scheme& s : schemes) {
+    runs.push_back(BenchRun(s.cfg, {{"scheme", s.name}}));
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("sec6", std::move(runs));
+
   TablePrinter table({"scheme", "qct99_ms", "qct50_ms", "bgfct99_ms", "drops", "detours"});
   table.PrintHeader();
-  for (const Scheme& s : schemes) {
-    const ScenarioResult r = RunScenario(s.cfg);
-    table.PrintRow({s.name, TablePrinter::Num(r.qct99_ms), TablePrinter::Num(r.qct.p50),
-                    TablePrinter::Num(r.bg_fct99_ms), TablePrinter::Int(r.drops),
-                    TablePrinter::Int(r.detours)});
+  for (const RunRecord& rec : records) {
+    const ScenarioResult& r = rec.result;
+    table.PrintRow({rec.points[0].value, ResultCell(rec, TablePrinter::Num(r.qct99_ms)),
+                    ResultCell(rec, TablePrinter::Num(r.qct.p50)),
+                    ResultCell(rec, TablePrinter::Num(r.bg_fct99_ms)),
+                    ResultCell(rec, TablePrinter::Int(r.drops)),
+                    ResultCell(rec, TablePrinter::Int(r.detours))});
   }
   std::cout << "\n(expected: pfc and dibs are both lossless — pfc can even win outright when\n"
                " the incast is the only hotspot, at the cost of watermark tuning and\n"

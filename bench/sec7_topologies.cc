@@ -30,8 +30,7 @@ int main() {
       {"linear", TopologyKind::kLinear, 12, 1500},         // 16 hosts, worst case
   };
 
-  TablePrinter table({"topology", "policy", "qct99_ms", "qct50_ms", "drops", "detours"});
-  table.PrintHeader();
+  std::vector<RunSpec> runs;
   for (const TopoPoint& t : topologies) {
     for (const char* policy : {"none", "random", "load-aware"}) {
       ExperimentConfig cfg = Standard(DibsConfig(), duration);
@@ -40,11 +39,20 @@ int main() {
       cfg.incast_degree = t.degree;
       cfg.qps = t.qps;
       cfg.enable_background = false;  // isolate the incast response
-      const ScenarioResult r = RunScenario(cfg);
-      table.PrintRow({t.name, policy, TablePrinter::Num(r.qct99_ms),
-                      TablePrinter::Num(r.qct.p50), TablePrinter::Int(r.drops),
-                      TablePrinter::Int(r.detours)});
+      runs.push_back(BenchRun(std::move(cfg), {{"topology", t.name}, {"policy", policy}}));
     }
+  }
+  const std::vector<RunRecord> records = RunBenchRuns("sec7", std::move(runs));
+
+  TablePrinter table({"topology", "policy", "qct99_ms", "qct50_ms", "drops", "detours"});
+  table.PrintHeader();
+  for (const RunRecord& rec : records) {
+    const ScenarioResult& r = rec.result;
+    table.PrintRow({rec.points[0].value, rec.points[1].value,
+                    ResultCell(rec, TablePrinter::Num(r.qct99_ms)),
+                    ResultCell(rec, TablePrinter::Num(r.qct.p50)),
+                    ResultCell(rec, TablePrinter::Int(r.drops)),
+                    ResultCell(rec, TablePrinter::Int(r.detours))});
   }
   std::cout << "\n(paper §7: random ~ load-aware on fat-tree; detouring still functions —\n"
                " bouncing backwards — even on the linear chain)\n";

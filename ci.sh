@@ -29,10 +29,12 @@
 #   7. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
-#                           (invariant + metamorphic oracles) must come back
-#                           clean under ASan+UBSan, and the planted-bug
-#                           repro (DIBS_CHAOS_PLANT=1) must replay red with
-#                           the bug in and green without — proof the oracle
+#                           (`run --seed 20140401 --cases 100`: invariant +
+#                           metamorphic oracles, each run capped at the
+#                           default 20M-event budget) must come back clean
+#                           under ASan+UBSan, and the planted-bug repro
+#                           (DIBS_CHAOS_PLANT=1) must replay red with the
+#                           bug in and green without — proof the oracle
 #                           actually bites. Corpus replay itself rides in
 #                           tier-1 ctest (chaos_corpus_replay).
 #   8. fig11              — the incast-degree figure bench end-to-end with
@@ -40,17 +42,18 @@
 #                           a validation throw fails is fatal), on the
 #                           tier-1 build tree.
 #   9. trace              — fig11 again with DIBS_TRACE=1: tables must be
-#                           byte-identical to the fig11 stage's run, every
-#                           per-run trace JSONL must pass `trace_tool
-#                           summarize`, the Perfetto export must be valid
-#                           JSON, and the same traced bench must run clean
-#                           under ASan+UBSan. Also kills one child run via
-#                           DIBS_TEST_CRASH_RUN (process isolation) and
-#                           requires the flight-recorder crash dump it leaves
-#                           behind to be parseable. Finally the tracing-off
-#                           overhead guard: BM_SwitchPacketHop must stay
-#                           within 2% of the per-machine ratcheted baseline
-#                           cached in the build tree
+#                           byte-identical to the fig11 stage's run, it must
+#                           leave exactly one trace JSONL per run (8: two
+#                           schemes x four degrees), each must pass
+#                           `trace_tool summarize`, the Perfetto export must
+#                           be valid JSON, and the same traced bench must
+#                           run clean under ASan+UBSan. Also kills one child
+#                           run via DIBS_TEST_CRASH_RUN (process isolation)
+#                           and requires the flight-recorder crash dump it
+#                           leaves behind to be parseable. Finally the
+#                           tracing-off overhead guard: BM_SwitchPacketHop
+#                           must stay within 2% of the per-machine ratcheted
+#                           baseline cached in the build tree
 #                           (tools/check_trace_overhead.py).
 #  10. resilience         — the fault-injection bench under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (the conservation ledger must
@@ -151,8 +154,7 @@ echo "fuzz: spec stream bit-reproducible"
 # Fixed-seed 100-case smoke under ASan+UBSan: every case runs the invariant
 # ledger plus the metamorphic oracles and must come back clean.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
-  DIBS_FUZZ_SEED=20140401 DIBS_FUZZ_BUDGET=20000000 \
-  ./build-asan/tools/dibs_fuzz run --cases 100
+  ./build-asan/tools/dibs_fuzz run --seed 20140401 --cases 100
 # Planted-bug round trip on the plain build: the committed corpus entry must
 # replay red with the known-bad ledger hook enabled and green without it —
 # if the red leg passes, the validate oracle has stopped biting.
@@ -178,6 +180,12 @@ DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 \
   ./build/bench/fig11_incast_degree > "$TR_TMP/fig11_traced.txt"
 diff -u "$CI_TMP/fig11_plain.txt" "$TR_TMP/fig11_traced.txt"
 echo "trace: tables byte-identical with tracing on"
+# One trace per run, none shared: fig11 runs 2 schemes x 4 degrees.
+for i in 0 1 2 3 4 5 6 7; do
+  [ -f "$TR_TMP/fig11.run$i.jsonl" ] || { echo "trace: no fig11.run$i.jsonl"; exit 1; }
+done
+traces="$(ls "$TR_TMP"/fig11.run*.jsonl | wc -l)"
+[ "$traces" -eq 8 ] || { echo "trace: want 8 per-run traces, found $traces"; exit 1; }
 # Every per-run trace must decode and summarize (summarize exits nonzero on
 # an empty or unopenable trace), and the Perfetto export must be valid JSON.
 for f in "$TR_TMP"/fig11.run*.jsonl; do
@@ -187,7 +195,7 @@ done
   "$TR_TMP/fig11.run0.perfetto.json" > /dev/null
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
   "$TR_TMP/fig11.run0.perfetto.json"
-echo "trace: $(ls "$TR_TMP"/fig11.run*.jsonl | wc -l) per-run traces summarize cleanly"
+echo "trace: $traces per-run traces summarize cleanly"
 
 echo "== trace: same traced bench under ASan+UBSan =="
 cmake --build build-asan -j"$JOBS" --target fig11_incast_degree

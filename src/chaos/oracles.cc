@@ -29,7 +29,6 @@ SweepOptions EngineOptions(const OracleOptions& opts, int jobs,
   so.retry.max_attempts = 1;  // a flaky-looking case must fail, not retry away
   so.retry.initial_ms = 0;
   so.isolate = mode;
-  so.watchdog_grace_sec = 5;
   so.resume = 0;
   return so;
 }

@@ -35,9 +35,9 @@
 namespace dibs::chaos {
 
 struct OracleOptions {
-  // Per-run simulator event budget (0 = unbounded). `dibs_fuzz` wires
-  // DIBS_FUZZ_BUDGET here — the same cooperative budget the sweep engine
-  // enforces, so a runaway case dies deterministically, not by wall clock.
+  // Per-run simulator event budget (0 = unbounded) — the same cooperative
+  // budget the sweep engine enforces, so a runaway case dies
+  // deterministically, not by wall clock.
   uint64_t event_budget = 20000000;
   // Per-run wall-clock ceiling in seconds (0 = none); a backstop for truly
   // wedged runs, far above any budget-respecting case.

@@ -211,7 +211,7 @@ void Network::NotifyTransportEvent(TraceEventType type, HostId host, FlowId flow
   ev.src = host;
   ev.seq = seq;
   // No packet identity: these are sender-state events. uid stays 0 so the
-  // filter treats them as control events on the host's node.
+  // trace bus's sampling treats them as control events and keeps them.
   Dispatch(ev);
 }
 

@@ -144,11 +144,11 @@ std::unique_ptr<ForkedRun> ForkedRun::Start(const RunSpec& run,
   child->fd_ = fds[0];
   child->start_ = Clock::now();
   if (options.run_timeout_sec > 0) {
-    const double grace = options.watchdog_grace_sec >= 0 ? options.watchdog_grace_sec : 0;
+    const double kill_after_sec = options.run_timeout_sec + options.watchdog_grace_sec;
     child->has_deadline_ = true;
     child->kill_deadline_ =
         child->start_ + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(options.run_timeout_sec + grace));
+                            std::chrono::duration<double>(kill_after_sec));
   }
   return child;
 }

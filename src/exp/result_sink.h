@@ -31,7 +31,8 @@ class ResultSink {
   virtual void Finish() {}
 };
 
-// Collects records in memory; what the benches use to print their tables.
+// Collects records in memory. The benches print their tables from the
+// records RunAll returns, not from a sink.
 class MemorySink : public ResultSink {
  public:
   void OnRecord(const RunRecord& record) override { records_.push_back(record); }

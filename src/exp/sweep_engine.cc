@@ -24,18 +24,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool ProgressEnabled(bool default_on) {
-  return env::Flag("DIBS_PROGRESS", default_on);
-}
-
 // Copies `options` with every env-defaulted knob resolved to its effective
 // value, so the execution paths below never consult the environment.
 SweepOptions ResolveOptions(SweepOptions options) {
   options.retry = options.retry.Resolved();
   options.isolate = SweepEngine::ResolveIsolation(options.isolate);
-  if (options.watchdog_grace_sec < 0) {
-    options.watchdog_grace_sec = env::Double("DIBS_WATCHDOG_GRACE_SEC", 5, 0, 86400);
-  }
   if (options.journal_path.empty()) {
     if (const char* env = std::getenv("DIBS_JOURNAL"); env != nullptr) {
       options.journal_path = env;
@@ -56,7 +49,7 @@ void LogFinalStatus(const std::string& sweep_name, const RunRecord& rec) {
 
 // Shared completion state: records flushed to the sink strictly in index
 // order behind a contiguous-done frontier, the journal appended per final
-// record, tallies kept for progress/strict mode. Thread-mode workers call
+// record, tallies kept for progress and summary(). Thread-mode workers call
 // Deliver under a lock; the process-mode orchestrator is single-threaded.
 struct Delivery {
   std::vector<RunRecord>* records = nullptr;
@@ -365,7 +358,7 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
   }
 
   ProgressReporter progress(sweep_name.empty() ? "sweep" : sweep_name, n,
-                            ProgressEnabled(options.progress && n > 1));
+                            options.progress && n > 1);
 
   Delivery delivery;
   delivery.records = &records;

@@ -56,8 +56,7 @@ struct SweepOptions {
   // Per-run cap on simulator events processed; 0 disables.
   uint64_t event_budget = 0;
 
-  // Progress meter on stderr ($DIBS_PROGRESS=0/1 overrides; default on for
-  // multi-run sweeps).
+  // Progress meter on stderr, for sweeps of more than one run.
   bool progress = true;
 
   // Retry policy; fields left at their sentinel defaults resolve from
@@ -69,9 +68,8 @@ struct SweepOptions {
 
   // Hard-watchdog slack beyond run_timeout_sec before SIGKILL (process
   // mode); covers the gap between the simulator's cooperative interrupt and
-  // a truly wedged child. Negative resolves from $DIBS_WATCHDOG_GRACE_SEC
-  // (default 5).
-  double watchdog_grace_sec = -1;
+  // a truly wedged child.
+  double watchdog_grace_sec = 5;
 
   // Journal file; empty resolves from $DIBS_JOURNAL (unset = no journal).
   std::string journal_path;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/util/env.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -10,17 +9,12 @@ namespace dibs {
 CollapseWatchdog::CollapseWatchdog(Simulator* sim, std::function<uint64_t()> delivered)
     : sim_(sim), delivered_(std::move(delivered)) {}
 
-bool CollapseWatchdog::ReadStrictCollapseEnv() {
-  return env::Flag("DIBS_STRICT_COLLAPSE", false);
-}
-
-void CollapseWatchdog::Start(Time stop_time, bool strict) {
+void CollapseWatchdog::Start(Time stop_time) {
   if (started_) {
     return;
   }
   started_ = true;
   stop_time_ = stop_time;
-  strict_ = strict;
   last_delivered_ = delivered_();
   sim_->Schedule(kCollapseWindow, [this] { Sample(); });
 }
@@ -54,13 +48,6 @@ void CollapseWatchdog::Sample() {
                          << peak_window_packets_ << " pkts/window) for "
                          << below_streak_ << " windows at t="
                          << collapse_onset_ms_ << "ms";
-      if (strict_) {
-        throw CollapseError(
-            "sustained congestion collapse detected at t=" +
-            std::to_string(collapse_onset_ms_) + "ms (goodput < " +
-            std::to_string(floor) + " pkts/window for " +
-            std::to_string(below_streak_) + " consecutive windows)");
-      }
     }
   }
 

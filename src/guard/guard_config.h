@@ -102,8 +102,7 @@ struct GuardConfig {
   // budget is unlimited.
   bool adaptive_ttl = false;
 
-  // Collapse watchdog (see above). Under DIBS_STRICT_COLLAPSE=1 detection
-  // throws CollapseError instead of just recording. Independent of
+  // Collapse watchdog (see above); it records, never aborts. Independent of
   // `enabled` so an unguarded run can still be diagnosed (the CI negative
   // test relies on exactly that).
   bool watchdog = false;

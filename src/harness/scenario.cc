@@ -154,7 +154,7 @@ ScenarioResult Scenario::Run() {
   if (collapse_watchdog_ != nullptr) {
     // Only watch while load is offered: the drain phase legitimately decays
     // to zero goodput and must not read as collapse.
-    collapse_watchdog_->Start(config_.duration, CollapseWatchdog::ReadStrictCollapseEnv());
+    collapse_watchdog_->Start(config_.duration);
   }
 
   try {
@@ -173,13 +173,6 @@ ScenarioResult Scenario::Run() {
   } catch (const ValidationError&) {
     // Dump the flight recorder before the error propagates: the last N
     // events around the violation are exactly what debugging needs.
-    if (trace_ != nullptr) {
-      trace_->DumpFlight();
-    }
-    throw;
-  } catch (const CollapseError&) {
-    // Strict-mode collapse abort: the events leading into the collapse are
-    // as valuable as they are for an invariant violation.
     if (trace_ != nullptr) {
       trace_->DumpFlight();
     }

@@ -1,10 +1,10 @@
 // FlightRecorder: bounded ring buffer over the trace stream.
 //
-// Always-cheap sink that remembers the last N events. On a ValidationError,
-// a crash signal, or DIBS_TRACE_DUMP=1, the ring is written out as ordinary
-// trace JSONL so the events leading up to the failure can be inspected with
-// tools/trace_tool. DumpToFd is async-signal-safe (fixed stack buffer, raw
-// write(2)) so the crash handler can call it directly.
+// Always-cheap sink that remembers the last N events. On a ValidationError
+// or a crash signal, the ring is written out as ordinary trace JSONL so the
+// events leading up to the failure can be inspected with tools/trace_tool.
+// DumpToFd is async-signal-safe (fixed stack buffer, raw write(2)) so the
+// crash handler can call it directly.
 
 #ifndef SRC_TRACE_FLIGHT_RECORDER_H_
 #define SRC_TRACE_FLIGHT_RECORDER_H_

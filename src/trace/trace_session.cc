@@ -7,15 +7,14 @@
 namespace dibs {
 
 TraceSession::TraceSession(const TraceConfig& config, int run_index)
-    : config_(config),
-      dump_path_(PerRunTracePath(config.dump_path, run_index)),
+    : dump_path_(PerRunTracePath(config.dump_path, run_index)),
       perfetto_path_(PerRunTracePath(config.perfetto_path, run_index)),
-      flight_(config.ring_capacity) {
-  bus_.SetFilter(config_.filter);
+      flight_(kFlightEvents) {
+  bus_.SetSample(config.sample);
   bus_.AddSink(&flight_);
   bus_.AddSink(&journeys_);
-  if (!config_.jsonl_path.empty()) {
-    jsonl_ = std::make_unique<JsonlTraceSink>(PerRunTracePath(config_.jsonl_path, run_index));
+  if (!config.jsonl_path.empty()) {
+    jsonl_ = std::make_unique<JsonlTraceSink>(PerRunTracePath(config.jsonl_path, run_index));
     bus_.AddSink(jsonl_.get());
   }
   if (!perfetto_path_.empty()) {
@@ -41,9 +40,6 @@ void TraceSession::Finish(const std::map<int32_t, std::string>& node_names) {
     if (out.good()) {
       WritePerfettoTrace(out, collect_->events, node_names);
     }
-  }
-  if (config_.dump_at_end) {
-    DumpFlight();
   }
 }
 

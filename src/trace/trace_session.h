@@ -7,6 +7,7 @@
 #ifndef SRC_TRACE_TRACE_SESSION_H_
 #define SRC_TRACE_TRACE_SESSION_H_
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +23,9 @@ namespace dibs {
 
 class TraceSession {
  public:
+  // Events the flight recorder keeps: the last ones before a dump.
+  static constexpr size_t kFlightEvents = 4096;
+
   // run_index >= 0 (a sweep run) suffixes file sinks with ".run<N>" so
   // parallel runs write disjoint files.
   explicit TraceSession(const TraceConfig& config, int run_index = -1);
@@ -43,8 +47,6 @@ class TraceSession {
   // ValidationError before the exception propagates).
   bool DumpFlight() const { return flight_.DumpToFile(dump_path_); }
 
-  bool dump_at_end() const { return config_.dump_at_end; }
-
  private:
   // Buffers every event when a Perfetto export is requested.
   class CollectSink : public TraceSink {
@@ -53,7 +55,6 @@ class TraceSession {
     std::vector<TraceEvent> events;
   };
 
-  TraceConfig config_;
   std::string dump_path_;
   std::string perfetto_path_;
   FlightRecorder flight_;

@@ -190,13 +190,8 @@ TEST(DigestConfigTest, EveryRemainingLeafReachesTheDigest) {
       {"trace.enabled", [](ExperimentConfig& c) { c.trace.enabled = true; }},
       {"trace.jsonl_path", [](ExperimentConfig& c) { c.trace.jsonl_path = "t.jsonl"; }},
       {"trace.perfetto_path", [](ExperimentConfig& c) { c.trace.perfetto_path = "t.json"; }},
-      {"trace.ring_capacity", [](ExperimentConfig& c) { c.trace.ring_capacity = 16; }},
-      {"trace.dump_at_end", [](ExperimentConfig& c) { c.trace.dump_at_end = true; }},
       {"trace.dump_path", [](ExperimentConfig& c) { c.trace.dump_path = "d.jsonl"; }},
-      {"trace.filter.nodes", [](ExperimentConfig& c) { c.trace.filter.nodes = {1}; }},
-      {"trace.filter.flows", [](ExperimentConfig& c) { c.trace.filter.flows = {2}; }},
-      {"trace.filter.tclass", [](ExperimentConfig& c) { c.trace.filter.tclass = 1; }},
-      {"trace.filter.sample", [](ExperimentConfig& c) { c.trace.filter.sample = 0.5; }},
+      {"trace.sample", [](ExperimentConfig& c) { c.trace.sample = 0.5; }},
       {"label", [](ExperimentConfig& c) { c.label = "renamed"; }},
       {"sweep_run_index", [](ExperimentConfig& c) { c.sweep_run_index = 5; }},
   };

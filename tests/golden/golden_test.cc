@@ -218,7 +218,7 @@ std::string FormatTraceRow(const TraceRow& r) {
 
 // Recorded from the code before the instrumentation fan-outs were folded into
 // one event stream. Sampling a quarter of packet uids keeps the rows fast and
-// pins the bus filter too; control events (uid 0) always pass it.
+// pins the bus's sampling too; control events (uid 0) always pass it.
 const TraceRow kGoldenTrace[] = {
     {"dibs_faults", 0x23f3b93fbae41e64ull, 495035},
     {"pfabric_rto", 0x1bf2be9d837e81b2ull, 487049},
@@ -232,7 +232,7 @@ TEST(GoldenBehaviour, TracedCellsMatchTheirCommittedStreams) {
   for (const TraceRow& want : kGoldenTrace) {
     ExperimentConfig config = CellConfig(want.name);
     config.trace.enabled = true;
-    config.trace.filter.sample = 0.25;
+    config.trace.sample = 0.25;
     Scenario scenario(config);
     DigestSink sink;
     scenario.trace()->bus()->AddSink(&sink);

@@ -1,8 +1,8 @@
 // Overload-guard contract: the per-switch circuit breaker trips, dwells,
 // probes, and re-arms with hysteresis; the fabric's adaptive TTL clamp
-// tightens with pressure; the collapse watchdog flags (or, strict, aborts)
-// sustained goodput loss. Everything here is plain counters + sim clock, so
-// these tests double as the determinism spec for the guard's state machine.
+// tightens with pressure; the collapse watchdog flags sustained goodput
+// loss. Everything here is plain counters + sim clock, so these tests double
+// as the determinism spec for the guard's state machine.
 
 #include "src/guard/collapse_watchdog.h"
 #include "src/guard/detour_guard.h"
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 namespace dibs {
@@ -289,7 +288,7 @@ TEST(CollapseWatchdogTest, DetectsSustainedCollapseAndRecordsOnset) {
   Simulator sim;
   uint64_t delivered = 0;
   CollapseWatchdog dog(&sim, [&] { return delivered; });
-  dog.Start(kCollapseWindow * 20, /*strict=*/false);
+  dog.Start(kCollapseWindow * 20);
   // Healthy for 5 windows (1000/window), then collapse to 100/window, below
   // kCollapseFraction of the peak.
   static_assert(100 < kCollapseFraction * 1000);
@@ -307,7 +306,7 @@ TEST(CollapseWatchdogTest, HealthyRunNeverFlags) {
   Simulator sim;
   uint64_t delivered = 0;
   CollapseWatchdog dog(&sim, [&] { return delivered; });
-  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  dog.Start(kCollapseWindow * 10);
   Deliver(sim, delivered, Plan(10, 0, 0));
   sim.Run();
   EXPECT_FALSE(dog.collapse_detected());
@@ -318,7 +317,7 @@ TEST(CollapseWatchdogTest, NoPeakMeansNoJudgment) {
   Simulator sim;
   uint64_t delivered = 0;
   CollapseWatchdog dog(&sim, [&] { return delivered; });
-  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  dog.Start(kCollapseWindow * 10);
   // Trickle traffic that never reaches kCollapseMinPeak establishes no
   // peak, so its fall to a tenth is starvation, not collapse.
   std::vector<uint64_t> plan(10, (kCollapseMinPeak - 1) / 10);
@@ -333,7 +332,7 @@ TEST(CollapseWatchdogTest, BriefDipBelowStreakDoesNotFlag) {
   Simulator sim;
   uint64_t delivered = 0;
   CollapseWatchdog dog(&sim, [&] { return delivered; });
-  dog.Start(kCollapseWindow * 10, /*strict=*/false);
+  dog.Start(kCollapseWindow * 10);
   // A dip one window short of the streak, then recovery: the streak resets.
   std::vector<uint64_t> plan = Plan(2, kCollapseConsecutive - 1, 100);
   const std::vector<uint64_t> recovery = Plan(10 - static_cast<int>(plan.size()), 0, 0);
@@ -341,25 +340,6 @@ TEST(CollapseWatchdogTest, BriefDipBelowStreakDoesNotFlag) {
   Deliver(sim, delivered, plan);
   sim.Run();
   EXPECT_FALSE(dog.collapse_detected());
-}
-
-TEST(CollapseWatchdogTest, StrictModeThrowsTypedError) {
-  Simulator sim;
-  uint64_t delivered = 0;
-  CollapseWatchdog dog(&sim, [&] { return delivered; });
-  dog.Start(kCollapseWindow * 20, /*strict=*/true);
-  Deliver(sim, delivered, Plan(3, 17, 10));
-  EXPECT_THROW(sim.Run(), CollapseError);
-  EXPECT_TRUE(dog.collapse_detected());
-}
-
-TEST(CollapseWatchdogTest, StrictCollapseEnvParsesOnlyLiteralOne) {
-  ::setenv("DIBS_STRICT_COLLAPSE", "1", 1);
-  EXPECT_TRUE(CollapseWatchdog::ReadStrictCollapseEnv());
-  ::setenv("DIBS_STRICT_COLLAPSE", "0", 1);
-  EXPECT_FALSE(CollapseWatchdog::ReadStrictCollapseEnv());
-  ::unsetenv("DIBS_STRICT_COLLAPSE");
-  EXPECT_FALSE(CollapseWatchdog::ReadStrictCollapseEnv());
 }
 
 // The whole guard is counter + clock arithmetic; identical inputs must give

@@ -1,5 +1,5 @@
 // Trace subsystem tests: codec round-trips, flight-recorder ring semantics,
-// filters, dump-on-ValidationError, journey-vs-aggregate cross-checks, and
+// sampling, dump-on-ValidationError, journey-vs-aggregate cross-checks, and
 // the determinism contract — traced runs match untraced runs, and trace
 // JSONL is byte-identical across worker counts and process isolation.
 
@@ -170,7 +170,7 @@ TEST(FlightRecorder, DumpIsParseableJsonl) {
   std::remove(path.c_str());
 }
 
-TEST(TraceBusTest, FiltersByNodeFlowClassAndSample) {
+TEST(TraceBusTest, SamplesPacketEventsAndPassesControlEvents) {
   struct Counter : TraceSink {
     int n = 0;
     void OnEvent(const TraceEvent&) override { ++n; }
@@ -178,33 +178,34 @@ TEST(TraceBusTest, FiltersByNodeFlowClassAndSample) {
   TraceBus bus;
   bus.AddSink(&sink);
 
-  TraceFilter f;
-  f.nodes = {17};
-  f.flows = {42};
-  f.tclass = static_cast<int>(TrafficClass::kQuery);
-  bus.SetFilter(f);
-
-  bus.OnEvent(FullEvent(1));  // matches everything
-  EXPECT_EQ(sink.n, 1);
-  TraceEvent wrong_node = FullEvent(1);
-  wrong_node.node = 3;
-  bus.OnEvent(wrong_node);
-  EXPECT_EQ(sink.n, 1);
-  TraceEvent wrong_flow = FullEvent(1);
-  wrong_flow.flow = 7;
-  bus.OnEvent(wrong_flow);
-  EXPECT_EQ(sink.n, 1);
-  TraceEvent wrong_class = FullEvent(1);
-  wrong_class.tclass = static_cast<uint8_t>(TrafficClass::kBackground);
-  bus.OnEvent(wrong_class);
+  bus.OnEvent(FullEvent(1));  // the default rate passes every event
   EXPECT_EQ(sink.n, 1);
 
-  // Control events (uid 0) bypass packet dimensions but honor the node set.
+  bus.SetSample(0.0);
+  bus.OnEvent(FullEvent(1));
+  EXPECT_EQ(sink.n, 1);
+
+  // A packet event passes exactly when its uid is in the sampled set.
+  bus.SetSample(0.25);
+  int expected = sink.n;
+  for (uint64_t uid = 1; uid <= 200; ++uid) {
+    TraceEvent e = FullEvent(1);
+    e.uid = uid;
+    bus.OnEvent(e);
+    expected += SampledUid(uid, 0.25) ? 1 : 0;
+  }
+  EXPECT_EQ(sink.n, expected);
+  EXPECT_GT(sink.n, 1);
+  EXPECT_LT(sink.n, 201);
+
+  // Control events (uid 0) carry no packet identity: sampling never drops
+  // them.
+  bus.SetSample(0.0);
   TraceEvent control;
   control.type = TraceEventType::kPause;
   control.node = 17;
   bus.OnEvent(control);
-  EXPECT_EQ(sink.n, 2);
+  EXPECT_EQ(sink.n, expected + 1);
 }
 
 TEST(TraceBusTest, SamplingIsAPureUidHash) {
@@ -232,26 +233,17 @@ TEST(TraceConfigTest, PerRunTracePathInsertsRunIndex) {
 TEST(TraceConfigTest, EnvOverlayOverridesBase) {
   ::setenv("DIBS_TRACE", "1", 1);
   ::setenv("DIBS_TRACE_JSONL", "x.jsonl", 1);
-  ::setenv("DIBS_TRACE_NODES", "3,1,2", 1);
-  ::setenv("DIBS_TRACE_FLOWS", "17,4", 1);
   ::setenv("DIBS_TRACE_SAMPLE", "0.5", 1);
-  ::setenv("DIBS_TRACE_RING", "128", 1);
-  ::setenv("DIBS_TRACE_DUMP", "1", 1);
+  ::setenv("DIBS_TRACE_DUMP_PATH", "d.jsonl", 1);
   const TraceConfig c = ApplyTraceEnv(TraceConfig{});
   ::unsetenv("DIBS_TRACE");
   ::unsetenv("DIBS_TRACE_JSONL");
-  ::unsetenv("DIBS_TRACE_NODES");
-  ::unsetenv("DIBS_TRACE_FLOWS");
   ::unsetenv("DIBS_TRACE_SAMPLE");
-  ::unsetenv("DIBS_TRACE_RING");
-  ::unsetenv("DIBS_TRACE_DUMP");
+  ::unsetenv("DIBS_TRACE_DUMP_PATH");
   EXPECT_TRUE(c.enabled);
   EXPECT_EQ(c.jsonl_path, "x.jsonl");
-  EXPECT_EQ(c.filter.nodes, (std::vector<int32_t>{1, 2, 3}));
-  EXPECT_EQ(c.filter.flows, (std::vector<FlowId>{4, 17}));
-  EXPECT_DOUBLE_EQ(c.filter.sample, 0.5);
-  EXPECT_EQ(c.ring_capacity, 128u);
-  EXPECT_TRUE(c.dump_at_end);
+  EXPECT_DOUBLE_EQ(c.sample, 0.5);
+  EXPECT_EQ(c.dump_path, "d.jsonl");
 }
 
 TEST(TraceConfigTest, EnvOverlaySwitchIsACheckedBoolean) {
@@ -279,12 +271,9 @@ std::string RejectedKnob(const char* name, const char* value) {
 
 TEST(TraceConfigTest, EnvOverlayRejectsMalformedKnobs) {
   EXPECT_EQ(RejectedKnob("DIBS_TRACE", "treu"), "DIBS_TRACE");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "tor1,tor2"), "DIBS_TRACE_NODES");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "4294967298"), "DIBS_TRACE_NODES");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "1,,2"), "DIBS_TRACE_NODES");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_FLOWS", "-7"), "DIBS_TRACE_FLOWS");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_FLOWS", "4;17"), "DIBS_TRACE_FLOWS");
-  EXPECT_EQ(RejectedKnob("DIBS_TRACE_NODES", "2147483647"), "");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "0.5x"), "DIBS_TRACE_SAMPLE");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "2"), "DIBS_TRACE_SAMPLE");
+  EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "1"), "");
 }
 
 // A miniature DIBS scenario with buffers small enough to guarantee detours.

@@ -16,11 +16,11 @@
 //   dibs_fuzz oneshot --spec '<json>' [--oracle NAME]
 //       run the oracle suite (or one oracle) against a literal spec
 //
-// Environment: DIBS_FUZZ_SEED / DIBS_FUZZ_CASES default --seed/--cases;
-// DIBS_FUZZ_BUDGET caps the per-run simulator event budget (deterministic —
-// a runaway case dies at an exact event count, not a wall-clock race).
-// Everything is seed-driven: the same seed and case count produce the same
-// specs, verdicts, and shrink trajectories on every machine.
+// --seed defaults to 1 and --cases to 100. Every run is capped at
+// OracleOptions::event_budget simulator events (deterministic — a runaway
+// case dies at an exact event count, not a wall-clock race). Everything is
+// seed-driven: the same seed and case count produce the same specs,
+// verdicts, and shrink trajectories on every machine.
 
 #include <cstdint>
 #include <fstream>
@@ -48,11 +48,10 @@ void Usage() {
       << "  gen     [--seed S] [--cases N]   print the spec stream, no execution\n"
       << "  replay  <entry.json | dir>       re-run recorded failing oracle(s)\n"
       << "  shrink  <entry.json>             re-shrink an entry in place\n"
-      << "  oneshot --spec '<json>' [--oracle NAME]\n"
-      << "env: DIBS_FUZZ_SEED, DIBS_FUZZ_CASES, DIBS_FUZZ_BUDGET\n";
+      << "  oneshot --spec '<json>' [--oracle NAME]\n";
 }
 
-// Accepted ranges, shared by the DIBS_FUZZ_* defaults and the flags.
+// Accepted ranges of the numeric flags.
 constexpr int64_t kMaxSeed = INT64_MAX;
 constexpr int64_t kMaxCases = 1000000;
 
@@ -63,8 +62,8 @@ struct Args {
   std::vector<std::string> positional;
   bool ok = true;
 
-  uint64_t seed;
-  int cases;
+  uint64_t seed = 1;
+  int cases = 100;
   std::string corpus_dir;
   std::string spec_json;
   std::string oracle_name;
@@ -74,8 +73,6 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args args;
-  args.seed = static_cast<uint64_t>(env::Int("DIBS_FUZZ_SEED", 1, 0, kMaxSeed));
-  args.cases = static_cast<int>(env::Int("DIBS_FUZZ_CASES", 100, 1, kMaxCases));
   auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
       std::cerr << "dibs_fuzz: " << flag << " needs a value\n";
@@ -84,8 +81,8 @@ Args Parse(int argc, char** argv) {
     }
     return argv[++i];
   };
-  // Numeric flags go through env::Int's rule, so "--cases 1O0" fails the
-  // same way DIBS_FUZZ_CASES=1O0 does.
+  // Numeric flags go through env::Int's digit-and-range rule, so "--cases
+  // 1O0" fails the way a junk environment knob does.
   auto int_value = [&](int& i, const char* flag, int64_t min, int64_t max,
                        int64_t* out) {
     const char* v = need_value(i, flag);
@@ -129,14 +126,6 @@ Args Parse(int argc, char** argv) {
   return args;
 }
 
-OracleOptions OracleOptionsFromEnv() {
-  OracleOptions options;
-  options.event_budget = static_cast<uint64_t>(
-      env::Int("DIBS_FUZZ_BUDGET", static_cast<int64_t>(options.event_budget),
-               0));
-  return options;
-}
-
 int CmdRun(const Args& args) {
   FuzzOptions options;
   options.seed = args.seed;
@@ -144,7 +133,6 @@ int CmdRun(const Args& args) {
   options.shrink = args.shrink;
   options.corpus_dir = args.corpus_dir;
   options.max_failures = args.max_failures;
-  options.oracle = OracleOptionsFromEnv();
   const FuzzReport report = RunFuzz(options, std::cerr);
   std::cout << "dibs_fuzz: " << report.cases_run << " cases, "
             << report.findings.size() << " failure(s)\n";
@@ -175,7 +163,7 @@ int CmdReplay(const Args& args) {
     std::cerr << "dibs_fuzz replay: need an entry file or corpus directory\n";
     return 2;
   }
-  const OracleOptions options = OracleOptionsFromEnv();
+  const OracleOptions options{};
   int failures = 0;
   for (const std::string& target : args.positional) {
     const std::vector<std::string> entries = ListCorpus(target);
@@ -197,7 +185,7 @@ int CmdShrink(const Args& args) {
   }
   const std::string& path = args.positional.front();
   CorpusEntry entry = ReadCorpusEntry(path);
-  const OracleOptions options = OracleOptionsFromEnv();
+  const OracleOptions options{};
   const OracleVerdict now = CheckOracle(entry.spec, entry.oracle, options);
   if (now.passed) {
     std::cerr << "dibs_fuzz shrink: " << path << " no longer fails '"
@@ -222,7 +210,7 @@ int CmdOneshot(const Args& args) {
     return 2;
   }
   const ChaosSpec spec = DecodeChaosSpec(args.spec_json);
-  const OracleOptions options = OracleOptionsFromEnv();
+  const OracleOptions options{};
   const OracleVerdict verdict =
       args.oracle_name.empty()
           ? CheckSpec(spec, options, /*force_heavy=*/true)
