@@ -9,24 +9,30 @@
 #                           ordered container.
 #   2. format             — clang-format --dry-run over the tree (skipped
 #                           when clang-format is not installed).
-#   3. tier-1             — default build + full ctest suite.
-#   4. perfbench          — the benchmark's own self-test (planted digest and
+#   3. tier-1             — default build + full ctest suite, which also
+#                           diffs 20 paper benches' stdout against their
+#                           locked tables (tests/golden/tables/).
+#   4. tables             — the other three paper benches (sec56_fairness,
+#                           fig14, fig15; 7-16 s each) against their locked
+#                           tables, at DIBS_BENCH_DURATION_MS=20 and
+#                           DIBS_JOBS=4 like the ctests.
+#   5. perfbench          — the benchmark's own self-test (planted digest and
 #                           status failures must reach fail_frac), then every
 #                           BENCHMARK.json workload once at seed 1 for one
 #                           second: each must report "correct": true, i.e.
 #                           finish ok with the reference digest. A change to
 #                           event order fails here, not only in the
 #                           benchmark pipeline.
-#   5. tidy               — `tidy` target over src/ using the tier-1 build's
+#   6. tidy               — `tidy` target over src/ using the tier-1 build's
 #                           compile_commands.json (skips itself when
 #                           clang-tidy is not installed).
-#   6. asan+ubsan         — full ctest suite under ASan+UBSan with
+#   7. asan+ubsan         — full ctest suite under ASan+UBSan with
 #                           DIBS_VALIDATE=1, so every scenario test also
 #                           runs the invariant checker and its conservation
 #                           ledger must balance, and golden_behaviour must
 #                           reproduce its committed digests in this build
 #                           too.
-#   7. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
+#   8. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
 #                           (`run --seed 20140401 --cases 100`: invariant +
@@ -37,11 +43,11 @@
 #                           bug in and green without — proof the oracle
 #                           actually bites. Corpus replay itself rides in
 #                           tier-1 ctest (chaos_corpus_replay).
-#   8. fig11              — the incast-degree figure bench end-to-end with
+#   9. fig11              — the incast-degree figure bench end-to-end with
 #                           DIBS_VALIDATE=1 and DIBS_REQUIRE_OK=1 (any run
 #                           a validation throw fails is fatal), on the
 #                           tier-1 build tree.
-#   9. trace              — fig11 again with DIBS_TRACE=1: tables must be
+#  10. trace              — fig11 again with DIBS_TRACE=1: tables must be
 #                           byte-identical to the fig11 stage's run, it must
 #                           leave exactly one trace JSONL per run (8: two
 #                           schemes x four degrees), each must pass
@@ -55,14 +61,14 @@
 #                           must stay within 2% of the per-machine ratcheted
 #                           baseline cached in the build tree
 #                           (tools/check_trace_overhead.py).
-#  10. resilience         — the fault-injection bench under ASan+UBSan with
+#  11. resilience         — the fault-injection bench under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (the conservation ledger must
 #                           balance through link flaps, lossy links, and a
 #                           ToR crash), run twice — DIBS_JOBS=1 then
 #                           DIBS_JOBS=8 — and diffed: tables byte-identical,
 #                           JSONL identical modulo host-side wall-clock
 #                           metadata (wall_ms / events_per_sec).
-#  11. crash-resume       — kills (SIGKILL) the resilience bench mid-sweep,
+#  12. crash-resume       — kills (SIGKILL) the resilience bench mid-sweep,
 #                           resumes it from its run journal (DIBS_RESUME=1),
 #                           and byte-diffs the resumed tables/JSONL against
 #                           an uninterrupted run at DIBS_JOBS=1 and 8 — the
@@ -71,7 +77,7 @@
 #                           machinery (DIBS_TEST_CRASH_RUN, DIBS_ISOLATE)
 #                           are exercised by tests/exp under the
 #                           asan+ubsan stage's config.
-#  12. guard              — overload-protection smoke: the guarded fig14
+#  13. guard              — overload-protection smoke: the guarded fig14
 #                           extreme-qps sweep under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (guard drops must keep the
 #                           conservation ledger balanced, and the breaker
@@ -81,7 +87,7 @@
 #                           the collapse point and must not flag the
 #                           guarded run (DIBS_GUARD_EXPECT=1 makes the
 #                           bench exit nonzero otherwise).
-#  13. tsan               — sweep engine under ThreadSanitizer (tests/exp)
+#  14. tsan               — sweep engine under ThreadSanitizer (tests/exp)
 #                           so data races in the threaded layer fail the
 #                           pipeline.
 #
@@ -109,6 +115,13 @@ echo "== tier-1: default build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+echo "== tables: the three slow paper benches against their locked tables =="
+for bench in sec56_fairness fig14_extreme_qps fig15_large_response; do
+  DIBS_BENCH_DURATION_MS=20 DIBS_JOBS=4 \
+    tests/expect_table.sh "tests/golden/tables/$bench.txt" "./build/bench/$bench"
+done
+echo "tables: all 23 paper benches print their locked tables"
 
 echo "== perfbench: self-test, then every workload's digest at seed 1 =="
 # run.py builds its own tree (.bench_build/) from this checkout's src/ and

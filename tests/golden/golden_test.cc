@@ -22,6 +22,7 @@
 // JSONL line (FNV-1a-64 over the EncodeTraceEventLine bytes) and counts them.
 // Together those rows must cover every TraceEventType plus a pFabric
 // eviction drop, so no emission point can move or vanish unnoticed.
+// stream_test.cc pins every cell's unsampled stream the same way.
 //
 // A third test runs one cell with every instrument on and again with every
 // instrument off, and requires the same record: observation must never
@@ -33,16 +34,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "src/chaos/oracles.h"
 #include "src/exp/run_record.h"
-#include "src/fault/fault_plan.h"
-#include "src/harness/config.h"
 #include "src/harness/scenario.h"
-#include "src/trace/trace_codec.h"
+#include "tests/golden/golden_cells.h"
 
-namespace dibs {
+namespace dibs::golden {
 namespace {
 
 struct GoldenRow {
@@ -52,92 +50,6 @@ struct GoldenRow {
   uint64_t flows_completed;
   uint64_t detours;
 };
-
-// Shared shape of every cell: k=4 fat-tree (16 hosts), fixed seed.
-ExperimentConfig Reduced(ExperimentConfig c, int duration_ms, int drain_ms) {
-  c.fat_tree_k = 4;
-  c.incast_degree = 12;
-  c.bg_interarrival = Time::Millis(2);
-  c.duration = Time::Millis(duration_ms);
-  c.drain = Time::Millis(drain_ms);
-  c.seed = 7;
-  return c;
-}
-
-ExperimentConfig CellConfig(const std::string& name) {
-  if (name == "dibs_incast_background") {
-    ExperimentConfig c = Reduced(DibsConfig(), 30, 15);
-    c.qps = 2000;
-    return c;
-  }
-  if (name == "pfabric_rto") {
-    ExperimentConfig c = Reduced(PfabricExperimentConfig(), 30, 15);
-    c.qps = 3000;
-    return c;
-  }
-  if (name == "dctcp_pfc") {
-    ExperimentConfig c = Reduced(DctcpConfig(), 30, 15);
-    c.qps = 2000;
-    c.net.pfc_enabled = true;
-    return c;
-  }
-  if (name == "dibs_faults") {
-    ExperimentConfig c = Reduced(DibsConfig(), 35, 15);
-    c.qps = 2000;
-    const Topology topo = BuildTopology(c);
-    const int tor = fault::TorOf(topo, /*h=*/0);
-    const std::vector<int> uplinks = fault::SwitchFacingLinks(topo, tor);
-    // Jitter far above the serialization time, so deliveries on the lossy
-    // uplink land out of transmit order.
-    c.faults.DegradeLink(uplinks.at(0), Time::Millis(2), /*loss_probability=*/0.05,
-                         /*extra_jitter=*/Time::Micros(60))
-        .RestoreLink(uplinks.at(0), Time::Millis(30))
-        .LinkFlap(uplinks.at(1), Time::Millis(5), Time::Millis(3), Time::Millis(3),
-                  /*cycles=*/2)
-        .SwitchCrash(fault::TorOf(topo, /*h=*/15), Time::Millis(10))
-        .SwitchRestart(fault::TorOf(topo, /*h=*/15), Time::Millis(20));
-    return c;
-  }
-  if (name == "dibs_guard_watchdog") {
-    // Shallow buffers and a wide incast, so a breaker trips within the cell.
-    ExperimentConfig c = Reduced(DibsGuardConfig(), 30, 10);
-    c.qps = 18000;
-    c.incast_degree = 15;
-    c.net.switch_buffer_packets = 30;
-    c.net.guard.watchdog = true;
-    return c;
-  }
-  if (name == "dibs_load_aware" || name == "dibs_flow_based" || name == "dibs_probabilistic") {
-    // The incast/background cell under each other §7 detour policy.
-    ExperimentConfig c = CellConfig("dibs_incast_background");
-    c.net.detour_policy = name == "dibs_load_aware"   ? "load-aware"
-                          : name == "dibs_flow_based" ? "flow-based"
-                                                      : "probabilistic";
-    return c;
-  }
-  if (name == "dctcp_monitors_shared_buffer") {
-    ExperimentConfig c = Reduced(DctcpConfig(), 30, 15);
-    c.qps = 2000;
-    c.net.use_shared_buffer = true;
-    c.monitor_links = true;
-    c.monitor_buffers = true;
-    return c;
-  }
-  ADD_FAILURE() << "no golden cell named " << name;
-  return ExperimentConfig();
-}
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-uint64_t Fnv1a64(const char* bytes, size_t n, uint64_t h = kFnvOffset) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t Fnv1a64(const std::string& bytes) { return Fnv1a64(bytes.data(), bytes.size()); }
 
 GoldenRow RunRow(const char* name) {
   RunRecord rec;
@@ -187,26 +99,6 @@ struct TraceRow {
   const char* name;
   uint64_t digest;  // FNV-1a-64 over every encoded line, newlines included
   uint64_t lines;
-};
-
-// Hashes the encoded stream exactly as a JSONL sink would write it.
-class DigestSink : public TraceSink {
- public:
-  void OnEvent(const TraceEvent& e) override {
-    char buf[kMaxTraceLineBytes];
-    const size_t n = EncodeTraceEventLine(e, buf, sizeof buf);
-    digest = Fnv1a64(buf, n, digest);
-    ++lines;
-    kinds.set(static_cast<size_t>(e.type));
-    if (e.type == TraceEventType::kDrop && e.drop_reason == kTraceEvictionReason) {
-      ++evictions;
-    }
-  }
-
-  uint64_t digest = kFnvOffset;
-  uint64_t lines = 0;
-  std::bitset<kNumTraceEventTypes> kinds;
-  uint64_t evictions = 0;
 };
 
 std::string FormatTraceRow(const TraceRow& r) {
@@ -275,4 +167,4 @@ TEST(GoldenBehaviour, InstrumentsDoNotPerturb) {
 }
 
 }  // namespace
-}  // namespace dibs
+}  // namespace dibs::golden
