@@ -46,12 +46,15 @@ int main() {
                       "timeouts", "retransmits"});
   table.PrintHeader();
   for (size_t i = 0; i < points.size(); ++i) {
-    const ScenarioResult& r = records[i].result;
+    const RunRecord& rec = records[i];
+    const ScenarioResult& r = rec.result;
     table.PrintRow({TablePrinter::Int(points[i].dupack),
                     TablePrinter::Int(static_cast<uint64_t>(points[i].minrto_ms)),
-                    TablePrinter::Num(r.qct99_ms), TablePrinter::Num(r.qct.p50),
-                    TablePrinter::Num(r.bg_fct99_ms), TablePrinter::Int(r.timeouts),
-                    TablePrinter::Int(r.retransmits)});
+                    ResultCell(rec, TablePrinter::Num(r.qct99_ms)),
+                    ResultCell(rec, TablePrinter::Num(r.qct.p50)),
+                    ResultCell(rec, TablePrinter::Num(r.bg_fct99_ms)),
+                    ResultCell(rec, TablePrinter::Int(r.timeouts)),
+                    ResultCell(rec, TablePrinter::Int(r.retransmits))});
   }
   std::cout << "\n(dupack=3 fires spuriously on detour reordering; dupack=0 — the paper's\n"
                " and our default — and dupack>=10 behave equivalently; minRTO sets the\n"

@@ -1,5 +1,5 @@
 // Shared plumbing for the figure benches: standard run durations, sweep
-// execution through the src/exp engine, the DCTCP-vs-DIBS comparison row,
+// execution through the src/exp engine, table cells read from its records,
 // and CDF printing.
 //
 // Durations are scaled down from the paper's runs so that the whole bench
@@ -178,40 +178,6 @@ inline void PrintCdf(const std::string& series_name,
   for (const auto& [value, frac] : cdf) {
     table.PrintRow({series_name, TablePrinter::Num(value, 4), TablePrinter::Num(frac, 3)});
   }
-}
-
-// The standard two-scheme comparison row most figures print.
-struct ComparisonRow {
-  ScenarioResult dctcp;
-  ScenarioResult dibs;
-};
-
-// Runs N (dctcp, dibs) config pairs through the engine — both schemes of all
-// rows execute concurrently — and returns one ComparisonRow per pair.
-inline std::vector<ComparisonRow> CompareSchemesSweep(
-    const std::string& name,
-    const std::vector<std::pair<ExperimentConfig, ExperimentConfig>>& pairs) {
-  std::vector<RunSpec> runs;
-  runs.reserve(pairs.size() * 2);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    for (const auto& [scheme, config] :
-         {std::pair<std::string, const ExperimentConfig&>{"dctcp", pairs[i].first},
-          std::pair<std::string, const ExperimentConfig&>{"dibs", pairs[i].second}}) {
-      runs.push_back(BenchRun(config, {{"scheme", scheme}, {"pair", std::to_string(i)}}));
-    }
-  }
-  const std::vector<RunRecord> records = RunBenchRuns(name, std::move(runs));
-  std::vector<ComparisonRow> rows;
-  rows.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    rows.push_back({records[2 * i].result, records[2 * i + 1].result});
-  }
-  return rows;
-}
-
-inline ComparisonRow CompareSchemes(ExperimentConfig base_dctcp, ExperimentConfig base_dibs) {
-  return CompareSchemesSweep("compare", {{std::move(base_dctcp), std::move(base_dibs)}})
-      .front();
 }
 
 }  // namespace bench

@@ -39,11 +39,12 @@ int main() {
     const RunRecord& dctcp =
         FindRecord(records, {{"scheme", "dctcp"}, {"buffer_pkts", b}});
     const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"buffer_pkts", b}});
-    table.PrintRow({TablePrinter::Int(buffer), TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Num(infinite.result.qct99_ms),
-                    TablePrinter::Int(dctcp.result.drops),
-                    TablePrinter::Int(dibs.result.drops)});
+    table.PrintRow({TablePrinter::Int(buffer),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(infinite, TablePrinter::Num(infinite.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Int(dctcp.result.drops)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.drops))});
   }
   return 0;
 }

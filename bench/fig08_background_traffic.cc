@@ -13,20 +13,33 @@ int main() {
   PrintFigureBanner("Figure 8", "Variable background traffic",
                     "incast degree 40, response 20KB, 300 qps; K=8 fat-tree");
   const Time duration = BenchDuration();
+  const std::vector<int> interarrivals_ms = {10, 20, 40, 80, 120};
+
+  SweepSpec spec;
+  spec.name = "fig08";
+  spec.axes.push_back(SchemeAxis({{"dctcp", Standard(DctcpConfig(), duration)},
+                                  {"dibs", Standard(DibsConfig(), duration)}}));
+  spec.axes.push_back(SweepAxis::Of<int>(
+      "bg_interarrival_ms", interarrivals_ms,
+      [](ExperimentConfig& c, int ms) { c.bg_interarrival = Time::Millis(ms); }));
+
+  const std::vector<RunRecord> records = RunBenchSweep(std::move(spec));
+
   TablePrinter table({"bg_interarrival_ms", "qct99_dctcp_ms", "qct99_dibs_ms",
                       "bgfct99_dctcp_ms", "bgfct99_dibs_ms", "dibs_drops", "dctcp_drops"});
   table.PrintHeader();
-  for (int ms : {10, 20, 40, 80, 120}) {
-    ExperimentConfig dctcp = Standard(DctcpConfig(), duration);
-    ExperimentConfig dibs = Standard(DibsConfig(), duration);
-    dctcp.bg_interarrival = Time::Millis(ms);
-    dibs.bg_interarrival = Time::Millis(ms);
-    const ComparisonRow row = CompareSchemes(dctcp, dibs);
+  for (int ms : interarrivals_ms) {
+    const std::string m = std::to_string(ms);
+    const RunRecord& dctcp =
+        FindRecord(records, {{"scheme", "dctcp"}, {"bg_interarrival_ms", m}});
+    const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"bg_interarrival_ms", m}});
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(ms)),
-                    TablePrinter::Num(row.dctcp.qct99_ms), TablePrinter::Num(row.dibs.qct99_ms),
-                    TablePrinter::Num(row.dctcp.bg_fct99_ms),
-                    TablePrinter::Num(row.dibs.bg_fct99_ms),
-                    TablePrinter::Int(row.dibs.drops), TablePrinter::Int(row.dctcp.drops)});
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.drops)),
+                    ResultCell(dctcp, TablePrinter::Int(dctcp.result.drops))});
   }
   return 0;
 }

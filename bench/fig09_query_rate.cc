@@ -34,13 +34,13 @@ int main() {
     const RunRecord& dctcp = FindRecord(records, {{"scheme", "dctcp"}, {"qps", q}});
     const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"qps", q}});
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(qps)),
-                    TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Num(dctcp.result.bg_fct99_ms),
-                    TablePrinter::Num(dibs.result.bg_fct99_ms),
-                    TablePrinter::Int(dctcp.result.drops),
-                    TablePrinter::Int(dibs.result.drops),
-                    TablePrinter::Num(dibs.result.detoured_fraction, 3)});
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Int(dctcp.result.drops)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.drops)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.detoured_fraction, 3))});
   }
   return 0;
 }

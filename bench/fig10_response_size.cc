@@ -34,12 +34,12 @@ int main() {
     const RunRecord& dctcp = FindRecord(records, {{"scheme", "dctcp"}, {"response_kb", k}});
     const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"response_kb", k}});
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(kb)),
-                    TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Num(dctcp.result.bg_fct99_ms),
-                    TablePrinter::Num(dibs.result.bg_fct99_ms),
-                    TablePrinter::Int(dctcp.result.drops),
-                    TablePrinter::Int(dibs.result.drops)});
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Int(dctcp.result.drops)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.drops))});
   }
   return 0;
 }

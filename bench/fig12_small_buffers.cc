@@ -41,12 +41,13 @@ int main() {
     const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"buffer_pkts", b}});
     // A 0.00 QCT with 0 completions means no query finished inside the
     // window (the paper's log-scale ~1s points at 1-packet buffers).
-    table.PrintRow({TablePrinter::Int(buffer), TablePrinter::Num(dctcp.result.bg_fct99_ms),
-                    TablePrinter::Num(dibs.result.bg_fct99_ms),
-                    TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Int(dctcp.result.queries_completed),
-                    TablePrinter::Int(dibs.result.queries_completed)});
+    table.PrintRow({TablePrinter::Int(buffer),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Int(dctcp.result.queries_completed)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.queries_completed))});
   }
   return 0;
 }

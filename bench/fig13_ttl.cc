@@ -41,11 +41,11 @@ int main() {
   for (int ttl : ttls) {
     const RunRecord& dibs = FindRecord(records, {{"ttl", std::to_string(ttl)}});
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(ttl)),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.bg_fct99_ms),
-                    TablePrinter::Int(dibs.result.ttl_drops),
-                    TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dctcp.result.bg_fct99_ms)});
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.ttl_drops)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms))});
   }
   return 0;
 }

@@ -63,26 +63,40 @@ int main() {
     const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"qps", q}});
     const RunRecord& guard = FindRecord(records, {{"scheme", "dibs-guard"}, {"qps", q}});
     table.PrintRow({TablePrinter::Int(static_cast<uint64_t>(qps)),
-                    TablePrinter::Num(dctcp.result.qct99_ms),
-                    TablePrinter::Num(dibs.result.qct99_ms),
-                    TablePrinter::Num(guard.result.qct99_ms),
-                    TablePrinter::Int(dibs.result.flows_completed),
-                    TablePrinter::Int(guard.result.flows_completed),
-                    dibs.result.collapse_detected ? "YES" : "-",
-                    guard.result.collapse_detected ? "YES" : "-",
-                    TablePrinter::Int(guard.result.guard_trips),
-                    TablePrinter::Num(guard.result.guard_time_suppressed_ms, 1)});
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(guard, TablePrinter::Num(guard.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Int(dibs.result.flows_completed)),
+                    ResultCell(guard, TablePrinter::Int(guard.result.flows_completed)),
+                    ResultCell(dibs, dibs.result.collapse_detected ? "YES" : "-"),
+                    ResultCell(guard, guard.result.collapse_detected ? "YES" : "-"),
+                    ResultCell(guard, TablePrinter::Int(guard.result.guard_trips)),
+                    ResultCell(guard,
+                               TablePrinter::Num(guard.result.guard_time_suppressed_ms, 1))});
   }
 
   // Acceptance row: at the highest qps where unguarded DIBS collapsed in-run,
   // the guarded scheme must sustain >= 90% of the goodput (completed flows)
   // it held at the last pre-overload point — the highest qps where unguarded
-  // DIBS stayed healthy.
+  // DIBS stayed healthy. A row that did not finish ok has no result to read,
+  // so the row scores nothing.
+  const auto not_ok = [](const RunRecord& rec) {
+    if (rec.status == RunStatus::kOk) {
+      return false;
+    }
+    std::printf("\nguard acceptance: the %s run at %s qps is %s; nothing to score\n",
+                rec.points[0].value.c_str(), rec.points[1].value.c_str(),
+                RunStatusName(rec.status));
+    return true;
+  };
   int collapse_qps = 0;
   int pre_overload_qps = 0;
   for (int qps : rates) {
     const RunRecord& dibs =
         FindRecord(records, {{"scheme", "dibs"}, {"qps", std::to_string(qps)}});
+    if (not_ok(dibs)) {
+      return 0;
+    }
     if (dibs.result.collapse_detected) {
       collapse_qps = qps;
     } else if (collapse_qps == 0) {
@@ -101,6 +115,9 @@ int main() {
       records, {{"scheme", "dibs-guard"}, {"qps", std::to_string(collapse_qps)}});
   const RunRecord& guard_pre = FindRecord(
       records, {{"scheme", "dibs-guard"}, {"qps", std::to_string(pre_overload_qps)}});
+  if (not_ok(guard_at_collapse) || not_ok(guard_pre)) {
+    return 0;
+  }
   const double retention =
       guard_pre.result.flows_completed == 0
           ? 0.0

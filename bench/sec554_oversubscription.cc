@@ -12,20 +12,29 @@ int main() {
   PrintFigureBanner("Sec 5.5.4", "Oversubscription",
                     "fabric rate = host rate / factor; defaults otherwise");
   const Time duration = BenchDuration();
+  const std::vector<int> factors = {1, 2, 3, 4};
+
+  SweepSpec spec;
+  spec.name = "sec554";
+  spec.axes.push_back(SchemeAxis({{"dctcp", Standard(DctcpConfig(), duration)},
+                                  {"dibs", Standard(DibsConfig(), duration)}}));
+  spec.axes.push_back(SweepAxis::Of<int>(
+      "factor", factors, [](ExperimentConfig& c, int f) { c.oversubscription = f; }));
+
+  const std::vector<RunRecord> records = RunBenchSweep(std::move(spec));
+
   TablePrinter table({"oversub", "factor", "qct99_dctcp_ms", "qct99_dibs_ms",
                       "bgfct99_dctcp_ms", "bgfct99_dibs_ms"});
   table.PrintHeader();
-  for (double factor : {1.0, 2.0, 3.0, 4.0}) {
-    ExperimentConfig dctcp = Standard(DctcpConfig(), duration);
-    ExperimentConfig dibs = Standard(DibsConfig(), duration);
-    dctcp.oversubscription = factor;
-    dibs.oversubscription = factor;
-    const ComparisonRow row = CompareSchemes(dctcp, dibs);
-    const int oversub = static_cast<int>(factor * factor);
-    table.PrintRow({"1:" + std::to_string(oversub), TablePrinter::Num(factor, 0),
-                    TablePrinter::Num(row.dctcp.qct99_ms), TablePrinter::Num(row.dibs.qct99_ms),
-                    TablePrinter::Num(row.dctcp.bg_fct99_ms),
-                    TablePrinter::Num(row.dibs.bg_fct99_ms)});
+  for (int factor : factors) {
+    const std::string f = std::to_string(factor);
+    const RunRecord& dctcp = FindRecord(records, {{"scheme", "dctcp"}, {"factor", f}});
+    const RunRecord& dibs = FindRecord(records, {{"scheme", "dibs"}, {"factor", f}});
+    table.PrintRow({"1:" + std::to_string(factor * factor), f,
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.qct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.qct99_ms)),
+                    ResultCell(dctcp, TablePrinter::Num(dctcp.result.bg_fct99_ms)),
+                    ResultCell(dibs, TablePrinter::Num(dibs.result.bg_fct99_ms))});
   }
   return 0;
 }
