@@ -6,8 +6,8 @@
 
 #include "bench/bench_util.h"
 #include "src/device/switch_node.h"
-#include "src/stats/buffer_monitor.h"
 #include "src/stats/detour_timeline.h"
+#include "src/stats/fabric_monitor.h"
 #include "src/topo/builders.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/query.h"
@@ -36,18 +36,18 @@ int main() {
   QueryWorkload queries(&net, &flows, q, nullptr);
   queries.Start();
 
-  // Snapshot every edge/aggregation switch; report the busy ones.
-  BufferMonitor::Options mon_opts;
-  mon_opts.interval = Time::Micros(250);
-  mon_opts.stop_time = Time::Millis(30);
+  // Snapshot every edge/aggregation switch for the first 30 ms; report the
+  // busy ones.
+  std::vector<int> snapshot_switches;
   for (int sw : net.switch_ids()) {
     if (net.topology().node(sw).kind != NodeKind::kCore) {
-      mon_opts.snapshot_switches.push_back(sw);
+      snapshot_switches.push_back(sw);
     }
   }
-  BufferMonitor monitor(&net, mon_opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Micros(250), snapshot_switches);
 
+  sim.RunUntil(Time::Millis(30));
+  monitor.Finish();
   sim.RunUntil(Time::Millis(60));
 
   // (a) Detour timeline per switch.
@@ -90,7 +90,7 @@ int main() {
     int label = 1;
     for (size_t idx : {t1_idx, t2_idx, t3_idx}) {
       const auto& snap = snaps[idx];
-      for (size_t s = 0; s < mon_opts.snapshot_switches.size(); ++s) {
+      for (size_t s = 0; s < snapshot_switches.size(); ++s) {
         size_t total = 0;
         std::string lens;
         for (size_t qlen : snap.queue_lengths[s]) {
@@ -101,7 +101,7 @@ int main() {
           continue;
         }
         occ.PrintRow({"t" + std::to_string(label), TablePrinter::Num(snap.at.ToMillis(), 2),
-                      topo.node(mon_opts.snapshot_switches[s]).name, lens});
+                      topo.node(snapshot_switches[s]).name, lens});
       }
       ++label;
     }

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/stats/link_monitor.h"
 #include "src/workload/background.h"
 #include "src/workload/query.h"
 
@@ -32,16 +31,11 @@ WorkloadResult RunWorkload(const std::string& name, int mode) {
   cfg.duration = BenchDuration(Time::Millis(300));
   cfg.drain = Time::Millis(100);
   cfg.seed = 11;
+  cfg.monitor_interval = Time::Millis(2);
 
   Scenario scenario(cfg);
   Network& net = scenario.network();
   FlowManager& flows = scenario.flows();
-
-  LinkMonitor::Options mon;
-  mon.interval = Time::Millis(2);
-  mon.stop_time = cfg.duration + cfg.drain;
-  LinkMonitor monitor(&net, mon);
-  monitor.Start();
 
   Rng& rng = net.sim().rng();
   const int n = net.num_hosts();
@@ -106,8 +100,7 @@ WorkloadResult RunWorkload(const std::string& name, int mode) {
     }
   }
 
-  scenario.Run();
-  return WorkloadResult{name, monitor.relative_hot_fractions()};
+  return WorkloadResult{name, scenario.Run().relative_hot_fractions};
 }
 
 }  // namespace

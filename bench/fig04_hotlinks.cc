@@ -28,8 +28,7 @@ int main() {
   for (const Point& p : points) {
     ExperimentConfig cfg = Standard(DibsConfig(), p.duration);
     cfg.qps = p.qps;
-    cfg.monitor_links = true;
-    cfg.link_interval = Time::Millis(1);
+    cfg.monitor_interval = Time::Millis(1);
     runs.push_back(BenchRun(std::move(cfg), {{"workload", p.name}}));
   }
   const std::vector<RunRecord> records = RunBenchRuns("fig04", std::move(runs));

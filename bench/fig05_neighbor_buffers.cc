@@ -28,8 +28,7 @@ int main() {
   for (const Point& p : points) {
     ExperimentConfig cfg = Standard(DibsConfig(), p.duration);
     cfg.qps = p.qps;
-    cfg.monitor_buffers = true;
-    cfg.buffer_interval = Time::Micros(500);
+    cfg.monitor_interval = Time::Micros(500);
     runs.push_back(BenchRun(std::move(cfg), {{"workload", p.name}}));
   }
   const std::vector<RunRecord> records = RunBenchRuns("fig05", std::move(runs));

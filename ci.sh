@@ -29,14 +29,16 @@
 #   7. asan+ubsan         — full ctest suite under ASan+UBSan with
 #                           DIBS_VALIDATE=1, so every scenario test also
 #                           runs the invariant checker and its conservation
-#                           ledger must balance, and golden_behaviour must
-#                           reproduce its committed digests in this build
-#                           too.
+#                           ledger must balance, and golden_behaviour, the
+#                           stream rows and the locked tables must reproduce
+#                           in this build too.
 #   8. fuzz               — deterministic chaos harness (tools/dibs_fuzz):
 #                           the spec stream for the fixed seed must be
 #                           bit-reproducible, a 100-case fixed-seed fuzz run
 #                           (`run --seed 20140401 --cases 100`: invariant +
-#                           metamorphic oracles, each run capped at the
+#                           metamorphic oracles, among them that tracing
+#                           and the fabric monitor change no result,
+#                           events_processed included; each run capped at the
 #                           default 20M-event budget) must come back clean
 #                           under ASan+UBSan, and the planted-bug repro
 #                           (DIBS_CHAOS_PLANT=1) must replay red with the
@@ -51,9 +53,11 @@
 #                           byte-identical to the fig11 stage's run, it must
 #                           leave exactly one trace JSONL per run (8: two
 #                           schemes x four degrees), each must pass
-#                           `trace_tool summarize`, the Perfetto export must
-#                           be valid JSON, and the same traced bench must
-#                           run clean under ASan+UBSan. Also kills one child
+#                           `trace_tool summarize`, trace_tool's Perfetto
+#                           conversion must be valid JSON, and the same
+#                           traced bench must run clean under ASan+UBSan
+#                           with DIBS_TRACE_PERFETTO set, leaving 8 per-run
+#                           exports that each load as JSON. Also kills one child
 #                           run via DIBS_TEST_CRASH_RUN (process isolation)
 #                           and requires the flight-recorder crash dump it
 #                           leaves behind to be parseable. Finally the
@@ -218,6 +222,12 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
   DIBS_TRACE_PERFETTO="$TR_TMP/fig11_asan.perfetto.json" \
   ./build-asan/bench/fig11_incast_degree > /dev/null
 ./build/tools/trace_tool summarize "$TR_TMP/fig11_asan.run0.jsonl" > /dev/null
+# Each run writes its own Perfetto export; all 8 must load as JSON.
+for i in 0 1 2 3 4 5 6 7; do
+  python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+    "$TR_TMP/fig11_asan.perfetto.run$i.json"
+done
+echo "trace: 8 per-run Perfetto exports load as JSON"
 
 echo "== trace: forced child crash leaves a parseable flight-recorder dump =="
 # Run 2 of the sweep segfaults inside an isolated child process; the crash

@@ -33,13 +33,15 @@ SweepOptions EngineOptions(const OracleOptions& opts, int jobs,
   return so;
 }
 
-std::vector<RunSpec> SpecRuns(const ChaosSpec& spec, bool traced) {
+// `observed` turns on every instrument: tracing and the fabric monitor.
+std::vector<RunSpec> SpecRuns(const ChaosSpec& spec, bool observed) {
   std::vector<RunSpec> runs;
   for (int rep = 0; rep < kReplications; ++rep) {
     RunSpec r;
     r.config = spec.ToConfig();
     r.config.seed = spec.seed + static_cast<uint64_t>(rep);
-    r.config.trace.enabled = traced;
+    r.config.trace.enabled = observed;
+    r.config.monitor_interval = observed ? Time::Millis(1) : Time::Zero();
     r.replication = rep;
     r.points = {{"case", std::to_string(spec.case_index)}};
     runs.push_back(std::move(r));
@@ -51,10 +53,10 @@ std::vector<RunSpec> SpecRuns(const ChaosSpec& spec, bool traced) {
 // in the environment — the conservation ledger IS the primary oracle.
 std::vector<RunRecord> RunSweep(const ChaosSpec& spec,
                                 const OracleOptions& opts, int jobs,
-                                IsolationMode mode, bool traced) {
+                                IsolationMode mode, bool observed) {
   validate::ScopedEnable enable;
   SweepEngine engine(EngineOptions(opts, jobs, mode));
-  return engine.RunAll(kSweepName, SpecRuns(spec, traced), nullptr);
+  return engine.RunAll(kSweepName, SpecRuns(spec, observed), nullptr);
 }
 
 // First record that did not finish ok, rendered for the verdict.
@@ -264,11 +266,13 @@ class OracleRunner {
     return {};
   }
 
+  // Observing a run (tracing and the fabric monitor) changes no result,
+  // events_processed included.
   OracleVerdict Trace() {
-    const std::vector<RunRecord> traced =
+    const std::vector<RunRecord> observed =
         RunSweep(spec_, opts_, 1, IsolationMode::kThread, true);
     std::string detail;
-    if (!CompareRecords(Baseline(), traced, /*drop_trace_only=*/true, &detail)) {
+    if (!CompareRecords(Baseline(), observed, /*drop_trace_only=*/true, &detail)) {
       return Fail("trace", detail);
     }
     return {};
@@ -331,6 +335,10 @@ std::string CanonicalRecord(RunRecord record, bool drop_trace_only) {
   record.events_per_sec = 0;
   if (drop_trace_only) {
     record.result.loop_packets = 0;
+    record.result.hot_fractions.clear();
+    record.result.relative_hot_fractions.clear();
+    record.result.one_hop_free.clear();
+    record.result.two_hop_free.clear();
   }
   return EncodeRunRecord(record);
 }

@@ -13,7 +13,8 @@
 //                guard counters
 //   determinism  re-running the baseline reproduces it exactly
 //   jobs         DIBS_JOBS=2 sweep == jobs=1 sweep
-//   trace        a traced run == the untraced run (observer purity)
+//   trace        a run with tracing and the fabric monitor on == the
+//                run without them (observer purity)
 //   isolation    process-forked sweep == in-thread sweep        [heavy]
 //   resume       kill-and-resume from a truncated journal == an
 //                uninterrupted sweep                             [heavy]
@@ -66,7 +67,8 @@ OracleVerdict CheckOracle(const ChaosSpec& spec, const std::string& oracle,
 
 // Canonical byte encoding of a record for oracle comparison: EncodeRunRecord
 // with host-side timing (wall_ms, events_per_sec) zeroed; `drop_trace_only`
-// additionally zeroes loop_packets, the one field only traced runs populate.
+// additionally drops what only observed runs fill: loop_packets (tracing)
+// and the four FabricMonitor series.
 std::string CanonicalRecord(RunRecord record, bool drop_trace_only = false);
 
 }  // namespace dibs::chaos

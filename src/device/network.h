@@ -182,7 +182,7 @@ class Network {
   uint64_t total_detours() const { return total_detours_; }
   uint64_t total_delivered() const { return total_delivered_; }
 
-  // All switch node ids, in topology order (for monitors).
+  // All switch node ids, in topology order (for FabricMonitor).
   const std::vector<int>& switch_ids() const { return switch_ids_; }
 
  private:

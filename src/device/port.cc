@@ -32,6 +32,9 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
   if (!queue_->Enqueue(std::move(p))) {
     return false;
   }
+  // Dispatched before MaybeTransmit, as kDequeue is dispatched before
+  // bytes_sent_ grows: FabricMonitor samples on these two events, and reads
+  // only transmissions strictly before the event's instant.
   if (ev.has_value()) {
     ev->queue_depth = static_cast<int32_t>(queue_->size_packets());
     network_->Dispatch(*ev);
@@ -99,6 +102,7 @@ void Port::MaybeTransmit() {
   }
   DIBS_CHECK(peer_ != nullptr) << "port transmitted before Connect()";
   owner_->OnPortDequeue(index_);
+  // Before bytes_sent_ grows; see EnqueueAndTransmit.
   if (network_ != nullptr) {
     network_->NotifyDequeue(owner_->id(), index_, *next, queue_->size_packets());
   }

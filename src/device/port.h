@@ -91,7 +91,7 @@ class Port {
   using FaultDropHandler = std::function<void(Packet&&, DropReason)>;
   void SetFaultDropHandler(FaultDropHandler handler) { fault_drop_ = std::move(handler); }
 
-  // Cumulative transmit counters, sampled by LinkMonitor.
+  // Cumulative transmit counters, sampled by FabricMonitor.
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t packets_sent() const { return packets_sent_; }
 

@@ -126,11 +126,7 @@ uint64_t DigestConfig(const ExperimentConfig& c) {
     h.Mix(e.extra_jitter);
   }
 
-  h.Mix(c.monitor_links);
-  h.Mix(c.link_interval);
-  h.Mix(c.hot_threshold);
-  h.Mix(c.monitor_buffers);
-  h.Mix(c.buffer_interval);
+  h.Mix(c.monitor_interval);
   return h.hash();
 }
 

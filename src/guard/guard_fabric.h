@@ -43,7 +43,7 @@ class GuardFabric {
   void set_transition_callback(TransitionCallback cb) { on_transition_ = std::move(cb); }
 
   // Begins the tick cadence; reschedules itself until `stop_time` (the
-  // scenario passes duration + drain, mirroring the monitors).
+  // scenario passes duration + drain).
   void Start(Time stop_time);
 
   // ---- Forwarding-path gate (called by SwitchNode) ----

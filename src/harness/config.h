@@ -65,12 +65,10 @@ struct ExperimentConfig {
   // make fault intensity a sweepable dimension.
   fault::FaultPlan faults;
 
-  // Monitors (off by default; they add sampling overhead).
-  bool monitor_links = false;
-  Time link_interval = Time::Millis(1);
-  double hot_threshold = 0.9;
-  bool monitor_buffers = false;
-  Time buffer_interval = Time::Millis(1);
+  // FabricMonitor sample interval (src/stats): the link and buffer series
+  // of Figures 3-5. Zero = off. The monitor schedules nothing, so turning it
+  // on adds the series to the result and changes nothing else.
+  Time monitor_interval = Time::Zero();
 
   // Packet-lifecycle tracing (src/trace). Overridable per process via the
   // DIBS_TRACE* environment; excluded from the journal's config digest —

@@ -113,20 +113,9 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
         [this](const QueryResult& r) { recorder_.RecordQuery(r); });
   }
 
-  if (config_.monitor_links) {
-    LinkMonitor::Options opts;
-    opts.interval = config_.link_interval;
-    opts.hot_threshold = config_.hot_threshold;
-    opts.stop_time = config_.duration + config_.drain;
-    link_monitor_ = std::make_unique<LinkMonitor>(network_.get(), opts);
+  if (config_.monitor_interval > Time::Zero()) {
+    monitor_ = std::make_unique<FabricMonitor>(network_.get(), config_.monitor_interval);
   }
-  if (config_.monitor_buffers) {
-    BufferMonitor::Options opts;
-    opts.interval = config_.buffer_interval;
-    opts.stop_time = config_.duration + config_.drain;
-    buffer_monitor_ = std::make_unique<BufferMonitor>(network_.get(), std::move(opts));
-  }
-
 }
 
 Scenario::~Scenario() = default;
@@ -141,12 +130,6 @@ ScenarioResult Scenario::Run() {
   }
   if (query_ != nullptr) {
     query_->Start();
-  }
-  if (link_monitor_ != nullptr) {
-    link_monitor_->Start();
-  }
-  if (buffer_monitor_ != nullptr) {
-    buffer_monitor_->Start();
   }
   if (network_->guard() != nullptr) {
     network_->guard()->Start(config_.duration + config_.drain);
@@ -179,6 +162,9 @@ ScenarioResult Scenario::Run() {
     throw;
   }
 
+  if (monitor_ != nullptr) {
+    monitor_->Finish();
+  }
   if (trace_ != nullptr) {
     std::map<int32_t, std::string> node_names;
     for (const TopoNode& n : network_->topology().nodes()) {
@@ -233,13 +219,11 @@ ScenarioResult Scenario::Run() {
     r.collapse_detected = collapse_watchdog_->collapse_detected();
     r.collapse_onset_ms = collapse_watchdog_->collapse_onset_ms();
   }
-  if (link_monitor_ != nullptr) {
-    r.hot_fractions = link_monitor_->hot_fractions();
-    r.relative_hot_fractions = link_monitor_->relative_hot_fractions();
-  }
-  if (buffer_monitor_ != nullptr) {
-    r.one_hop_free = buffer_monitor_->one_hop_free_fractions();
-    r.two_hop_free = buffer_monitor_->two_hop_free_fractions();
+  if (monitor_ != nullptr) {
+    r.hot_fractions = monitor_->hot_fractions();
+    r.relative_hot_fractions = monitor_->relative_hot_fractions();
+    r.one_hop_free = monitor_->one_hop_free_fractions();
+    r.two_hop_free = monitor_->two_hop_free_fractions();
   }
   r.events_processed = sim_->events_processed();
   return r;

@@ -14,12 +14,11 @@
 #include "src/guard/collapse_watchdog.h"
 #include "src/harness/config.h"
 #include "src/sim/simulator.h"
-#include "src/stats/buffer_monitor.h"
 #include "src/stats/detour_recorder.h"
+#include "src/stats/fabric_monitor.h"
 #include "src/stats/fault_recorder.h"
 #include "src/stats/flow_recorder.h"
 #include "src/stats/guard_recorder.h"
-#include "src/stats/link_monitor.h"
 #include "src/trace/trace_session.h"
 #include "src/transport/flow_manager.h"
 #include "src/util/stats_util.h"
@@ -78,7 +77,7 @@ struct ScenarioResult {
   bool collapse_detected = false;
   double collapse_onset_ms = 0;         // sim-ms of detection; 0 = none
 
-  // Monitor outputs (populated when the corresponding monitor was enabled).
+  // FabricMonitor series (all four filled when config.monitor_interval > 0).
   std::vector<double> hot_fractions;
   std::vector<double> relative_hot_fractions;
   std::vector<double> one_hop_free;
@@ -133,7 +132,7 @@ struct ScenarioResult {
 };
 
 // Owns the whole simulation; keeps everything alive so callers can inspect
-// components after Run() (the figure-2 bench reads monitors directly).
+// components after Run().
 class Scenario {
  public:
   explicit Scenario(const ExperimentConfig& config);
@@ -155,8 +154,6 @@ class Scenario {
   FaultRecorder& faults() { return fault_recorder_; }
   // Null unless config.net.guard.watchdog was set.
   CollapseWatchdog* collapse_watchdog() { return collapse_watchdog_.get(); }
-  LinkMonitor* link_monitor() { return link_monitor_.get(); }
-  BufferMonitor* buffer_monitor() { return buffer_monitor_.get(); }
   // Null unless tracing was enabled (config.trace / DIBS_TRACE* env).
   TraceSession* trace() { return trace_.get(); }
   const ExperimentConfig& config() const { return config_; }
@@ -174,8 +171,7 @@ class Scenario {
   std::unique_ptr<fault::FaultInjector> fault_injector_;
   std::unique_ptr<BackgroundWorkload> background_;
   std::unique_ptr<QueryWorkload> query_;
-  std::unique_ptr<LinkMonitor> link_monitor_;
-  std::unique_ptr<BufferMonitor> buffer_monitor_;
+  std::unique_ptr<FabricMonitor> monitor_;
   std::unique_ptr<TraceSession> trace_;
 };
 

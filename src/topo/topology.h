@@ -89,7 +89,7 @@ class Topology {
   int HostDiameter() const;
 
   // Switch node ids within `radius` hops of `center` in the switch-only
-  // subgraph (excludes `center` itself). Used by the Figure-5 buffer monitor.
+  // subgraph (excludes `center` itself). Used by FabricMonitor (Figure 5).
   std::vector<int> SwitchNeighborhood(int center, int radius) const;
 
  private:

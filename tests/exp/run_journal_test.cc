@@ -164,11 +164,7 @@ TEST(DigestConfigTest, EveryRemainingLeafReachesTheDigest) {
        [](ExperimentConfig& c) {
          c.faults = fault::FaultPlan().DegradeLink(3, Time::Millis(10), 0.1, Time::Micros(6));
        }},
-      {"monitor_links", [](ExperimentConfig& c) { c.monitor_links = true; }},
-      {"link_interval", [](ExperimentConfig& c) { c.link_interval = Time::Millis(2); }},
-      {"hot_threshold", [](ExperimentConfig& c) { c.hot_threshold = 0.8; }},
-      {"monitor_buffers", [](ExperimentConfig& c) { c.monitor_buffers = true; }},
-      {"buffer_interval", [](ExperimentConfig& c) { c.buffer_interval = Time::Millis(2); }},
+      {"monitor_interval", [](ExperimentConfig& c) { c.monitor_interval = Time::Millis(2); }},
   };
   const uint64_t base = DigestConfig(DigestBase());
   for (const LeafEdit& edit : shaping) {

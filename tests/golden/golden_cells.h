@@ -86,8 +86,7 @@ inline ExperimentConfig CellConfig(const std::string& name) {
     ExperimentConfig c = Reduced(DctcpConfig(), 30, 15);
     c.qps = 2000;
     c.net.use_shared_buffer = true;
-    c.monitor_links = true;
-    c.monitor_buffers = true;
+    c.monitor_interval = Time::Millis(1);
     return c;
   }
   ADD_FAILURE() << "no golden cell named " << name;

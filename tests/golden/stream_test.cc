@@ -13,6 +13,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "src/harness/scenario.h"
@@ -48,9 +49,12 @@ const StreamRow kGoldenStream[] = {
     {"dibs_probabilistic", 0xb3f7afde478e40c4ull, 1740932},
 };
 
+// Names each case's ctest after its cell.
+void PrintTo(const StreamRow& row, std::ostream* os) { *os << row.name; }
+
 class GoldenStream : public testing::TestWithParam<StreamRow> {};
 
-TEST_P(GoldenStream, UnsampledStreamMatchesItsCommittedRow) {
+TEST_P(GoldenStream, MatchesCommittedRow) {
   const StreamRow& want = GetParam();
   ExperimentConfig config = CellConfig(want.name);
   config.trace.enabled = true;
@@ -65,10 +69,7 @@ TEST_P(GoldenStream, UnsampledStreamMatchesItsCommittedRow) {
       << "replacement row:\n    " << FormatStreamRow(got);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cell, GoldenStream, testing::ValuesIn(kGoldenStream),
-                         [](const testing::TestParamInfo<StreamRow>& info) {
-                           return std::string(info.param.name);
-                         });
+INSTANTIATE_TEST_SUITE_P(Cells, GoldenStream, testing::ValuesIn(kGoldenStream));
 
 }  // namespace
 }  // namespace dibs::golden

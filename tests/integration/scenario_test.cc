@@ -72,10 +72,7 @@ TEST(ScenarioTest, DibsBeatsDctcpUnderIncastPressure) {
 
 TEST(ScenarioTest, MonitorsPopulateWhenEnabled) {
   ExperimentConfig c = Miniature(DibsConfig());
-  c.monitor_links = true;
-  c.monitor_buffers = true;
-  c.link_interval = Time::Millis(5);
-  c.buffer_interval = Time::Millis(5);
+  c.monitor_interval = Time::Millis(5);
   const ScenarioResult r = RunScenario(c);
   EXPECT_FALSE(r.hot_fractions.empty());
   EXPECT_FALSE(r.relative_hot_fractions.empty());

@@ -1,8 +1,10 @@
+#include "src/stats/fabric_monitor.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/device/host_node.h"
-#include "src/stats/buffer_monitor.h"
-#include "src/stats/link_monitor.h"
 #include "src/topo/builders.h"
 
 namespace dibs {
@@ -21,33 +23,27 @@ void Blast(Network& net, HostId src, HostId dst, int packets, FlowId flow = 1) {
   }
 }
 
-TEST(LinkMonitorTest, IdleNetworkHasNoHotLinks) {
+TEST(FabricMonitorTest, IdleNetworkHasNoHotLinks) {
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  LinkMonitor::Options opts;
-  opts.interval = Time::Millis(1);
-  opts.stop_time = Time::Millis(10);
-  LinkMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Millis(1));
   sim.RunUntil(Time::Millis(10));
-  ASSERT_FALSE(monitor.hot_fractions().empty());
+  monitor.Finish();
+  // No event ever fired: Finish() takes all ten samples.
+  ASSERT_EQ(monitor.hot_fractions().size(), 10u);
   for (double f : monitor.hot_fractions()) {
     EXPECT_EQ(f, 0.0);
   }
 }
 
-TEST(LinkMonitorTest, SaturatedLinkIsHot) {
+TEST(FabricMonitorTest, SaturatedLinkIsHot) {
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  LinkMonitor::Options opts;
-  opts.interval = Time::Millis(1);
-  opts.hot_threshold = 0.9;
-  opts.stop_time = Time::Millis(4);
-  LinkMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Millis(1));
   // 1000 packets back-to-back saturate host0 -> edge for 12ms.
   Blast(net, 0, 5, 1000);
   sim.RunUntil(Time::Millis(4));
+  monitor.Finish();
   bool any_hot_sample = false;
   for (double f : monitor.hot_fractions()) {
     if (f > 0.0) {
@@ -59,83 +55,70 @@ TEST(LinkMonitorTest, SaturatedLinkIsHot) {
   EXPECT_TRUE(any_hot_sample);
 }
 
-TEST(LinkMonitorTest, HotLinkIndicesIdentifyOwners) {
+TEST(FabricMonitorTest, RelativeHotFractionsBounded) {
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  LinkMonitor::Options opts;
-  opts.interval = Time::Millis(1);
-  opts.stop_time = Time::Millis(2);
-  LinkMonitor monitor(&net, opts);
-  monitor.Start();
-  Blast(net, 0, 5, 500);
-  sim.RunUntil(Time::Millis(2));
-  for (size_t idx : monitor.last_hot_links()) {
-    EXPECT_LT(idx, monitor.num_monitored_links());
-    EXPECT_GE(monitor.port_owner(idx), 0);
-  }
-}
-
-TEST(LinkMonitorTest, RelativeHotFractionsBounded) {
-  Simulator sim;
-  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  LinkMonitor::Options opts;
-  opts.interval = Time::Millis(1);
-  opts.stop_time = Time::Millis(5);
-  LinkMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Millis(1));
   Blast(net, 0, 5, 200);
   sim.RunUntil(Time::Millis(5));
+  monitor.Finish();
+  ASSERT_FALSE(monitor.relative_hot_fractions().empty());
   for (double f : monitor.relative_hot_fractions()) {
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }
 }
 
-TEST(LinkMonitorTest, HostLinksCanBeExcluded) {
-  Simulator sim;
-  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  LinkMonitor::Options with_hosts;
-  with_hosts.stop_time = Time::Millis(1);
-  LinkMonitor all(&net, with_hosts);
-  LinkMonitor::Options switch_only = with_hosts;
-  switch_only.include_host_links = false;
-  LinkMonitor fabric(&net, switch_only);
-  // Emulab: 6 switch-switch links = 12 directed fabric ports; 6 host links
-  // add 6 switch-side ports + 6 NICs.
-  EXPECT_EQ(fabric.num_monitored_links(), 12u);
-  EXPECT_EQ(all.num_monitored_links(), 24u);
+// A burst that starts exactly on a sample instant belongs to the window that
+// opens there, whether it was scheduled before or after the monitor was
+// built: a sample reflects only transmissions strictly before its instant.
+TEST(FabricMonitorTest, BurstOnASampleInstantCountsInTheWindowItOpens) {
+  for (const bool scheduled_first : {true, false}) {
+    SCOPED_TRACE(scheduled_first ? "burst scheduled before the monitor was built"
+                                 : "burst scheduled after the monitor was built");
+    Simulator sim;
+    Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+    const auto burst = [&net] { Blast(net, 0, 5, 200); };
+    if (scheduled_first) {
+      sim.ScheduleAt(Time::Millis(1), burst);
+    }
+    FabricMonitor monitor(&net, Time::Millis(1));
+    if (!scheduled_first) {
+      sim.ScheduleAt(Time::Millis(1), burst);
+    }
+    sim.RunUntil(Time::Millis(3));
+    monitor.Finish();
+    ASSERT_EQ(monitor.relative_hot_fractions().size(), 3u);
+    // Nothing was sent in [0, 1ms), so no link counts as hot at 1ms.
+    EXPECT_EQ(monitor.relative_hot_fractions()[0], 0.0);
+    EXPECT_EQ(monitor.hot_fractions()[0], 0.0);
+    // The burst saturates host0's uplink in [1ms, 2ms).
+    EXPECT_GT(monitor.hot_fractions()[1], 0.0);
+  }
 }
 
-TEST(BufferMonitorTest, QuietNetworkReportsNoCongestion) {
+TEST(FabricMonitorTest, QuietNetworkReportsNoCongestion) {
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
-  BufferMonitor::Options opts;
-  opts.interval = Time::Millis(1);
-  opts.stop_time = Time::Millis(5);
-  BufferMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Millis(1));
   sim.RunUntil(Time::Millis(5));
-  EXPECT_EQ(monitor.congested_samples(), 0u);
+  monitor.Finish();
   EXPECT_TRUE(monitor.one_hop_free_fractions().empty());
-  EXPECT_GT(monitor.total_samples(), 0u);
+  EXPECT_TRUE(monitor.two_hop_free_fractions().empty());
+  EXPECT_FALSE(monitor.hot_fractions().empty());
 }
 
-TEST(BufferMonitorTest, IncastCongestionYieldsNeighborSamples) {
+TEST(FabricMonitorTest, IncastCongestionYieldsNeighborSamples) {
   NetworkConfig cfg;
   cfg.switch_buffer_packets = 20;
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), cfg);
-  BufferMonitor::Options opts;
-  opts.interval = Time::Micros(100);
-  opts.congested_fraction = 0.9;
-  opts.stop_time = Time::Millis(5);
-  BufferMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Micros(100));
   for (HostId src = 0; src < 5; ++src) {
     Blast(net, src, 5, 60, /*flow=*/static_cast<FlowId>(src + 1));
   }
   sim.RunUntil(Time::Millis(5));
-  EXPECT_GT(monitor.congested_samples(), 0u);
+  monitor.Finish();
   ASSERT_FALSE(monitor.one_hop_free_fractions().empty());
   ASSERT_EQ(monitor.one_hop_free_fractions().size(), monitor.two_hop_free_fractions().size());
   for (size_t i = 0; i < monitor.one_hop_free_fractions().size(); ++i) {
@@ -155,23 +138,19 @@ TEST(BufferMonitorTest, IncastCongestionYieldsNeighborSamples) {
   EXPECT_GT(min_two_hop, 0.3);
 }
 
-TEST(BufferMonitorTest, SnapshotsCaptureQueueLengths) {
+TEST(FabricMonitorTest, SnapshotsCaptureQueueLengths) {
   NetworkConfig cfg;
   cfg.switch_buffer_packets = 50;
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), cfg);
-  BufferMonitor::Options opts;
-  opts.interval = Time::Micros(200);
   // Snapshot host 5's edge switch (built last) plus an aggregation switch.
-  opts.snapshot_switches = {net.switch_ids()[4], net.switch_ids()[0]};
-  opts.stop_time = Time::Millis(2);
-  BufferMonitor monitor(&net, opts);
-  monitor.Start();
+  FabricMonitor monitor(&net, Time::Micros(200), {net.switch_ids()[4], net.switch_ids()[0]});
   // Two racks converge on host 5: its edge downlink queue must build.
   Blast(net, 0, 5, 100, /*flow=*/1);
   Blast(net, 2, 5, 100, /*flow=*/2);
   sim.RunUntil(Time::Millis(2));
-  ASSERT_FALSE(monitor.snapshots().empty());
+  monitor.Finish();
+  ASSERT_EQ(monitor.snapshots().size(), 10u);
   bool any_nonzero = false;
   for (const auto& snap : monitor.snapshots()) {
     ASSERT_EQ(snap.queue_lengths.size(), 2u);

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "src/trace/trace_codec.h"
 #include "src/trace/trace_config.h"
 #include "src/util/env.h"
+#include "src/util/json.h"
 #include "src/util/validation.h"
 
 namespace dibs {
@@ -315,6 +318,66 @@ TEST(TraceScenario, JourneysMatchSwitchLevelDetourCounts) {
   EXPECT_EQ(journey_detours, r.detours);
   EXPECT_EQ(journeys.delivered_packets(), r.delivered_packets);
   EXPECT_EQ(r.loop_packets, journeys.loop_packets());
+}
+
+// The session's Perfetto export of a small traced DIBS cell is valid JSON
+// with one process_name per node its events use, named from the topology,
+// queue slices, and detour flow arrows whose "s" and "f" ends pair up.
+TEST(TraceScenario, PerfettoExportNamesNodesAndPairsDetourArrows) {
+  ExperimentConfig c = MiniDibs(11);
+  c.duration = Time::Millis(30);
+  c.drain = Time::Millis(20);
+  c.trace.enabled = true;
+  c.trace.perfetto_path = ::testing::TempDir() + "dibs_perfetto_export.json";
+  std::remove(c.trace.perfetto_path.c_str());
+  Scenario scenario(c);
+  ASSERT_GT(scenario.Run().detours, 0u);
+
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::Parse(ReadFile(c.trace.perfetto_path), &doc, &error)) << error;
+  std::remove(c.trace.perfetto_path.c_str());
+  const json::Value* events = json::Find(doc, "traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<int64_t, std::string> process_names;
+  std::set<int64_t> pids_used;
+  size_t queue_slices = 0;
+  std::map<uint64_t, int> arrow_ends;  // arrow id -> 1 (s) | 2 (f)
+  for (const json::Value& e : events->items) {
+    std::string ph;
+    std::string cat;
+    int64_t pid = -1;
+    json::ReadString(e, "ph", &ph);
+    json::ReadString(e, "cat", &cat);
+    json::ReadInt(e, "pid", &pid);
+    if (ph == "M") {
+      std::string name;
+      const json::Value* args = json::Find(e, "args");
+      ASSERT_NE(args, nullptr);
+      json::ReadString(*args, "name", &name);
+      EXPECT_TRUE(process_names.emplace(pid, name).second) << "pid " << pid << " named twice";
+      continue;
+    }
+    pids_used.insert(pid);
+    queue_slices += ph == "X" && cat == "queue" ? 1 : 0;
+    if (ph == "s" || ph == "f") {
+      uint64_t id = 0;
+      json::ReadInt(e, "id", &id);
+      arrow_ends[id] |= ph == "s" ? 1 : 2;
+    }
+  }
+  for (const int64_t pid : pids_used) {
+    EXPECT_EQ(process_names.count(pid), 1u) << "pid " << pid << " has no process_name";
+  }
+  for (const auto& [pid, name] : process_names) {
+    EXPECT_EQ(name, scenario.network().topology().node(static_cast<int>(pid - 1)).name);
+  }
+  EXPECT_GT(queue_slices, 0u);
+  size_t paired = 0;
+  for (const auto& [id, ends] : arrow_ends) {
+    paired += ends == 3 ? 1 : 0;
+  }
+  EXPECT_GT(paired, 0u) << "no detour arrow has both its s and f ends";
 }
 
 TEST(TraceScenario, TracedRunIsBitIdenticalToUntraced) {
