@@ -13,12 +13,13 @@
 //
 // It is a TraceSink on kEnqueue and kDequeue and schedules nothing. Before
 // it applies an event at time t it takes every sample due at or before t,
-// and Finish() takes the rest up to Now(). Every change it reads follows
-// one of those events (Port dispatches kEnqueue and kDequeue before it
-// transmits and adds to bytes_sent, and every depth change reports one), so
-// a sample at instant s reflects exactly the enqueues, dequeues and
-// transmissions strictly before s. A run with the monitor on executes the
-// same events as one without it.
+// and Finish() takes those still due at or before Now(). Every change it
+// reads follows one of those events (Port dispatches kEnqueue and kDequeue
+// before it transmits and adds to bytes_sent, and every depth change
+// reports one), so a sample at instant s taken on an event reflects exactly
+// the enqueues, dequeues and transmissions strictly before s; one taken by
+// Finish() reflects the state at Now(). A run with the monitor on executes
+// the same events as one without it.
 
 #ifndef SRC_STATS_FABRIC_MONITOR_H_
 #define SRC_STATS_FABRIC_MONITOR_H_
@@ -49,6 +50,8 @@ class FabricMonitor : public TraceSink {
 
   // Subscribes itself to `network`'s enqueue and dequeue events.
   FabricMonitor(Network* network, Time interval, std::vector<int> snapshot_switches = {});
+  FabricMonitor(const FabricMonitor&) = delete;  // the network holds its address
+  FabricMonitor& operator=(const FabricMonitor&) = delete;
 
   void OnEvent(const TraceEvent& e) override;
 
