@@ -97,6 +97,25 @@ TEST(FabricMonitorTest, BurstOnASampleInstantCountsInTheWindowItOpens) {
   }
 }
 
+// The depth half of the same rule: a sample due on the instant of a switch
+// enqueue reads the queue as it was before that enqueue.
+TEST(FabricMonitorTest, SampleOnAnEnqueueInstantReadsTheDepthBeforeIt) {
+  Simulator sim;
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  const Port& nic = net.host(0).nic();
+  // Host 0's only packet is enqueued at its edge switch one serialization
+  // plus one propagation delay after it is sent.
+  const Time arrival = SerializationDelay(1500, nic.rate_bps()) + nic.prop_delay();
+  FabricMonitor monitor(&net, arrival, {nic.peer()->id()});
+  Blast(net, 0, 5, 1);
+  sim.RunUntil(arrival);
+  monitor.Finish();
+  ASSERT_EQ(monitor.snapshots().size(), 1u);
+  for (size_t depth : monitor.snapshots()[0].queue_lengths[0]) {
+    EXPECT_EQ(depth, 0u);
+  }
+}
+
 TEST(FabricMonitorTest, QuietNetworkReportsNoCongestion) {
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
