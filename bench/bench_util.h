@@ -7,25 +7,25 @@
 // measured shapes compare to the paper's. Every other bench runs its
 // Scenarios through RunBenchRuns, so all the knobs below reach it; fig02,
 // fig03, fig06 and sec56 drive the simulator by hand, and of these knobs
-// fig03 and sec56 read DIBS_BENCH_DURATION_MS alone. Environment knobs:
+// fig03 and sec56 read DIBS_BENCH_DURATION_MS alone. This file is the one
+// place the sweep knobs are read: src/exp takes plain SweepOptions and reads
+// no environment. Environment knobs:
 //   DIBS_BENCH_DURATION_MS  simulated window per figure point
 //   DIBS_BENCH_SEED         base seed for every run (default 1)
 //   DIBS_JOBS               sweep worker threads (default: hardware cores)
 //   DIBS_RUN_TIMEOUT_SEC    per-run wall-clock cap (default: none)
 //   DIBS_SWEEP_JSONL        append every RunRecord as JSONL to this file
 //   DIBS_SWEEP_CSV          append every RunRecord as CSV to this file
-//   DIBS_REQUIRE_OK         once the sweep finishes (retries, isolation and
-//                           all), exit 1 with a status tally before any
-//                           table prints if any row is not ok; the engine
-//                           has already logged each such row. CI sets it so
+//   DIBS_REQUIRE_OK         once the sweep finishes (isolation and all),
+//                           exit 1 with a status tally before any table
+//                           prints if any row is not ok; the engine has
+//                           already logged each such row. CI sets it so
 //                           DIBS_VALIDATE violations inside sweep runs
 //                           (surfaced as failed records) fail the pipeline
 //   DIBS_JOURNAL            append-only run journal; with DIBS_RESUME=1 a
 //                           restarted bench skips rows journaled as ok
 //   DIBS_ISOLATE            "process" forks every run (crash containment +
-//                           hard watchdog); default in-process threads
-//   DIBS_MAX_ATTEMPTS       retries per failed/timeout/crashed row
-//   DIBS_RETRY_BACKOFF_MS   initial retry backoff (exponential, bounded)
+//                           hard watchdog); default "thread", in-process
 // (see EXPERIMENTS.md "Resumable sweeps")
 
 #ifndef BENCH_BENCH_UTIL_H_
@@ -70,9 +70,18 @@ inline ExperimentConfig Standard(ExperimentConfig c, Time duration) {
   return c;
 }
 
+// The sweep engine's options from the sweep knobs above.
 inline SweepOptions BenchSweepOptions() {
   SweepOptions opts;
+  opts.jobs = static_cast<int>(env::Int("DIBS_JOBS", opts.jobs, 0, 4096));
   opts.run_timeout_sec = env::Double("DIBS_RUN_TIMEOUT_SEC", opts.run_timeout_sec, 0, 86400);
+  if (env::OneOf("DIBS_ISOLATE", "thread", {"thread", "process"}) == "process") {
+    opts.isolate = IsolationMode::kProcess;
+  }
+  if (const char* path = env::Raw("DIBS_JOURNAL"); path != nullptr) {
+    opts.journal_path = path;
+  }
+  opts.resume = env::Flag("DIBS_RESUME", opts.resume);
   return opts;
 }
 
@@ -109,8 +118,7 @@ inline std::vector<RunRecord> RunBenchRuns(const std::string& name,
   if (env::Flag("DIBS_REQUIRE_OK", false) && !s.AllOk()) {
     DIBS_LOG(kError) << "DIBS_REQUIRE_OK: sweep '" << name << "' finished with " << s.ok
                      << "/" << s.total << " ok (failed " << s.failed << ", timeout "
-                     << s.timeout << ", crashed " << s.crashed << ", quarantined "
-                     << s.quarantined << "); exiting nonzero";
+                     << s.timeout << ", crashed " << s.crashed << "); exiting nonzero";
     std::exit(1);
   }
   return records;
@@ -133,8 +141,8 @@ inline SweepAxis SchemeAxis(std::vector<std::pair<std::string, ExperimentConfig>
 }
 
 // Table cell for a value computed from `rec.result`: the value when the run
-// completed, an explicit "<failed>"/"<timeout>"/"<crashed>"/"<quarantined>"
-// marker otherwise — degraded sweeps render every row, never silently print
+// completed, an explicit "<failed>"/"<timeout>"/"<crashed>" marker
+// otherwise — degraded sweeps render every row, never silently print
 // a zeroed result as if it were real data.
 inline std::string ResultCell(const RunRecord& rec, std::string value) {
   if (rec.status == RunStatus::kOk) {

@@ -2,7 +2,10 @@
 // over time. (a) per-switch detour events over time; (b) buffer occupancy of
 // the destination pod's switches at three instants t1 < t2 < t3.
 
+#include <algorithm>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/device/switch_node.h"
@@ -15,6 +18,8 @@
 using namespace dibs;
 using namespace dibs::bench;
 
+constexpr Time kDetourBucket = Time::Micros(100);
+
 int main() {
   PrintFigureBanner("Figure 2", "Detours and buffer occupancy during one large incast",
                     "K=8 fat-tree, one 100-way incast of 20KB responses, DIBS");
@@ -23,7 +28,7 @@ int main() {
   net_cfg.detour_policy = "random";
   Simulator sim(4);
   Network net(&sim, BuildPaperFatTree(), net_cfg);
-  DetourTimeline detours(Time::Micros(100));
+  DetourTimeline detours(kDetourBucket);
   net.Subscribe(&detours, DetourTimeline::kKinds);
   FlowManager flows(&net, TransportKind::kDctcp, TcpConfig::DibsDefault());
 
@@ -33,7 +38,8 @@ int main() {
   q.degree = 100;
   q.response_bytes = 20000;
   q.max_queries = 1;
-  QueryWorkload queries(&net, &flows, q, nullptr);
+  std::optional<QueryResult> burst;
+  QueryWorkload queries(&net, &flows, q, [&burst](const QueryResult& r) { burst = r; });
   queries.Start();
 
   // Snapshot every edge/aggregation switch for the first 30 ms; report the
@@ -55,6 +61,7 @@ int main() {
   TablePrinter timeline({"switch", "kind", "t_ms", "detours"});
   timeline.PrintHeader();
   const Topology& topo = net.topology();
+  Time last_detour_end = Time::Zero();
   for (int sw : detours.DetouringSwitches()) {
     const char* kind = topo.node(sw).kind == NodeKind::kEdge
                            ? "edge"
@@ -62,6 +69,7 @@ int main() {
     for (const auto& [t, count] : detours.TimelineFor(sw)) {
       timeline.PrintRow({topo.node(sw).name, kind, TablePrinter::Num(t.ToMillis(), 2),
                          TablePrinter::Int(count)});
+      last_detour_end = std::max(last_detour_end, t + kDetourBucket);
     }
   }
 
@@ -108,8 +116,12 @@ int main() {
   }
 
   std::cout << "\ntotal detours: " << net.total_detours() << ", drops: " << net.total_drops()
-            << ", burst completed by the receiver's pod within "
-            << (detours.DetouringSwitches().empty() ? 0.0 : 10.0)
-            << "ms-scale window (paper: absorbed within ~10ms, no losses)\n";
+            << ", "
+            << (burst ? "query completed " + TablePrinter::Num(burst->qct.ToMillis(), 2) +
+                            " ms after issue"
+                      : std::string("query still open at 60 ms"))
+            << ", last detour in the bucket ending at "
+            << TablePrinter::Num(last_detour_end.ToMillis(), 2)
+            << " ms (paper: absorbed within ~10ms, no losses)\n";
   return 0;
 }

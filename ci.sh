@@ -10,8 +10,9 @@
 #   2. format             — clang-format --dry-run over the tree (skipped
 #                           when clang-format is not installed).
 #   3. tier-1             — default build + full ctest suite, which also
-#                           diffs 20 paper benches' stdout against their
-#                           locked tables (tests/golden/tables/).
+#                           diffs 20 paper benches' stdout, and Fig 1's
+#                           examples/detour_trace, against their locked
+#                           tables (tests/golden/tables/).
 #   4. tables             — the other three paper benches (sec56_fairness,
 #                           fig14, fig15; 7-16 s each) against their locked
 #                           tables, at DIBS_BENCH_DURATION_MS=20 and
@@ -60,11 +61,7 @@
 #                           exports that each load as JSON. Also kills one child
 #                           run via DIBS_TEST_CRASH_RUN (process isolation)
 #                           and requires the flight-recorder crash dump it
-#                           leaves behind to be parseable. Finally the
-#                           tracing-off overhead guard: BM_SwitchPacketHop
-#                           must stay within 2% of the per-machine ratcheted
-#                           baseline cached in the build tree
-#                           (tools/check_trace_overhead.py).
+#                           leaves behind to be parseable.
 #  11. resilience         — the fault-injection bench under ASan+UBSan with
 #                           DIBS_VALIDATE=1 (the conservation ledger must
 #                           balance through link flaps, lossy links, and a
@@ -94,6 +91,11 @@
 #  14. tsan               — sweep engine under ThreadSanitizer (tests/exp)
 #                           so data races in the threaded layer fail the
 #                           pipeline.
+#  15. overhead           — the tracing-off overhead guard: BM_SwitchPacketHop
+#                           must stay within 2% of the per-machine ratcheted
+#                           baseline cached in the build tree
+#                           (tools/check_trace_overhead.py). Last, so that a
+#                           failure on a noisy host skips no other stage.
 #
 # Build trees are shared across stages (build/, build-asan/, build-tsan/ are
 # incremental across CI runs) to keep wall-clock bounded.
@@ -125,7 +127,7 @@ for bench in sec56_fairness fig14_extreme_qps fig15_large_response; do
   DIBS_BENCH_DURATION_MS=20 DIBS_JOBS=4 \
     tests/expect_table.sh "tests/golden/tables/$bench.txt" "./build/bench/$bench"
 done
-echo "tables: all 23 paper benches print their locked tables"
+echo "tables: all 23 paper benches and detour_trace print their locked tables"
 
 echo "== perfbench: self-test, then every workload's digest at seed 1 =="
 # run.py builds its own tree (.bench_build/) from this checkout's src/ and
@@ -241,18 +243,6 @@ DIBS_BENCH_DURATION_MS=50 DIBS_ISOLATE=process DIBS_TEST_CRASH_RUN=2 \
 ./build/tools/trace_tool summarize "$TR_TMP/crash_dump.run2.jsonl"
 echo "trace: crash dump parseable"
 
-echo "== trace: tracing-off overhead guard on micro_simcore =="
-# BM_SwitchPacketHop runs with no subscribers; BM_SwitchPacketHopDefaultSinks
-# (Scenario's DetourRecorder and GuardRecorder subscribed) and the trace
-# variants ride along unguarded. The guard ratchets against a per-machine baseline cached in
-# the (incremental, per-machine) build tree — wall-clock baselines do not
-# transfer between machines.
-./build/bench/micro_simcore --benchmark_filter='^BM_SwitchPacketHop' \
-  --benchmark_repetitions=5 --benchmark_format=json \
-  > "$TR_TMP/switch_hop.json"
-python3 tools/check_trace_overhead.py "$TR_TMP/switch_hop.json" \
-  build/trace_overhead_baseline.json 2.0
-
 echo "== resilience: fault-injection bench, seed-determinism across DIBS_JOBS =="
 # ASan+UBSan build (the asan+ubsan stage already built it) with the invariant checker on:
 # every fault cell must keep the conservation ledger balanced, and the whole
@@ -367,8 +357,18 @@ DIBS_GUARD_EXPECT=1 ./build/bench/guard_collapse
 echo "== tsan: sweep engine under ThreadSanitizer =="
 cmake -B build-tsan -S . -DDIBS_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target exp_test
-# Multiple worker threads even on small CI machines, so claim/flush paths
-# actually interleave under TSan.
-TSAN_OPTIONS="halt_on_error=1" DIBS_JOBS=4 ./build-tsan/tests/exp_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/exp_test
+
+echo "== overhead: tracing-off overhead guard on micro_simcore =="
+# BM_SwitchPacketHop runs with no subscribers; BM_SwitchPacketHopDefaultSinks
+# (Scenario's DetourRecorder and GuardRecorder subscribed) and the trace
+# variants ride along unguarded. The guard ratchets against a per-machine baseline cached in
+# the (incremental, per-machine) build tree — wall-clock baselines do not
+# transfer between machines.
+./build/bench/micro_simcore --benchmark_filter='^BM_SwitchPacketHop' \
+  --benchmark_repetitions=5 --benchmark_format=json \
+  > "$CI_TMP/switch_hop.json"
+python3 tools/check_trace_overhead.py "$CI_TMP/switch_hop.json" \
+  build/trace_overhead_baseline.json 2.0
 
 echo "== ci.sh: all green =="

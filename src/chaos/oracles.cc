@@ -27,9 +27,7 @@ SweepOptions EngineOptions(const OracleOptions& opts, int jobs,
   so.event_budget = opts.event_budget;
   so.progress = false;
   so.retry.max_attempts = 1;  // a flaky-looking case must fail, not retry away
-  so.retry.initial_ms = 0;
   so.isolate = mode;
-  so.resume = 0;
   return so;
 }
 

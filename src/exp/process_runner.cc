@@ -59,12 +59,7 @@ void WriteAll(int fd, const char* data, size_t n) {
 
 RunRecord ExecuteRunInline(const RunSpec& run, const std::string& sweep_name,
                            const SweepOptions& options) {
-  RunRecord rec;
-  rec.index = run.index;
-  rec.sweep = sweep_name;
-  rec.points = run.points;
-  rec.replication = run.replication;
-  rec.seed = run.config.seed;
+  RunRecord rec = RecordFor(run, sweep_name);
 
   SetThreadLogTag(sweep_name + "#" + std::to_string(run.index));
   const Clock::time_point start = Clock::now();
@@ -216,12 +211,7 @@ RunRecord ForkedRun::Finish(const RunSpec& run, const std::string& sweep_name) {
                        << "); reporting as crashed";
   }
 
-  RunRecord rec;
-  rec.index = run.index;
-  rec.sweep = sweep_name;
-  rec.points = run.points;
-  rec.replication = run.replication;
-  rec.seed = run.config.seed;
+  RunRecord rec = RecordFor(run, sweep_name);
   rec.wall_ms =
       (watchdog_killed_
            ? wall_sec_at_kill_

@@ -6,7 +6,7 @@
 // a segfault, an OOM kill, or a run wedged outside the event loop (setup,
 // stats, a sink callback).
 //
-// ForkedRun covers exactly that gap (DIBS_ISOLATE=process): the run
+// ForkedRun covers exactly that gap (IsolationMode::kProcess): the run
 // executes in a forked child that reports its encoded RunRecord over a
 // pipe, so a crash is contained and recorded as `crashed` (with the fatal
 // signal) instead of killing the sweep, and a *hard watchdog* SIGKILLs any

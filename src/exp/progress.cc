@@ -29,9 +29,6 @@ std::string ProgressReporter::ComposeLine(const SweepSummary& s,
     if (s.crashed != 0) {
       line += ", crashed " + std::to_string(s.crashed);
     }
-    if (s.quarantined != 0) {
-      line += ", quarantined " + std::to_string(s.quarantined);
-    }
     line += ")";
   }
   if (s.retried != 0) {

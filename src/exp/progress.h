@@ -27,7 +27,7 @@ class ProgressReporter {
 
   // The line body (no \r / trailing newline), e.g.
   //   "[sweep fig11] 7/12 done (ok 5, failed 1, timeout 1) in 3.1s"
-  // Degraded statuses (failed/timeout/crashed/quarantined) and
+  // Degraded statuses (failed/timeout/crashed) and
   // retried/resumed counts appear only when nonzero, so the healthy-sweep
   // line stays short. Exposed for the unit test.
   std::string ComposeLine(const SweepSummary& summary, double elapsed_sec) const;

@@ -95,7 +95,7 @@ struct Reader {
     std::string name = RunStatusName(*out);
     json::ReadString(obj, key, &name);
     for (const RunStatus s : {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimeout,
-                              RunStatus::kCrashed, RunStatus::kQuarantined}) {
+                              RunStatus::kCrashed}) {
       if (name == RunStatusName(s)) {
         *out = s;
         return;

@@ -2,8 +2,8 @@
 // the sweep engine. Every finished run's RunRecord is appended as one
 // record_codec JSONL line, so a sweep killed at any instant — SIGKILL, OOM,
 // power button — leaves a complete prefix on disk and a restarted sweep
-// (`DIBS_JOURNAL=path DIBS_RESUME=1`) loses at most the runs that were
-// in flight.
+// (`journal_path` and `resume` set; `DIBS_JOURNAL=path DIBS_RESUME=1` in a
+// bench) loses at most the runs that were in flight.
 //
 // The journal is keyed by a *fingerprint* of the expanded run matrix (sweep
 // name, run count, and per run: index, replication, seed, axis coordinates,

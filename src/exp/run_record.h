@@ -19,13 +19,10 @@ enum class RunStatus : uint8_t {
   kOk = 0,
   kFailed = 1,   // the run threw; RunRecord::error holds what()
   kTimeout = 2,  // wall-clock deadline / event budget / hard watchdog kill
-  // Only reachable with process isolation (DIBS_ISOLATE=process): the child
+  // Only reachable with process isolation (IsolationMode::kProcess): the child
   // died by signal or exited without reporting a record. Without isolation
   // the same defect takes down the whole sweep process.
   kCrashed = 3,
-  // Terminal: the run stayed failed/timeout/crashed through every retry
-  // attempt allowed by the retry policy (max_attempts > 1).
-  kQuarantined = 4,
 };
 
 const char* RunStatusName(RunStatus status);
@@ -91,6 +88,10 @@ struct RunRecord {
   }
 };
 
+// A record holding `run`'s identity in sweep `sweep_name` (index, axis
+// points, replication, seed) and defaults everywhere else.
+RunRecord RecordFor(const RunSpec& run, const std::string& sweep_name);
+
 // Aggregate outcome of a sweep: what the progress meter prints, what
 // DIBS_REQUIRE_OK gates bench exit codes on, and what graceful-degradation
 // table rendering consults.
@@ -100,11 +101,10 @@ struct SweepSummary {
   size_t failed = 0;
   size_t timeout = 0;
   size_t crashed = 0;
-  size_t quarantined = 0;
   size_t retried = 0;   // rows that consumed more than one attempt
   size_t resumed = 0;   // rows replayed from a journal instead of executed
 
-  size_t done() const { return ok + failed + timeout + crashed + quarantined; }
+  size_t done() const { return ok + failed + timeout + crashed; }
   bool AllOk() const { return ok == total; }
 
   // Adds `record` to the status tallies (attempts feed `retried`).

@@ -2,10 +2,9 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -16,7 +15,6 @@
 #include "src/exp/process_runner.h"
 #include "src/exp/progress.h"
 #include "src/exp/run_journal.h"
-#include "src/util/env.h"
 #include "src/util/logging.h"
 
 namespace dibs {
@@ -24,246 +22,168 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Copies `options` with every env-defaulted knob resolved to its effective
-// value, so the execution paths below never consult the environment.
-SweepOptions ResolveOptions(SweepOptions options) {
-  options.retry = options.retry.Resolved();
-  options.isolate = SweepEngine::ResolveIsolation(options.isolate);
-  if (options.journal_path.empty()) {
-    if (const char* env = std::getenv("DIBS_JOURNAL"); env != nullptr) {
-      options.journal_path = env;
-    }
-  }
-  if (options.resume < 0) {
-    options.resume = env::Flag("DIBS_RESUME", false) ? 1 : 0;
-  }
-  return options;
-}
-
-void LogFinalStatus(const std::string& sweep_name, const RunRecord& rec) {
-  if (rec.status != RunStatus::kOk) {
-    DIBS_LOG(kWarning) << "sweep " << sweep_name << " run " << rec.index << " "
-                       << RunStatusName(rec.status) << ": " << rec.error;
-  }
-}
-
 // Shared completion state: records flushed to the sink strictly in index
 // order behind a contiguous-done frontier, the journal appended per final
-// record, tallies kept for progress and summary(). Thread-mode workers call
-// Deliver under a lock; the process-mode orchestrator is single-threaded.
+// record, tallies kept for progress and summary(). Settle locks, so
+// thread-mode workers call it concurrently; the process-mode orchestrator
+// is single-threaded.
 struct Delivery {
-  std::vector<RunRecord>* records = nullptr;
-  std::vector<char>* done = nullptr;
+  std::string sweep_name;
+  int max_attempts = 1;
+  std::vector<RunRecord> records;
+  std::vector<char> done;
   ResultSink* sink = nullptr;
   RunJournal* journal = nullptr;
   ProgressReporter* progress = nullptr;
   SweepSummary* summary = nullptr;
   size_t flushed = 0;
+  std::mutex mu;
 
   void FlushFrontier() {
-    while (flushed < records->size() && (*done)[flushed]) {
+    while (flushed < records.size() && done[flushed]) {
       if (sink != nullptr) {
-        sink->OnRecord((*records)[flushed]);
+        sink->OnRecord(records[flushed]);
       }
       ++flushed;
     }
   }
 
-  void Deliver(size_t index, RunRecord rec) {
+  // Settles attempt `rec.attempts` of run `index`, the one place either
+  // backend decides between running again and delivering. An attempt that
+  // did not finish ok is logged; with attempts left, Settle returns true and
+  // the caller runs it again at once. Otherwise the record is final: it is
+  // counted, journaled and flushed to the sink in matrix order.
+  bool Settle(size_t index, RunRecord rec) {
+    if (rec.status != RunStatus::kOk) {
+      const bool again = rec.attempts < max_attempts;
+      DIBS_LOG(kWarning) << "sweep " << sweep_name << " run " << rec.index << " "
+                         << RunStatusName(rec.status)
+                         << (again ? " (attempt " + std::to_string(rec.attempts) + "/" +
+                                         std::to_string(max_attempts) + ")"
+                                   : "")
+                         << ": " << rec.error << (again ? "; retrying" : "");
+      if (again) {
+        return true;
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
     summary->Count(rec);
-    (*records)[index] = std::move(rec);
-    (*done)[index] = 1;
-    if (journal != nullptr && journal->is_open()) {
-      journal->Append((*records)[index]);
+    records[index] = std::move(rec);
+    done[index] = 1;
+    if (journal->is_open()) {
+      journal->Append(records[index]);
     }
     FlushFrontier();
     progress->Update(*summary);
+    return false;
   }
 };
 
-// Thread mode: worker pool, cooperative guards, in-thread retry loop with
-// backoff sleeps. A crash or hard hang in any run still takes down the
-// whole sweep here — that is what DIBS_ISOLATE=process is for.
-void RunThreaded(const std::string& sweep_name, const std::vector<RunSpec>& runs,
-                 const SweepOptions& options, Delivery* delivery, std::mutex* mu) {
-  const size_t n = runs.size();
+// Thread mode: a worker pool claims the pending runs in matrix order and
+// runs each until Settle delivers it. A crash or hard hang in any run still
+// takes down the whole sweep here — that is what process isolation is for.
+void RunThreaded(const std::vector<RunSpec>& runs, const std::vector<size_t>& pending,
+                 const SweepOptions& options, Delivery* delivery) {
   std::atomic<size_t> next_claim{0};
 
   auto worker = [&] {
     while (true) {
-      const size_t i = next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
+      const size_t k = next_claim.fetch_add(1, std::memory_order_relaxed);
+      if (k >= pending.size()) {
         return;
       }
-      {
-        std::lock_guard<std::mutex> lock(*mu);
-        if ((*delivery->done)[i]) {
-          continue;  // replayed from the journal before workers started
-        }
-      }
-      RunRecord rec;
+      const size_t i = pending[k];
       for (int attempt = 1;; ++attempt) {
-        rec = ExecuteRunInline(runs[i], sweep_name, options);
+        RunRecord rec = ExecuteRunInline(runs[i], delivery->sweep_name, options);
         rec.attempts = attempt;
-        if (!options.retry.ShouldRetry(rec.status, attempt)) {
+        if (!delivery->Settle(i, std::move(rec))) {
           break;
         }
-        const double backoff_ms = options.retry.BackoffMs(attempt + 1);
-        DIBS_LOG(kWarning) << "sweep " << sweep_name << " run " << runs[i].index
-                           << " " << RunStatusName(rec.status) << " (attempt "
-                           << attempt << "/" << options.retry.max_attempts
-                           << "): " << rec.error << "; retrying in " << backoff_ms
-                           << "ms";
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
       }
-      FinalizeAttempts(options.retry, &rec);
-      LogFinalStatus(sweep_name, rec);
-
-      std::lock_guard<std::mutex> lock(*mu);
-      delivery->Deliver(i, std::move(rec));
     }
   };
 
-  const int jobs = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)), n));
+  const size_t jobs =
+      std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)), pending.size());
   if (jobs <= 1) {
     worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(jobs);
+  for (size_t t = 0; t < jobs; ++t) {
+    pool.emplace_back(worker);
+  }
+  for (std::thread& t : pool) {
+    t.join();
   }
 }
 
 // Process mode: a single-threaded orchestrator (so fork() never races a
 // lock-holding sibling thread) dispatches each run to a forked child and
 // multiplexes their result pipes with poll(). Crashes and watchdog kills
-// become records; retries re-enter the pending queue after their backoff.
-void RunIsolated(const std::string& sweep_name, const std::vector<RunSpec>& runs,
+// become records; a run that goes again rejoins the queue at once.
+void RunIsolated(const std::vector<RunSpec>& runs, const std::vector<size_t>& pending,
                  const SweepOptions& options, Delivery* delivery) {
-  struct PendingRun {
+  struct Attempt {
     size_t index;
-    int attempt;  // attempt number this execution will be
-    Clock::time_point eligible_at;
+    int number;  // 1 = first try
   };
   struct ActiveRun {
     std::unique_ptr<ForkedRun> child;
-    size_t index;
-    int attempt;
+    Attempt attempt;
   };
 
-  std::deque<PendingRun> pending;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (!(*delivery->done)[i]) {
-      pending.push_back({i, 1, Clock::now()});
-    }
+  const std::string& sweep_name = delivery->sweep_name;
+  std::deque<Attempt> queue;
+  for (const size_t i : pending) {
+    queue.push_back({i, 1});
   }
   std::vector<ActiveRun> active;
-  const size_t jobs = std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)),
-                          runs.size()));
+  const size_t jobs =
+      std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)), pending.size());
 
-  auto finalize = [&](ActiveRun& done_run) {
-    RunRecord rec = done_run.child->Finish(runs[done_run.index], sweep_name);
-    rec.attempts = done_run.attempt;
-    if (options.retry.ShouldRetry(rec.status, done_run.attempt)) {
-      const double backoff_ms = options.retry.BackoffMs(done_run.attempt + 1);
-      DIBS_LOG(kWarning) << "sweep " << sweep_name << " run " << runs[done_run.index].index
-                         << " " << RunStatusName(rec.status) << " (attempt "
-                         << done_run.attempt << "/" << options.retry.max_attempts
-                         << "): " << rec.error << "; retrying in " << backoff_ms << "ms";
-      pending.push_back({done_run.index, done_run.attempt + 1,
-                         Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                            std::chrono::duration<double, std::milli>(
-                                                backoff_ms))});
-      return;
+  auto settle = [&](const Attempt& attempt, RunRecord rec) {
+    rec.attempts = attempt.number;
+    if (delivery->Settle(attempt.index, std::move(rec))) {
+      queue.push_back({attempt.index, attempt.number + 1});
     }
-    FinalizeAttempts(options.retry, &rec);
-    LogFinalStatus(sweep_name, rec);
-    delivery->Deliver(done_run.index, std::move(rec));
   };
 
-  while (!pending.empty() || !active.empty()) {
-    const Clock::time_point now = Clock::now();
-
-    // Launch every eligible pending run into a free slot.
-    for (auto it = pending.begin(); it != pending.end() && active.size() < jobs;) {
-      if (it->eligible_at > now) {
-        ++it;
-        continue;
-      }
-      std::unique_ptr<ForkedRun> child =
-          ForkedRun::Start(runs[it->index], sweep_name, options);
+  while (!queue.empty() || !active.empty()) {
+    // Fill every free slot.
+    while (!queue.empty() && active.size() < jobs) {
+      const Attempt next = queue.front();
+      queue.pop_front();
+      std::unique_ptr<ForkedRun> child = ForkedRun::Start(runs[next.index], sweep_name, options);
       if (child == nullptr) {
-        // fork/pipe exhaustion: surface as a failed attempt (still retried).
-        RunRecord rec;
-        const RunSpec& run = runs[it->index];
-        rec.index = run.index;
-        rec.sweep = sweep_name;
-        rec.points = run.points;
-        rec.replication = run.replication;
-        rec.seed = run.config.seed;
+        // fork/pipe exhaustion: a failed attempt like any other.
+        RunRecord rec = RecordFor(runs[next.index], sweep_name);
         rec.status = RunStatus::kFailed;
         rec.error = "fork/pipe failed; cannot isolate run";
-        rec.attempts = it->attempt;
-        const PendingRun failed_run = *it;
-        it = pending.erase(it);
-        if (options.retry.ShouldRetry(rec.status, failed_run.attempt)) {
-          pending.push_back({failed_run.index, failed_run.attempt + 1,
-                             Clock::now() + std::chrono::seconds(1)});
-        } else {
-          FinalizeAttempts(options.retry, &rec);
-          LogFinalStatus(sweep_name, rec);
-          delivery->Deliver(failed_run.index, std::move(rec));
-        }
+        settle(next, std::move(rec));
         continue;
       }
-      active.push_back({std::move(child), it->index, it->attempt});
-      it = pending.erase(it);
+      active.push_back({std::move(child), next});
     }
-
     if (active.empty()) {
-      if (pending.empty()) {
-        return;
-      }
-      // Everything left is backing off; sleep until the earliest retry.
-      Clock::time_point earliest = pending.front().eligible_at;
-      for (const PendingRun& p : pending) {
-        earliest = std::min(earliest, p.eligible_at);
-      }
-      std::this_thread::sleep_until(earliest);
-      continue;
+      continue;  // every attempt so far was settled without a child
     }
 
-    // Poll result pipes until the next actionable instant: a watchdog
-    // deadline, or a backed-off retry becoming eligible while a slot is
-    // free. -1 blocks until a child reports or dies.
+    // Poll result pipes until a child reports or dies, or until the earliest
+    // watchdog deadline; -1 blocks until a child reports or dies.
+    const Clock::time_point now = Clock::now();
     int timeout_ms = -1;
-    auto consider = [&](Clock::time_point t) {
-      const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(t - now);
-      const int ms = std::max<int>(0, static_cast<int>(delta.count()));
-      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
-    };
-    for (const ActiveRun& a : active) {
-      if (a.child->has_deadline()) {
-        consider(a.child->kill_deadline());
-      }
-    }
-    if (active.size() < jobs) {
-      for (const PendingRun& p : pending) {
-        consider(p.eligible_at);
-      }
-    }
-
     std::vector<pollfd> fds;
     fds.reserve(active.size());
     for (const ActiveRun& a : active) {
       fds.push_back({a.child->fd(), POLLIN, 0});
+      if (a.child->has_deadline()) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(a.child->kill_deadline() - now);
+        const int ms = std::max<int>(0, static_cast<int>(left.count()));
+        timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+      }
     }
     ::poll(fds.data(), fds.size(), timeout_ms);
 
@@ -274,7 +194,7 @@ void RunIsolated(const std::string& sweep_name, const std::vector<RunSpec>& runs
         a.child->Kill();  // EOF follows; the next pass reaps it
       }
       if (a.child->ReadAvailable()) {
-        finalize(a);
+        settle(a.attempt, a.child->Finish(runs[a.attempt.index], sweep_name));
         active.erase(active.begin() + static_cast<long>(i));
         continue;
       }
@@ -291,23 +211,8 @@ int SweepEngine::ResolveJobs(int requested) {
   if (requested > 0) {
     return requested;
   }
-  // "DIBS_JOBS=fuor" used to atoi() to 0 and silently fall back to the
-  // hardware count; now it throws a typed EnvError up front. 0 = auto.
-  const int jobs = static_cast<int>(env::Int("DIBS_JOBS", 0, 0, 4096));
-  if (jobs > 0) {
-    return jobs;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-IsolationMode SweepEngine::ResolveIsolation(IsolationMode mode) {
-  if (mode != IsolationMode::kDefault) {
-    return mode;
-  }
-  return env::OneOf("DIBS_ISOLATE", "thread", {"thread", "process"}) == "process"
-             ? IsolationMode::kProcess
-             : IsolationMode::kThread;
 }
 
 std::vector<RunRecord> SweepEngine::Run(const SweepSpec& spec, ResultSink* sink) {
@@ -325,58 +230,60 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
     runs[i].config.sweep_run_index = static_cast<int>(i);
   }
 
-  const SweepOptions options = ResolveOptions(options_);
   summary_ = SweepSummary{};
   summary_.total = n;
-
-  std::vector<RunRecord> records(n);
   if (n == 0) {
     if (sink != nullptr) {
       sink->Finish();
     }
-    return records;
+    return {};
   }
+
+  Delivery delivery;
+  delivery.sweep_name = sweep_name;
+  delivery.max_attempts = options_.retry.max_attempts;
+  delivery.records.resize(n);
+  delivery.done.assign(n, 0);
+  delivery.sink = sink;
+  delivery.summary = &summary_;
 
   // Journal: open (verifying the fingerprint when resuming) and replay
   // completed `ok` rows so only the remainder executes.
   RunJournal journal;
-  std::vector<char> done(n, 0);
-  if (!options.journal_path.empty()) {
-    const uint64_t fingerprint = SweepFingerprint(sweep_name, runs);
+  if (!options_.journal_path.empty()) {
     std::map<int, RunRecord> resumed;
-    journal.Open(options.journal_path, sweep_name.empty() ? "sweep" : sweep_name, n,
-                 fingerprint, options.resume > 0, &resumed);
+    journal.Open(options_.journal_path, sweep_name.empty() ? "sweep" : sweep_name, n,
+                 SweepFingerprint(sweep_name, runs), options_.resume, &resumed);
     for (auto& [index, rec] : resumed) {
       if (index < 0 || static_cast<size_t>(index) >= n || rec.status != RunStatus::kOk) {
-        continue;  // failed/timeout/crashed/quarantined rows get a fresh start
+        continue;  // failed/timeout/crashed rows get a fresh start
       }
       summary_.Count(rec);
       ++summary_.resumed;
-      records[static_cast<size_t>(index)] = std::move(rec);
-      done[static_cast<size_t>(index)] = 1;
+      delivery.records[static_cast<size_t>(index)] = std::move(rec);
+      delivery.done[static_cast<size_t>(index)] = 1;
     }
   }
+  delivery.journal = &journal;
 
   ProgressReporter progress(sweep_name.empty() ? "sweep" : sweep_name, n,
-                            options.progress && n > 1);
-
-  Delivery delivery;
-  delivery.records = &records;
-  delivery.done = &done;
-  delivery.sink = sink;
-  delivery.journal = &journal;
+                            options_.progress && n > 1);
   delivery.progress = &progress;
-  delivery.summary = &summary_;
   // Rows replayed from the journal stream to the sink up front (in order),
   // exactly as if they had just executed.
   delivery.FlushFrontier();
 
-  if (summary_.done() < n) {
-    if (options.isolate == IsolationMode::kProcess) {
-      RunIsolated(sweep_name, runs, options, &delivery);
+  std::vector<size_t> pending;
+  for (size_t i = 0; i < n; ++i) {
+    if (!delivery.done[i]) {
+      pending.push_back(i);
+    }
+  }
+  if (!pending.empty()) {
+    if (options_.isolate == IsolationMode::kProcess) {
+      RunIsolated(runs, pending, options_, &delivery);
     } else {
-      std::mutex mu;
-      RunThreaded(sweep_name, runs, options, &delivery, &mu);
+      RunThreaded(runs, pending, options_, &delivery);
     }
   }
 
@@ -384,7 +291,7 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
   if (sink != nullptr) {
     sink->Finish();
   }
-  return records;
+  return std::move(delivery.records);
 }
 
 }  // namespace dibs

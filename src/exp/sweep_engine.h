@@ -4,23 +4,25 @@
 //
 //   cooperative  (always on)  wall-clock deadline + event budget polled
 //                             inside the simulator loop (-> `timeout`);
-//                             exception capture (-> `failed`). PR-1.
-//   retry        (DIBS_MAX_ATTEMPTS > 1) failed/timeout/crashed rows are
-//                             deterministically re-run with bounded
-//                             exponential backoff; rows that never succeed
-//                             end `quarantined`. src/exp/retry.h.
-//   isolation    (DIBS_ISOLATE=process) each run forks a child supervised
+//                             exception capture (-> `failed`).
+//   retry        (retry.max_attempts > 1) a run that does not finish ok is
+//                             re-run at once, with the same seed, and keeps
+//                             the status of its last attempt.
+//   isolation    (isolate = kProcess) each run forks a child supervised
 //                             by a hard SIGKILL watchdog; crashes become
 //                             `crashed` records instead of killing the
 //                             sweep. src/exp/process_runner.h.
 //
-// A RunJournal (DIBS_JOURNAL=path) makes the whole sweep crash-resilient:
-// every finished row is journaled with a flush, and DIBS_RESUME=1 verifies
-// the journal's sweep fingerprint, replays already-`ok` rows, and executes
-// only the rest — so a `kill -9` mid-sweep loses at most the in-flight
-// runs. Sink output is byte-identical for a given spec at any DIBS_JOBS,
-// across isolation modes, and across resume boundaries (modulo the
-// host-side wall_ms/events_per_sec fields).
+// A RunJournal (journal_path) makes the whole sweep crash-resilient: every
+// finished row is journaled with a flush, and `resume` verifies the
+// journal's sweep fingerprint, replays already-`ok` rows, and executes only
+// the rest — so a `kill -9` mid-sweep loses at most the in-flight runs. Sink
+// output is byte-identical for a given spec at any job count, across
+// isolation modes, and across resume boundaries (modulo the host-side
+// wall_ms/events_per_sec fields).
+//
+// Every option is a plain value: src/exp reads no environment. The benches
+// map their DIBS_* sweep knobs onto SweepOptions in bench/bench_util.h.
 
 #ifndef SRC_EXP_SWEEP_ENGINE_H_
 #define SRC_EXP_SWEEP_ENGINE_H_
@@ -29,22 +31,25 @@
 #include <vector>
 
 #include "src/exp/result_sink.h"
-#include "src/exp/retry.h"
 #include "src/exp/run_record.h"
 #include "src/exp/sweep_spec.h"
 
 namespace dibs {
 
 enum class IsolationMode : uint8_t {
-  kDefault = 0,  // resolve from $DIBS_ISOLATE ("process" | "thread")
-  kThread = 1,   // runs share the sweep process (worker thread pool)
-  kProcess = 2,  // one forked child per run, hard watchdog, crash containment
+  kThread,   // runs share the sweep process (worker thread pool)
+  kProcess,  // one forked child per run, hard watchdog, crash containment
+};
+
+struct RetryPolicy {
+  // Total attempts per run, first try included; 1 disables retries.
+  int max_attempts = 1;
 };
 
 struct SweepOptions {
   // Worker threads (thread mode) or concurrent children (process mode).
-  // 0 resolves to $DIBS_JOBS, falling back to
-  // std::thread::hardware_concurrency(); always clamped to [1, run count].
+  // 0 means std::thread::hardware_concurrency(); always clamped to
+  // [1, run count].
   int jobs = 0;
 
   // Per-run wall-clock deadline in seconds; 0 disables. Checked inside the
@@ -59,25 +64,22 @@ struct SweepOptions {
   // Progress meter on stderr, for sweeps of more than one run.
   bool progress = true;
 
-  // Retry policy; fields left at their sentinel defaults resolve from
-  // $DIBS_MAX_ATTEMPTS / $DIBS_RETRY_BACKOFF_MS.
   RetryPolicy retry;
 
-  // Execution backend; kDefault resolves from $DIBS_ISOLATE.
-  IsolationMode isolate = IsolationMode::kDefault;
+  IsolationMode isolate = IsolationMode::kThread;
 
   // Hard-watchdog slack beyond run_timeout_sec before SIGKILL (process
   // mode); covers the gap between the simulator's cooperative interrupt and
   // a truly wedged child.
   double watchdog_grace_sec = 5;
 
-  // Journal file; empty resolves from $DIBS_JOURNAL (unset = no journal).
+  // Journal file; empty means no journal.
   std::string journal_path;
 
   // Resume from the journal: skip rows it records as `ok` (fingerprint must
   // match or RunAll throws std::runtime_error). A missing or empty journal
-  // file resumes as a fresh run. -1 resolves from $DIBS_RESUME.
-  int resume = -1;
+  // file resumes as a fresh run.
+  bool resume = false;
 };
 
 class SweepEngine {
@@ -99,11 +101,8 @@ class SweepEngine {
   // Outcome tallies of the most recent Run/RunAll.
   const SweepSummary& summary() const { return summary_; }
 
-  // The effective worker count for `requested` (0 = env/hardware default).
+  // The effective worker count for `requested` (0 = hardware threads).
   static int ResolveJobs(int requested);
-
-  // `mode` with the env default applied ($DIBS_ISOLATE).
-  static IsolationMode ResolveIsolation(IsolationMode mode);
 
  private:
   SweepOptions options_;

@@ -14,8 +14,6 @@ const char* RunStatusName(RunStatus status) {
       return "timeout";
     case RunStatus::kCrashed:
       return "crashed";
-    case RunStatus::kQuarantined:
-      return "quarantined";
   }
   return "?";
 }
@@ -34,13 +32,20 @@ void SweepSummary::Count(const RunRecord& record) {
     case RunStatus::kCrashed:
       ++crashed;
       break;
-    case RunStatus::kQuarantined:
-      ++quarantined;
-      break;
   }
   if (record.attempts > 1) {
     ++retried;
   }
+}
+
+RunRecord RecordFor(const RunSpec& run, const std::string& sweep_name) {
+  RunRecord rec;
+  rec.index = run.index;
+  rec.sweep = sweep_name;
+  rec.points = run.points;
+  rec.replication = run.replication;
+  rec.seed = run.config.seed;
+  return rec;
 }
 
 std::string RunRecord::PointValue(const std::string& axis,

@@ -1,7 +1,8 @@
 #include "src/util/validation.h"
 
-#include <cstdlib>
 #include <utility>
+
+#include "src/util/env.h"
 
 namespace dibs {
 
@@ -14,10 +15,8 @@ namespace validate {
 namespace internal {
 
 std::atomic<bool>& Flag() {
-  static std::atomic<bool> enabled = [] {
-    const char* env = std::getenv("DIBS_VALIDATE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
+  // Parsed like every boolean knob: "false" is off, a typo throws EnvError.
+  static std::atomic<bool> enabled{env::Flag("DIBS_VALIDATE", false)};
   return enabled;
 }
 

@@ -9,10 +9,11 @@
 // involved packet's description when one is attached) instead of aborting, so
 // the sweep engine can report it as a failed run and tests can assert on it.
 //
-// Enabling: set DIBS_VALIDATE=1 in the environment (any value except "0"),
-// or call validate::SetEnabled(true) programmatically. The flag is read once
-// and cached; Enabled() is a single relaxed atomic load, cheap enough to
-// leave in release hot paths.
+// Enabling: set DIBS_VALIDATE=1 in the environment (a boolean knob parsed
+// by env::Flag: 1/true/on/yes enable, 0/false/off/no disable, anything else
+// throws EnvError), or call validate::SetEnabled(true) programmatically. The
+// flag is read once and cached; Enabled() is a single relaxed atomic load,
+// cheap enough to leave in release hot paths.
 
 #ifndef SRC_UTIL_VALIDATION_H_
 #define SRC_UTIL_VALIDATION_H_

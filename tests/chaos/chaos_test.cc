@@ -24,39 +24,10 @@
 #include "src/chaos/spec_codec.h"
 #include "src/harness/scenario.h"
 #include "src/util/json.h"
+#include "tests/util/scoped_env.h"
 
 namespace dibs::chaos {
 namespace {
-
-// Scoped environment override with restore (tests mutate DIBS_CHAOS_PLANT
-// and DIBS_JOBS; leaking either would poison later tests in this binary).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      old_ = old;
-      had_old_ = true;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 // Small per-run budgets keep the suite fast; every spec the tests execute
 // finishes well under this.

@@ -1,9 +1,9 @@
-// Process-isolation contract (DIBS_ISOLATE=process): forked runs produce
+// Process-isolation contract (IsolationMode::kProcess): forked runs produce
 // byte-identical records to in-process runs, an injected crash is contained
 // as a `crashed` record (with the fatal signal) while the rest of the sweep
 // completes, a hang past run_timeout_sec + grace is SIGKILLed by the hard
 // watchdog, and retries re-run crashed rows (recovering when the cause was
-// transient, quarantining when it was not).
+// transient, ending `crashed` when it was not).
 //
 // Every test forks from a single-threaded state: the process-mode
 // orchestrator runs on the calling thread, and thread pools from other
@@ -210,7 +210,6 @@ TEST(ProcessRunnerTest, TransientCrashRecoversOnRetry) {
   opts.progress = false;
   opts.isolate = IsolationMode::kProcess;
   opts.retry.max_attempts = 2;
-  opts.retry.initial_ms = 1;
   SweepEngine engine(opts);
   const std::vector<RunRecord> records = engine.RunAll("flaky", std::move(runs));
   std::remove(marker.c_str());
@@ -222,7 +221,7 @@ TEST(ProcessRunnerTest, TransientCrashRecoversOnRetry) {
   EXPECT_EQ(engine.summary().ok, 1u);
 }
 
-TEST(ProcessRunnerTest, PersistentCrashExhaustsRetriesIntoQuarantine) {
+TEST(ProcessRunnerTest, PersistentCrashExhaustsRetries) {
   std::vector<RunSpec> runs(1);
   runs[0].runner = [](const ExperimentConfig&) -> ScenarioResult { CrashHard(); };
   SweepOptions opts;
@@ -230,15 +229,15 @@ TEST(ProcessRunnerTest, PersistentCrashExhaustsRetriesIntoQuarantine) {
   opts.progress = false;
   opts.isolate = IsolationMode::kProcess;
   opts.retry.max_attempts = 2;
-  opts.retry.initial_ms = 1;
   SweepEngine engine(opts);
   const std::vector<RunRecord> records = engine.RunAll("doomed", std::move(runs));
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].status, RunStatus::kQuarantined);
+  EXPECT_EQ(records[0].status, RunStatus::kCrashed);
   EXPECT_EQ(records[0].attempts, 2);
-  EXPECT_NE(records[0].error.find("crashed after 2 attempts"), std::string::npos)
+  EXPECT_NE(records[0].error.find("child killed by signal"), std::string::npos)
       << records[0].error;
-  EXPECT_EQ(engine.summary().quarantined, 1u);
+  EXPECT_EQ(engine.summary().crashed, 1u);
+  EXPECT_EQ(engine.summary().retried, 1u);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(RecordCodecTest, EncodingIsPinned) {
 
 TEST(RecordCodecTest, RoundTripsEveryStatusAndEscapedError) {
   for (RunStatus status : {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimeout,
-                           RunStatus::kCrashed, RunStatus::kQuarantined}) {
+                           RunStatus::kCrashed}) {
     RunRecord r = FullRecord();
     r.status = status;
     r.error = "line1\nsaid \"boom\"\\path\ttab";

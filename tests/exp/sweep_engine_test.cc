@@ -1,9 +1,9 @@
 // Sweep engine contract tests: expansion order and derived seeds, result
 // determinism under parallelism (the acceptance bar for converting the
 // figure benches), ordered sink delivery, the failure-isolation paths
-// (exception capture, event budget, wall-clock deadline), retry-with-
-// backoff, and journal-backed resume (byte-identical sink output across a
-// kill/resume boundary at any DIBS_JOBS).
+// (exception capture, event budget, wall-clock deadline), immediate retry,
+// and journal-backed resume (byte-identical sink output across a
+// kill/resume boundary at any job count).
 
 #include "src/exp/sweep_engine.h"
 
@@ -216,7 +216,6 @@ TEST(SweepEngineTest, RetryRecoversTransientFailuresWithSeedPreserved) {
   opts.jobs = 1;
   opts.progress = false;
   opts.retry.max_attempts = 3;
-  opts.retry.initial_ms = 1;
   SweepEngine engine(opts);
   const std::vector<RunRecord> records = engine.RunAll("flaky", std::move(runs));
   ASSERT_EQ(records.size(), 1u);
@@ -227,7 +226,7 @@ TEST(SweepEngineTest, RetryRecoversTransientFailuresWithSeedPreserved) {
   EXPECT_EQ(engine.summary().ok, 1u);
 }
 
-TEST(SweepEngineTest, ExhaustedRetriesQuarantineTheRow) {
+TEST(SweepEngineTest, ExhaustedRetriesKeepTheLastStatus) {
   std::vector<RunSpec> runs(2);
   runs[0].runner = [](const ExperimentConfig&) -> ScenarioResult {
     throw std::runtime_error("deterministic bug");
@@ -237,31 +236,16 @@ TEST(SweepEngineTest, ExhaustedRetriesQuarantineTheRow) {
   opts.jobs = 2;
   opts.progress = false;
   opts.retry.max_attempts = 2;
-  opts.retry.initial_ms = 1;
   SweepEngine engine(opts);
   const std::vector<RunRecord> records = engine.RunAll("doomed", std::move(runs));
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].status, RunStatus::kQuarantined);
+  EXPECT_EQ(records[0].status, RunStatus::kFailed);
   EXPECT_EQ(records[0].attempts, 2);
-  EXPECT_EQ(records[0].error, "failed after 2 attempts: deterministic bug");
+  EXPECT_EQ(records[0].error, "deterministic bug");
   EXPECT_EQ(records[1].status, RunStatus::kOk);
-  EXPECT_EQ(engine.summary().quarantined, 1u);
-}
-
-TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_ms = 100;
-  policy.multiplier = 2.0;
-  policy.max_ms = 350;
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(2), 100);  // first retry
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(3), 200);
-  EXPECT_DOUBLE_EQ(policy.BackoffMs(4), 350);  // capped
-  EXPECT_TRUE(policy.ShouldRetry(RunStatus::kTimeout, 1));
-  EXPECT_TRUE(policy.ShouldRetry(RunStatus::kCrashed, 4));
-  EXPECT_FALSE(policy.ShouldRetry(RunStatus::kCrashed, 5));
-  EXPECT_FALSE(policy.ShouldRetry(RunStatus::kOk, 1));
-  EXPECT_FALSE(policy.ShouldRetry(RunStatus::kQuarantined, 1));
+  EXPECT_EQ(records[1].attempts, 1);
+  EXPECT_EQ(engine.summary().failed, 1u);
+  EXPECT_EQ(engine.summary().retried, 1u);
 }
 
 // --- Journal-backed resume ---
@@ -289,7 +273,7 @@ SweepCapture RunJournaled(const SweepSpec& spec, const std::string& journal,
   opts.jobs = jobs;
   opts.progress = false;
   opts.journal_path = journal;
-  opts.resume = resume ? 1 : 0;
+  opts.resume = resume;
   SweepEngine engine(opts);
   SweepCapture cap;
   cap.records = engine.Run(spec, &multi);
@@ -447,18 +431,15 @@ TEST(SweepEngineTest, ResumeRefusesJournalFromDifferentSweep) {
   opts.jobs = 1;
   opts.progress = false;
   opts.journal_path = journal;
-  opts.resume = 1;
+  opts.resume = true;
   EXPECT_THROW(SweepEngine(opts).Run(other), std::runtime_error);
   std::remove(journal.c_str());
 }
 
-TEST(SweepEngineTest, ResolveJobsPrefersExplicitThenEnvThenHardware) {
+TEST(SweepEngineTest, ResolveJobsPrefersExplicitThenHardware) {
   EXPECT_EQ(SweepEngine::ResolveJobs(5), 5);
-  setenv("DIBS_JOBS", "3", /*overwrite=*/1);
-  EXPECT_EQ(SweepEngine::ResolveJobs(0), 3);
-  EXPECT_EQ(SweepEngine::ResolveJobs(2), 2);  // explicit beats env
-  unsetenv("DIBS_JOBS");
-  EXPECT_GE(SweepEngine::ResolveJobs(0), 1);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(SweepEngine::ResolveJobs(0), hw > 0 ? hw : 1);
 }
 
 }  // namespace

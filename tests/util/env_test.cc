@@ -6,24 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/util/scoped_env.h"
+
 namespace dibs {
 namespace {
-
-// RAII env variable for the duration of one test.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 constexpr char kKnob[] = "DIBS_ENV_TEST_KNOB";
 
