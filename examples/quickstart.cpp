@@ -39,6 +39,6 @@ int main() {
   std::cout << "\nDIBS detours excess packets to neighboring switches instead of dropping\n"
                "them, so incast bursts finish without waiting out a 10ms minRTO timeout.\n"
                "Next: examples/detour_trace (Figure 1), examples/incast_study (Figure 6),\n"
-               "examples/policy_comparison (Section 7 policies).\n";
+               "bench/sec7_topologies (Section 7 policies).\n";
   return 0;
 }

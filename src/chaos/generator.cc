@@ -108,9 +108,8 @@ ChaosSpec GenerateSpec(uint64_t master_seed, int index) {
       s.switch_buffer_packets, static_cast<int>(rng.UniformInt(4, 30)));
   s.use_shared_buffer = rng.Bernoulli(0.15);
 
-  const char* kPolicies[] = {"random", "random", "random", "load-aware",
-                             "flow-based", "probabilistic", "none"};
-  s.detour_policy = kPolicies[rng.UniformInt(0, 6)];
+  const char* kPolicies[] = {"random", "random", "random", "load-aware", "none"};
+  s.detour_policy = kPolicies[rng.UniformInt(0, 4)];
   s.initial_ttl = rng.Bernoulli(0.3)
                       ? static_cast<int>(rng.UniformInt(8, 32))
                       : 255;

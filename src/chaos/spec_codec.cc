@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/core/detour_policy.h"
 #include "src/util/json.h"
 
 namespace dibs::chaos {
@@ -120,9 +121,7 @@ ChaosSpec DecodeChaosSpec(const json::Value& root) {
                                            s.ecn_threshold_packets, 0, 100000);
   json::ReadBool(root, "use_shared_buffer", &s.use_shared_buffer);
   json::ReadString(root, "detour_policy", &s.detour_policy);
-  if (s.detour_policy != "none" && s.detour_policy != "random" &&
-      s.detour_policy != "load-aware" && s.detour_policy != "flow-based" &&
-      s.detour_policy != "probabilistic") {
+  if (!DetourPolicyFromName(s.detour_policy).has_value()) {
     throw CodecError("detour_policy", "unknown policy '" + s.detour_policy + "'");
   }
   s.initial_ttl = ReadBoundedInt(root, "initial_ttl", s.initial_ttl, 1, 255);

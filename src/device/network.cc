@@ -1,5 +1,6 @@
 #include "src/device/network.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/device/host_node.h"
@@ -20,8 +21,10 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
       fib_(Fib::Compute(topo_)),
       link_admin_up_(static_cast<size_t>(topo_.num_links()), true),
       node_up_(static_cast<size_t>(topo_.num_nodes()), true),
-      link_effective_up_(static_cast<size_t>(topo_.num_links()), true),
-      policy_(MakeDetourPolicy(config_.detour_policy)) {
+      link_effective_up_(static_cast<size_t>(topo_.num_links()), true) {
+  const std::optional<DetourPolicy> policy = DetourPolicyFromName(config_.detour_policy);
+  DIBS_CHECK(policy.has_value()) << "unknown detour policy: " << config_.detour_policy;
+  policy_ = *policy;
   DIBS_CHECK(!(config_.pfabric_queues && config_.use_shared_buffer))
       << "pFabric and shared-buffer modes are mutually exclusive";
 

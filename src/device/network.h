@@ -45,7 +45,9 @@ struct NetworkConfig {
   double shared_buffer_alpha = 1.0;
 
   // DIBS configuration.
-  std::string detour_policy = "none";  // none|random|load-aware|flow-based|probabilistic
+  // none|random|load-aware; the Network parses it once (DetourPolicyFromName)
+  // and aborts on any other name.
+  std::string detour_policy = "none";
   // TTL every host stamps on the data and ACKs it sends; it bounds a
   // packet's detours (§5.5.3 sweeps it down to 12).
   uint8_t initial_ttl = 255;
@@ -92,7 +94,7 @@ class Network {
   const Topology& topology() const { return topo_; }
   const Fib& fib() const { return fib_; }
   const NetworkConfig& config() const { return config_; }
-  DetourPolicy* detour_policy() { return policy_.get(); }  // nullptr for "none"
+  DetourPolicy detour_policy() const { return policy_; }
 
   HostNode& host(HostId h);
   const HostNode& host(HostId h) const;
@@ -205,7 +207,7 @@ class Network {
   std::vector<bool> link_admin_up_;      // indexed by link id
   std::vector<bool> node_up_;            // indexed by node id; false = crashed switch
   std::vector<bool> link_effective_up_;  // last applied effective state, for trace edges
-  std::unique_ptr<DetourPolicy> policy_;
+  DetourPolicy policy_ = DetourPolicy::kNone;
   std::unique_ptr<GuardFabric> guard_;
 
   std::vector<std::unique_ptr<Node>> nodes_;                 // indexed by topo node id

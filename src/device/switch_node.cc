@@ -20,8 +20,7 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
 
   // Overload guard: per-packet pressure signal. One null check when the
   // guard is off; plain counter increments when it is on.
-  GuardFabric* guard = net.guard();
-  if (guard != nullptr) {
+  if (GuardFabric* guard = net.guard(); guard != nullptr) {
     guard->NotePacket(id());
   }
 
@@ -50,30 +49,16 @@ void SwitchNode::HandleReceive(Packet&& p, uint16_t in_port) {
     desired = net.fib().EcmpPort(id(), p.dst, p.flow);
   }
   if (!ports_[desired]->queue().IsFull(p)) {
-    // Probabilistic detouring (§7) may move low-priority traffic aside even
-    // before the queue fills. All other policies never fire here. A
-    // suppressed breaker also vetoes early detours — the packet simply takes
-    // its desired queue, which has room here.
-    DetourPolicy* policy = net.detour_policy();
-    const bool guard_allows = guard == nullptr || (guard->DetourEnabled(id()) &&
-                                                   p.detour_count < guard->DetourBudget());
-    if (policy != nullptr && guard_allows &&
-        policy->ShouldDetourEarly(ContextFor(p, desired, {}), net.sim().rng()) &&
-        !FindCandidates(p, desired).has_value()) {
-      Detour(std::move(p), *policy, desired);
-      return;
-    }
     Forward(std::move(p), desired);
     return;
   }
-
   DetourOrDrop(std::move(p), desired);
 }
 
 void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port) {
   Network& net = *network_;
-  DetourPolicy* policy = net.detour_policy();
-  if (policy == nullptr) {
+  const DetourPolicy policy = net.detour_policy();
+  if (policy == DetourPolicy::kNone) {
     net.NotifyDrop(id(), p, DropReason::kQueueOverflow);  // DIBS off: plain drop-tail
     return;
   }
@@ -82,7 +67,8 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port) {
   // clamp (guard-ttl-clamped) veto before the policy runs — a vetoed
   // decision must not consume policy RNG, or suppressed stretches would
   // perturb every later draw.
-  if (GuardFabric* guard = net.guard(); guard != nullptr) {
+  GuardFabric* guard = net.guard();
+  if (guard != nullptr) {
     if (auto deny = guard->AdmitDetour(id(), p.detour_count); deny.has_value()) {
       net.NotifyDrop(id(), p, *deny);
       return;
@@ -93,7 +79,18 @@ void SwitchNode::DetourOrDrop(Packet&& p, uint16_t desired_port) {
     net.NotifyDrop(id(), p, *reason);
     return;
   }
-  Detour(std::move(p), *policy, desired_port);
+  const uint16_t port = ChooseDetourPort(policy, candidates_, net.sim().rng());
+  ++p.detour_count;
+  if (guard != nullptr) {
+    guard->NoteDetour();
+  }
+  // Detoured packets travel a longer path through congested territory — mark
+  // them so DCTCP still sees the congestion signal (§5.3).
+  if (p.ect) {
+    p.ce = true;
+  }
+  net.NotifyDetour(id(), port, p);
+  Forward(std::move(p), port);
 }
 
 std::optional<DropReason> SwitchNode::FindCandidates(const Packet& p, uint16_t desired_port) {
@@ -111,7 +108,7 @@ std::optional<DropReason> SwitchNode::FindCandidates(const Packet& p, uint16_t d
     }
     any_live = true;
     if (!port.queue().IsFull(p)) {
-      candidates_.push_back({i, port.queue().size_packets(), port.queue().capacity_packets()});
+      candidates_.push_back({i, port.queue().size_packets()});
     }
   }
   if (!candidates_.empty()) {
@@ -122,32 +119,6 @@ std::optional<DropReason> SwitchNode::FindCandidates(const Packet& p, uint16_t d
   }
   return any_switch_facing && !any_live ? DropReason::kNoEligibleDetour
                                         : DropReason::kNoDetourAvailable;
-}
-
-DetourContext SwitchNode::ContextFor(const Packet& p, uint16_t desired_port,
-                                     std::span<const DetourCandidate> candidates) const {
-  const Queue& desired = ports_[desired_port]->queue();
-  return {.node = id(),
-          .desired_queue_len = desired.size_packets(),
-          .desired_queue_cap = desired.capacity_packets(),
-          .packet = &p,
-          .candidates = candidates};
-}
-
-void SwitchNode::Detour(Packet&& p, DetourPolicy& policy, uint16_t desired_port) {
-  const uint16_t port =
-      policy.ChoosePort(ContextFor(p, desired_port, candidates_), network_->sim().rng());
-  ++p.detour_count;
-  if (GuardFabric* guard = network_->guard(); guard != nullptr) {
-    guard->NoteDetour();
-  }
-  // Detoured packets travel a longer path through congested territory — mark
-  // them so DCTCP still sees the congestion signal (§5.3).
-  if (p.ect) {
-    p.ce = true;
-  }
-  network_->NotifyDetour(id(), port, p);
-  Forward(std::move(p), port);
 }
 
 void SwitchNode::Forward(Packet&& p, uint16_t out_port) {

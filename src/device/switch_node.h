@@ -19,7 +19,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -69,7 +68,9 @@ class SwitchNode : public Node {
   // Enqueues on `out_port` (must have room) and re-evaluates flow control.
   void Forward(Packet&& p, uint16_t out_port);
 
-  // Detour-or-drop slow path once the desired queue refused the packet.
+  // Detour-or-drop slow path once the desired queue refused the packet: the
+  // guard's veto, then the candidates, then the policy's pick, which is
+  // counted, fed to the guard, CE-marked and forwarded.
   void DetourOrDrop(Packet&& p, uint16_t desired_port);
 
   // Fills candidates_, in port order, with the ports a packet bound for
@@ -79,14 +80,6 @@ class SwitchNode : public Node {
   // is down or paused (a fabric-wide PFC storm, or every neighbor dead), and
   // no-detour-available otherwise (live candidates all full).
   std::optional<DropReason> FindCandidates(const Packet& p, uint16_t desired_port);
-
-  // The policy's view of a decision for `p` bound for `desired_port`.
-  DetourContext ContextFor(const Packet& p, uint16_t desired_port,
-                           std::span<const DetourCandidate> candidates) const;
-
-  // Runs `policy` over candidates_ and commits the detour it picks: counts
-  // it, feeds the guard, CE-marks the packet and forwards it.
-  void Detour(Packet&& p, DetourPolicy& policy, uint16_t desired_port);
 
   // Ethernet flow control: crossing XOFF pauses all neighbors; dropping back
   // to XON resumes them.

@@ -32,11 +32,6 @@ class DetourGuard {
 
   GuardState state() const { return state_; }
 
-  // True when the breaker currently lets this switch detour at all. In
-  // PROBING the per-window probe budget still applies — AdmitDetour is the
-  // authoritative gate; this is the cheap read for the early-detour path.
-  bool DetourEnabled() const { return state_ != GuardState::kSuppressed; }
-
   // One detour decision point was reached (the desired queue refused the
   // packet and the switch consulted the policy). Returns true when the
   // breaker admits the detour, false when it must drop as guard-suppressed.

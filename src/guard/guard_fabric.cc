@@ -53,11 +53,6 @@ DetourGuard& GuardFabric::GuardAt(int node) {
   return guards_[static_cast<size_t>(guard_index_[static_cast<size_t>(node)])].second;
 }
 
-const DetourGuard& GuardFabric::GuardAt(int node) const {
-  DIBS_CHECK(HasGuard(node)) << "no guard for node " << node;
-  return guards_[static_cast<size_t>(guard_index_[static_cast<size_t>(node)])].second;
-}
-
 void GuardFabric::Tick() {
   const Time now = sim_->Now();
 

@@ -56,10 +56,6 @@ class GuardFabric {
   // budget must not consume the probe allowance.
   std::optional<DropReason> AdmitDetour(int node, uint16_t detour_count);
 
-  // Cheap read for the early-detour (probabilistic) path: false while the
-  // breaker has this switch suppressed.
-  bool DetourEnabled(int node) const { return GuardAt(node).DetourEnabled(); }
-
   // Per-packet notes from the receive path.
   void NotePacket(int node) {
     GuardAt(node).NotePacket();
@@ -82,7 +78,6 @@ class GuardFabric {
            guard_index_[static_cast<size_t>(node)] >= 0;
   }
   DetourGuard& GuardAt(int node);
-  const DetourGuard& GuardAt(int node) const;
   void Tick();
 
   Simulator* sim_;

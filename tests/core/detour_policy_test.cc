@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,48 +23,33 @@
 namespace dibs {
 namespace {
 
-// A decision at switch 5 for flow 42 whose desired queue (100 packets) is
-// full, over candidates on ports 2, 3, ... with the given queue lengths.
-struct ContextFixture {
-  explicit ContextFixture(std::vector<size_t> queue_lens,
-                          TrafficClass cls = TrafficClass::kQuery) {
-    uint16_t port = 2;
-    for (size_t len : queue_lens) {
-      candidates.push_back({port++, len, 100});
-    }
-    packet.flow = 42;
-    packet.traffic_class = cls;
-    ctx.node = 5;
-    ctx.desired_queue_len = 100;
-    ctx.desired_queue_cap = 100;
-    ctx.packet = &packet;
-    ctx.candidates = candidates;
-  }
-
+// Candidates on ports 2, 3, ... with the given queue lengths.
+std::vector<DetourCandidate> Candidates(const std::vector<size_t>& queue_lens) {
   std::vector<DetourCandidate> candidates;
-  Packet packet;
-  DetourContext ctx;
-};
+  uint16_t port = 2;
+  for (size_t len : queue_lens) {
+    candidates.push_back({port++, len});
+  }
+  return candidates;
+}
 
 TEST(RandomDetourTest, CoversAllEligiblePorts) {
-  ContextFixture f({10, 10, 10, 10});
-  RandomDetour policy;
+  const auto candidates = Candidates({10, 10, 10, 10});
   Rng rng(11);
   std::set<uint16_t> seen;
   for (int i = 0; i < 500; ++i) {
-    seen.insert(policy.ChoosePort(f.ctx, rng));
+    seen.insert(ChooseDetourPort(DetourPolicy::kRandom, candidates, rng));
   }
   EXPECT_EQ(seen, (std::set<uint16_t>{2, 3, 4, 5}));
 }
 
 TEST(RandomDetourTest, RoughlyUniform) {
-  ContextFixture f({10, 10, 10, 10});
-  RandomDetour policy;
+  const auto candidates = Candidates({10, 10, 10, 10});
   Rng rng(13);
   std::map<uint16_t, int> counts;
   const int n = 8000;
   for (int i = 0; i < n; ++i) {
-    ++counts[policy.ChoosePort(f.ctx, rng)];
+    ++counts[ChooseDetourPort(DetourPolicy::kRandom, candidates, rng)];
   }
   for (const auto& [port, count] : counts) {
     EXPECT_NEAR(static_cast<double>(count) / n, 0.25, 0.03);
@@ -71,86 +57,21 @@ TEST(RandomDetourTest, RoughlyUniform) {
 }
 
 TEST(LoadAwareDetourTest, PicksShortestQueue) {
-  ContextFixture f({50, 5});  // port 3 is clearly the emptiest
-  LoadAwareDetour policy;
+  const auto candidates = Candidates({50, 5});  // port 3 is clearly the emptiest
   Rng rng(9);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(policy.ChoosePort(f.ctx, rng), 3);
+    EXPECT_EQ(ChooseDetourPort(DetourPolicy::kLoadAware, candidates, rng), 3);
   }
 }
 
 TEST(LoadAwareDetourTest, BreaksTiesRandomly) {
-  ContextFixture f({10, 10, 10});
-  LoadAwareDetour policy;
+  const auto candidates = Candidates({10, 10, 10});
   Rng rng(17);
   std::set<uint16_t> seen;
   for (int i = 0; i < 300; ++i) {
-    seen.insert(policy.ChoosePort(f.ctx, rng));
+    seen.insert(ChooseDetourPort(DetourPolicy::kLoadAware, candidates, rng));
   }
   EXPECT_GT(seen.size(), 1u);
-}
-
-TEST(FlowBasedDetourTest, ConsistentPerFlow) {
-  ContextFixture f({10, 10, 10, 10});
-  FlowBasedDetour policy;
-  Rng rng(21);
-  const uint16_t first = policy.ChoosePort(f.ctx, rng);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.ChoosePort(f.ctx, rng), first);
-  }
-}
-
-TEST(FlowBasedDetourTest, DifferentFlowsSpread) {
-  ContextFixture f({10, 10, 10, 10});
-  FlowBasedDetour policy;
-  Rng rng(23);
-  std::set<uint16_t> seen;
-  for (FlowId flow = 1; flow <= 64; ++flow) {
-    f.packet.flow = flow;
-    seen.insert(policy.ChoosePort(f.ctx, rng));
-  }
-  EXPECT_GT(seen.size(), 2u);
-}
-
-TEST(ProbabilisticDetourTest, QueryTrafficNeverDetoursEarly) {
-  ContextFixture f({10, 10}, TrafficClass::kQuery);
-  f.ctx.desired_queue_len = 99;
-  ProbabilisticDetour policy(0.5);
-  Rng rng(29);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(policy.ShouldDetourEarly(f.ctx, rng));
-  }
-}
-
-TEST(ProbabilisticDetourTest, BackgroundDetoursEarlyWhenNearlyFull) {
-  ContextFixture f({10, 10}, TrafficClass::kBackground);
-  f.ctx.desired_queue_len = 99;
-  ProbabilisticDetour policy(0.5);
-  Rng rng(31);
-  int early = 0;
-  for (int i = 0; i < 500; ++i) {
-    early += policy.ShouldDetourEarly(f.ctx, rng) ? 1 : 0;
-  }
-  EXPECT_GT(early, 400);  // occupancy 0.99 with onset 0.5 -> p ~ 0.98
-}
-
-TEST(ProbabilisticDetourTest, NoEarlyDetourBelowOnset) {
-  ContextFixture f({10, 10}, TrafficClass::kBackground);
-  f.ctx.desired_queue_len = 30;
-  ProbabilisticDetour policy(0.8);
-  Rng rng(37);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_FALSE(policy.ShouldDetourEarly(f.ctx, rng));
-  }
-}
-
-TEST(ProbabilisticDetourTest, UnboundedQueueNeverEarly) {
-  ContextFixture f({10, 10}, TrafficClass::kBackground);
-  f.ctx.desired_queue_cap = 0;
-  f.ctx.desired_queue_len = 100000;
-  ProbabilisticDetour policy(0.5);
-  Rng rng(41);
-  EXPECT_FALSE(policy.ShouldDetourEarly(f.ctx, rng));
 }
 
 // A star: switch node 0 with host 0 on port 0 (the destination), host 1 on
@@ -186,6 +107,7 @@ class Star : public TraceSink {
   }
 
   SwitchNode& center() { return net_->switch_at(0); }
+  Rng& rng() { return net_->sim().rng(); }
   // The one-port switch on `port` of the center.
   SwitchNode& neighbor(uint16_t port) {
     return net_->switch_at(net_->topology().ports(0)[port].neighbor);
@@ -332,18 +254,7 @@ TEST(LoadAwareDetourTest, ShortestQueueLosesToLiveness) {
   EXPECT_EQ(star.detour_ports, std::vector<uint16_t>{3});
 }
 
-TEST(ProbabilisticDetourTest, ChoosesEligiblePort) {
-  Star star("probabilistic");
-  star.Fill({0, 3, 5, 6, 7});
-  star.ReceiveUntilDrop(/*in_port=*/2);
-  ASSERT_FALSE(star.detour_ports.empty());
-  for (uint16_t port : star.detour_ports) {
-    EXPECT_TRUE(port == 2 || port == 4) << "detoured out of port " << port;
-  }
-}
-
-// Every policy name: the factory round trip ("none" is no policy) and the
-// policy installed in a switch.
+// Every policy name: the name lookup and the policy installed in a switch.
 class PolicyFactorySweep : public ::testing::TestWithParam<std::string> {
  protected:
   bool dibs() const { return GetParam() != "none"; }
@@ -355,14 +266,26 @@ class PolicyFactorySweep : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(PolicyFactorySweep, FactoryProducesNamedPolicy) {
-  const std::string name = GetParam();
-  auto policy = MakeDetourPolicy(name);
-  if (name == "none") {
-    EXPECT_EQ(policy, nullptr);
-    return;
-  }
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->name(), name);
+  const std::map<std::string, DetourPolicy> named = {{"none", DetourPolicy::kNone},
+                                                     {"random", DetourPolicy::kRandom},
+                                                     {"load-aware", DetourPolicy::kLoadAware}};
+  EXPECT_EQ(DetourPolicyFromName(GetParam()), named.at(GetParam()));
+  EXPECT_EQ(DetourPolicyFromName(GetParam() + " "), std::nullopt);
+}
+
+// §2: a packet detours only when its desired queue is full. One packet
+// short of full, the desired queue takes it, and no policy draws.
+TEST_P(PolicyFactorySweep, DesiredQueueWithRoomTakesThePacket) {
+  Star star(GetParam());
+  star.Load(star.center(), 0, 3);
+  const Queue& desired = star.center().port(0).queue();
+  ASSERT_FALSE(desired.IsFull(Packet()));
+  Rng before = star.rng();
+  star.Receive(star.center(), /*in_port=*/2);
+  EXPECT_EQ(desired.size_packets(), 4u);
+  EXPECT_TRUE(star.detour_ports.empty());
+  EXPECT_TRUE(star.drops.empty());
+  EXPECT_EQ(star.rng().NextUint64(), before.NextUint64());
 }
 
 TEST_P(PolicyFactorySweep, AllPoliciesRespectEligibility) {
@@ -406,8 +329,7 @@ TEST_P(PolicyFactorySweep, AllPoliciesRespectEligibility) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyFactorySweep,
-                         ::testing::Values("none", "random", "load-aware", "flow-based",
-                                           "probabilistic"));
+                         ::testing::Values("none", "random", "load-aware"));
 
 }  // namespace
 }  // namespace dibs

@@ -122,8 +122,7 @@ TEST(NetworkTest, DetourPolicyFactoryWiring) {
   cfg.detour_policy = "load-aware";
   Simulator sim;
   Network net(&sim, BuildEmulabTestbed(), cfg);
-  ASSERT_NE(net.detour_policy(), nullptr);
-  EXPECT_EQ(net.detour_policy()->name(), "load-aware");
+  EXPECT_EQ(net.detour_policy(), DetourPolicy::kLoadAware);
 }
 
 // Every built-in topology builds a functioning network end to end.

@@ -1,5 +1,5 @@
 // The golden cells shared by the behaviour lock (golden_test.cc) and the
-// stream lock (stream_test.cc): nine reduced k=4 fat-tree configurations,
+// stream lock (stream_test.cc): seven reduced k=4 fat-tree configurations,
 // the FNV-1a-64 hash both locks use, and the sink that hashes an encoded
 // trace stream exactly as a JSONL sink would write it.
 
@@ -74,12 +74,10 @@ inline ExperimentConfig CellConfig(const std::string& name) {
     c.net.guard.watchdog = true;
     return c;
   }
-  if (name == "dibs_load_aware" || name == "dibs_flow_based" || name == "dibs_probabilistic") {
-    // The incast/background cell under each other §7 detour policy.
+  if (name == "dibs_load_aware") {
+    // The incast/background cell under §7's load-aware detouring.
     ExperimentConfig c = CellConfig("dibs_incast_background");
-    c.net.detour_policy = name == "dibs_load_aware"   ? "load-aware"
-                          : name == "dibs_flow_based" ? "flow-based"
-                                                      : "probabilistic";
+    c.net.detour_policy = "load-aware";
     return c;
   }
   if (name == "dctcp_monitors_shared_buffer") {

@@ -9,8 +9,7 @@
 // cancel/re-arm, PFC pause frames, reordering lossy links with a flap and a
 // ToR crash, the overload guard's tick and the collapse watchdog's sample,
 // the fabric monitor over a shared-buffer switch, and every detour
-// policy (random, load-aware, flow-based, probabilistic with its early
-// detours; "none" in the DCTCP cells).
+// policy (random, load-aware; "none" in the DCTCP cells).
 //
 // The digest is FNV-1a-64 over chaos::CanonicalRecord(record) + "\n", the
 // same one perfbench uses. A row changes only when behaviour changes on
@@ -83,8 +82,6 @@ const GoldenRow kGolden[] = {
     {"dibs_guard_watchdog", 0x69ecbed9e0e6f3e6ull, 674045, 63, 71298},
     {"dctcp_monitors_shared_buffer", 0x1c1e0d7ee48c1ff1ull, 743155, 1074, 0},
     {"dibs_load_aware", 0xb4fda38f54780139ull, 911725, 1071, 48231},
-    {"dibs_flow_based", 0x9bd883d5aab8a457ull, 862748, 1069, 36997},
-    {"dibs_probabilistic", 0xb44a41d382a648b7ull, 796469, 1072, 19301},
 };
 
 TEST(GoldenBehaviour, EveryCellMatchesItsCommittedRow) {

@@ -45,8 +45,6 @@ const StreamRow kGoldenStream[] = {
     {"dibs_guard_watchdog", 0xf85848b66463731bull, 1674831},
     {"dctcp_monitors_shared_buffer", 0x3b023cb7e0fd5431ull, 1617628},
     {"dibs_load_aware", 0x1518d56732fdba29ull, 1999978},
-    {"dibs_flow_based", 0xe48bf308d10e6055ull, 1890254},
-    {"dibs_probabilistic", 0xb3f7afde478e40c4ull, 1740932},
 };
 
 // Names each case's ctest after its cell.

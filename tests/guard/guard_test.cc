@@ -70,7 +70,6 @@ TEST(DetourGuardTest, TripsOnDetourRateAndCountsTrip) {
   EXPECT_EQ(FeedWindow(guard, kPackets, kStorm, WindowEnd(1)), GuardState::kArmed);
   EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), kGuardEwmaAlpha);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
-  EXPECT_FALSE(guard.DetourEnabled());
   EXPECT_FALSE(guard.AdmitDetour());
 }
 
@@ -101,7 +100,6 @@ TEST(DetourGuardTest, SuppressedHoldsUntilDwellThenProbes) {
 TEST(DetourGuardTest, ProbingAdmitsOnlyProbeBudgetPerWindow) {
   DetourGuard guard(Time::Zero());
   TripThenProbe(guard);
-  EXPECT_TRUE(guard.DetourEnabled());  // cheap read: not suppressed
   uint64_t admitted = 0;
   for (uint64_t i = 0; i < 2 * kGuardProbeBudget; ++i) {
     if (guard.AdmitDetour()) {
@@ -188,8 +186,8 @@ TEST(GuardFabricTest, TickWalksGuardsAndReportsTransitions) {
   EXPECT_EQ(std::get<0>(seen[1]), 7);
   EXPECT_EQ(std::get<1>(seen[0]), GuardState::kArmed);
   EXPECT_EQ(std::get<2>(seen[0]), GuardState::kSuppressed);
-  EXPECT_FALSE(fabric.DetourEnabled(3));
-  EXPECT_FALSE(fabric.DetourEnabled(7));
+  EXPECT_EQ(fabric.AdmitDetour(3, 0), DropReason::kGuardSuppressed);
+  EXPECT_EQ(fabric.AdmitDetour(7, 0), DropReason::kGuardSuppressed);
 }
 
 TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
@@ -201,8 +199,6 @@ TEST(GuardFabricTest, SuppressedSwitchDeniesWhileOthersDetour) {
     Storm(fabric, 2, kPackets, 0);
   });
   sim.RunUntil(WindowEnd(1));
-  EXPECT_FALSE(fabric.DetourEnabled(1));
-  EXPECT_TRUE(fabric.DetourEnabled(2));
   EXPECT_EQ(fabric.AdmitDetour(1, 0), DropReason::kGuardSuppressed);
   EXPECT_EQ(fabric.AdmitDetour(2, 0), std::nullopt);
 }

@@ -77,8 +77,7 @@ TEST_P(ConservationSweep, FlowsCompleteAndCountsBalance) {
 
 INSTANTIATE_TEST_SUITE_P(
     PolicyBufferMatrix, ConservationSweep,
-    ::testing::Combine(::testing::Values("none", "random", "load-aware", "flow-based",
-                                         "probabilistic"),
+    ::testing::Combine(::testing::Values("none", "random", "load-aware"),
                        ::testing::Values(size_t{5}, size_t{25}, size_t{100})));
 
 TEST(ConservationTest, HoldsOnFatTreeUnderIncast) {

@@ -47,7 +47,10 @@ TEST(InvariantsDeathTest, DuplicateFlowReceiverRejected) {
 }
 
 TEST(InvariantsDeathTest, UnknownDetourPolicyAborts) {
-  EXPECT_DEATH(MakeDetourPolicy("teleport"), "unknown detour policy");
+  NetworkConfig cfg;
+  cfg.detour_policy = "teleport";
+  Simulator sim;
+  EXPECT_DEATH(Network net(&sim, BuildEmulabTestbed(), cfg), "unknown detour policy");
 }
 
 TEST(InvariantsDeathTest, EmpiricalCdfRejectsBadKnots) {
