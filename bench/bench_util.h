@@ -46,6 +46,7 @@
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
 #include "src/util/logging.h"
+#include "src/util/validation.h"
 
 namespace dibs {
 namespace bench {
@@ -82,6 +83,9 @@ inline SweepOptions BenchSweepOptions() {
     opts.journal_path = path;
   }
   opts.resume = env::Flag("DIBS_RESUME", opts.resume);
+  // Runs read DIBS_VALIDATE; parsing it here makes a typo fail the bench
+  // before any run instead of failing every run.
+  validate::Enabled();
   return opts;
 }
 

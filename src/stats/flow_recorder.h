@@ -16,17 +16,13 @@ namespace dibs {
 
 class FlowRecorder {
  public:
+  // Keeps background and query results; §5.6's long-lived flows are
+  // measured by their goodput (LongLivedWorkload), not their completions.
   void RecordFlow(const FlowResult& r) {
-    switch (r.spec.traffic_class) {
-      case TrafficClass::kBackground:
-        background_.push_back(r);
-        break;
-      case TrafficClass::kQuery:
-        query_flows_.push_back(r);
-        break;
-      case TrafficClass::kLongLived:
-        long_lived_.push_back(r);
-        break;
+    if (r.spec.traffic_class == TrafficClass::kBackground) {
+      background_.push_back(r);
+    } else if (r.spec.traffic_class == TrafficClass::kQuery) {
+      query_flows_.push_back(r);
     }
     total_retransmits_ += r.retransmits;
     total_timeouts_ += r.timeouts;
@@ -75,7 +71,6 @@ class FlowRecorder {
  private:
   std::vector<FlowResult> background_;
   std::vector<FlowResult> query_flows_;
-  std::vector<FlowResult> long_lived_;
   std::vector<QueryResult> queries_;
   uint64_t total_retransmits_ = 0;
   uint64_t total_timeouts_ = 0;

@@ -8,6 +8,7 @@
 #define SRC_TRACE_TRACE_SESSION_H_
 
 #include <cstddef>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,7 +28,9 @@ class TraceSession {
   static constexpr size_t kFlightEvents = 4096;
 
   // run_index >= 0 (a sweep run) suffixes file sinks with ".run<N>" so
-  // parallel runs write disjoint files.
+  // parallel runs write disjoint files. Opens the JSONL and Perfetto
+  // outputs; throws std::runtime_error naming the path when one cannot be
+  // opened.
   explicit TraceSession(const TraceConfig& config, int run_index = -1);
   ~TraceSession();
 
@@ -56,7 +59,7 @@ class TraceSession {
   };
 
   std::string dump_path_;
-  std::string perfetto_path_;
+  std::ofstream perfetto_;  // open from construction until Finish
   FlightRecorder flight_;
   JourneyBuilder journeys_;
   std::unique_ptr<JsonlTraceSink> jsonl_;

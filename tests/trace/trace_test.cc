@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/trace/trace_bus.h"
 #include "src/trace/trace_codec.h"
 #include "src/trace/trace_config.h"
+#include "src/trace/trace_session.h"
 #include "src/util/env.h"
 #include "src/util/json.h"
 #include "src/util/validation.h"
@@ -277,6 +279,39 @@ TEST(TraceConfigTest, EnvOverlayRejectsMalformedKnobs) {
   EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "0.5x"), "DIBS_TRACE_SAMPLE");
   EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "2"), "DIBS_TRACE_SAMPLE");
   EXPECT_EQ(RejectedKnob("DIBS_TRACE_SAMPLE", "1"), "");
+}
+
+// What constructing run 3's session for `config` threw ("" when nothing).
+std::string SessionError(const TraceConfig& config) {
+  try {
+    TraceSession session(config, /*run_index=*/3);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// An output path in a directory that does not exist.
+std::string UnwritablePath(const std::string& file) {
+  return ::testing::TempDir() + "dibs_no_such_dir/" + file;
+}
+
+// An output that cannot be opened fails the session before the run starts,
+// and the crash handler is not left holding the destroyed flight recorder.
+TEST(TraceSessionTest, UnwritableJsonlPathThrowsBeforeArming) {
+  TraceConfig config;
+  config.jsonl_path = UnwritablePath("t.jsonl");
+  EXPECT_EQ(SessionError(config),
+            "cannot open trace output '" + PerRunTracePath(config.jsonl_path, 3) + "'");
+  EXPECT_FALSE(CrashDumpArmed());
+}
+
+TEST(TraceSessionTest, UnwritablePerfettoPathThrowsBeforeArming) {
+  TraceConfig config;
+  config.perfetto_path = UnwritablePath("p.json");
+  EXPECT_EQ(SessionError(config),
+            "cannot open trace output '" + PerRunTracePath(config.perfetto_path, 3) + "'");
+  EXPECT_FALSE(CrashDumpArmed());
 }
 
 // A miniature DIBS scenario with buffers small enough to guarantee detours.
