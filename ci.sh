@@ -10,8 +10,9 @@
 #   2. format             — clang-format --dry-run over the tree (skipped
 #                           when clang-format is not installed).
 #   3. tier-1             — default build + full ctest suite, which also
-#                           diffs 20 paper benches' stdout, and Fig 1's
-#                           examples/detour_trace, against their locked
+#                           diffs 20 paper benches' stdout, and the four
+#                           examples' (Fig 1's detour_trace, quickstart,
+#                           incast_study, fault_demo), against their locked
 #                           tables (tests/golden/tables/).
 #   4. tables             — the other three paper benches (sec56_fairness,
 #                           fig14, fig15; 7-16 s each) against their locked
@@ -127,7 +128,7 @@ for bench in sec56_fairness fig14_extreme_qps fig15_large_response; do
   DIBS_BENCH_DURATION_MS=20 DIBS_JOBS=4 \
     tests/expect_table.sh "tests/golden/tables/$bench.txt" "./build/bench/$bench"
 done
-echo "tables: all 23 paper benches and detour_trace print their locked tables"
+echo "tables: all 23 paper benches and the four examples print their locked tables"
 
 echo "== perfbench: self-test, then every workload's digest at seed 1 =="
 # run.py builds its own tree (.bench_build/) from this checkout's src/ and
