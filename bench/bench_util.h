@@ -7,9 +7,10 @@
 // measured shapes compare to the paper's. Every other bench runs its
 // Scenarios through RunBenchRuns, so all the knobs below reach it; fig02,
 // fig03, fig06 and sec56 drive the simulator by hand, and of these knobs
-// fig03 and sec56 read DIBS_BENCH_DURATION_MS alone. This file is the one
-// place the sweep knobs are read: src/exp takes plain SweepOptions and reads
-// no environment. Environment knobs:
+// fig03 and sec56 read DIBS_BENCH_DURATION_MS and the trace knobs alone.
+// This file is the one place the sweep and trace knobs are read: src/exp
+// takes plain SweepOptions and Scenario takes config.trace as given, so
+// neither reads the environment. Environment knobs:
 //   DIBS_BENCH_DURATION_MS  simulated window per figure point
 //   DIBS_BENCH_SEED         base seed for every run (default 1)
 //   DIBS_JOBS               sweep worker threads (default: hardware cores)
@@ -26,6 +27,8 @@
 //                           restarted bench skips rows journaled as ok
 //   DIBS_ISOLATE            "process" forks every run (crash containment +
 //                           hard watchdog); default "thread", in-process
+//   DIBS_TRACE*             tracing for every run (ApplyTraceEnv in
+//                           src/trace/trace_config.h)
 // (see EXPERIMENTS.md "Resumable sweeps")
 
 #ifndef BENCH_BENCH_UTIL_H_
@@ -45,6 +48,7 @@
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
+#include "src/trace/trace_config.h"
 #include "src/util/logging.h"
 #include "src/util/validation.h"
 
@@ -101,6 +105,11 @@ inline RunSpec BenchRun(ExperimentConfig config, std::vector<AxisPoint> points) 
 // options and optional JSONL/CSV export, returning records in list order.
 inline std::vector<RunRecord> RunBenchRuns(const std::string& name,
                                            std::vector<RunSpec> runs) {
+  // Read before the first run, so a mistyped trace knob ends the bench
+  // here instead of failing every run.
+  for (RunSpec& run : runs) {
+    run.config.trace = ApplyTraceEnv(run.config.trace);
+  }
   std::vector<std::unique_ptr<ResultSink>> owned;
   std::vector<ResultSink*> sinks;
   std::ofstream jsonl_file;

@@ -32,6 +32,7 @@ WorkloadResult RunWorkload(const std::string& name, int mode) {
   cfg.drain = Time::Millis(100);
   cfg.seed = 11;
   cfg.monitor_interval = Time::Millis(2);
+  cfg.trace = ApplyTraceEnv(cfg.trace);
 
   Scenario scenario(cfg);
   Network& net = scenario.network();

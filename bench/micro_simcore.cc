@@ -10,8 +10,7 @@
 #include "src/net/droptail_queue.h"
 #include "src/net/pfabric_queue.h"
 #include "src/sim/simulator.h"
-#include "src/stats/detour_recorder.h"
-#include "src/stats/guard_recorder.h"
+#include "src/stats/run_stats.h"
 #include "src/topo/builders.h"
 #include "src/topo/routing.h"
 #include "src/trace/flight_recorder.h"
@@ -187,15 +186,13 @@ void BM_SwitchPacketHop(benchmark::State& state) {
 BENCHMARK(BM_SwitchPacketHop);
 
 void BM_SwitchPacketHopDefaultSinks(benchmark::State& state) {
-  // Same hop loop with Scenario's two always-on sinks subscribed: the path
-  // every real run takes, where each dequeue builds and dispatches an event
-  // to DetourRecorder.
+  // Same hop loop with Scenario's always-on sink subscribed as a run
+  // without faults subscribes it: the path every real run takes, where each
+  // dequeue builds and dispatches an event to RunStats.
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
-  DetourRecorder detours;
-  GuardRecorder guard;
-  net.Subscribe(&detours, DetourRecorder::kKinds);
-  net.Subscribe(&guard, GuardRecorder::kKinds);
+  RunStats stats;
+  net.Subscribe(&stats, stats.kinds());
   uint64_t batch = 0;
   for (auto _ : state) {
     Packet p;
@@ -211,7 +208,7 @@ void BM_SwitchPacketHopDefaultSinks(benchmark::State& state) {
     }
   }
   sim.Run();
-  benchmark::DoNotOptimize(detours.QueueingDelaySummary().count);
+  benchmark::DoNotOptimize(stats.QueueingDelaySummary().count);
   state.counters["pkts/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }

@@ -24,6 +24,7 @@ int main() {
     cfg.duration = window;
     cfg.drain = Time::Zero();
     cfg.seed = 2;
+    cfg.trace = ApplyTraceEnv(cfg.trace);
     Scenario scenario(cfg);
 
     LongLivedWorkload::Options opts;

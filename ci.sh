@@ -75,9 +75,9 @@
 #                           and byte-diffs the resumed tables/JSONL against
 #                           an uninterrupted run at DIBS_JOBS=1 and 8 — the
 #                           acceptance bar for journal-backed resume. The
-#                           crash/hang injection hooks behind the same
-#                           machinery (DIBS_TEST_CRASH_RUN, DIBS_ISOLATE)
-#                           are exercised by tests/exp under the
+#                           crash injection hook and process isolation
+#                           behind the same machinery (DIBS_TEST_CRASH_RUN,
+#                           DIBS_ISOLATE) are exercised by tests/exp under the
 #                           asan+ubsan stage's config.
 #  13. guard              — overload-protection smoke: the guarded fig14
 #                           extreme-qps sweep under ASan+UBSan with
@@ -362,7 +362,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/exp_test
 
 echo "== overhead: tracing-off overhead guard on micro_simcore =="
 # BM_SwitchPacketHop runs with no subscribers; BM_SwitchPacketHopDefaultSinks
-# (Scenario's DetourRecorder and GuardRecorder subscribed) and the trace
+# (Scenario's RunStats subscribed, as for a run without faults) and the trace
 # variants ride along unguarded. The guard ratchets against a per-machine baseline cached in
 # the (incremental, per-machine) build tree — wall-clock baselines do not
 # transfer between machines.

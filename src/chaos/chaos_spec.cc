@@ -63,8 +63,6 @@ ExperimentConfig ChaosSpec::ToConfig() const {
         break;
     }
   }
-
-  c.label = "chaos-case-" + std::to_string(case_index);
   return c;
 }
 

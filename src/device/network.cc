@@ -77,14 +77,8 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
               [this, n](Packet&& dead) { NotifyEviction(n, dead); });
         }
       }
-      auto port = std::make_unique<Port>(sim_, nodes_[static_cast<size_t>(n)].get(), i,
+      auto port = std::make_unique<Port>(this, nodes_[static_cast<size_t>(n)].get(), i,
                                          std::move(queue), link.rate_bps, link.delay);
-      port->AttachNetwork(this);
-      // Fault-killed packets (drained queues, blackholed enqueues, lossy
-      // links) reach their terminal state through the normal drop fan-out,
-      // attributed to the node that owns the port.
-      port->SetFaultDropHandler(
-          [this, n](Packet&& dead, DropReason reason) { NotifyDrop(n, dead, reason); });
       if (tn.kind == NodeKind::kHost) {
         static_cast<HostNode*>(nodes_[static_cast<size_t>(n)].get())->SetPort(std::move(port));
         DIBS_CHECK_EQ(port_refs.size(), 1u) << "hosts must have exactly one NIC";
@@ -239,10 +233,18 @@ void Network::NotifyDetour(int node, uint16_t port, const Packet& p) {
 }
 
 void Network::NotifyDrop(int node, const Packet& p, DropReason reason) {
-  ++total_drops_;
+  ++drops_by_reason_[static_cast<size_t>(reason)];
   if (Wants(TraceEventType::kDrop)) {
     Dispatch(MakeTraceDropEvent(sim_->Now(), node, p, static_cast<uint8_t>(reason)));
   }
+}
+
+uint64_t Network::total_drops() const {
+  uint64_t total = 0;
+  for (const uint64_t n : drops_by_reason_) {
+    total += n;
+  }
+  return total;
 }
 
 void Network::NotifyEviction(int node, const Packet& p) {

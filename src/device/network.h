@@ -15,6 +15,7 @@
 #include "src/device/node.h"
 #include "src/guard/guard_config.h"
 #include "src/guard/guard_fabric.h"
+#include "src/net/drop_reason.h"
 #include "src/sim/simulator.h"
 #include "src/topo/routing.h"
 #include "src/topo/topology.h"
@@ -178,9 +179,17 @@ class Network {
   // balance; packets on the wire are counted by the checker itself).
   uint64_t TotalBufferedPackets() const;
 
-  // Aggregate counters. Drops exclude pFabric evictions; DetourRecorder
-  // breaks drops out per reason.
-  uint64_t total_drops() const { return total_drops_; }
+  // Aggregate counters. Drops are counted per reason as NotifyDrop sees
+  // them, the one drop table every report reads; pFabric evictions are not
+  // a DropReason and stay out of it.
+  uint64_t drops(DropReason reason) const {
+    return drops_by_reason_[static_cast<size_t>(reason)];
+  }
+  // Indexed by DropReason (size kNumDropReasons).
+  const std::array<uint64_t, kNumDropReasons>& drops_by_reason() const {
+    return drops_by_reason_;
+  }
+  uint64_t total_drops() const;
   uint64_t total_detours() const { return total_detours_; }
   uint64_t total_delivered() const { return total_delivered_; }
 
@@ -217,7 +226,7 @@ class Network {
   std::unique_ptr<InvariantChecker> invariant_checker_;  // DIBS_VALIDATE only
 
   uint64_t next_uid_ = 1;
-  uint64_t total_drops_ = 0;
+  std::array<uint64_t, kNumDropReasons> drops_by_reason_{};
   uint64_t total_detours_ = 0;
   uint64_t total_delivered_ = 0;
 };

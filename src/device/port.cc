@@ -10,14 +10,22 @@
 
 namespace dibs {
 
+Port::Port(Network* network, Node* owner, uint16_t index, std::unique_ptr<Queue> queue,
+           int64_t rate_bps, Time prop_delay)
+    : network_(network),
+      sim_(&network->sim()),
+      owner_(owner),
+      index_(index),
+      queue_(std::move(queue)),
+      rate_bps_(rate_bps),
+      prop_delay_(prop_delay) {}
+
 bool Port::EnqueueAndTransmit(Packet&& p) {
   if (!link_up_) {
     // Blackhole: the port owns the packet's terminal state. Returning true
     // tells the caller the port took responsibility — the drop has already
-    // been accounted through the fault handler.
-    if (fault_drop_) {
-      fault_drop_(std::move(p), DropReason::kFaultLinkDown);
-    }
+    // been accounted.
+    network_->NotifyDrop(owner_->id(), p, DropReason::kFaultLinkDown);
     return true;
   }
   p.enqueued_at = sim_->Now();
@@ -25,7 +33,7 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
   // eviction), so snapshot the event first — but only when some sink wants
   // it, so the hot path never copies packet fields for nobody.
   std::optional<TraceEvent> ev;
-  if (network_ != nullptr && network_->Wants(TraceEventType::kEnqueue)) {
+  if (network_->Wants(TraceEventType::kEnqueue)) {
     ev.emplace(MakeTracePacketEvent(TraceEventType::kEnqueue, sim_->Now(), owner_->id(),
                                     index_, p));
   }
@@ -47,7 +55,7 @@ void Port::SetPaused(bool paused) {
   if (paused_ != paused) {
     paused_ = paused;
     const TraceEventType edge = paused ? TraceEventType::kPause : TraceEventType::kUnpause;
-    if (network_ != nullptr && network_->Wants(edge)) {
+    if (network_->Wants(edge)) {
       TraceEvent ev;
       ev.at = sim_->Now();
       ev.type = edge;
@@ -71,20 +79,16 @@ void Port::SetLinkUp(bool up) {
     return;
   }
   // Link died: everything buffered behind it is lost. Each drained packet
-  // reaches its terminal state through the fault handler, and the owner hears
-  // the dequeue so flow-control watermarks re-evaluate.
+  // reaches its terminal state as a fault drop, and the owner hears the
+  // dequeue so flow-control watermarks re-evaluate.
   while (true) {
     std::optional<Packet> dead = queue_->Dequeue();
     if (!dead.has_value()) {
       break;
     }
     owner_->OnPortDequeue(index_);
-    if (network_ != nullptr) {
-      network_->NotifyDequeue(owner_->id(), index_, *dead, queue_->size_packets());
-    }
-    if (fault_drop_) {
-      fault_drop_(std::move(*dead), DropReason::kFaultLinkDown);
-    }
+    network_->NotifyDequeue(owner_->id(), index_, *dead, queue_->size_packets());
+    network_->NotifyDrop(owner_->id(), *dead, DropReason::kFaultLinkDown);
   }
 }
 
@@ -103,9 +107,7 @@ void Port::MaybeTransmit() {
   DIBS_CHECK(peer_ != nullptr) << "port transmitted before Connect()";
   owner_->OnPortDequeue(index_);
   // Before bytes_sent_ grows; see EnqueueAndTransmit.
-  if (network_ != nullptr) {
-    network_->NotifyDequeue(owner_->id(), index_, *next, queue_->size_packets());
-  }
+  network_->NotifyDequeue(owner_->id(), index_, *next, queue_->size_packets());
   transmitting_ = true;
   const Time serialization = SerializationDelay(next->size_bytes, rate_bps_);
   bytes_sent_ += next->size_bytes;
@@ -124,7 +126,7 @@ void Port::MaybeTransmit() {
   }
   // The packet is "on the wire" from here until the peer takes it (or a
   // lossy link kills it); the conservation ledger tracks that window.
-  if (network_ != nullptr && network_->Wants(TraceEventType::kWireEnter)) {
+  if (network_->Wants(TraceEventType::kWireEnter)) {
     network_->Dispatch(MakeTracePacketEvent(TraceEventType::kWireEnter, sim_->Now(),
                                             owner_->id(), index_, *next));
   }
@@ -133,9 +135,7 @@ void Port::MaybeTransmit() {
   // still consumed (the serialization event above stands), but the packet
   // never lands — it dies here as a fault-lossy terminal drop.
   if (loss_probability_ > 0 && sim_->rng().Bernoulli(loss_probability_)) {
-    if (fault_drop_) {
-      fault_drop_(std::move(*next), DropReason::kFaultLossy);
-    }
+    network_->NotifyDrop(owner_->id(), *next, DropReason::kFaultLossy);
     return;
   }
   Time prop = prop_delay_;
@@ -166,7 +166,7 @@ void Port::DeliverWire(uint32_t slot) {
   // port again, which can reuse the slot or grow the slab.
   Packet pkt = std::move(wire_[slot]);
   wire_free_.push_back(slot);
-  if (network_ != nullptr && network_->Wants(TraceEventType::kWireExit)) {
+  if (network_->Wants(TraceEventType::kWireExit)) {
     network_->Dispatch(MakeTracePacketEvent(TraceEventType::kWireExit, sim_->Now(),
                                             peer_->id(), peer_port_, pkt));
   }

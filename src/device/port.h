@@ -11,9 +11,7 @@
 #define SRC_DEVICE_PORT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/device/node.h"
@@ -27,14 +25,10 @@ class Network;
 
 class Port {
  public:
-  Port(Simulator* sim, Node* owner, uint16_t index, std::unique_ptr<Queue> queue,
-       int64_t rate_bps, Time prop_delay)
-      : sim_(sim),
-        owner_(owner),
-        index_(index),
-        queue_(std::move(queue)),
-        rate_bps_(rate_bps),
-        prop_delay_(prop_delay) {}
+  // `network` owns the port's node: the port reports its enqueue, dequeue,
+  // wire and pause events and its fault drops there.
+  Port(Network* network, Node* owner, uint16_t index, std::unique_ptr<Queue> queue,
+       int64_t rate_bps, Time prop_delay);
 
   // Wires the receive side; must be called before any traffic flows.
   void Connect(Node* peer, uint16_t peer_port, bool peer_is_switch) {
@@ -64,12 +58,12 @@ class Port {
   bool paused() const { return paused_; }
 
   // Fault model (src/fault). Taking the link down drains the queue — every
-  // buffered packet dies with DropReason::kFaultLinkDown through the fault
-  // drop handler, a terminal state the conservation ledger accepts — and
-  // blackholes future EnqueueAndTransmit calls the same way. As with pause,
-  // a packet already on the wire is not recalled: it lands at the peer
-  // (which drops it if that peer is a crashed switch). Bringing the link
-  // back up kicks the transmitter. Idempotent.
+  // buffered packet dies as a DropReason::kFaultLinkDown drop, a terminal
+  // state the conservation ledger accepts — and blackholes future
+  // EnqueueAndTransmit calls the same way. As with pause, a packet already
+  // on the wire is not recalled: it lands at the peer (which drops it if
+  // that peer is a crashed switch). Bringing the link back up kicks the
+  // transmitter. Idempotent.
   void SetLinkUp(bool up);
   bool link_up() const { return link_up_; }
 
@@ -85,20 +79,9 @@ class Port {
   }
   bool degraded() const { return loss_probability_ > 0 || extra_jitter_ > Time::Zero(); }
 
-  // Wires the terminal-drop path for fault-killed packets (drained queues,
-  // blackholed enqueues, lossy-link losses). Installed by the Network so the
-  // drop reaches the recorders as a normal NotifyDrop.
-  using FaultDropHandler = std::function<void(Packet&&, DropReason)>;
-  void SetFaultDropHandler(FaultDropHandler handler) { fault_drop_ = std::move(handler); }
-
   // Cumulative transmit counters, sampled by FabricMonitor.
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t packets_sent() const { return packets_sent_; }
-
-  // Wires instrumentation (enqueue/dequeue depth, wire events, pause
-  // transitions, fault drops) through the owning Network. Null (the
-  // default, and what unit tests that build bare Ports get) disables it.
-  void AttachNetwork(Network* network) { network_ = network; }
 
  private:
   void MaybeTransmit();
@@ -110,6 +93,7 @@ class Port {
   // the peer node and frees the slot.
   void DeliverWire(uint32_t slot);
 
+  Network* network_;
   Simulator* sim_;
   Node* owner_;
   uint16_t index_;
@@ -126,7 +110,6 @@ class Port {
   bool link_up_ = true;
   double loss_probability_ = 0;
   Time extra_jitter_;
-  FaultDropHandler fault_drop_;
   // Packets on the wire, each waiting for its delivery event. Slots are
   // recycled through wire_free_; this is not a FIFO, because extra_jitter_
   // can reorder deliveries.
@@ -134,7 +117,6 @@ class Port {
   std::vector<uint32_t> wire_free_;
   uint64_t bytes_sent_ = 0;
   uint64_t packets_sent_ = 0;
-  Network* network_ = nullptr;  // instrumentation; may be null
 };
 
 }  // namespace dibs

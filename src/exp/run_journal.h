@@ -34,7 +34,7 @@
 namespace dibs {
 
 // Stable digest of the config fields that shape a run's results: every
-// field of ExperimentConfig except `trace`, `label` and `sweep_run_index`
+// field of ExperimentConfig except `trace` and `sweep_run_index`
 // (DigestConfigTest flips each one). Its job is to catch resuming with a
 // different buffer size, seed, duration, fault plan, ...; the axis labels in
 // the fingerprint are the first line of defense.

@@ -225,8 +225,8 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
   const size_t n = runs.size();
   for (size_t i = 0; i < n; ++i) {
     runs[i].index = static_cast<int>(i);
-    // Lets the env-gated test hooks (DIBS_TEST_CRASH_RUN / DIBS_TEST_HANG_RUN)
-    // target one run of the matrix deterministically.
+    // Names each run's trace files, and lets the env-gated crash hook
+    // (DIBS_TEST_CRASH_RUN) target one run of the matrix deterministically.
     runs[i].config.sweep_run_index = static_cast<int>(i);
   }
 

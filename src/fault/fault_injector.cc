@@ -11,10 +11,10 @@ bool IsLinkFault(FaultKind kind) {
          kind == FaultKind::kDegradeLink || kind == FaultKind::kRestoreLink;
 }
 
-// "Applied" faults break things; the rest are repairs.
-bool IsBreakage(FaultKind kind) {
-  return kind == FaultKind::kLinkDown || kind == FaultKind::kSwitchCrash ||
-         kind == FaultKind::kDegradeLink;
+// Repairs heal something; the other kinds break it.
+bool IsRepair(FaultKind kind) {
+  return kind == FaultKind::kLinkUp || kind == FaultKind::kSwitchRestart ||
+         kind == FaultKind::kRestoreLink;
 }
 
 }  // namespace
@@ -65,12 +65,8 @@ void FaultInjector::Apply(const FaultEvent& event) {
       break;
   }
   ++events_applied_;
-  if (recorder_ != nullptr) {
-    if (IsBreakage(event.kind)) {
-      recorder_->OnFaultApplied(event.at);
-    } else {
-      recorder_->OnFaultRepaired(event.at);
-    }
+  if (stats_ != nullptr && IsRepair(event.kind)) {
+    stats_->OnFaultRepaired(event.at);
   }
 }
 

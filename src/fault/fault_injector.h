@@ -4,10 +4,12 @@
 // actually switches) and schedules one simulator event per plan entry, in
 // (time, plan order). Each firing applies the fault through the Network's
 // fault API — which drains/blackholes ports, masks the live FIB, and flips
-// crash flags — and tells the FaultRecorder (if any) so recovery windows and
-// impact stats line up with the schedule. Determinism: the plan is data, the
-// events are scheduled up front, and every downstream random draw uses the
-// simulator RNG, so a seed fully determines the fault timeline.
+// crash flags. Each repair (link up, switch restart, link restore) is told
+// to RunStats, if any, where it opens a recovery window; restoring a
+// degraded link emits no trace event, so the injector reports repairs
+// directly. Determinism: the plan is data, the events are scheduled up
+// front, and every downstream random draw uses the simulator RNG, so a seed
+// fully determines the fault timeline.
 
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
@@ -17,15 +19,15 @@
 
 #include "src/device/network.h"
 #include "src/fault/fault_plan.h"
-#include "src/stats/fault_recorder.h"
+#include "src/stats/run_stats.h"
 
 namespace dibs::fault {
 
 class FaultInjector {
  public:
-  // `recorder` may be null (faults still apply, just unrecorded).
-  FaultInjector(Network* network, FaultPlan plan, FaultRecorder* recorder = nullptr)
-      : network_(network), plan_(std::move(plan)), recorder_(recorder) {}
+  // `stats` may be null (faults still apply; no recovery windows).
+  FaultInjector(Network* network, FaultPlan plan, RunStats* stats = nullptr)
+      : network_(network), plan_(std::move(plan)), stats_(stats) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -43,7 +45,7 @@ class FaultInjector {
 
   Network* network_;
   FaultPlan plan_;
-  FaultRecorder* recorder_;
+  RunStats* stats_;
   uint64_t events_scheduled_ = 0;
   uint64_t events_applied_ = 0;
 };

@@ -11,7 +11,7 @@
 // it re-opens.
 //
 // DetourGuard mutates switch forwarding behavior, so it is simulation state:
-// a TraceSink must never call its non-const methods (GuardRecorder rides in
+// a TraceSink must never call its non-const methods (RunStats rides in
 // every golden cell and the trace bus in every traced one, so the golden
 // digests would move). It is driven by GuardFabric (tick cadence) and
 // SwitchNode (per-packet notes), never by sinks.

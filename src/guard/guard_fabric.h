@@ -13,8 +13,9 @@
 // Layering: src/guard sits below src/device. The fabric never touches
 // Network; SwitchNode pushes per-packet notes down and the Network receives
 // transitions through the callback. The fabric keeps no tallies: trips,
-// transitions and suppressed time are GuardRecorder's, derived from the
-// transition events, and guard drops are DetourRecorder's.
+// transitions and suppressed time are RunStats's, derived from the
+// transition events, and guard drops are entries of Network's per-reason
+// drop table.
 
 #ifndef SRC_GUARD_GUARD_FABRIC_H_
 #define SRC_GUARD_GUARD_FABRIC_H_

@@ -6,7 +6,6 @@ namespace dibs {
 
 ExperimentConfig DctcpConfig() {
   ExperimentConfig c;
-  c.label = "DCTCP";
   c.net.detour_policy = "none";
   c.tcp = TcpConfig::DctcpDefault();
   c.transport = TransportKind::kDctcp;
@@ -15,7 +14,6 @@ ExperimentConfig DctcpConfig() {
 
 ExperimentConfig DibsConfig() {
   ExperimentConfig c;
-  c.label = "DCTCP+DIBS";
   c.net.detour_policy = "random";
   c.tcp = TcpConfig::DibsDefault();
   c.transport = TransportKind::kDctcp;
@@ -24,7 +22,6 @@ ExperimentConfig DibsConfig() {
 
 ExperimentConfig DibsGuardConfig() {
   ExperimentConfig c = DibsConfig();
-  c.label = "DCTCP+DIBS+guard";
   c.net.guard.enabled = true;
   c.net.guard.adaptive_ttl = true;
   c.net.guard.watchdog = true;
@@ -33,7 +30,6 @@ ExperimentConfig DibsGuardConfig() {
 
 ExperimentConfig InfiniteBufferConfig() {
   ExperimentConfig c;
-  c.label = "DCTCP w/ inf";
   c.net.detour_policy = "none";
   c.net.switch_buffer_packets = 0;  // unbounded
   c.tcp = TcpConfig::DctcpDefault();
@@ -43,7 +39,6 @@ ExperimentConfig InfiniteBufferConfig() {
 
 ExperimentConfig PfabricExperimentConfig() {
   ExperimentConfig c;
-  c.label = "pFabric";
   c.net.detour_policy = "none";
   c.net.pfabric_queues = true;
   c.net.ecn_threshold_packets = 0;

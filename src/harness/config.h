@@ -70,17 +70,16 @@ struct ExperimentConfig {
   // on adds the series to the result and changes nothing else.
   Time monitor_interval = Time::Zero();
 
-  // Packet-lifecycle tracing (src/trace). Overridable per process via the
-  // DIBS_TRACE* environment; excluded from the journal's config digest —
+  // Packet-lifecycle tracing (src/trace). Scenario uses it as given; the
+  // benches overlay the DIBS_TRACE* environment on it before their sweep
+  // starts (bench/bench_util.h). Excluded from the journal's config digest —
   // tracing is observability and never changes simulation results.
   TraceConfig trace;
 
-  std::string label;  // free-form tag printed by the harness
-
   // Position of this run in its sweep matrix (-1 outside a sweep). Set by
-  // the sweep engine; excluded from the journal's config digest. Exists so
-  // the env-gated fault-injection test hooks (DIBS_TEST_CRASH_RUN /
-  // DIBS_TEST_HANG_RUN, see Scenario::Run) can target one run
+  // the sweep engine; excluded from the journal's config digest. It names
+  // each run's trace files, and lets the env-gated crash hook
+  // (DIBS_TEST_CRASH_RUN, see Scenario::Run) target one run
   // deterministically.
   int sweep_run_index = -1;
 };

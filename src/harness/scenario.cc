@@ -1,7 +1,6 @@
 #include "src/harness/scenario.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <map>
@@ -19,12 +18,10 @@ namespace dibs {
 namespace {
 
 // Deterministic, test-only failure injection for the sweep engine's crash
-// containment and hard watchdog (src/exp/process_runner). Env-gated so
-// tests and CI can exercise the crashed/watchdog paths without flaky
-// timing: when DIBS_TEST_CRASH_RUN (resp. DIBS_TEST_HANG_RUN) names this
-// run's sweep matrix index, the run dies by a real SIGSEGV mid-run (resp.
-// wedges outside the simulator event loop, where the cooperative interrupt
-// check can never fire). Never set in production sweeps.
+// containment (src/exp/process_runner). Env-gated so tests and CI can
+// exercise the crashed path without flaky timing: when DIBS_TEST_CRASH_RUN
+// names this run's sweep matrix index, the run dies by a real SIGSEGV
+// mid-run. Never set in production sweeps.
 void MaybeInjectTestFailure(int sweep_run_index, Simulator* sim, Time crash_at) {
   if (sweep_run_index < 0) {
     return;
@@ -45,20 +42,15 @@ void MaybeInjectTestFailure(int sweep_run_index, Simulator* sim, Time crash_at) 
       ::raise(SIGSEGV);
     });
   }
-  if (env::Int("DIBS_TEST_HANG_RUN", -1, -1) == sweep_run_index) {
-    while (true) {
-      ::sleep(1);  // only a hard watchdog (SIGKILL) gets a run out of here
-    }
-  }
 }
 
 }  // namespace
 
-Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
+Scenario::Scenario(const ExperimentConfig& config)
+    : config_(config), stats_(/*faults=*/!config.faults.empty()) {
   sim_ = std::make_unique<Simulator>(config_.seed);
   network_ = std::make_unique<Network>(sim_.get(), BuildTopology(config_), config_.net);
-  network_->Subscribe(&detour_recorder_, DetourRecorder::kKinds);
-  network_->Subscribe(&guard_recorder_, GuardRecorder::kKinds);
+  network_->Subscribe(&stats_, stats_.kinds());
   if (config_.net.guard.watchdog) {
     // Goodput signal: flow completions, not raw delivered packets. Deep in
     // the fig14 regime the downlinks stay saturated — delivered packets per
@@ -70,15 +62,14 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
         sim_.get(), [this] { return flows_->flows_completed(); });
   }
   // Tracing attaches before any traffic exists so host-send events are never
-  // missed. The env overlay lets sweeps/CI trace without touching configs.
-  if (TraceConfig tcfg = ApplyTraceEnv(config_.trace); tcfg.enabled) {
-    trace_ = std::make_unique<TraceSession>(tcfg, config_.sweep_run_index);
+  // missed.
+  if (config_.trace.enabled) {
+    trace_ = std::make_unique<TraceSession>(config_.trace, config_.sweep_run_index);
     network_->Subscribe(trace_->bus());
   }
   if (!config_.faults.empty()) {
-    network_->Subscribe(&fault_recorder_, FaultRecorder::kKinds);
-    fault_injector_ = std::make_unique<fault::FaultInjector>(network_.get(), config_.faults,
-                                                             &fault_recorder_);
+    fault_injector_ =
+        std::make_unique<fault::FaultInjector>(network_.get(), config_.faults, &stats_);
   }
   flows_ = std::make_unique<FlowManager>(network_.get(), config_.transport, config_.tcp,
                                          config_.pfabric);
@@ -91,10 +82,8 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
     // of forwarding-path randomness, so scheme comparisons share workloads.
     opts.seed = config_.seed * 0x9E3779B97F4A7C15ull + 1;
     background_ = std::make_unique<BackgroundWorkload>(
-        network_.get(), flows_.get(), opts, WebSearchFlowSizes(), [this](const FlowResult& r) {
-          recorder_.RecordFlow(r);
-          fault_recorder_.NoteFlowCompleted(r.spec.id);
-        });
+        network_.get(), flows_.get(), opts, WebSearchFlowSizes(),
+        [this](const FlowResult& r) { stats_.OnFlow(r); });
   }
 
   if (config_.enable_query) {
@@ -104,13 +93,10 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
     opts.response_bytes = config_.response_bytes;
     opts.stop_time = config_.duration;
     opts.seed = config_.seed * 0x9E3779B97F4A7C15ull + 2;
-    opts.on_flow_complete = [this](const FlowResult& r) {
-      recorder_.RecordFlow(r);
-      fault_recorder_.NoteFlowCompleted(r.spec.id);
-    };
+    opts.on_flow_complete = [this](const FlowResult& r) { stats_.OnFlow(r); };
     query_ = std::make_unique<QueryWorkload>(
         network_.get(), flows_.get(), opts,
-        [this](const QueryResult& r) { recorder_.RecordQuery(r); });
+        [this](const QueryResult& r) { stats_.OnQuery(r); });
   }
 
   if (config_.monitor_interval > Time::Zero()) {
@@ -174,47 +160,50 @@ ScenarioResult Scenario::Run() {
   }
 
   ScenarioResult r;
-  r.qct99_ms = recorder_.Qct99Ms();
-  r.bg_fct99_ms = recorder_.ShortBackgroundFct99Ms();
-  r.bg_fct99_all_ms = Percentile(recorder_.BackgroundFctMs(), 99);
-  r.qct = recorder_.QctSummary();
-  r.bg_fct_short = recorder_.ShortBackgroundFctSummary();
+  // Each 99th percentile is its summary's p99: both sort the same values.
+  r.qct = stats_.QctSummary();
+  r.bg_fct_short = stats_.ShortBackgroundFctSummary();
+  r.qct99_ms = r.qct.p99;
+  r.bg_fct99_ms = r.bg_fct_short.p99;
+  r.bg_fct99_all_ms = stats_.BackgroundFct99Ms();
   r.queries_completed = query_ != nullptr ? query_->queries_completed() : 0;
   r.queries_launched = query_ != nullptr ? query_->queries_launched() : 0;
   r.flows_completed = flows_->flows_completed();
   r.flows_started = flows_->flows_started();
   r.drops = network_->total_drops();
-  r.ttl_drops = detour_recorder_.drops(DropReason::kTtlExpired);
-  const auto& by_reason = detour_recorder_.drops_by_reason();
+  r.ttl_drops = network_->drops(DropReason::kTtlExpired);
+  const auto& by_reason = network_->drops_by_reason();
   r.drops_by_reason.assign(by_reason.begin(), by_reason.end());
-  r.fault_drops = detour_recorder_.fault_drops();
+  for (size_t i = 0; i < kNumDropReasons; ++i) {
+    if (IsFaultDrop(static_cast<DropReason>(i))) {
+      r.fault_drops += by_reason[i];
+    }
+  }
   if (fault_injector_ != nullptr) {
     r.fault_events_applied = fault_injector_->events_applied();
-    r.fault_flows_stalled = fault_recorder_.FlowsStalled();
-    r.fault_flows_recovered = fault_recorder_.FlowsRecovered();
-    r.fault_recovery_ms_max = fault_recorder_.MaxRecoveryMs();
+    r.fault_flows_stalled = stats_.FlowsStalled();
+    r.fault_flows_recovered = stats_.FlowsRecovered();
+    r.fault_recovery_ms_max = stats_.max_recovery_ms();
   }
   r.detours = network_->total_detours();
   r.delivered_packets = network_->total_delivered();
-  r.detoured_fraction =
-      r.delivered_packets == 0
-          ? 0.0
-          : static_cast<double>(detour_recorder_.delivered_with_detours()) /
-                static_cast<double>(r.delivered_packets);
-  r.query_detour_share =
-      r.detours == 0 ? 0.0
-                     : static_cast<double>(detour_recorder_.query_detours()) /
-                           static_cast<double>(r.detours);
-  r.detour_count_p99 = detour_recorder_.DetourCountQuantile(0.99);
-  r.queueing_delay_us = detour_recorder_.QueueingDelaySummary();
+  r.detoured_fraction = r.delivered_packets == 0
+                            ? 0.0
+                            : static_cast<double>(stats_.delivered_with_detours()) /
+                                  static_cast<double>(r.delivered_packets);
+  r.query_detour_share = r.detours == 0 ? 0.0
+                                        : static_cast<double>(stats_.query_detours()) /
+                                              static_cast<double>(r.detours);
+  r.detour_count_p99 = stats_.DetourCountQuantile(0.99);
+  r.queueing_delay_us = stats_.QueueingDelaySummary();
   r.loop_packets = trace_ != nullptr ? trace_->journeys().loop_packets() : 0;
-  r.retransmits = recorder_.total_retransmits();
-  r.timeouts = recorder_.total_timeouts();
-  r.guard_trips = guard_recorder_.trips();
-  r.guard_transitions = guard_recorder_.transition_count();
-  r.guard_suppressed_drops = detour_recorder_.drops(DropReason::kGuardSuppressed);
-  r.guard_ttl_clamped_drops = detour_recorder_.drops(DropReason::kGuardTtlClamped);
-  r.guard_time_suppressed_ms = guard_recorder_.SuppressedMsUpTo(sim_->Now());
+  r.retransmits = stats_.retransmits();
+  r.timeouts = stats_.timeouts();
+  r.guard_trips = stats_.guard_trips();
+  r.guard_transitions = stats_.guard_transitions();
+  r.guard_suppressed_drops = network_->drops(DropReason::kGuardSuppressed);
+  r.guard_ttl_clamped_drops = network_->drops(DropReason::kGuardTtlClamped);
+  r.guard_time_suppressed_ms = stats_.SuppressedMsUpTo(sim_->Now());
   if (collapse_watchdog_ != nullptr) {
     r.collapse_detected = collapse_watchdog_->collapse_detected();
     r.collapse_onset_ms = collapse_watchdog_->collapse_onset_ms();

@@ -14,11 +14,8 @@
 #include "src/guard/collapse_watchdog.h"
 #include "src/harness/config.h"
 #include "src/sim/simulator.h"
-#include "src/stats/detour_recorder.h"
 #include "src/stats/fabric_monitor.h"
-#include "src/stats/fault_recorder.h"
-#include "src/stats/flow_recorder.h"
-#include "src/stats/guard_recorder.h"
+#include "src/stats/run_stats.h"
 #include "src/trace/trace_session.h"
 #include "src/transport/flow_manager.h"
 #include "src/util/stats_util.h"
@@ -57,8 +54,8 @@ struct ScenarioResult {
   double detour_count_p99 = 0;       // per-packet detour-count 99th pct (§5.4.4)
   // Per-hop queueing delay in µs across every dequeue (host NICs included).
   // count/mean/min/max exact, percentiles histogram-approximate. Always
-  // populated — DetourRecorder reads it off kDequeue, with or without a
-  // trace bus.
+  // populated — RunStats reads it off kDequeue, with or without a trace
+  // bus.
   Summary queueing_delay_us;
   // Packets whose reconstructed journey revisited a node (forwarding loops,
   // the failure mode TTL exists to bound). Zero unless tracing was enabled;
@@ -142,19 +139,18 @@ class Scenario {
   Scenario& operator=(const Scenario&) = delete;
 
   // Runs to completion (duration + drain) and returns the metrics.
-  // Test-only: when $DIBS_TEST_CRASH_RUN / $DIBS_TEST_HANG_RUN name this
-  // run's config.sweep_run_index, Run() segfaults / hangs instead —
-  // deterministic fodder for the sweep engine's crash-containment tests.
+  // Test-only: when $DIBS_TEST_CRASH_RUN names this run's
+  // config.sweep_run_index, Run() segfaults mid-run instead — deterministic
+  // fodder for the sweep engine's crash-containment tests.
   ScenarioResult Run();
 
   Simulator& sim() { return *sim_; }
   Network& network() { return *network_; }
   FlowManager& flows() { return *flows_; }
-  FlowRecorder& recorder() { return recorder_; }
-  FaultRecorder& faults() { return fault_recorder_; }
   // Null unless config.net.guard.watchdog was set.
   CollapseWatchdog* collapse_watchdog() { return collapse_watchdog_.get(); }
-  // Null unless tracing was enabled (config.trace / DIBS_TRACE* env).
+  // Null unless config.trace.enabled. The DIBS_TRACE* knobs reach a run
+  // only through its config (the benches apply them; see bench_util.h).
   TraceSession* trace() { return trace_.get(); }
   const ExperimentConfig& config() const { return config_; }
 
@@ -163,10 +159,7 @@ class Scenario {
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Network> network_;
   std::unique_ptr<FlowManager> flows_;
-  FlowRecorder recorder_;
-  DetourRecorder detour_recorder_;
-  FaultRecorder fault_recorder_;
-  GuardRecorder guard_recorder_;
+  RunStats stats_;
   std::unique_ptr<CollapseWatchdog> collapse_watchdog_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
   std::unique_ptr<BackgroundWorkload> background_;

@@ -1,6 +1,6 @@
 // Packet drop vocabulary, shared by the forwarding path, the fault model,
-// and every accounting surface (recorders, tables, JSONL/CSV
-// sinks, validation diagnostics).
+// and every accounting surface (Network's per-reason drop table, tables,
+// JSONL/CSV sinks, validation diagnostics).
 //
 // Reasons 0-3 are the healthy-network outcomes; 4-7 come from the fault
 // subsystem (src/fault): administratively-downed links, crashed switches,
@@ -68,7 +68,7 @@ inline const char* DropReasonName(DropReason reason) {
 }
 
 // True for the drop reasons introduced by the fault model — the "blackholed"
-// population FaultRecorder reports.
+// population behind ScenarioResult's fault_drops and fault-touched flows.
 inline bool IsFaultDrop(DropReason reason) {
   switch (reason) {
     case DropReason::kFaultLinkDown:

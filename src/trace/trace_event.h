@@ -11,10 +11,10 @@
 // regardless of worker count or process isolation — the same contract the
 // rest of the simulator keeps.
 //
-// Every consumer — the stats recorders, the DIBS_VALIDATE ledger and the
-// TraceBus — is a TraceSink subscribed to the kinds it reads
-// (Network::Subscribe). A hook whose kind has no subscriber pays one
-// predictable branch and never builds its event.
+// Every consumer — RunStats and the other src/stats instruments, the
+// DIBS_VALIDATE ledger and the TraceBus — is a TraceSink subscribed to the
+// kinds it reads (Network::Subscribe). A hook whose kind has no subscriber
+// pays one predictable branch and never builds its event.
 
 #ifndef SRC_TRACE_TRACE_EVENT_H_
 #define SRC_TRACE_TRACE_EVENT_H_

@@ -25,7 +25,6 @@ struct FlowResult {
   FlowSpec spec;
   Time completion_time;       // receiver got the last byte
   Time fct;                   // completion_time - spec.start_time
-  uint32_t segments = 0;
   uint32_t retransmits = 0;   // sender-side retransmitted segments
   uint32_t timeouts = 0;      // sender-side RTO firings
   uint64_t marked_acks = 0;   // ACKs carrying ECN-echo

@@ -16,7 +16,6 @@ TcpReceiver::TcpReceiver(Network* network, const FlowSpec& spec,
       total_segments_(SegmentsForBytes(spec.size_bytes)),
       received_(total_segments_, false) {
   result_.spec = spec_;
-  result_.segments = total_segments_;
 }
 
 void TcpReceiver::OnData(Packet&& p) {

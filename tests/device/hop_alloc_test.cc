@@ -2,7 +2,7 @@
 //
 // This binary replaces the global operator new with a counting one (which is
 // why it is its own executable). Each case builds a paper fat-tree with
-// Scenario's always-on sinks subscribed and a receiver on every flow, warms
+// Scenario's always-on sink subscribed and a receiver on every flow, warms
 // it up so every slab, ring and heap reaches its working size, then requires
 // zero allocations over as many packets again.
 
@@ -14,8 +14,7 @@
 
 #include "src/device/host_node.h"
 #include "src/device/network.h"
-#include "src/stats/detour_recorder.h"
-#include "src/stats/guard_recorder.h"
+#include "src/stats/run_stats.h"
 #include "src/topo/builders.h"
 #include "src/util/rng.h"
 #include "src/util/validation.h"
@@ -48,15 +47,15 @@ constexpr int kHosts = 128;
 constexpr int kWarmupPackets = 4000;
 constexpr int kCountedPackets = 4000;
 
-// A paper fat-tree as Scenario wires it, minus transports. The packets are
-// raw; each (source, destination) pair is its own flow, so ECMP spreads them,
-// and every destination has a receiver for every flow.
+// A paper fat-tree as Scenario wires it for a run without faults, minus
+// transports. The packets are raw; each (source, destination) pair is its
+// own flow, so ECMP spreads them, and every destination has a receiver for
+// every flow.
 class HopFixture {
  public:
   explicit HopFixture(const char* policy)
       : net_(&sim_, BuildPaperFatTree(), Config(policy)) {
-    net_.Subscribe(&detours_, DetourRecorder::kKinds);
-    net_.Subscribe(&guard_, GuardRecorder::kKinds);
+    net_.Subscribe(&stats_, stats_.kinds());
     for (HostId dst = 0; dst < kHosts; ++dst) {
       for (HostId src = 0; src < kHosts; ++src) {
         net_.host(dst).RegisterFlowReceiver(FlowOf(src, dst), [this](Packet&&) { ++received_; });
@@ -92,8 +91,7 @@ class HopFixture {
 
   Simulator sim_{7};
   Network net_;
-  DetourRecorder detours_;
-  GuardRecorder guard_;
+  RunStats stats_;
   uint64_t received_ = 0;
 };
 

@@ -125,6 +125,46 @@ TEST(NetworkTest, DetourPolicyFactoryWiring) {
   EXPECT_EQ(net.detour_policy(), DetourPolicy::kLoadAware);
 }
 
+// NotifyDrop keeps the one per-reason drop table. The packets carry uid 0,
+// which the DIBS_VALIDATE ledger exempts as synthetic traffic.
+TEST(NetworkDropTableTest, DropAccountingByReason) {
+  Simulator sim;
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  const Packet p;
+  net.NotifyDrop(1, p, DropReason::kTtlExpired);
+  net.NotifyDrop(1, p, DropReason::kQueueOverflow);
+  net.NotifyDrop(1, p, DropReason::kQueueOverflow);
+  EXPECT_EQ(net.drops(DropReason::kQueueOverflow), 2u);
+  EXPECT_EQ(net.drops(DropReason::kTtlExpired), 1u);
+  EXPECT_EQ(net.drops(DropReason::kNoDetourAvailable), 0u);
+  EXPECT_EQ(net.total_drops(), 3u);
+}
+
+TEST(NetworkDropTableTest, PfabricEvictionsStayOutOfTheDropTables) {
+  Simulator sim;
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  net.NotifyEviction(1, Packet{});
+  for (uint64_t n : net.drops_by_reason()) {
+    EXPECT_EQ(n, 0u);
+  }
+  EXPECT_EQ(net.total_drops(), 0u);
+}
+
+// Guard-attributed drops are entries of the same table.
+TEST(NetworkDropTableTest, AttributesGuardDropReasons) {
+  Simulator sim;
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  const Packet p;
+  net.NotifyDrop(1, p, DropReason::kGuardSuppressed);
+  net.NotifyDrop(1, p, DropReason::kGuardSuppressed);
+  net.NotifyDrop(1, p, DropReason::kGuardTtlClamped);
+  net.NotifyDrop(1, p, DropReason::kNoEligibleDetour);
+  net.NotifyDrop(1, p, DropReason::kQueueOverflow);  // not guard's
+  EXPECT_EQ(net.drops(DropReason::kGuardSuppressed), 2u);
+  EXPECT_EQ(net.drops(DropReason::kGuardTtlClamped), 1u);
+  EXPECT_EQ(net.drops(DropReason::kNoEligibleDetour), 1u);
+}
+
 // Every built-in topology builds a functioning network end to end.
 class TopologySweep : public ::testing::TestWithParam<int> {};
 

@@ -4,7 +4,6 @@
 
 #include "src/device/host_node.h"
 #include "src/device/network.h"
-#include "src/stats/detour_recorder.h"
 #include "src/topo/builders.h"
 #include "src/trace/journey.h"
 #include "src/trace/trace_bus.h"
@@ -49,14 +48,12 @@ TEST(SwitchTest, TtlDecrementsPerSwitchHop) {
 TEST(SwitchTest, TtlExpiryDropsPacket) {
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
   bool got = false;
   net.host(127).RegisterFlowReceiver(1, [&](Packet&& p) { got = true; });
   net.host(0).Send(RawPacket(net, 0, 127, /*ttl=*/3));  // needs 5 switch hops
   sim.Run();
   EXPECT_FALSE(got);
-  EXPECT_EQ(rec.drops(DropReason::kTtlExpired), 1u);
+  EXPECT_EQ(net.drops(DropReason::kTtlExpired), 1u);
 }
 
 TEST(SwitchTest, IntraPodTrafficStaysCheap) {
@@ -83,8 +80,10 @@ class OverflowFixture : public ::testing::Test {
     cfg.detour_policy = policy;
     sim_ = std::make_unique<Simulator>(7);
     net_ = std::make_unique<Network>(sim_.get(), BuildPaperFatTree(), cfg);
-    net_->Subscribe(&rec_, DetourRecorder::kKinds);
-    net_->host(0).RegisterFlowReceiver(1, [&](Packet&& p) { ++received_; });
+    net_->host(0).RegisterFlowReceiver(1, [&](Packet&& p) {
+      ++received_;
+      marked_ += p.ce ? 1 : 0;
+    });
     for (int s = 1; s <= senders; ++s) {
       for (int i = 0; i < packets_each; ++i) {
         // Distinct flows so ECMP spreads them; same flow id for demux (all
@@ -98,14 +97,14 @@ class OverflowFixture : public ::testing::Test {
 
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Network> net_;
-  DetourRecorder rec_;
   int received_ = 0;
+  int marked_ = 0;  // received with CE set
 };
 
 TEST_F(OverflowFixture, DropTailDropsUnderBurst) {
   Run("none");
   EXPECT_GT(net_->total_drops(), 0u);
-  EXPECT_EQ(rec_.drops(DropReason::kQueueOverflow), net_->total_drops());
+  EXPECT_EQ(net_->drops(DropReason::kQueueOverflow), net_->total_drops());
   EXPECT_EQ(net_->total_detours(), 0u);
   EXPECT_LT(received_, 50);
 }
@@ -121,7 +120,7 @@ TEST_F(OverflowFixture, DetouredPacketsGetCeMarkOnlyIfEct) {
   Run("random");
   // Raw packets had ect=false: no CE marks despite detours.
   EXPECT_GT(net_->total_detours(), 0u);
-  EXPECT_EQ(rec_.delivered_marked(), 0u);
+  EXPECT_EQ(marked_, 0);
 }
 
 TEST(SwitchTest, DetouredEctPacketsAreCeMarked) {
@@ -130,10 +129,12 @@ TEST(SwitchTest, DetouredEctPacketsAreCeMarked) {
   cfg.detour_policy = "random";
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
   int received = 0;
-  net.host(0).RegisterFlowReceiver(1, [&](Packet&& p) { ++received; });
+  int marked = 0;
+  net.host(0).RegisterFlowReceiver(1, [&](Packet&& p) {
+    ++received;
+    marked += p.ce ? 1 : 0;
+  });
   for (int s = 1; s <= 5; ++s) {
     for (int i = 0; i < 10; ++i) {
       Packet p;
@@ -149,7 +150,7 @@ TEST(SwitchTest, DetouredEctPacketsAreCeMarked) {
   }
   sim.Run();
   EXPECT_GT(net.total_detours(), 0u);
-  EXPECT_GT(rec.delivered_marked(), 0u);
+  EXPECT_GT(marked, 0);
   EXPECT_EQ(received, 50);
 }
 
@@ -234,8 +235,6 @@ TEST(SwitchTest, PfcStormWithAllUplinksPausedDropsAsNoEligibleDetour) {
   cfg.detour_policy = "random";
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
   int received = 0;
   net.host(0).RegisterFlowReceiver(1, [&](Packet&&) { ++received; });
   SwitchNode& edge =
@@ -253,8 +252,8 @@ TEST(SwitchTest, PfcStormWithAllUplinksPausedDropsAsNoEligibleDetour) {
     }
   }
   sim.Run();
-  EXPECT_GT(rec.drops(DropReason::kNoEligibleDetour), 0u);
-  EXPECT_EQ(rec.drops(DropReason::kNoDetourAvailable), 0u);
+  EXPECT_GT(net.drops(DropReason::kNoEligibleDetour), 0u);
+  EXPECT_EQ(net.drops(DropReason::kNoDetourAvailable), 0u);
   EXPECT_EQ(net.total_detours(), 0u);  // nothing eligible, so nothing moved
   EXPECT_GT(received, 0);              // the desired queue still drains
 }
@@ -268,8 +267,6 @@ TEST(SwitchTest, PartialPauseStillDetoursWithoutEligibilityDrops) {
   cfg.detour_policy = "random";
   Simulator sim(7);
   Network net(&sim, BuildPaperFatTree(), cfg);
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
   net.host(0).RegisterFlowReceiver(1, [](Packet&&) {});
   SwitchNode& edge =
       net.switch_at(net.topology().ports(net.topology().host_node(0))[0].neighbor);
@@ -290,7 +287,7 @@ TEST(SwitchTest, PartialPauseStillDetoursWithoutEligibilityDrops) {
   }
   sim.Run();
   EXPECT_GT(net.total_detours(), 0u);
-  EXPECT_EQ(rec.drops(DropReason::kNoEligibleDetour), 0u);
+  EXPECT_EQ(net.drops(DropReason::kNoEligibleDetour), 0u);
 }
 
 TEST(SwitchTest, BufferedPacketAccounting) {

@@ -169,25 +169,6 @@ TEST(ProcessRunnerTest, CrashHookTargetsOneScenarioRun) {
   EXPECT_NE(records[1].error.find("SIGSEGV"), std::string::npos) << records[1].error;
 }
 
-TEST(ProcessRunnerTest, HangHookIsKilledByWatchdog) {
-  setenv("DIBS_TEST_HANG_RUN", "0", /*overwrite=*/1);
-  SweepSpec spec;
-  spec.name = "hanghook";
-  spec.base = Tiny(DibsConfig());
-  SweepOptions opts;
-  opts.jobs = 1;
-  opts.progress = false;
-  opts.isolate = IsolationMode::kProcess;
-  opts.run_timeout_sec = 0.2;
-  opts.watchdog_grace_sec = 0.2;
-  const std::vector<RunRecord> records = SweepEngine(opts).Run(spec);
-  unsetenv("DIBS_TEST_HANG_RUN");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].status, RunStatus::kTimeout);
-  EXPECT_NE(records[0].error.find("hard watchdog"), std::string::npos)
-      << records[0].error;
-}
-
 TEST(ProcessRunnerTest, TransientCrashRecoversOnRetry) {
   // Cross-process "transient fault" side channel: the first attempt's child
   // leaves a marker file and crashes; the retry sees the marker and succeeds.

@@ -180,15 +180,14 @@ TEST(DigestConfigTest, EveryRemainingLeafReachesTheDigest) {
   up.faults = fault::FaultPlan().LinkUp(3, Time::Millis(10));
   EXPECT_NE(DigestConfig(down), DigestConfig(up)) << "faults[0].kind does not reach the digest";
 
-  // Observability and bookkeeping: resuming with tracing toggled, a new
-  // label or another matrix position must still match.
+  // Observability and bookkeeping: resuming with tracing toggled or from
+  // another matrix position must still match.
   const std::vector<LeafEdit> inert = {
       {"trace.enabled", [](ExperimentConfig& c) { c.trace.enabled = true; }},
       {"trace.jsonl_path", [](ExperimentConfig& c) { c.trace.jsonl_path = "t.jsonl"; }},
       {"trace.perfetto_path", [](ExperimentConfig& c) { c.trace.perfetto_path = "t.json"; }},
       {"trace.dump_path", [](ExperimentConfig& c) { c.trace.dump_path = "d.jsonl"; }},
       {"trace.sample", [](ExperimentConfig& c) { c.trace.sample = 0.5; }},
-      {"label", [](ExperimentConfig& c) { c.label = "renamed"; }},
       {"sweep_run_index", [](ExperimentConfig& c) { c.sweep_run_index = 5; }},
   };
   for (const LeafEdit& edit : inert) {

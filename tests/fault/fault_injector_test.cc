@@ -19,8 +19,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
-#include "src/stats/detour_recorder.h"
-#include "src/stats/fault_recorder.h"
+#include "src/stats/run_stats.h"
 #include "src/topo/builders.h"
 #include "src/util/validation.h"
 
@@ -73,8 +72,6 @@ Packet RawPacket(Network& net, HostId src, HostId dst, FlowId flow = 1) {
 TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
   Simulator sim;
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // 10 back-to-back packets pile up in h0's NIC queue (12us serialization
   // each). At t=30us packets 0-2 have entered the wire; 3-9 are still queued.
@@ -85,13 +82,13 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
   sim.Run();
 
   EXPECT_FALSE(net.LinkUp(0));
-  EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 7u);
+  EXPECT_EQ(net.drops(DropReason::kFaultLinkDown), 7u);
   EXPECT_EQ(net.total_delivered(), 3u);
 
   // While down, new sends are accepted by the host but blackholed at the NIC.
   net.host(0).Send(RawPacket(net, 0, 1));
   sim.Run();
-  EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 8u);
+  EXPECT_EQ(net.drops(DropReason::kFaultLinkDown), 8u);
 
   // Back up: traffic flows again.
   net.SetLinkAdminState(0, true);
@@ -105,14 +102,12 @@ TEST(FaultModelTest, LinkDownDrainsQueueAndBlackholesThenRecovers) {
 TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
   Simulator sim;
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
-  FaultRecorder frec;
-  net.Subscribe(&frec, FaultRecorder::kKinds);
-  DetourRecorder rec;  // fault drops are counted in the per-reason drop table
-  net.Subscribe(&rec, DetourRecorder::kKinds);
+  RunStats stats(/*faults=*/true);
+  net.Subscribe(&stats, stats.kinds());
 
   fault::FaultPlan plan;
   plan.LinkDown(0, Time::Micros(30)).LinkUp(0, Time::Micros(60));
-  fault::FaultInjector injector(&net, plan, &frec);
+  fault::FaultInjector injector(&net, plan, &stats);
   injector.Start();
   EXPECT_EQ(injector.events_scheduled(), 2u);
 
@@ -123,23 +118,19 @@ TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
   sim.Schedule(Time::Micros(70), [&] { net.host(0).Send(RawPacket(net, 0, 1)); });
   sim.Run();
 
-  EXPECT_EQ(injector.events_applied(), 2u);
-  EXPECT_EQ(frec.events_applied(), 1u);   // the breakage
-  EXPECT_EQ(frec.events_repaired(), 1u);  // the heal
+  EXPECT_EQ(injector.events_applied(), 2u);  // the breakage and the heal
   EXPECT_TRUE(net.LinkUp(0));
-  EXPECT_EQ(rec.fault_drops(), 7u);
-  EXPECT_EQ(rec.drops(DropReason::kFaultLinkDown), 7u);
-  ASSERT_EQ(frec.recovery_ms().size(), 1u);
-  EXPECT_GT(frec.recovery_ms()[0], 0.0);
-  EXPECT_LT(frec.recovery_ms()[0], 1.0);  // ~36us repair-to-delivery
-  EXPECT_DOUBLE_EQ(frec.MaxRecoveryMs(), frec.recovery_ms()[0]);
+  EXPECT_EQ(net.total_drops(), 7u);
+  EXPECT_EQ(net.drops(DropReason::kFaultLinkDown), 7u);
+  // The flow lost packets to the fault and never finished (no transport).
+  EXPECT_EQ(stats.FlowsStalled(), 1u);
+  EXPECT_GT(stats.max_recovery_ms(), 0.0);
+  EXPECT_LT(stats.max_recovery_ms(), 1.0);  // ~36us repair-to-delivery
 }
 
 TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
   Simulator sim;
   Network net(&sim, DiamondTopology(), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // Two equal-cost uplinks from s0 toward h1.
   ASSERT_EQ(net.fib().NextHopPorts(0, /*dst=*/1).size(), 2u);
@@ -169,8 +160,6 @@ TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
 TEST(FaultModelTest, AllPathsDeadDropsAsFaultNoLiveRoute) {
   Simulator sim;
   Network net(&sim, DiamondTopology(), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   net.SetLinkAdminState(1, false);
   net.SetLinkAdminState(2, false);
@@ -178,7 +167,7 @@ TEST(FaultModelTest, AllPathsDeadDropsAsFaultNoLiveRoute) {
   sim.Run();
   // Routes exist in the pristine topology, so this is a fault drop, not a
   // routing bug.
-  EXPECT_EQ(rec.drops(DropReason::kFaultNoLiveRoute), 1u);
+  EXPECT_EQ(net.drops(DropReason::kFaultNoLiveRoute), 1u);
   EXPECT_EQ(net.total_delivered(), 0u);
 }
 
@@ -196,8 +185,6 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
 
   Simulator sim;
   Network net(&sim, std::move(t), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   // The packet enters the s0->s1 wire at t=25us and would land at t=45us.
   net.host(0).Send(RawPacket(net, 0, 1));
@@ -206,7 +193,7 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
 
   EXPECT_FALSE(net.SwitchOperational(s1));
   EXPECT_TRUE(net.SwitchOperational(s0));
-  EXPECT_EQ(rec.drops(DropReason::kFaultSwitchDown), 1u);
+  EXPECT_EQ(net.drops(DropReason::kFaultSwitchDown), 1u);
   EXPECT_EQ(net.total_delivered(), 0u);
   // Every link adjacent to the crashed switch is effectively down.
   EXPECT_FALSE(net.LinkUp(1));
@@ -226,14 +213,12 @@ TEST(FaultModelTest, CrashedSwitchEatsPacketsAlreadyOnTheWire) {
 std::pair<uint64_t, uint64_t> RunLossyLink(uint64_t seed, int count, double loss) {
   Simulator sim(seed);
   Network net(&sim, TwoHostTopology(), NetworkConfig{});
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
   net.SetLinkDegraded(0, loss, Time::Zero());
   for (int i = 0; i < count; ++i) {
     net.host(0).Send(RawPacket(net, 0, 1));
   }
   sim.Run();
-  return {net.total_delivered(), rec.drops(DropReason::kFaultLossy)};
+  return {net.total_delivered(), net.drops(DropReason::kFaultLossy)};
 }
 
 TEST(FaultModelTest, DegradedLinkLossIsBernoulliAndSeedDeterministic) {
@@ -332,8 +317,6 @@ TEST(FaultDibsInteractionTest, AllNeighborsCrashedMeansDropNotDetour) {
   Simulator sim(17);
   Network net(&sim, f.topo, f.Config());
   ASSERT_NE(net.invariant_checker(), nullptr);
-  DetourRecorder rec;
-  net.Subscribe(&rec, DetourRecorder::kKinds);
 
   const std::vector<int> neighbors = f.topo.SwitchNeighborhood(f.tor, 1);
   ASSERT_EQ(neighbors.size(), 2u);
@@ -347,10 +330,10 @@ TEST(FaultDibsInteractionTest, AllNeighborsCrashedMeansDropNotDetour) {
   // Not one packet was detoured — the policy saw every switch-facing port
   // down and declined — and not one reached a crashed neighbor.
   EXPECT_EQ(net.total_detours(), 0u);
-  EXPECT_GT(rec.drops(DropReason::kNoEligibleDetour), 0u);
-  EXPECT_EQ(rec.drops(DropReason::kNoDetourAvailable), 0u);
-  EXPECT_EQ(rec.drops(DropReason::kFaultSwitchDown), 0u);
-  EXPECT_EQ(rec.drops(DropReason::kTtlExpired), 0u);
+  EXPECT_GT(net.drops(DropReason::kNoEligibleDetour), 0u);
+  EXPECT_EQ(net.drops(DropReason::kNoDetourAvailable), 0u);
+  EXPECT_EQ(net.drops(DropReason::kFaultSwitchDown), 0u);
+  EXPECT_EQ(net.drops(DropReason::kTtlExpired), 0u);
 
   // Full accounting: 90 injected, each delivered or dropped, ledger balanced.
   const InvariantChecker& checker = *net.invariant_checker();
@@ -388,42 +371,42 @@ TEST(FaultScenarioTest, SameSeedSameFaultsSameResult) {
   EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
-// FaultRecorder bookkeeping in isolation: fault-touched flows split into
+// RunStats' fault bookkeeping in isolation: fault-touched flows split into
 // recovered vs stalled, and a repair's window closes on the next delivery.
-TEST(FaultRecorderTest, FlowsSplitIntoRecoveredAndStalled) {
-  FaultRecorder rec;
+TEST(RunStatsFaultTest, FlowsSplitIntoRecoveredAndStalled) {
+  RunStats stats(/*faults=*/true);
   Packet a;
   a.uid = 1;
   a.flow = 10;
   Packet b;
   b.uid = 2;
   b.flow = 20;
-  // Both recorders see the same drops; DetourRecorder counts them.
-  DetourRecorder drops;
+  Packet c;
+  c.uid = 3;
+  c.flow = 30;
   const auto drop = [&](const Packet& p, DropReason reason, Time at) {
-    const TraceEvent e = MakeTraceDropEvent(at, 0, p, static_cast<uint8_t>(reason));
-    rec.OnEvent(e);
-    drops.OnEvent(e);
+    stats.OnEvent(MakeTraceDropEvent(at, 0, p, static_cast<uint8_t>(reason)));
+  };
+  const auto completed = [&](FlowId id) {
+    FlowResult r;
+    r.spec.id = id;
+    stats.OnFlow(r);
   };
   drop(a, DropReason::kFaultLinkDown, Time::Millis(1));
   drop(b, DropReason::kFaultLossy, Time::Millis(2));
-  drop(b, DropReason::kQueueOverflow, Time::Millis(3));  // not a fault
-  EXPECT_EQ(drops.fault_drops(), 2u);
-  rec.NoteFlowCompleted(10);
-  rec.NoteFlowCompleted(99);  // fault-free flow: irrelevant
-  EXPECT_EQ(rec.FlowsRecovered(), 1u);  // flow 10
-  EXPECT_EQ(rec.FlowsStalled(), 1u);    // flow 20
+  drop(c, DropReason::kQueueOverflow, Time::Millis(3));  // not a fault
+  completed(10);
+  completed(30);  // fault-free flow: irrelevant
+  EXPECT_EQ(stats.FlowsRecovered(), 1u);  // flow 10
+  EXPECT_EQ(stats.FlowsStalled(), 1u);    // flow 20
 
-  rec.OnFaultApplied(Time::Millis(1));
-  rec.OnFaultRepaired(Time::Millis(5));
-  EXPECT_TRUE(rec.recovery_ms().empty());
-  rec.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(7), 0, -1, a));
-  ASSERT_EQ(rec.recovery_ms().size(), 1u);
-  EXPECT_DOUBLE_EQ(rec.recovery_ms()[0], 2.0);
-  // Later deliveries do not reopen the closed window.
-  rec.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(9), 0, -1, a));
-  EXPECT_EQ(rec.recovery_ms().size(), 1u);
-  EXPECT_DOUBLE_EQ(rec.MaxRecoveryMs(), 2.0);
+  stats.OnFaultRepaired(Time::Millis(5));
+  EXPECT_EQ(stats.max_recovery_ms(), 0.0);  // the window is still open
+  stats.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(7), 0, -1, a));
+  EXPECT_DOUBLE_EQ(stats.max_recovery_ms(), 2.0);
+  // Later deliveries do not reopen the closed window (it would read 4.0).
+  stats.OnEvent(MakeTracePacketEvent(TraceEventType::kHostDeliver, Time::Millis(9), 0, -1, a));
+  EXPECT_DOUBLE_EQ(stats.max_recovery_ms(), 2.0);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(DetourGuardTest, StaysArmedUnderTripRate) {
 TEST(DetourGuardTest, TripsOnDetourRateAndCountsTrip) {
   DetourGuard guard(Time::Zero());
   // EWMA 0 -> 0.5 >= 0.45: the tick reports the ARMED -> SUPPRESSED edge
-  // that GuardRecorder counts as a trip.
+  // that RunStats counts as a trip.
   EXPECT_EQ(FeedWindow(guard, kPackets, kStorm, WindowEnd(1)), GuardState::kArmed);
   EXPECT_DOUBLE_EQ(guard.ewma_detour_rate(), kGuardEwmaAlpha);
   EXPECT_EQ(guard.state(), GuardState::kSuppressed);
@@ -134,7 +134,7 @@ TEST(DetourGuardTest, ProbingReopensWhenPressureReturns) {
   DetourGuard guard(Time::Zero());
   TripThenProbe(guard);
   // Storm still raging: EWMA 0.25 -> 0.625. Re-entering SUPPRESSED from
-  // PROBING is not a fresh trip: the edge GuardRecorder sees starts at
+  // PROBING is not a fresh trip: the edge RunStats sees starts at
   // PROBING, not ARMED.
   EXPECT_EQ(FeedWindow(guard, kPackets, kStorm,
                        WindowEnd(1) + kGuardSuppressHold + kGuardWindow),

@@ -37,7 +37,6 @@ TEST(ConfigPresetTest, DibsPreset) {
 
 TEST(ConfigPresetTest, DibsGuardPreset) {
   const ExperimentConfig c = DibsGuardConfig();
-  EXPECT_EQ(c.label, "DCTCP+DIBS+guard");
   EXPECT_EQ(c.net.detour_policy, "random");  // still DIBS underneath
   EXPECT_TRUE(c.net.guard.enabled);
   EXPECT_TRUE(c.net.guard.adaptive_ttl);

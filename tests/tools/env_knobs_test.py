@@ -5,8 +5,8 @@ must be the same set.
 A knob is any string literal starting with DIBS_ in src/, bench/ or tools/.
 The docs' list is the first cell of every knob-table row in README.md and
 EXPERIMENTS.md: a markdown table row whose first cell names DIBS_ variables.
-The crash and hang test hooks are read by the code on purpose and kept out
-of the tables, so they are a declared exception.
+The crash test hook is read by the code on purpose and kept out of the
+tables, so it is a declared exception.
 
 Run directly: python3 tests/tools/env_knobs_test.py
 """
@@ -22,7 +22,7 @@ CODE_DIRS = ("src", "bench", "tools")
 CODE_SUFFIXES = (".h", ".cc", ".cpp", ".py")
 DOCS = ("README.md", "EXPERIMENTS.md")
 # Test-only failure injection (src/harness/scenario.cc): never a user knob.
-HOOKS = {"DIBS_TEST_CRASH_RUN", "DIBS_TEST_HANG_RUN"}
+HOOKS = {"DIBS_TEST_CRASH_RUN"}
 
 LITERAL = re.compile(r'"(DIBS_[A-Z0-9_]+)')
 NAME = re.compile(r"DIBS_[A-Z0-9_]+")

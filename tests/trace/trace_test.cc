@@ -433,6 +433,30 @@ TEST(TraceScenario, TracedRunIsBitIdenticalToUntraced) {
   EXPECT_DOUBLE_EQ(traced.queueing_delay_us.mean, plain.queueing_delay_us.mean);
 }
 
+// The DIBS_TRACE* knobs reach a run only through its config, where the
+// benches put them: a Scenario whose config leaves tracing off builds no
+// trace session and writes no file, whatever the environment says.
+TEST(TraceScenario, EnvironmentDoesNotTraceAnUntracedConfig) {
+  const std::string path = ::testing::TempDir() + "dibs_env_trace.jsonl";
+  std::remove(path.c_str());
+  ::setenv("DIBS_TRACE", "1", 1);
+  ::setenv("DIBS_TRACE_JSONL", path.c_str(), 1);
+  ExperimentConfig c = MiniDibs(5);
+  c.duration = Time::Millis(10);
+  c.drain = Time::Millis(10);
+  bool traced = false;
+  {
+    Scenario scenario(c);
+    traced = scenario.trace() != nullptr;
+    scenario.Run();
+  }
+  ::unsetenv("DIBS_TRACE");
+  ::unsetenv("DIBS_TRACE_JSONL");
+  EXPECT_FALSE(traced);
+  EXPECT_FALSE(std::ifstream(path).good()) << path << " was written";
+  std::remove(path.c_str());
+}
+
 TEST(TraceScenario, ValidationErrorDumpsFlightRecorder) {
   validate::ScopedEnable on;
   ExperimentConfig c = MiniDibs(31);
@@ -521,7 +545,6 @@ TEST(TraceSweep, JsonlIsByteIdenticalAcrossJobsAndIsolation) {
 // detour is traced.
 ExperimentConfig MiniGuarded(uint64_t seed) {
   ExperimentConfig c = MiniDibs(seed);
-  c.label = "DCTCP+DIBS+guard";
   c.net.guard = DibsGuardConfig().net.guard;
   c.net.switch_buffer_packets = 4;
   c.net.ecn_threshold_packets = 3;

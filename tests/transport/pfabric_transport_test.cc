@@ -22,7 +22,7 @@ TEST(PfabricTest, SingleFlowCompletes) {
   h.Run();
   const FlowResult* r = h.ResultFor(id);
   ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->segments, SegmentsForBytes(100000));
+  EXPECT_EQ(h.flows().receiver(id)->segments_received(), SegmentsForBytes(100000));
 }
 
 TEST(PfabricTest, PrioritiesDecreaseAlongFlow) {
